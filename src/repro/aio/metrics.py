@@ -24,13 +24,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.obs.metrics import Histogram, percentile
+from repro.obs.metrics import Histogram
 
 #: Service-time samples retained for the percentile estimates.
 DEFAULT_WINDOW = 2048
-
-#: Backward-compatible alias: the percentile function moved to repro.obs.
-_percentile = percentile
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,9 @@ from repro.core.errors import (
     NotInBatchError,
     UnsupportedBatchOperationError,
 )
-from repro.core.executor import EXPORT_OP
 from repro.core.policies import POLICY_TYPES, default_policy
 from repro.core.proxy import BatchProxy, BatchRecorder
-from repro.core.recording import NONE_ID, ROOT_SEQ
+from repro.core.recording import EXPORT_OP, NONE_ID, ROOT_SEQ
 from repro.net.conditions import CHARGE_PROXY_CREATE
 from repro.plan.client import PlanningBatchProxy, PlanningBatchRecorder
 from repro.rmi.marshal import marshal

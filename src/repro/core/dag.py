@@ -2,14 +2,17 @@
 
 A recorded batch is a DAG the client already serialized: every op names
 its inputs as :class:`~repro.core.recording.ArgRef` edges (target +
-arguments).  :func:`analyze_batch` partitions the ops into *units* (one
-top-level op, or a cursor together with its contiguous sub-batch) and
-groups units into *chains* — connected components of the ArgRef graph,
-with the batch root (seq 0) excluded as a shared source.  Chains never
-exchange data, so a CONTINUE-kind policy makes their relative replay
-order unobservable and the executor may run them concurrently.
+arguments).  :func:`split_units` partitions the ops into *units* (one
+top-level op, a cursor together with its contiguous sub-batch, or an
+orphan sub-op) — the granularity the executor replays at, whatever its
+width.  :func:`analyze_batch` groups units into *chains* — connected
+components of the ArgRef graph, with the batch root (seq 0) excluded as
+a shared source.  Chains never exchange data, so a CONTINUE-kind policy
+makes their relative replay order unobservable and the executor may run
+them concurrently.
 
-Eligibility is conservative and the serial path always remains available:
+Eligibility is conservative; an ineligible batch replays its units one
+at a time in seq order (width 1):
 
 - the policy must be CONTINUE-kind (:func:`~repro.core.policies.is_continue_kind`)
   — BREAK/REPEAT/RESTART all make replay order observable;
@@ -32,10 +35,10 @@ import threading
 from dataclasses import dataclass
 
 from repro.core.policies import is_continue_kind
-from repro.core.recording import ROOT_SEQ
+from repro.core.recording import EXPORT_OP, ROOT_SEQ
 from repro.rmi.remote import method_parallel_safe
 
-#: Serial-fallback taxonomy.  One reason per batch, first failing check
+#: Width-1 fallback taxonomy.  One reason per batch, first failing check
 #: wins; surfaced in scheduler metrics and the ``server.parallel`` span.
 REASON_POLICY = "policy"            # policy is not CONTINUE-kind
 REASON_UNSAFE = "unsafe_method"     # a method lacks parallel_safe=True
@@ -58,11 +61,10 @@ FALLBACK_REASONS = (
 class BatchDag:
     """Result of analyzing one batch shape.
 
-    ``units`` are ``(start, end)`` index ranges into the invocation
-    tuple, in serial order; ``chains`` are tuples of unit indices
-    (ascending within each chain); ``cursor_units`` marks units whose
-    elements may fan out.  When ``eligible`` is False only ``reason`` and
-    ``ops`` are meaningful.
+    ``units`` are the :func:`split_units` ranges, in seq order;
+    ``chains`` are tuples of unit indices (ascending within each chain);
+    ``cursor_units`` marks units whose elements may fan out.  When
+    ``eligible`` is False only ``reason`` and ``units`` are meaningful.
     """
 
     eligible: bool
@@ -70,11 +72,30 @@ class BatchDag:
     units: tuple
     chains: tuple
     cursor_units: frozenset
-    ops: int
 
 
-def _ineligible(reason: str, ops: int) -> BatchDag:
-    return BatchDag(False, reason, (), (), frozenset(), ops)
+def split_units(invocations) -> tuple:
+    """Partition a batch into replay units: ``(start, end)`` index ranges.
+
+    A unit is a top-level op, a cursor op together with the sub-ops
+    recorded contiguously under it, or an *orphan* — an ``in_cursor`` op
+    with no cursor unit to belong to, which never executes (told apart
+    by the unit's first op: ``in_cursor`` is checked before
+    ``returns_kind``).  This is the only cursor-group scan: the
+    executor, the scheduler analysis and installed plans all read it.
+    """
+    units = []
+    index = 0
+    ops = len(invocations)
+    while index < ops:
+        inv = invocations[index]
+        end = index + 1
+        if inv.returns_kind == "cursor" and not inv.in_cursor:
+            while end < ops and invocations[end].cursor_seq == inv.seq:
+                end += 1
+        units.append((index, end))
+        index = end
+    return tuple(units)
 
 
 def analyze_batch(invocations, policy) -> BatchDag:
@@ -83,38 +104,26 @@ def analyze_batch(invocations, policy) -> BatchDag:
     Pure function of the batch *shape* (ops + policy); argument values
     are never inspected, so the result may be cached alongside a plan.
     """
-    from repro.core.executor import EXPORT_OP
-
     invocations = tuple(invocations)
-    ops = len(invocations)
+    units = split_units(invocations)
+
+    def ineligible(reason):
+        return BatchDag(False, reason, units, (), frozenset())
+
     if not is_continue_kind(policy):
-        return _ineligible(REASON_POLICY, ops)
+        return ineligible(REASON_POLICY)
     for inv in invocations:
         if inv.method != EXPORT_OP and not method_parallel_safe(inv.method):
-            return _ineligible(REASON_UNSAFE, ops)
-
-    units = []
-    cursor_units = set()
-    index = 0
-    while index < ops:
-        inv = invocations[index]
-        if inv.in_cursor:
-            # A sub-op not contiguous with its cursor; the serial loop
-            # treats it as an orphan — keep that path authoritative.
-            return _ineligible(REASON_SHAPE, ops)
-        if inv.returns_kind == "cursor":
-            sub_end = index + 1
-            while (
-                sub_end < ops
-                and invocations[sub_end].cursor_seq == inv.seq
-            ):
-                sub_end += 1
-            cursor_units.add(len(units))
-            units.append((index, sub_end))
-            index = sub_end
-        else:
-            units.append((index, index + 1))
-            index += 1
+            return ineligible(REASON_UNSAFE)
+    if any(invocations[start].in_cursor for start, _end in units):
+        # A sub-op not contiguous with its cursor: no recorder emits
+        # one, so the shape stays at width 1 rather than being reasoned
+        # about here.
+        return ineligible(REASON_SHAPE)
+    cursor_units = frozenset(
+        u for u, (start, _end) in enumerate(units)
+        if invocations[start].returns_kind == "cursor"
+    )
 
     unit_of_seq = {}
     for u, (start, end) in enumerate(units):
@@ -137,8 +146,8 @@ def analyze_batch(invocations, policy) -> BatchDag:
                 owner = unit_of_seq.get(seq)
                 if owner is None:
                     # Ref into a chained session's object table (or a
-                    # dangling seq the serial path will fault on).
-                    return _ineligible(REASON_SESSION, ops)
+                    # dangling seq that replay will fault on).
+                    return ineligible(REASON_SESSION)
                 if owner != u:
                     ra, rb = find(owner), find(u)
                     if ra != rb:
@@ -150,15 +159,8 @@ def analyze_batch(invocations, policy) -> BatchDag:
     chains = tuple(tuple(members) for members in chain_map.values())
 
     if len(chains) < 2 and not cursor_units:
-        return _ineligible(REASON_SINGLE_CHAIN, ops)
-    return BatchDag(
-        eligible=True,
-        reason="",
-        units=tuple(units),
-        chains=chains,
-        cursor_units=frozenset(cursor_units),
-        ops=ops,
-    )
+        return ineligible(REASON_SINGLE_CHAIN)
+    return BatchDag(True, "", units, chains, cursor_units)
 
 
 class SchedulerStats:

@@ -15,20 +15,44 @@ feature set of §3–§4:
 - cursors (§3.4) run their sub-batch once per array element, producing a
   per-element result matrix and element ids reusable by chained batches;
 - chained batches (§3.5) persist the object table in a
-  :class:`~repro.core.session.SessionStore` between flushes;
-- a dependency-DAG scheduler (:mod:`repro.core.dag`) runs independent
-  chains — and cursor *elements* — concurrently on a bounded worker
-  pool when the batch shape is provably order-insensitive, merging
-  per-unit outcome fragments in serial order so the response is
-  byte-identical to serial replay.  Ineligible batches take the serial
-  path with the reason recorded in scheduler metrics and a
-  ``server.parallel`` trace marker.
+  :class:`~repro.core.session.SessionStore` between flushes.
+
+There is one engine, run at one of two *widths*.  The batch is split
+into units (:func:`repro.core.dag.split_units`) and every unit goes
+through the same ``_run_unit`` / ``_run_cursor`` / ``_run_sub_op``:
+
+- **width 1** (no pool): units replay in seq order straight into the
+  batch outcome, ``broke`` checked between units and between sub-ops,
+  inside the RESTART loop.  Every batch the scheduler does not accept
+  runs here, its reason recorded in the scheduler counters and a
+  zero-duration ``server.parallel`` trace marker;
+- **width N** (a worker pool): the chains found by
+  :func:`~repro.core.dag.analyze_batch` — and each cursor's *elements* —
+  run concurrently, each into a private outcome fragment, and the
+  fragments are merged in seq order so the response is byte-identical
+  to width 1.
+
+The one thing that differs is *when a value result is marshalled*, and
+it is a property of the fragment, not of the engine.  A fragment filled
+off-thread defers marshalling to the merge, because marshalling exports
+remote objects under ids drawn from a shared counter and must happen in
+seq order.  Width 1 marshals **at call time**: ``marshal`` copies
+lists, dicts and sets, and a method that is not ``parallel_safe`` may
+return live state that a later op mutates — deferring there would ship
+the post-mutation value.  (Width N needs no such care: every method in
+an eligible batch is declared order-insensitive.)
+
+``exec_workers=0`` pins every batch to width 1.  It selects no other
+code — it is this engine with no pool — and it stays because the
+fuzzer's ``--parallel`` oracle and the ``exec_parallel`` benchmark lane
+need a fixed reference width to compare the fan-out against.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.dag import (
@@ -36,36 +60,32 @@ from repro.core.dag import (
     REASON_SESSION,
     SchedulerStats,
     analyze_batch,
+    split_units,
 )
 from repro.core.errors import (
     BatchDependencyError,
     UnsupportedBatchOperationError,
 )
-from repro.core.policies import (
-    MAX_REPEATS,
-    MAX_RESTARTS,
-    POLICY_TYPES,
-    ExceptionAction,
+from repro.core.policies import MAX_REPEATS, MAX_RESTARTS, ExceptionAction
+from repro.core.recording import (
+    EXPORT_OP,
+    NONE_ID,
+    ROOT_SEQ,
+    ArgRef,
+    BatchResponse,
+    InvocationData,
+    validate_batch,
 )
-from repro.core.recording import NONE_ID, ROOT_SEQ, ArgRef, BatchResponse, InvocationData
 from repro.core.session import SessionStore
 from repro.net.conditions import CHARGE_BATCH_OP, CHARGE_BATCH_SETUP
 from repro.obs.context import _activate, _deactivate, current_span
 from repro.obs.tracer import current_tracer
-from repro.rmi.exceptions import MarshalError, NoSuchMethodError
+from repro.rmi.exceptions import NoSuchMethodError
 from repro.rmi.marshal import marshal, unmarshal
-from repro.rmi.remote import RemoteObject, interface_names
+from repro.rmi.remote import RemoteObject, interface_names, methods_of
 from repro.rmi.stub import Stub
 from repro.wire.refs import RemoteRef
 
-
-#: Batch-internal pseudo-method: "export the resolved target as a value
-#: result".  The cluster client records it at cross-shard split points —
-#: the target marshals to its :class:`~repro.wire.refs.RemoteRef`, so the
-#: client-side future yields a live stub that a sub-batch on another
-#: shard can take as an ordinary argument.  Only reachable through a
-#: batch (ordinary dispatch checks interface specs and rejects it).
-EXPORT_OP = "__export__"
 
 #: Size of the process-wide shared scheduler pool (``exec_workers=None``).
 #: Eligible work is I/O-bound by declaration (``parallel_safe`` methods
@@ -108,10 +128,9 @@ class _Deferred:
 
     Marshalling exports fresh remote objects in call order, assigning
     object ids from a shared counter — done on worker threads that order
-    (and thus the response bytes) would be nondeterministic.  Parallel
-    fragments therefore store raw results and log where they went; the
-    merge replays the log in serial execution order on the caller
-    thread.
+    (and thus the response bytes) would be nondeterministic.  Fragments
+    therefore store raw results and log where they went; the merge
+    replays the log in seq order on the caller thread.
     """
 
     __slots__ = ("value",)
@@ -124,9 +143,9 @@ class _Deferred:
 class _Outcome:
     """Mutable state of one batch run.
 
-    With ``defer_marshal`` set (parallel fragments) value results are
-    stored as :class:`_Deferred` and their locations appended to
-    ``marshal_log`` as ``(container, key)`` pairs, in execution order.
+    With a ``marshal_log`` (a fragment filled off-thread) value results
+    are stored as :class:`_Deferred` and their locations appended to the
+    log as ``(container, key)`` pairs, in execution order.
     """
 
     objects: dict
@@ -138,16 +157,19 @@ class _Outcome:
     not_executed: list = field(default_factory=list)
     break_seq: int = NONE_ID
     broke: bool = False
-    defer_marshal: bool = False
-    marshal_log: list = field(default_factory=list)
+    marshal_log: list = None
 
-    def record_failure(self, seq: int, exc: BaseException) -> None:
-        self.exceptions[seq] = exc
+    def fragment(self) -> "_Outcome":
+        """A private outcome over the same object table, for one unit or
+        cursor element run off-thread."""
+        return _Outcome(objects=self.objects, marshal_log=[])
 
-    def record_break(self, seq: int, exc: BaseException) -> None:
+    def record_failure(self, seq: int, exc: BaseException,
+                       action=None) -> None:
         self.exceptions[seq] = exc
-        self.break_seq = seq
-        self.broke = True
+        if action == ExceptionAction.BREAK:
+            self.break_seq = seq
+            self.broke = True
 
     def record_element_failure(self, seq: int, index: int,
                                exc: BaseException) -> None:
@@ -158,10 +180,9 @@ class BatchExecutor:
     """Executes batches against one server's exported objects.
 
     *exec_workers* configures the DAG scheduler: ``None`` (default)
-    enables parallel execution on the process-wide shared pool; ``0``
-    disables it (every batch takes the serial path); a positive count
-    gives this executor a private pool of that size (shut down via
-    :meth:`close`).
+    runs eligible batches on the process-wide shared pool; ``0`` runs
+    every batch at width 1; a positive count gives this executor a
+    private pool of that size (shut down via :meth:`close`).
     """
 
     def __init__(self, server, session_capacity: int = None,
@@ -251,44 +272,38 @@ class BatchExecutor:
         if validated:
             invocations = tuple(invocations)
         else:
-            invocations = self._validate(invocations, policy)
+            invocations = validate_batch(invocations, policy)
         if session_id != NONE_ID:
             base_objects = dict(self._sessions.get(session_id))
             base_objects[ROOT_SEQ] = root_obj
         else:
             base_objects = {ROOT_SEQ: root_obj}
 
-        dag = self._schedule(invocations, policy, dag, session_id)
-        restarts = 0
+        units, dag = self._schedule(invocations, policy, dag, session_id)
+        span = nullcontext()
         if dag is not None:
-            # Eligible batches are CONTINUE-kind: no BREAK, REPEAT
-            # escalation, or RESTART can occur, so no restart loop.
-            outcome = _Outcome(objects=dict(base_objects))
             self._scheduler.record_parallel(chains=len(dag.chains))
             tracer = current_tracer()
-            if tracer is None:
-                self._run_parallel(invocations, policy, outcome, dag)
-            else:
-                with tracer.span(
+            if tracer is not None:
+                span = tracer.span(
                     "server.parallel", chains=len(dag.chains),
                     cursors=len(dag.cursor_units), ops=len(invocations),
-                ):
-                    self._run_parallel(invocations, policy, outcome, dag)
-        else:
+                )
+        restarts = 0
+        with span:
             while True:
                 outcome = _Outcome(objects=dict(base_objects))
                 try:
-                    self._run(invocations, policy, outcome)
+                    self._run(invocations, units, dag, policy, outcome)
                     break
-                except _RestartSignal as signal:
+                except _RestartSignal:
+                    # Only width 1 gets here: an eligible batch's policy
+                    # never restarts.
                     restarts += 1
                     if restarts > MAX_RESTARTS:
                         # Exhausted restarts escalate to BREAK at the
                         # point of failure, like exhausted repeats.
-                        outcome = _Outcome(objects=dict(base_objects))
-                        self._run(invocations, _NoRestart(policy), outcome)
-                        break
-                    continue
+                        policy = _NoRestart(policy)
 
         response_session = NONE_ID
         if keep_session:
@@ -312,46 +327,12 @@ class BatchExecutor:
             restarts=restarts,
         )
 
-    # -- main replay loop ---------------------------------------------------
-
-    def _run(self, invocations, policy, outcome: _Outcome) -> None:
-        self._server.charge(CHARGE_BATCH_SETUP)
-        index = 0
-        while index < len(invocations):
-            inv = invocations[index]
-            if outcome.broke:
-                outcome.not_executed.append(inv.seq)
-                index += 1
-                continue
-            if inv.in_cursor:
-                # Orphan sub-op: its cursor op failed, so its elements
-                # never materialized.
-                outcome.not_executed.append(inv.seq)
-                index += 1
-                continue
-            if inv.returns_kind == "cursor":
-                sub_end = index + 1
-                while (
-                    sub_end < len(invocations)
-                    and invocations[sub_end].cursor_seq == inv.seq
-                ):
-                    sub_end += 1
-                sub_ops = invocations[index + 1 : sub_end]
-                ran = self._run_cursor(inv, sub_ops, policy, outcome)
-                if not ran:
-                    index += 1  # let the main loop mark sub-ops as orphans
-                else:
-                    index = sub_end
-                continue
-            self._run_single(inv, policy, outcome)
-            index += 1
-
-    # -- DAG scheduler ------------------------------------------------------
+    # -- scheduling -----------------------------------------------------------
 
     def _schedule(self, invocations, policy, dag, session_id):
-        """Pick the execution path; returns an eligible dag or None.
+        """Pick the width: returns ``(units, dag)``, *dag* None for width 1.
 
-        Serial fallbacks record their reason in the scheduler counters
+        A width-1 fallback records its reason in the scheduler counters
         and as a zero-duration ``server.parallel`` trace marker.
         """
         if not self._parallel_enabled:
@@ -364,7 +345,7 @@ class BatchExecutor:
             if dag is None:
                 dag = analyze_batch(invocations, policy)
             if dag.eligible:
-                return dag
+                return dag.units, dag
             reason = dag.reason
         self._scheduler.record_serial(reason)
         tracer = current_tracer()
@@ -374,195 +355,102 @@ class BatchExecutor:
                 "server.parallel", now, now, serial=True, reason=reason,
                 instant=True,
             )
-        return None
+        units = split_units(invocations) if dag is None else dag.units
+        return units, None
 
-    def _spawn(self, pool, fn, *args):
-        """Submit *fn* to the pool, propagating the ambient trace span.
+    def _fan_out(self, pool, fn, keys):
+        """Call ``fn(key)`` for every key; concurrently given a pool.
 
-        The ambient span is a contextvar, so worker threads start blank;
-        re-activating the caller's span keeps ``server.op`` spans
-        parented under this batch's ``server.execute``.
+        Scheduling is cancel-steal: the caller runs the first key
+        inline, then claims each still-queued one back from the pool
+        (``Future.cancel`` succeeds only before a task starts) and runs
+        it inline too.  Under a saturated pool the caller therefore
+        degenerates to the plain in-order loop that no pool (or a single
+        key) gets — never slower than width 1, and never deadlocked
+        waiting on work no thread will pick up.
         """
+        if pool is None or len(keys) < 2:
+            for key in keys:
+                fn(key)
+            return
+        # The ambient span is a contextvar, so worker threads start
+        # blank; re-activating the caller's span keeps ``server.op``
+        # spans parented under this batch's ``server.execute``.
         parent = current_span()
 
-        def task():
+        def task(key):
             token = _activate(parent)
             try:
-                return fn(*args)
+                fn(key)
             finally:
                 _deactivate(token)
 
-        return pool.submit(task)
+        futures = [(key, pool.submit(task, key)) for key in keys[1:]]
+        try:
+            fn(keys[0])
+            for key, fut in futures:
+                if fut.cancel():
+                    fn(key)
+                else:
+                    fut.result()
+        except BaseException:
+            for _key, fut in futures:
+                fut.cancel()
+            raise
 
-    def _run_parallel(self, invocations, policy, outcome, dag):
-        """Run an eligible batch: chains concurrent, merge in seq order.
+    # -- main replay loop ---------------------------------------------------
 
-        Scheduling is cancel-steal: the caller runs the first chain
-        inline, then claims each still-queued chain back from the pool
-        (``Future.cancel`` succeeds only before a task starts) and runs
-        it inline too.  Under a saturated pool the caller therefore
-        degenerates to plain serial execution — never slower than the
-        serial path, and never deadlocked waiting on work no thread
-        will pick up.
+    def _run(self, invocations, units, dag, policy, outcome: _Outcome):
+        """Replay every unit once, at the width ``_schedule`` picked.
+
+        Width 1 (*dag* None) is one chain of all units, written straight
+        into *outcome*.  Width N runs the dag's chains concurrently,
+        each unit into a private fragment — fragments share the batch's
+        object table (chains write disjoint seq keys; dict item writes
+        are atomic under the GIL) but keep private result/exception
+        dicts — and merges the fragments in seq order.
         """
         self._server.charge(CHARGE_BATCH_SETUP)
-        pool = self._pool()
-        units = dag.units
-        frags = [None] * len(units)
-        objects = outcome.objects
+        if dag is None:
+            pool, fragments, chains = None, None, (range(len(units)),)
+        else:
+            pool, chains = self._pool(), dag.chains
+            fragments = [outcome.fragment() for _ in units]
 
         def run_chain(chain):
             for u in chain:
-                frags[u] = self._run_unit(
-                    invocations, units[u], u in dag.cursor_units, policy,
-                    objects, pool,
-                )
+                into = outcome if fragments is None else fragments[u]
+                self._run_unit(invocations, units[u], policy, into, pool)
 
-        chains = dag.chains
-        if len(chains) == 1:
-            run_chain(chains[0])
-        else:
-            futures = [
-                (chain, self._spawn(pool, run_chain, chain))
-                for chain in chains[1:]
-            ]
-            try:
-                run_chain(chains[0])
-                for chain, fut in futures:
-                    if fut.cancel():
-                        run_chain(chain)
-                    else:
-                        fut.result()
-            except BaseException:
-                for _chain, fut in futures:
-                    fut.cancel()
-                raise
-        for frag in frags:
-            self._merge_fragment(outcome, frag)
+        self._fan_out(pool, run_chain, chains)
+        if fragments is not None:
+            for frag in fragments:
+                self._merge_fragment(outcome, frag)
 
-    def _run_unit(self, invocations, unit, is_cursor, policy, objects, pool):
-        """Run one unit into a private outcome fragment.
-
-        Fragments share the batch's object table (chains write disjoint
-        seq keys; dict item writes are atomic under the GIL) but keep
-        private result/exception dicts so the merge can replay serial
-        insertion order.
-        """
+    def _run_unit(self, invocations, unit, policy, outcome: _Outcome, pool):
         start, end = unit
-        frag = _Outcome(objects=objects, defer_marshal=True)
         inv = invocations[start]
-        if is_cursor:
+        if outcome.broke or inv.in_cursor:
+            # After a BREAK nothing more runs.  An orphan sub-op never
+            # does: no cursor unit heads it, so it has no elements.
+            outcome.not_executed.extend(i.seq for i in invocations[start:end])
+        elif inv.returns_kind == "cursor":
             sub_ops = invocations[start + 1 : end]
-            ran = self._run_cursor_parallel(inv, sub_ops, policy, frag, pool)
-            if not ran:
-                # The cursor op failed: its sub-ops become orphans, in
-                # the slot where the serial loop would record them.
-                for sub in sub_ops:
-                    frag.not_executed.append(sub.seq)
+            if not self._run_cursor(inv, sub_ops, policy, outcome, pool):
+                # The cursor op failed: its elements never materialized.
+                outcome.not_executed.extend(sub.seq for sub in sub_ops)
         else:
-            self._run_single(inv, policy, frag)
-        return frag
-
-    def _run_cursor_parallel(self, inv, sub_ops, policy, frag, pool):
-        """Cursor unit with per-element fan-out (cancel-steal, like chains).
-
-        Each element runs its sub-batch into an element fragment; the
-        index-major merge below reproduces the serial loop's insertion
-        order (elements outer, sub-ops inner) exactly.
-        """
-        resolved = self._resolve_invocation(inv, frag)
-        if resolved is None:
-            return False
-        target, args, kwargs = resolved
-        collection, exc, action = self._call_with_policy(
-            target, inv, args, kwargs, policy
-        )
-        if exc is None:
-            try:
-                items = list(collection)
-            except TypeError:
-                exc = UnsupportedBatchOperationError(
-                    f"{inv.method!r} was batched as a cursor but returned "
-                    f"non-iterable {type(collection).__name__}"
-                )
-                action = policy.decide(exc, inv.method, inv.seq)
-        if exc is not None:
-            # CONTINUE-kind policy: never a break.
-            frag.record_failure(inv.seq, exc)
-            return False
-
-        seq = inv.seq
-        frag.cursor_lengths[seq] = len(items)
-        for index, item in enumerate(items):
-            frag.objects[(seq, index)] = item
-
-        element_scope = {seq}
-        for sub in sub_ops:
-            element_scope.add(sub.seq)
-        value_sub_seqs = [s.seq for s in sub_ops if s.returns_kind == "value"]
-        for sub_seq in value_sub_seqs:
-            frag.cursor_results[sub_seq] = []
-
-        count = len(items)
-        if count == 0 or not sub_ops:
-            return True
-
-        def run_element(index):
-            efrag = _Outcome(objects=frag.objects, defer_marshal=True)
-            for sub_seq in value_sub_seqs:
-                efrag.cursor_results[sub_seq] = []
-            for sub in sub_ops:
-                self._run_sub_op(
-                    sub, seq, index, element_scope, policy, efrag
-                )
-            return efrag
-
-        efrags = [None] * count
-        if count == 1:
-            efrags[0] = run_element(0)
-        else:
-            self._scheduler.record_elements(count)
-            futures = [
-                (index, self._spawn(pool, run_element, index))
-                for index in range(1, count)
-            ]
-            try:
-                efrags[0] = run_element(0)
-                for index, fut in futures:
-                    if fut.cancel():
-                        efrags[index] = run_element(index)
-                    else:
-                        efrags[index] = fut.result()
-            except BaseException:
-                for _index, fut in futures:
-                    fut.cancel()
-                raise
-
-        # Index-major merge of element fragments == serial loop order.
-        for index, efrag in enumerate(efrags):
-            for sub in sub_ops:
-                if sub.returns_kind == "value":
-                    entry = efrag.cursor_results[sub.seq][0]
-                    bucket = frag.cursor_results[sub.seq]
-                    bucket.append(entry)
-                    if isinstance(entry, _Deferred):
-                        frag.marshal_log.append((bucket, len(bucket) - 1))
-                per_element = efrag.cursor_exceptions.get(sub.seq)
-                if per_element and index in per_element:
-                    frag.record_element_failure(
-                        sub.seq, index, per_element[index]
-                    )
-        return True
+            self._run_single(inv, policy, outcome)
 
     def _merge_fragment(self, outcome, frag):
-        """Fold one unit fragment into the batch outcome, in serial order.
+        """Fold one unit fragment into the batch outcome.
 
         Called per unit in ascending-seq order, which makes every
         response dict's insertion order — and, via the marshal log, the
-        object-export order — identical to a serial run.
+        object-export order — identical to a width-1 run.
         """
         for container, key in frag.marshal_log:
-            container[key] = self._marshal_result(container[key].value)
+            container[key] = marshal(container[key].value, self._server)
         outcome.results.update(frag.results)
         outcome.exceptions.update(frag.exceptions)
         outcome.cursor_lengths.update(frag.cursor_lengths)
@@ -576,32 +464,24 @@ class BatchExecutor:
     # -- single ops ---------------------------------------------------------
 
     def _run_single(self, inv: InvocationData, policy, outcome: _Outcome):
-        resolved = self._resolve_invocation(inv, outcome)
-        if resolved is None:
-            return
-        target, args, kwargs = resolved
-        result, exc, action = self._call_with_policy(
-            target, inv, args, kwargs, policy
-        )
+        result, exc, action = self._call_top_level(inv, policy, outcome)
         if exc is not None:
-            if action == ExceptionAction.BREAK:
-                outcome.record_break(inv.seq, exc)
-            else:
-                outcome.record_failure(inv.seq, exc)
+            outcome.record_failure(inv.seq, exc, action)
             return
-        self._store_result(inv, result, outcome)
+        self._store(inv, result, outcome)
 
     # -- cursors ---------------------------------------------------------
 
-    def _run_cursor(self, inv, sub_ops, policy, outcome: _Outcome) -> bool:
-        """Run a cursor op plus its sub-batch; False if the op failed."""
-        resolved = self._resolve_invocation(inv, outcome)
-        if resolved is None:
-            return False
-        target, args, kwargs = resolved
-        collection, exc, action = self._call_with_policy(
-            target, inv, args, kwargs, policy
-        )
+    def _run_cursor(self, inv, sub_ops, policy, outcome: _Outcome,
+                    pool) -> bool:
+        """Run a cursor op plus its sub-batch; False if the op failed.
+
+        Given a pool the elements fan out like chains do: each runs the
+        sub-batch into an element fragment, and the index-major merge
+        reproduces width 1's insertion order (elements outer, sub-ops
+        inner) exactly.
+        """
+        collection, exc, action = self._call_top_level(inv, policy, outcome)
         if exc is None:
             try:
                 items = list(collection)
@@ -612,10 +492,7 @@ class BatchExecutor:
                 )
                 action = policy.decide(exc, inv.method, inv.seq)
         if exc is not None:
-            if action == ExceptionAction.BREAK:
-                outcome.record_break(inv.seq, exc)
-            else:
-                outcome.record_failure(inv.seq, exc)
+            outcome.record_failure(inv.seq, exc, action)
             return False
 
         seq = inv.seq
@@ -629,17 +506,42 @@ class BatchExecutor:
         value_sub_seqs = [s.seq for s in sub_ops if s.returns_kind == "value"]
         for sub_seq in value_sub_seqs:
             outcome.cursor_results[sub_seq] = []
+        if not sub_ops:
+            return True
 
-        for index in range(len(items)):
+        fragments = None
+        if pool is not None:
+            fragments = [outcome.fragment() for _ in items]
+            for efrag in fragments:
+                for sub_seq in value_sub_seqs:
+                    efrag.cursor_results[sub_seq] = []
+            if len(items) > 1:
+                self._scheduler.record_elements(len(items))
+
+        def run_element(index):
+            into = outcome if fragments is None else fragments[index]
             for sub in sub_ops:
-                if outcome.broke:
-                    return True
-                self._run_sub_op(
-                    sub, seq, index, element_scope, policy, outcome
-                )
+                if into.broke:
+                    return
+                self._run_sub_op(sub, index, element_scope, policy, into)
+
+        self._fan_out(pool, run_element, range(len(items)))
+        for index, efrag in enumerate(fragments or ()):
+            for sub in sub_ops:
+                if sub.returns_kind == "value":
+                    entry = efrag.cursor_results[sub.seq][0]
+                    bucket = outcome.cursor_results[sub.seq]
+                    bucket.append(entry)
+                    if isinstance(entry, _Deferred):
+                        outcome.marshal_log.append((bucket, len(bucket) - 1))
+                per_element = efrag.cursor_exceptions.get(sub.seq)
+                if per_element and index in per_element:
+                    outcome.record_element_failure(
+                        sub.seq, index, per_element[index]
+                    )
         return True
 
-    def _run_sub_op(self, sub, cursor_seq, index, element_scope, policy,
+    def _run_sub_op(self, sub, index, element_scope, policy,
                     outcome: _Outcome):
         def pad(exc):
             if sub.returns_kind == "value":
@@ -647,20 +549,13 @@ class BatchExecutor:
             outcome.record_element_failure(sub.seq, index, exc)
 
         try:
-            target = self._resolve_ref(
-                sub.target, outcome.objects, element_scope, cursor_seq, index
-            )
-            args = self._substitute(
-                sub.args, outcome.objects, element_scope, cursor_seq, index
-            )
-            kwargs = self._substitute(
-                sub.kwargs, outcome.objects, element_scope, cursor_seq, index
+            target, args, kwargs = self._resolve(
+                sub, outcome.objects, element_scope, index
             )
         except KeyError:
             # Target/argument depends on a sub-op that failed for this
             # element; propagate that element's original failure.
-            cause = self._element_cause(sub, cursor_seq, index, outcome)
-            pad(cause)
+            pad(self._element_cause(sub, index, outcome))
             return
         result, exc, action = self._call_with_policy(
             target, sub, args, kwargs, policy, index=index
@@ -670,19 +565,11 @@ class BatchExecutor:
             if action == ExceptionAction.BREAK:
                 # Mirror into top-level exceptions so the client can find
                 # the break cause without digging through matrices.
-                outcome.record_break(sub.seq, exc)
+                outcome.record_failure(sub.seq, exc, action)
             return
-        if sub.returns_kind == "value":
-            bucket = outcome.cursor_results[sub.seq]
-            if outcome.defer_marshal:
-                bucket.append(_Deferred(result))
-                outcome.marshal_log.append((bucket, len(bucket) - 1))
-            else:
-                bucket.append(self._marshal_result(result))
-        else:
-            outcome.objects[(sub.seq, index)] = result
+        self._store(sub, result, outcome, index)
 
-    def _element_cause(self, sub, cursor_seq, index, outcome):
+    def _element_cause(self, sub, index, outcome):
         """The failure that made *sub*'s dependency unavailable.
 
         Resolved from the seqs *sub* actually references (target first,
@@ -763,122 +650,106 @@ class BatchExecutor:
             # A loopback/foreign stub: the stub enforces its own interface.
             return getattr(target, name)
         if isinstance(target, RemoteObject):
-            specs = {}
-            from repro.rmi.remote import remote_interfaces, remote_methods
-
-            for iface in remote_interfaces(target):
-                specs.update(remote_methods(iface))
-            if name not in specs:
+            if name not in methods_of(target):
                 raise NoSuchMethodError(name, interface_names(target))
             return getattr(target, name)
         raise NoSuchMethodError(name, (type(target).__name__,))
 
-    def _resolve_invocation(self, inv, outcome):
-        """Target + args for a top-level op; None when a dependency died."""
+    def _call_top_level(self, inv, policy, outcome):
+        """Resolve and invoke a top-level op; ``_call_with_policy``'s
+        triple, with a dead dependency reported as the exception."""
         try:
-            target = self._resolve_ref(inv.target, outcome.objects)
-            args = self._substitute(inv.args, outcome.objects)
-            kwargs = self._substitute(inv.kwargs, outcome.objects)
+            target, args, kwargs = self._resolve(inv, outcome.objects)
         except KeyError as exc:
-            outcome.record_failure(
-                inv.seq,
-                BatchDependencyError(
-                    f"operation #{inv.seq} ({inv.method}) depends on "
-                    f"result {exc.args[0]!r} which is unavailable"
-                ),
-            )
-            return None
-        return target, args, kwargs
+            return None, BatchDependencyError(
+                f"operation #{inv.seq} ({inv.method}) depends on "
+                f"result {exc.args[0]!r} which is unavailable"
+            ), None
+        return self._call_with_policy(target, inv, args, kwargs, policy)
+
+    def _resolve(self, inv, objects, element_scope=None, index=None):
+        """Live target, args and kwargs of one op; KeyError carries the
+        table key of a dependency that never materialized."""
+        return (
+            self._resolve_ref(inv.target, objects, element_scope, index),
+            self._substitute(inv.args, objects, element_scope, index),
+            self._substitute(inv.kwargs, objects, element_scope, index),
+        )
 
     def _resolve_ref(self, ref: ArgRef, objects, element_scope=None,
-                     cursor_seq=None, element_index=None):
-        if element_scope is not None and ref.seq in element_scope:
-            if ref.seq == cursor_seq and not ref.is_element:
-                return objects[(cursor_seq, element_index)]
-            if not ref.is_element:
-                return objects[(ref.seq, element_index)]
+                     index=None):
         if ref.is_element:
             return objects[(ref.seq, ref.cursor_index)]
+        if element_scope is not None and ref.seq in element_scope:
+            # Inside a sub-batch, the cursor and its sub-ops name the
+            # current element's row of the table.
+            return objects[(ref.seq, index)]
         return objects[ref.seq]
 
-    def _substitute(self, value, objects, element_scope=None,
-                    cursor_seq=None, element_index=None):
+    def _substitute(self, value, objects, element_scope=None, index=None):
         """Replace ArgRefs with live objects and refs with stubs."""
         if isinstance(value, ArgRef):
-            return self._resolve_ref(
-                value, objects, element_scope, cursor_seq, element_index
-            )
+            return self._resolve_ref(value, objects, element_scope, index)
         if isinstance(value, RemoteRef):
             # RMI quirk preserved for plain remote args: always a stub,
             # even pointing back into this server (§4.4).
             return unmarshal(value, self._server)
         if isinstance(value, list):
             return [
-                self._substitute(v, objects, element_scope, cursor_seq,
-                                 element_index)
+                self._substitute(v, objects, element_scope, index)
                 for v in value
             ]
         if isinstance(value, tuple):
             return tuple(
-                self._substitute(v, objects, element_scope, cursor_seq,
-                                 element_index)
+                self._substitute(v, objects, element_scope, index)
                 for v in value
             )
         if isinstance(value, dict):
             return {
-                k: self._substitute(v, objects, element_scope, cursor_seq,
-                                    element_index)
+                k: self._substitute(v, objects, element_scope, index)
                 for k, v in value.items()
             }
         return value
 
-    def _store_result(self, inv, result, outcome):
+    def _store(self, inv, result, outcome, index: int = None):
+        """File one successful result — the store step of every op.
+
+        *index* is the cursor element of a sub-op, None at top level.
+        A value result is marshalled into the response now, or in a
+        fragment left raw for the merge (see the module docstring for
+        why that differs); any other result stays server-side in the
+        object table.
+        """
         if inv.returns_kind == "value":
-            if outcome.defer_marshal:
-                outcome.results[inv.seq] = _Deferred(result)
-                outcome.marshal_log.append((outcome.results, inv.seq))
+            if index is None:
+                container, key = outcome.results, inv.seq
             else:
-                outcome.results[inv.seq] = self._marshal_result(result)
+                container = outcome.cursor_results[inv.seq]
+                key = len(container)
+                container.append(None)
+            if outcome.marshal_log is None:
+                container[key] = marshal(result, self._server)
+            else:
+                container[key] = _Deferred(result)
+                outcome.marshal_log.append((container, key))
             return
         # Remote-kind: keep the live object server-side (§4.4); nothing
         # crosses the wire.  A stub result (object on a third server) is
         # stored as-is and later calls go through it.
-        if not isinstance(result, (RemoteObject, Stub)):
-            outcome.record_failure(
-                inv.seq,
-                UnsupportedBatchOperationError(
-                    f"{inv.method!r} was batched as returning a remote "
-                    f"object but returned {type(result).__name__}"
-                ),
+        if inv.returns_kind == "remote" and not isinstance(
+            result, (RemoteObject, Stub)
+        ):
+            exc = UnsupportedBatchOperationError(
+                f"{inv.method!r} was batched as returning a remote "
+                f"object but returned {type(result).__name__}"
             )
+            if index is None:
+                outcome.record_failure(inv.seq, exc)
+            else:
+                outcome.record_element_failure(inv.seq, index, exc)
             return
-        outcome.objects[inv.seq] = result
-
-    def _marshal_result(self, result):
-        return marshal(result, self._server)
-
-    # -- validation -----------------------------------------------------------
-
-    @staticmethod
-    def _validate(invocations, policy):
-        if not isinstance(policy, POLICY_TYPES):
-            raise MarshalError(
-                f"batch policy has unexpected type {type(policy).__name__}"
-            )
-        invocations = tuple(invocations)
-        previous = ROOT_SEQ
-        for inv in invocations:
-            if not isinstance(inv, InvocationData):
-                raise MarshalError(
-                    f"batch entry has unexpected type {type(inv).__name__}"
-                )
-            if inv.seq <= previous:
-                raise MarshalError(
-                    f"batch sequence numbers must increase: {inv.seq} after "
-                    f"{previous}"
-                )
-            previous = inv.seq
-        return invocations
+        key = inv.seq if index is None else (inv.seq, index)
+        outcome.objects[key] = result
 
 
 class _NoRestart:

@@ -9,7 +9,9 @@
   same name in the paper's Figure 3);
 - :class:`BatchResponse` — everything the server sends back from
   ``invokeBatch``: plain results, exceptions, cursor geometry and result
-  matrices, what never executed, and the chained-session id.
+  matrices, what never executed, and the chained-session id;
+- :func:`validate_batch` — the wire-shape check every batch passes once
+  before replay (per flush inline, once at install for a plan).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from repro.core.policies import POLICY_TYPES
+from repro.rmi.exceptions import MarshalError
 from repro.wire.registry import serializable
 
 #: Sequence number of the batch root (the wrapped remote object).
@@ -26,6 +30,14 @@ ROOT_SEQ = 0
 NONE_ID = -1
 
 RETURN_KINDS = ("value", "remote", "cursor")
+
+#: Batch-internal pseudo-method: "export the resolved target as a value
+#: result".  The cluster client records it at cross-shard split points —
+#: the target marshals to its :class:`~repro.wire.refs.RemoteRef`, so the
+#: client-side future yields a live stub that a sub-batch on another
+#: shard can take as an ordinary argument.  Only reachable through a
+#: batch (ordinary dispatch checks interface specs and rejects it).
+EXPORT_OP = "__export__"
 
 
 @serializable
@@ -112,6 +124,33 @@ def _collect_ref_seqs(value, seqs: list) -> None:
     elif isinstance(value, dict):
         for item in value.values():
             _collect_ref_seqs(item, seqs)
+
+
+def validate_batch(invocations, policy) -> "tuple[InvocationData, ...]":
+    """Check a batch as it came off the wire; returns the ops as a tuple.
+
+    The codec guarantees each field's type but not that the arguments
+    of ``__invoke_batch__`` are a policy and a strictly increasing run
+    of invocations.
+    """
+    if not isinstance(policy, POLICY_TYPES):
+        raise MarshalError(
+            f"batch policy has unexpected type {type(policy).__name__}"
+        )
+    invocations = tuple(invocations)
+    previous = ROOT_SEQ
+    for inv in invocations:
+        if not isinstance(inv, InvocationData):
+            raise MarshalError(
+                f"batch entry has unexpected type {type(inv).__name__}"
+            )
+        if inv.seq <= previous:
+            raise MarshalError(
+                f"batch sequence numbers must increase: {inv.seq} after "
+                f"{previous}"
+            )
+        previous = inv.seq
+    return invocations
 
 
 @serializable

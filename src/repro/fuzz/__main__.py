@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parallel", action="store_true",
                         help="differentially check the DAG scheduler: run "
                         "every clean batch/plan cell a second time against "
-                        "a serial-executor twin server and require "
+                        "a width-1 (exec_workers=0) twin server and require "
                         "identical observables")
     parser.add_argument("--faults", action="store_true",
                         help="replay every batch/plan run through a seeded "

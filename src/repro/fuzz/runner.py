@@ -111,10 +111,10 @@ class FuzzConfig:
     #: matrix of :func:`repro.fuzz.cluster.run_cluster_corpus`.
     shards: int = 1
     #: Differential scheduler check: run every clean batch/plan cell a
-    #: second time against a twin server whose DAG scheduler is disabled
+    #: second time against a twin server pinned to width 1
     #: (``exec_workers=0``) and require the two responses to agree
-    #: observable-for-observable.  The serial executor is the oracle for
-    #: the parallel one; divergences are reported unshrunk.
+    #: observable-for-observable.  The width-1 response is the oracle
+    #: for the fanned-out one; divergences are reported unshrunk.
     parallel: bool = False
 
 
@@ -222,7 +222,7 @@ class World:
     whole corpus, handing out fresh bindings and clients per run.
 
     *exec_workers* configures the server's DAG scheduler exactly like
-    :class:`~repro.rmi.server.RMIServer` — ``0`` builds the serial twin
+    :class:`~repro.rmi.server.RMIServer` — ``0`` builds the width-1 twin
     worlds the ``parallel`` differential mode compares against.
     """
 
@@ -440,8 +440,8 @@ def _check_program(world, program, policy_name, policy, oracle, config,
     Returns the first :class:`Divergence`, or None when everything
     matched the oracle (or, under faults, failed cleanly with a typed
     transport error).  With *serial_world* given (the ``parallel``
-    differential), every clean run also executes on the serial twin and
-    the twin's response becomes the oracle for the parallel one.
+    differential), every clean run also executes on the width-1 twin
+    and the twin's response becomes the oracle for the parallel one.
     """
     for mode in config.modes:
         coverage["modes"].add(mode)

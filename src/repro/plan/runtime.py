@@ -20,6 +20,7 @@ captured at install time.
 from __future__ import annotations
 
 from repro.core.dag import analyze_batch
+from repro.core.recording import validate_batch
 from repro.obs.tracer import current_tracer
 from repro.plan.model import BatchPlan, params_carry_refs, plan_hash
 from repro.rmi.exceptions import MarshalError, PlanNotFoundError
@@ -48,16 +49,8 @@ class PlanRuntime:
             self._mark_plan(digest, "miss")
             raise PlanNotFoundError(digest)
         self._mark_plan(digest, "hit")
-        bound = entry.plan.bind(params)
-        # The cached DAG is a pure function of the plan shape, and
-        # binding substitutes slots without creating ArgRef edges — so
-        # plan hits pay zero scheduler analysis.  A hand-crafted request
-        # could smuggle ArgRefs in as parameters; re-analyze those.
-        dag = entry.dag
-        if dag is not None and dag.eligible and params_carry_refs(params):
-            dag = None
-        return self._executor.invoke_batch(
-            root_obj, bound, entry.plan.policy, validated=True, dag=dag
+        return self._execute(
+            root_obj, entry.plan, entry.plan.bind(params), params, entry.dag
         )
 
     def install(self, root_obj, plan, params):
@@ -69,12 +62,12 @@ class PlanRuntime:
         digest = plan_hash(plan)
         plan.validate_slots()
         # Validate the shape once; every later invocation skips this.
-        from repro.core.executor import BatchExecutor
-
-        BatchExecutor._validate(plan.ops, plan.policy)
+        validate_batch(plan.ops, plan.policy)
         # Amortize the scheduler analysis: the DAG depends only on the
         # plan shape (ArgRefs stay literal through slot lifting), so one
-        # analysis at install time covers every future invocation.
+        # analysis at install time covers every future invocation —
+        # eligible or not, since the executor replays ``dag.units`` at
+        # either width.
         dag = analyze_batch(plan.ops, plan.policy)
         bound = plan.bind(params)
         # Byte-accounting baseline: what the inline path would ship for
@@ -83,9 +76,17 @@ class PlanRuntime:
         invoke_cost = len(encode((digest, tuple(params))))
         self._cache.install(digest, plan, inline_cost, invoke_cost, dag=dag)
         self._mark_plan(digest, "install")
-        # Same smuggled-ArgRef guard as invoke(): the cached DAG only
-        # describes the shape's edges.
-        if dag.eligible and params_carry_refs(params):
+        return self._execute(root_obj, plan, bound, params, dag)
+
+    def _execute(self, root_obj, plan, bound, params, dag):
+        """Replay *bound* under the plan's install-time analysis.
+
+        The cached DAG is a pure function of the plan shape, and
+        binding substitutes slots without creating ArgRef edges — so
+        plan hits pay zero scheduler analysis.  A hand-crafted request
+        could smuggle ArgRefs in as parameters; re-analyze those.
+        """
+        if dag is not None and dag.eligible and params_carry_refs(params):
             dag = None
         return self._executor.invoke_batch(
             root_obj, bound, plan.policy, validated=True, dag=dag

@@ -48,7 +48,7 @@ from repro.rmi.protocol import (
     CallResponse,
 )
 from repro.rmi.registry import RegistryImpl
-from repro.rmi.remote import interface_names, remote_interfaces, remote_methods
+from repro.rmi.remote import interface_names, methods_of
 from repro.rmi.stub import Stub
 from repro.wire import decode, encode
 from repro.wire.refs import RemoteRef
@@ -382,8 +382,7 @@ class RMICore(MarshalContext):
         if request.method in PSEUDO_METHODS:
             return self._dispatch_pseudo(request)
         target = self._objects.lookup(request.object_id)
-        specs = self._method_specs(target)
-        if request.method not in specs:
+        if request.method not in methods_of(target):
             raise NoSuchMethodError(request.method, interface_names(target))
         args = unmarshal(request.args, self)
         kwargs = unmarshal(request.kwargs, self)
@@ -437,12 +436,6 @@ class RMICore(MarshalContext):
     def _plan_digest_of(request: CallRequest) -> str:
         digest = request.args[0] if request.args else None
         return digest if isinstance(digest, str) else "?"
-
-    def _method_specs(self, target):
-        specs = {}
-        for iface in remote_interfaces(target):
-            specs.update(remote_methods(iface))
-        return specs
 
     def _encode_response(self, response: CallResponse) -> bytes:
         # encode() draws from the wire buffer pool: across requests the

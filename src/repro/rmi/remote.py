@@ -237,6 +237,18 @@ def remote_methods(iface) -> "dict[str, MethodSpec]":
     return specs
 
 
+def methods_of(obj_or_cls) -> "dict[str, MethodSpec]":
+    """Union of method specs across every remote interface of an object.
+
+    The table a call is checked against before it reaches the
+    implementation — by plain RMI dispatch and by batch replay alike.
+    """
+    specs = {}
+    for iface in remote_interfaces(obj_or_cls):
+        specs.update(remote_methods(iface))
+    return specs
+
+
 def _parallel_safe_names() -> "dict[str, bool]":
     """Name → safety map across every registered interface.
 

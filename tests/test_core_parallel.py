@@ -1,12 +1,12 @@
-"""The DAG scheduler: batch shape analysis, parallel execution, and the
-serial-fallback taxonomy.
+"""The DAG scheduler: batch shape analysis, the two widths of the
+replay engine, and the width-1 fallback taxonomy.
 
 The acceptance contract under test: a scheduler-eligible batch executed
-on the worker pool must produce a response *byte-identical* to serial
+on the worker pool must produce a response *byte-identical* to width-1
 replay (same values, same failure matrices, same dict insertion order,
-same exported reference ids), and every ineligible batch must fall back
-to the serial path with its reason visible in the scheduler counters and
-as a ``server.parallel`` trace marker.
+same exported reference ids), and every ineligible batch must run at
+width 1 with its reason visible in the scheduler counters and as a
+``server.parallel`` trace marker.
 """
 
 from typing import List
@@ -17,11 +17,14 @@ from repro.core.dag import (
     REASON_DISABLED,
     REASON_POLICY,
     REASON_SESSION,
+    REASON_SHAPE,
     REASON_SINGLE_CHAIN,
     REASON_UNSAFE,
     analyze_batch,
+    split_units,
 )
 from repro.core.executor import BatchExecutor
+from repro.core.errors import UnsupportedBatchOperationError
 from repro.core.policies import (
     AbortPolicy,
     ContinuePolicy,
@@ -59,6 +62,9 @@ class Widget(RemoteInterface):
     @remote_method(parallel_safe=True)
     def widget_pair(self, other) -> str: ...
 
+    @remote_method(parallel_safe=True)
+    def widget_spare(self) -> "Widget": ...
+
 
 class Rack(RemoteInterface):
     @remote_method(parallel_safe=True)
@@ -66,6 +72,16 @@ class Rack(RemoteInterface):
 
     @remote_method(parallel_safe=True)
     def rack_pick(self, tag: str) -> "Widget": ...
+
+
+class Ledger(RemoteInterface):
+    """Order-sensitive on purpose: no ``parallel_safe`` declarations."""
+
+    def ledger_entries(self) -> list: ...
+
+    def ledger_add(self, entry) -> int: ...
+
+    def ledger_books(self) -> List["Ledger"]: ...
 
 
 class WidgetImpl(RemoteObject, Widget):
@@ -90,6 +106,10 @@ class WidgetImpl(RemoteObject, Widget):
     def widget_pair(self, other):
         return f"{self.tag}+{other.widget_tag()}"
 
+    def widget_spare(self):
+        # Declared remote-kind, yet flagged widgets hand back a value.
+        return None if self.flagged else self
+
 
 class RackImpl(RemoteObject, Rack):
     def __init__(self, widgets):
@@ -100,6 +120,22 @@ class RackImpl(RemoteObject, Rack):
 
     def rack_pick(self, tag):
         return self._widgets[tag]
+
+
+class LedgerImpl(RemoteObject, Ledger):
+    def __init__(self, entries=None):
+        self._entries = [] if entries is None else entries
+
+    def ledger_entries(self):
+        return self._entries  # the live list, not a copy
+
+    def ledger_add(self, entry):
+        self._entries.append(entry)
+        return len(self._entries)
+
+    def ledger_books(self):
+        # Two books over the same live list.
+        return [LedgerImpl(self._entries), LedgerImpl(self._entries)]
 
 
 def make_rack():
@@ -220,9 +256,59 @@ class TestAnalysis:
         assert dag.reason == REASON_POLICY
 
 
+#: (shape, batch, expected ``split_units`` ranges, has an orphan).
+UNIT_SHAPES = [
+    ("orphan sub-op",
+     (inv(1, "widget_tag"), inv(2, "widget_tag", target=9, cursor_seq=9)),
+     ((0, 1), (1, 2)), True),
+    ("orphan that itself returns a cursor heads no group",
+     (inv(1, "rack_widgets", kind="cursor", cursor_seq=9),
+      inv(2, "widget_tag", target=1, cursor_seq=1)),
+     ((0, 1), (1, 2)), True),
+    ("cursor-kind sub-op stays in its group; its own sub-op is an orphan",
+     (inv(1, "rack_widgets", kind="cursor"),
+      inv(2, "rack_widgets", kind="cursor", cursor_seq=1),
+      inv(3, "widget_tag", target=2, cursor_seq=2)),
+     ((0, 2), (2, 3)), True),
+    ("empty sub-batch",
+     (inv(1, "rack_widgets", kind="cursor"), inv(2, "widget_tag")),
+     ((0, 1), (1, 2)), False),
+    ("trailing cursor",
+     (inv(1, "widget_tag"),
+      inv(2, "rack_widgets", kind="cursor"),
+      inv(3, "widget_tag", target=2, cursor_seq=2),
+      inv(4, "widget_weight", target=2, cursor_seq=2)),
+     ((0, 1), (1, 4)), False),
+    ("trailing cursor without sub-ops",
+     (inv(1, "widget_tag"), inv(2, "rack_widgets", kind="cursor")),
+     ((0, 1), (1, 2)), False),
+]
+
+
+class TestSplitUnits:
+    @pytest.mark.parametrize(
+        "batch,units,orphan",
+        [shape[1:] for shape in UNIT_SHAPES],
+        ids=[shape[0] for shape in UNIT_SHAPES],
+    )
+    def test_unit_table(self, batch, units, orphan):
+        assert split_units(batch) == units
+        # Every analysis carries the same split, eligible or not.
+        assert analyze_batch(batch, AbortPolicy()).units == units
+        dag = analyze_batch(batch, ContinuePolicy())
+        assert dag.units == units
+        assert dag.eligible is not orphan
+        if orphan:
+            assert dag.reason == REASON_SHAPE
+
+    def test_empty_batch(self):
+        assert split_units(()) == ()
+
+
 class TestByteIdentity:
-    def run_modes(self, network, batch, **kwargs):
-        """The same batch on fresh serial and parallel universes."""
+    def run_modes(self, network, batch, make_root=make_rack, policy=None,
+                  **kwargs):
+        """The same batch on fresh width-1 and width-4 universes."""
         responses = []
         for workers in (0, 4):
             # Same address both times (sequentially), so exported
@@ -232,13 +318,107 @@ class TestByteIdentity:
             try:
                 responses.append(
                     executor.invoke_batch(
-                        make_rack(), batch, ContinuePolicy(), **kwargs
+                        make_root(), batch, policy or ContinuePolicy(),
+                        **kwargs
                     )
                 )
             finally:
                 executor.close()
                 server.close()
         return responses
+
+    def assert_identical(self, one, four):
+        assert encode(strip_exceptions(one)) == encode(strip_exceptions(four))
+        assert render_exceptions(one) == render_exceptions(four)
+        assert (one.restarts, one.break_seq) == (four.restarts, four.break_seq)
+
+    def test_break_inside_cursor_element(self, network):
+        """BREAK at element 1's second sub-op: the rest of that element,
+        later elements and later units never run."""
+        batch = (
+            inv(1, "rack_pick", args=("w2",), kind="remote"),
+            inv(2, "rack_widgets", kind="cursor"),
+            inv(3, "widget_tag", target=2, cursor_seq=2),
+            inv(4, "widget_weight", target=2, cursor_seq=2),
+            inv(5, "widget_tag", target=2, cursor_seq=2),
+            inv(6, "rack_pick", args=("w0",), kind="remote"),
+            inv(7, "widget_tag", target=6),
+        )
+        one, four = self.run_modes(network, batch, policy=AbortPolicy())
+        self.assert_identical(one, four)
+        for response in (one, four):
+            assert response.cursor_lengths == {2: 4}
+            assert response.cursor_results == {
+                3: ["w0", "w1"], 4: [10, None], 5: ["w0"],
+            }
+            assert response.break_seq == 4
+            assert response.restarts == 0
+            # Later units, in seq order (the broken cursor's own sub-ops
+            # did run, so they are not listed).
+            assert response.not_executed == (6, 7)
+            assert list(response.cursor_exceptions) == [4]
+            assert isinstance(response.cursor_exceptions[4][1], WeightError)
+            # The break cause is mirrored into the top-level exceptions.
+            assert response.exceptions == {4: response.cursor_exceptions[4][1]}
+
+    def test_marshal_at_call_time_top_level(self, network):
+        """Op 1 returns a live list that op 2 appends to: the response
+        carries op 1's pre-mutation snapshot (marshal copies at call
+        time — a width-1 rule, see the executor module docstring)."""
+        batch = (
+            inv(1, "ledger_entries"),
+            inv(2, "ledger_add", args=("x",)),
+            inv(3, "ledger_entries"),
+        )
+        one, four = self.run_modes(network, batch, make_root=LedgerImpl)
+        self.assert_identical(one, four)
+        assert one.results == {1: [], 2: 1, 3: ["x"]}
+
+    def test_marshal_at_call_time_across_elements(self, network):
+        """Same rule across two cursor elements sharing one live list."""
+        batch = (
+            inv(1, "ledger_books", kind="cursor"),
+            inv(2, "ledger_entries", target=1, cursor_seq=1),
+            inv(3, "ledger_add", target=1, args=("x",), cursor_seq=1),
+        )
+        one, four = self.run_modes(network, batch, make_root=LedgerImpl)
+        self.assert_identical(one, four)
+        assert one.cursor_results == {2: [[], ["x"]], 3: [1, 2]}
+
+    def test_remote_kind_sub_op_result_is_type_checked(self, network):
+        """A remote-kind sub-op returning a non-remote value fails *that*
+        op for *that* element (the regression: it was stored unchecked
+        and the next op failed with NoSuchMethodError on NoneType)."""
+        batch = (
+            inv(1, "rack_widgets", kind="cursor"),
+            inv(2, "widget_spare", target=1, kind="remote", cursor_seq=1),
+            inv(3, "widget_tag", target=2, cursor_seq=1),
+        )
+        one, four = self.run_modes(network, batch)
+        self.assert_identical(one, four)
+        for response in (one, four):
+            assert response.cursor_results == {3: ["w0", None, "w2", None]}
+            assert list(response.cursor_exceptions) == [2, 3]
+            for index in (1, 3):  # the flagged widgets
+                cause = response.cursor_exceptions[2][index]
+                assert isinstance(cause, UnsupportedBatchOperationError)
+                assert "'widget_spare'" in str(cause)
+                assert "NoneType" in str(cause)
+                # The dependent op is blamed on its actual dependency.
+                assert response.cursor_exceptions[3][index] is cause
+
+    def test_remote_kind_top_level_result_is_type_checked(self, network):
+        batch = (
+            inv(1, "rack_pick", args=("w1",), kind="remote"),
+            inv(2, "widget_spare", target=1, kind="remote"),
+            inv(3, "widget_tag", target=2),
+            inv(4, "widget_tag", target=1),
+        )
+        one, four = self.run_modes(network, batch)
+        self.assert_identical(one, four)
+        assert isinstance(one.exceptions[2], UnsupportedBatchOperationError)
+        assert "'widget_spare'" in str(one.exceptions[2])
+        assert one.results == {4: "w1"}
 
     def test_mixed_batch_encodes_identically(self, network):
         serial, parallel = self.run_modes(network, mixed_batch())
@@ -464,10 +644,10 @@ class TestElementCause:
 
 
 class TestPlanDag:
-    def run_shape(self, stub):
+    def run_shape(self, stub, policy=ContinuePolicy):
         from repro.core import create_batch
 
-        batch = create_batch(stub, policy=ContinuePolicy(), reuse_plans=True)
+        batch = create_batch(stub, policy=policy(), reuse_plans=True)
         first = batch.rack_pick("w0")
         first_tag = first.widget_tag()
         second = batch.rack_pick("w2")
@@ -497,6 +677,39 @@ class TestPlanDag:
             snap = server._batch_executor.scheduler.snapshot()
             assert snap["parallel_batches"] == 3
             assert snap["serial_batches"] == 0
+        finally:
+            client.close()
+            server.close()
+
+    def test_ineligible_plan_reuses_install_time_units(
+            self, network, monkeypatch):
+        """An abort-policy plan can never fan out, but its unit split is
+        still computed once at install; a hit scans nothing."""
+        from repro.core import executor as executor_module
+        from repro.rmi import RMIClient
+
+        server = RMIServer(network, "sim://plan-units:1").start()
+        server.bind("rack", make_rack())
+        client = RMIClient(network, server.address)
+        try:
+            stub = client.lookup("rack")
+            for _ in range(2):  # inline, then install
+                assert self.run_shape(stub, AbortPolicy) == ("w0", "w2")
+            (entry,) = server.plan_cache._entries.values()
+            assert not entry.dag.eligible
+            assert entry.dag.reason == REASON_POLICY
+            assert entry.dag.units == split_units(entry.plan.ops)
+            assert len(entry.dag.units) == 4
+
+            def rescan(*_args):
+                raise AssertionError("plan hit re-scanned the batch")
+
+            monkeypatch.setattr(executor_module, "split_units", rescan)
+            monkeypatch.setattr(executor_module, "analyze_batch", rescan)
+            assert self.run_shape(stub, AbortPolicy) == ("w0", "w2")
+            assert server.plan_cache.stats.snapshot().hits == 1
+            snap = server._batch_executor.scheduler.snapshot()
+            assert snap["fallback.policy"] == 3
         finally:
             client.close()
             server.close()
