@@ -13,6 +13,7 @@ Each ``test_figXX_*`` module does two things:
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import pytest
@@ -39,6 +40,18 @@ def record_experiment(results_dir):
         return experiment
 
     return _record
+
+
+def record_results(filename: str, update: dict) -> None:
+    """Read-modify-write ``results/<filename>``: each lane updates only
+    its own keys, so lanes sharing one ``BENCH_*.json`` (which
+    ``test_obs_overhead`` also reads back) never clobber each other."""
+    path = RESULTS_DIR / filename
+    data = {}
+    if path.exists():
+        data = json.loads(path.read_text())
+    data.update(update)
+    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def slope(series):

@@ -41,11 +41,11 @@ import sys
 import threading
 
 import pytest
+from conftest import record_results
 
 from repro.aio import AioNetwork, run_load
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 
-RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_obs.json"
 THROUGHPUT_PATH = (
     pathlib.Path(__file__).parent / "results" / "BENCH_throughput.json"
 )
@@ -71,16 +71,6 @@ def _scale() -> str:
     if name not in SCALES:
         raise ValueError(f"unknown BENCH_OBS_SCALE {name!r}")
     return name
-
-
-def _record_results(update: dict) -> None:
-    """Read-modify-write BENCH_obs.json: the tracing lane and the
-    admin-polled lane each own their keys and never clobber the other."""
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data.update(update)
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _serve(cfg: dict, trace_sample: float = None, admin: bool = False):
@@ -235,7 +225,7 @@ class TestObsOverhead:
             "overhead_sampled": round(overhead(sampled), 4),
             "overhead_full": round(overhead(full), 4),
         }
-        _record_results(payload)
+        record_results("BENCH_obs.json", payload)
         print()
         print(
             f"[{scale}] off {off.throughput:7.1f} b/s | "
@@ -288,7 +278,7 @@ class TestObsOverhead:
         overhead = 0.0
         if off.throughput > 0:
             overhead = 1.0 - admin.throughput / off.throughput
-        _record_results({
+        record_results("BENCH_obs.json", {
             "admin_polled_1hz": {
                 "off": off.as_dict(),
                 "admin": dict(admin.as_dict(), snapshot_polls=polls),

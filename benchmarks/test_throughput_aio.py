@@ -29,19 +29,18 @@ the trajectory.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from conftest import record_results
 
 from repro.aio import AioNetwork, run_load
 from repro.net import TcpNetwork
 from repro.net.tcp import HAS_REUSEPORT
 
-RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_throughput.json"
 
 # Wall-clock load generation against a separate server process: real
 # time, real scheduling jitter.  Marked slow so `-m "not slow"` gives a
@@ -78,18 +77,6 @@ PROC_SCALES = {
 #: Fraction of client-observed requests the merged per-pid server dumps
 #: must account for (the metrics-accounting acceptance bar).
 MIN_ACCOUNTING = 0.99
-
-
-def _record_results(update: dict) -> None:
-    """Read-modify-write BENCH_throughput.json: each lane updates its
-    own keys, so the pipelining lane (top level, which
-    ``test_obs_overhead`` reads) and the ``procs_scaling`` lane never
-    clobber each other."""
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data.update(update)
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _scale() -> str:
@@ -164,7 +151,7 @@ class TestThroughput:
             "aio_pipelined": pipelined.as_dict(),
             "speedup": round(speedup, 2),
         }
-        _record_results(payload)
+        record_results("BENCH_throughput.json", payload)
         print()
         print(
             f"[{scale}] thread-per-connection {baseline.throughput:7.1f} "
@@ -263,7 +250,7 @@ class TestProcsScaling:
             "scaling": round(scaling, 2),
             "metrics_accounted": round(multi_accounted, 4),
         }
-        _record_results({"procs_scaling": payload})
+        record_results("BENCH_throughput.json", {"procs_scaling": payload})
         print()
         print(
             f"[{scale}] 1 proc {single.throughput:7.1f} batches/s | "

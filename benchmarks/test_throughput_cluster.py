@@ -6,8 +6,8 @@ per-batch service time drops to the largest per-shard slice and the
 cluster's aggregate worker capacity doubles.  Both lanes run the exact
 same client code — a :class:`~repro.cluster.ClusterClient` recording
 ``ops`` delay-bound calls per scatter-gather batch, spread round-robin
-over the shard-homed load targets — against ``ClusterSupervisor``-run
-serve processes; the only variable is the shard count.
+over the shard-homed load targets — against the serve processes of a
+``Supervisor(shards=N)`` group; the only variable is the shard count.
 
 The workload is service-time dominated (``work(delay)`` sleeps
 server-side), so with enough concurrent clients the expected scaling is
@@ -23,19 +23,15 @@ run for CI (no ratio assertion — CI machines vary).
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import threading
 import time
 
 import pytest
+from conftest import record_results
 
-from repro.aio import SERVICE_NAME, AioNetwork
+from repro.aio import SERVICE_NAME, AioNetwork, Supervisor
 from repro.cluster import ClusterClient
-from repro.cluster.supervisor import ClusterSupervisor
-
-RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_throughput.json"
 
 pytestmark = pytest.mark.slow
 
@@ -60,14 +56,6 @@ def _scale() -> str:
     if name not in CLUSTER_SCALES:
         raise ValueError(f"unknown BENCH_THROUGHPUT_SCALE {name!r}")
     return name
-
-
-def _record_results(update: dict) -> None:
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data.update(update)
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 class _Worker(threading.Thread):
@@ -122,7 +110,7 @@ def _measure_cluster(shards: int, cfg: dict):
     batches/s over the steady-state window, total client-observed
     requests, and the cluster-wide metrics merge from the supervisor.
     """
-    supervisor = ClusterSupervisor(
+    supervisor = Supervisor(
         shards=shards, transport="aio",
         workers=cfg["workers"], queue_depth=cfg["queue_depth"],
     ).start()
@@ -190,7 +178,7 @@ class TestClusterScaling:
             "scaling": round(scaling, 2),
             "metrics_accounted": round(multi_accounted, 4),
         }
-        _record_results({"cluster_scaling": payload})
+        record_results("BENCH_throughput.json", {"cluster_scaling": payload})
         print()
         print(
             f"[{scale}] 1 shard {single:7.1f} batches/s | "

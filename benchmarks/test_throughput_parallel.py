@@ -26,7 +26,6 @@ smoke`` shrinks the run for CI and relaxes the bars (CI machines vary).
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import statistics
@@ -35,12 +34,12 @@ import sys
 import time
 
 import pytest
+from conftest import record_results
 
 from repro.aio import AioNetwork
 from repro.core import ContinuePolicy, create_batch
 from repro.rmi import RMIClient
 
-RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_throughput.json"
 
 # Wall-clock timing against separate server processes; marked slow so
 # `-m "not slow"` keeps tier-1 deterministic.
@@ -69,15 +68,6 @@ def _scale() -> str:
     if name not in SCALES:
         raise ValueError(f"unknown BENCH_THROUGHPUT_SCALE {name!r}")
     return name
-
-
-def _record_results(update: dict) -> None:
-    """Read-modify-write so other lanes' keys survive."""
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data.update(update)
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _serve(workers: int, exec_workers=None):
@@ -161,7 +151,7 @@ class TestParallelExecutor:
                 "speedup": round(speedup, 2),
             }
         }
-        _record_results(payload)
+        record_results("BENCH_throughput.json", payload)
         print()
         print(
             f"[{scale}] serial replay {serial_s:6.2f}s | parallel chains "
@@ -208,7 +198,7 @@ class TestParallelExecutor:
                 "overhead": round(overhead, 4),
             }
         }
-        _record_results(payload)
+        record_results("BENCH_throughput.json", payload)
         print()
         print(
             f"[{scale}] ineligible batches: scheduler off {serial_s:6.3f}s "

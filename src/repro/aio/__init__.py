@@ -16,9 +16,12 @@ Entry points:
   batch code.
 - :mod:`repro.aio.loadgen` / ``python -m repro.aio`` — the multi-client
   load harness behind ``benchmarks/test_throughput_aio.py``.
-- :class:`Supervisor` / ``python -m repro.aio serve --procs N`` —
-  multi-core serving: N worker processes sharing one listening port via
-  ``SO_REUSEPORT``, with per-pid metrics merged into one report.
+- :class:`Supervisor` — the one process-group supervisor, in two
+  layouts: ``procs=N`` / ``python -m repro.aio serve --procs N`` (N
+  worker processes sharing one listening port via ``SO_REUSEPORT``) and
+  ``shards=N`` / ``python -m repro.cluster serve --shards N`` (one
+  ``--shard i/N`` process per shard, a port each); either way per-child
+  metrics merge into one report.
 """
 
 from repro.aio.channel import AioChannel, AioConnection

@@ -17,7 +17,9 @@ share a GIL:
   ``PROCS`` line reports the effective mode — platforms without the
   option fall back to a single acceptor).  On shutdown the supervisor
   forwards SIGTERM to the workers, reaps them, and merges their per-pid
-  metrics dumps into ``--metrics-json``.
+  metrics dumps into ``--metrics-json``.  That foreground loop is
+  :func:`serve_group`, which ``python -m repro.cluster serve`` runs too
+  (over the supervisor's other layout, with its own announce lines).
 
 ``load`` — drive an address with the multi-client harness::
 
@@ -117,18 +119,27 @@ def _registry_for(args):
     return MetricsRegistry()
 
 
-def _admin_port(args):
-    """``--admin-port`` resolved: None when off, 0 for ``auto``."""
-    value = getattr(args, "admin_port", None)
-    if value is None:
-        return None
+def port_or_auto(value: str) -> int:
+    """argparse type of ``--admin-port``: a port number, 0 for ``auto``."""
     if value == "auto":
         return 0
     try:
         return int(value)
     except ValueError:
-        raise SystemExit(f"--admin-port wants a port number or 'auto', "
-                         f"got {value!r}")
+        raise argparse.ArgumentTypeError(
+            f"wants a port number or 'auto', got {value!r}") from None
+
+
+def group_size(value: str) -> int:
+    """argparse type of ``--procs`` / ``--shards``: a child count >= 1."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"wants a process count >= 1, got {value!r}")
+    return count
 
 
 def _install_shutdown_signals(stop_event: threading.Event) -> None:
@@ -175,6 +186,28 @@ def _wait(stop_event: threading.Event, alive=None) -> bool:
     return True
 
 
+def serve_group(supervisor, args, announce, died: str) -> int:
+    """Run a started process group in the foreground.
+
+    Prints the *announce* lines, serves until a stop is requested
+    (SIGTERM/SIGINT, stdin EOF) or a child dies, then drains the group,
+    writes its merged registry to ``--metrics-json`` and — if a child
+    died first — prints *died* and returns 1.  The one serve loop of
+    ``serve --procs`` and ``python -m repro.cluster serve``.
+    """
+    stop_event = threading.Event()
+    _install_shutdown_signals(stop_event)
+    _watch_stdin(stop_event)
+    for line in announce:
+        print(line, flush=True)
+    clean = _wait(stop_event, alive=supervisor.alive)
+    _dump_metrics(supervisor.stop(), args)
+    if not clean:
+        print(died, flush=True)
+        return 1
+    return 0
+
+
 def _shard_identity(args):
     """``--shard i/N`` resolved to (label, shard_home) or (\"\", None).
 
@@ -205,7 +238,7 @@ def _serve(args) -> int:
             )
         return _serve_procs(args)
     shard, shard_home = _shard_identity(args)
-    admin_port = _admin_port(args)
+    admin_port = args.admin_port
     tracer = _tracer_for(args)
     auto_tracer = None
     if admin_port is not None and tracer is None:
@@ -300,28 +333,15 @@ def _serve_procs(args) -> int:
         workers=args.workers, queue_depth=args.queue_depth,
         exec_workers=args.exec_workers,
         metrics_dir=args.procs_metrics_dir or None,
-        admin=_admin_port(args) if _admin_port(args) is not None else False,
+        admin=args.admin_port,
     ).start()
-    stop_event = threading.Event()
-    _install_shutdown_signals(stop_event)
-    _watch_stdin(stop_event)
-    print(f"ADDRESS {supervisor.address}", flush=True)
-    if _admin_port(args) is not None:
-        print(f"ADMIN {supervisor.admin_address}", flush=True)
+    announce = [f"ADDRESS {supervisor.address}"]
+    if args.admin_port is not None:
+        announce.append(f"ADMIN {supervisor.admin_address}")
     mode = "reuseport" if supervisor.reuseport else "single-acceptor"
     pids = ",".join(str(pid) for pid in supervisor.pids)
-    print(f"PROCS {supervisor.procs} mode={mode} pids={pids}", flush=True)
-    clean = _wait(stop_event, alive=supervisor.alive)
-    merged = supervisor.stop()
-    path = _metrics_path(args)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(merged.to_dict(), fh, sort_keys=True)
-        print(f"METRICS_JSON {path}", flush=True)
-    if not clean:
-        print("WORKER_DIED", flush=True)
-        return 1
-    return 0
+    announce.append(f"PROCS {supervisor.procs} mode={mode} pids={pids}")
+    return serve_group(supervisor, args, announce, "WORKER_DIED")
 
 
 def _load(args) -> int:
@@ -398,7 +418,7 @@ def main(argv=None) -> int:
                        help="DAG-scheduler pool for parallel batch "
                             "execution: unset = shared default pool, "
                             "0 = serial only, N = private pool of N")
-    serve.add_argument("--procs", type=int, default=1,
+    serve.add_argument("--procs", type=group_size, default=1,
                        help="worker processes sharing the port via "
                             "SO_REUSEPORT (default 1: serve in-process)")
     serve.add_argument("--shard", default=None, metavar="i/N",
@@ -412,7 +432,8 @@ def main(argv=None) -> int:
     serve.add_argument("--procs-metrics-dir", default=None, metavar="DIR",
                        help="keep per-pid worker metrics dumps in DIR "
                             "(default: a temp dir removed after the merge)")
-    serve.add_argument("--admin-port", default=None, metavar="PORT",
+    serve.add_argument("--admin-port", type=port_or_auto, default=None,
+                       metavar="PORT",
                        help="serve the live admin endpoint on this side "
                             "port ('auto' picks an ephemeral one); the "
                             "second stdout line becomes ADMIN tcp://...")
@@ -427,7 +448,7 @@ def main(argv=None) -> int:
                       help="(aio) pool size for the in-process server")
     load.add_argument("--queue-depth", type=int, default=256,
                       help="(aio) queue depth for the in-process server")
-    load.add_argument("--procs", type=int, default=1,
+    load.add_argument("--procs", type=group_size, default=1,
                       help="with no --address: serve from this many "
                            "supervised reuseport worker processes")
     load.add_argument("--clients", type=int, default=8)

@@ -1,38 +1,50 @@
-"""Multi-core serving: N worker processes sharing one port via SO_REUSEPORT.
+"""Process groups: N serve processes under one supervisor, in two layouts.
 
 One Python process — however pipelined — tops out at one core: the
 benchmarks are delay/GIL-bound on a single event loop.  The
-:class:`Supervisor` forks the serving plane across processes instead:
+:class:`Supervisor` runs N ordinary ``python -m repro.aio serve``
+children (the unchanged aio runtime: worker pool, admission control,
+plan cache, dedup window) laid out one of two ways:
 
-- it **reserves a port** with a bound-but-not-listening ``SO_REUSEPORT``
-  placeholder socket (a non-listening member of a reuseport group never
-  receives SYNs, so it holds the port against unrelated binders without
-  stealing connections);
-- it **spawns N workers**, each an ordinary ``python -m repro.aio serve``
-  process running the unchanged aio runtime (worker pool, admission
-  control, plan cache, dedup window) that joins the listener group with
-  ``--reuseport``; the kernel load-balances incoming *connections*
-  across the group;
-- on :meth:`stop` (or a forwarded SIGTERM) it **drains** the workers
-  gracefully — each finishes its in-flight requests, dumps its
-  per-process :class:`~repro.obs.metrics.MetricsRegistry` to a per-pid
-  JSON file, and exits — then reaps them and **merges** the per-pid
-  dumps through the registry's cross-process merge semantics into one
-  report.
+- ``procs=N`` — a **reuseport group**: N acceptors of *one* logical
+  server.  The supervisor reserves a port with a bound-but-not-listening
+  ``SO_REUSEPORT`` placeholder socket (a non-listening member of a
+  reuseport group never receives SYNs, so it holds the port against
+  unrelated binders without stealing connections); every child joins the
+  listener group with ``--reuseport`` and the kernel load-balances
+  incoming *connections* across them.
+- ``shards=N`` — a **shard cluster**: N independent servers, each
+  ``--shard i/N`` on its own ephemeral port with its own object table
+  and a registry guarded by the shared
+  :class:`~repro.cluster.shardmap.ShardMap` placement.  A
+  :class:`~repro.cluster.client.ClusterClient` pointed at
+  :attr:`Supervisor.addresses` (shard order) talks to all of them.
 
-**Sharding semantics.**  Workers share nothing but the port.  Each has
-its own plan cache and its own dedup window, scoped per process: a
-``call_id`` retry that reconnects and lands on a *different* shard will
-not find the token recorded there and re-executes.  That is safe — the
-request is idempotency-tokened and exactly-once still holds *per
-worker* — but callers must not assume global exactly-once across
-shards (see DESIGN.md, and ``tests/test_chaos_procs.py`` which pins
-the tolerated behavior).  Plan installs likewise repeat per shard: a
+The layouts differ in the rows of :data:`_PROCS` / :data:`_SHARDS` and
+nothing else.  Either way, on :meth:`Supervisor.stop` (or a forwarded
+SIGTERM) the children **drain** gracefully — each finishes its in-flight
+requests, dumps its per-process
+:class:`~repro.obs.metrics.MetricsRegistry` to its own JSON file, and
+exits — and the supervisor reaps them and **merges** the dumps through
+the registry's cross-process merge semantics into one report.  With
+``admin`` on, every child serves its own admin endpoint and the
+supervisor aggregates them behind one
+(:func:`repro.obs.live.cluster_commands`), so ``python -m repro.obs
+top|health`` reads either layout the same way.
+
+**Reuseport sharing semantics.**  Workers share nothing but the port.
+Each has its own plan cache and its own dedup window, scoped per
+process: a ``call_id`` retry that reconnects and lands on a *different*
+worker will not find the token recorded there and re-executes.  That is
+safe — the request is idempotency-tokened and exactly-once still holds
+*per worker* — but callers must not assume global exactly-once across
+workers (see DESIGN.md, and ``tests/test_chaos_procs.py`` which pins
+the tolerated behavior).  Plan installs likewise repeat per worker: a
 plan that is hot on one worker is a cache miss on another until that
 worker sees its install.
 
 **Platform fallback.**  Where ``SO_REUSEPORT`` does not exist (exotic
-platforms; see :data:`repro.net.tcp.HAS_REUSEPORT`) the supervisor
+platforms; see :data:`repro.net.tcp.HAS_REUSEPORT`) the ``procs`` layout
 degrades to a documented *single-acceptor* mode: one worker owns the
 listening socket outright and ``procs`` is forced to 1, keeping the CLI
 and metrics plumbing identical so callers need no platform branches.
@@ -43,54 +55,97 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
+from typing import NamedTuple
 
 from repro.aio.listener import DEFAULT_MAX_WORKERS, DEFAULT_QUEUE_DEPTH
 from repro.net.tcp import HAS_REUSEPORT, reserve_reuseport
 
-#: Seconds stop() gives each worker to drain before escalating to kill.
+#: Seconds stop() gives the whole group to drain before escalating to kill.
 DEFAULT_STOP_TIMEOUT = 30.0
 
-#: Seconds start() waits for each worker to report its address.
+#: Seconds start() waits for each child to report its address.
 DEFAULT_START_TIMEOUT = 30.0
 
 
 class SupervisorError(RuntimeError):
-    """A worker failed to start, or died while being supervised."""
+    """A child failed to start, or died while being supervised."""
+
+
+class _Layout(NamedTuple):
+    """Everything the two layouts disagree on (plus ``--shard i/N``,
+    which children get exactly when there is a ``shard_map``)."""
+
+    reuseport: bool    #: one reserved port + ``--reuseport``, or port 0 each
+    dump: str          #: per-child dump ({index} here, {pid} in the child)
+    dump_errors: str   #: merged counter of dumps that could not be read
+    alive_key: str     #: aggregated-health key counting live children
+
+
+_PROCS = _Layout(True, "metrics-{pid}.json",
+                 "procs.dump_errors", "workers_alive")
+_SHARDS = _Layout(False, "metrics-shard{index}-{pid}.json",
+                  "cluster.dump_errors", "shards_alive")
 
 
 class Supervisor:
-    """Spawn and manage a reuseport group of serve-worker processes.
+    """Spawn and manage a group of serve processes.
 
-    Parameters mirror ``python -m repro.aio serve``: *transport*,
-    *workers* (pool size **per process**), *queue_depth* (per process).
-    *procs* is the requested shard count; :attr:`procs` reports the
-    effective one (1 in single-acceptor fallback).  *metrics_dir* is
-    where per-pid registry dumps land (a temp dir by default, removed
-    after the merge); *host*/*port* pick the shared address (port 0
-    reserves an ephemeral one).  *force_single_acceptor* opts into the
-    no-reuseport fallback even where the option exists (tests).
-    *admin* turns on the live introspection plane
-    (:mod:`repro.obs.live`): each worker serves its own admin endpoint,
-    the supervisor learns the addresses (:attr:`admin_addresses`) and
-    serves a cluster aggregation at :attr:`admin_address` — ``True``
-    for an ephemeral port, an int for a fixed one.
+    Exactly one of *procs* (reuseport group) or *shards* (shard cluster)
+    picks the layout and the child count; :attr:`procs` reports the
+    effective count (1 in single-acceptor fallback).  *transport*,
+    *workers* (pool size **per process**), *queue_depth* (per process)
+    and *exec_workers* mirror ``python -m repro.aio serve``.
+    *metrics_dir* is where per-child registry dumps land (a temp dir by
+    default, removed after the merge).  *host*/*port* pick the shared
+    address of a reuseport group (port 0 reserves an ephemeral one;
+    shards always take an ephemeral port each) and
+    *force_single_acceptor* opts it into the no-reuseport fallback even
+    where the option exists (tests).  *admin* turns on the live
+    introspection plane (:mod:`repro.obs.live`): each child serves its
+    own admin endpoint, the supervisor learns the addresses
+    (:attr:`admin_addresses`) and serves the group aggregation at
+    :attr:`admin_address` — ``True`` for an ephemeral port, an int for a
+    fixed one.
     """
 
-    def __init__(self, *, procs: int, transport: str = "aio",
+    def __init__(self, *, procs: int = None, shards: int = None,
+                 transport: str = "aio",
                  host: str = "127.0.0.1", port: int = 0,
                  workers: int = DEFAULT_MAX_WORKERS,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  exec_workers: int = None,
                  metrics_dir=None, start_timeout: float = DEFAULT_START_TIMEOUT,
                  force_single_acceptor: bool = False, admin: bool = False):
-        if procs < 1:
+        if (procs is None) == (shards is None):
+            raise ValueError("pass exactly one of procs= (reuseport group) "
+                             "or shards= (shard cluster)")
+        #: The cluster's name -> shard placement (``None`` for ``procs``).
+        self.shard_map = None
+        if shards is not None:
+            if port or force_single_acceptor:
+                raise ValueError("port and force_single_acceptor belong to "
+                                 "the procs layout; shards take an "
+                                 "ephemeral port each")
+            from repro.cluster.shardmap import ShardMap
+
+            self.shard_map = ShardMap(shards)
+            self._layout = _SHARDS
+            self._procs = shards
+        elif procs < 1:
             raise ValueError(f"procs must be >= 1: {procs}")
-        self._requested_procs = procs
+        elif HAS_REUSEPORT and not force_single_acceptor:
+            self._layout = _PROCS
+            self._procs = procs
+        else:
+            self._layout = _PROCS._replace(reuseport=False)
+            self._procs = 1
         self._transport = transport
         self._host = host
         self._port = port
@@ -98,17 +153,15 @@ class Supervisor:
         self._queue_depth = queue_depth
         self._exec_workers = exec_workers
         self._start_timeout = start_timeout
-        self._reuseport = HAS_REUSEPORT and not force_single_acceptor
-        self._procs = procs if self._reuseport else 1
         self._metrics_dir = metrics_dir
         self._own_metrics_dir = metrics_dir is None
         self._placeholder = None
         self._children = []
-        self._address = None
+        self._addresses = []
         self._merged = None
         self._lock = threading.Lock()
         self._stopped = False
-        # admin: False/None = no admin plane; True = cluster endpoint on
+        # admin: False/None = no admin plane; True = group endpoint on
         # an ephemeral port; an int (0 included) = that port.
         self._admin_on = admin is not False and admin is not None
         self._admin_port = 0 if admin is True else (admin or 0)
@@ -119,21 +172,32 @@ class Supervisor:
     # -- introspection ---------------------------------------------------
 
     @property
-    def address(self) -> str:
-        """The shared ``tcp://host:port`` address (after :meth:`start`)."""
-        if self._address is None:
+    def addresses(self) -> tuple:
+        """Every child's ``tcp://host:port`` address, in spawn (= shard)
+        order; a reuseport group repeats its one shared address."""
+        if not self._addresses:
             raise RuntimeError("supervisor is not started")
-        return self._address
+        return tuple(self._addresses)
+
+    @property
+    def address(self) -> str:
+        """The first child's address — a reuseport group's only one."""
+        return self.addresses[0]
+
+    @property
+    def labels(self) -> tuple:
+        """The ``"i/N"`` shard labels in shard order (empty for ``procs``)."""
+        return self.shard_map.labels if self.shard_map is not None else ()
 
     @property
     def procs(self) -> int:
-        """Effective worker count (1 in single-acceptor fallback)."""
+        """Effective child count (1 in single-acceptor fallback)."""
         return self._procs
 
     @property
     def reuseport(self) -> bool:
-        """Whether the group actually shards the port across processes."""
-        return self._reuseport
+        """Whether the children share one port as a reuseport group."""
+        return self._layout.reuseport
 
     @property
     def pids(self) -> tuple:
@@ -141,12 +205,12 @@ class Supervisor:
 
     @property
     def admin_addresses(self) -> tuple:
-        """Each worker's admin-endpoint address (admin mode only)."""
+        """Each child's admin-endpoint address (admin mode only)."""
         return tuple(self._admin_addresses)
 
     @property
     def admin_address(self) -> str:
-        """The supervisor's own cluster-aggregation admin endpoint."""
+        """The supervisor's own group-aggregation admin endpoint."""
         if self._admin_server is None:
             raise RuntimeError("supervisor has no admin endpoint "
                                "(pass admin=True)")
@@ -154,11 +218,11 @@ class Supervisor:
 
     @property
     def dump_errors(self) -> int:
-        """Per-pid metrics dumps that could not be merged on stop."""
+        """Per-child metrics dumps that could not be merged on stop."""
         return self._dump_errors
 
     def alive(self) -> bool:
-        """True while every worker is still running."""
+        """True while every child is still running."""
         return bool(self._children) and all(
             child.poll() is None for child in self._children
         )
@@ -166,11 +230,12 @@ class Supervisor:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "Supervisor":
-        """Reserve the port, spawn the workers, wait for them to listen."""
+        """Reserve the port (if shared), spawn the children, wait for
+        each to report the address it listens on."""
         if self._children:
             raise RuntimeError("supervisor already started")
         port = self._port
-        if self._reuseport:
+        if self._layout.reuseport:
             # The placeholder stays bound (not listening) for the whole
             # run: it pins the port for late (re)joiners without ever
             # receiving a connection itself.
@@ -181,8 +246,10 @@ class Supervisor:
         try:
             for index in range(self._procs):
                 self._children.append(self._spawn(port, index))
-            addresses = [self._read_address(child)
-                         for child in self._children]
+            # Each child resolved its own port 0 (shards, single-acceptor
+            # fallback); adopt whatever it bound.
+            self._addresses = [self._read_line(child, "ADDRESS")
+                               for child in self._children]
             if self._admin_on:
                 self._admin_addresses = [
                     self._read_line(child, "ADMIN")
@@ -193,18 +260,19 @@ class Supervisor:
             self._kill_all()
             self._release()
             raise
-        # In fallback mode (or port 0 without reuseport) the single
-        # worker resolved the real port; adopt whatever it bound.
-        self._address = addresses[0]
         return self
 
     def _start_admin(self) -> None:
         from repro.obs.live import AdminServer, cluster_commands
 
         def health_extra():
-            return {"workers_alive": sum(
+            extra = {}
+            if self.shard_map is not None:
+                extra["shards"] = self._procs
+            extra[self._layout.alive_key] = sum(
                 1 for child in self._children if child.poll() is None
-            )}
+            )
+            return extra
 
         self._admin_server = AdminServer(cluster_commands(
             lambda: list(self._admin_addresses), health=health_extra,
@@ -212,7 +280,8 @@ class Supervisor:
 
     def _spawn(self, port: int, index: int) -> subprocess.Popen:
         metrics_template = os.path.join(
-            self._metrics_dir, "metrics-{pid}.json"
+            self._metrics_dir,
+            self._layout.dump.replace("{index}", str(index)),
         )
         cmd = [
             sys.executable, "-m", "repro.aio", "serve",
@@ -224,11 +293,13 @@ class Supervisor:
         ]
         if self._exec_workers is not None:
             cmd.extend(["--exec-workers", str(self._exec_workers)])
-        if self._reuseport:
+        if self._layout.reuseport:
             cmd.append("--reuseport")
+        if self.shard_map is not None:
+            cmd.extend(["--shard", self.labels[index]])
         if self._admin_on:
-            # Workers always take ephemeral admin ports; any requested
-            # port belongs to the supervisor's cluster endpoint.
+            # Children always take ephemeral admin ports; any requested
+            # port belongs to the supervisor's group endpoint.
             cmd.extend(["--admin-port", "0"])
         env = dict(os.environ)
         src = str(pathlib.Path(__file__).resolve().parent.parent.parent)
@@ -238,12 +309,8 @@ class Supervisor:
             text=True, env=env,
         )
 
-    def _read_address(self, child: subprocess.Popen) -> str:
-        """First stdout line of a worker is ``ADDRESS tcp://...``."""
-        return self._read_line(child, "ADDRESS")
-
     def _read_line(self, child: subprocess.Popen, tag: str) -> str:
-        """Read one ``TAG value`` stdout line from a starting worker
+        """Read one ``TAG value`` stdout line from a starting child
         (``ADDRESS`` first; ``ADMIN`` next when the admin plane is on)."""
         timer = threading.Timer(self._start_timeout, child.kill)
         timer.start()
@@ -253,26 +320,27 @@ class Supervisor:
             timer.cancel()
         if not line.startswith(tag + " "):
             raise SupervisorError(
-                f"worker pid={child.pid} failed to start "
+                f"child pid={child.pid} failed to start "
                 f"(said {line!r} instead of a {tag} line)"
             )
         return line.split(" ", 1)[1]
 
     def stop(self, timeout: float = DEFAULT_STOP_TIMEOUT):
-        """Drain the group: TERM every worker, reap, merge their metrics.
+        """Drain the group: TERM every child, reap, merge their metrics.
 
         Returns the merged :class:`~repro.obs.metrics.MetricsRegistry`
-        (idempotent — repeated calls return the same merge).  Workers
-        that outlive *timeout* are killed; their metrics dump (written
-        only on a graceful exit) is then simply absent from the merge.
+        (idempotent — repeated calls return the same merge).  *timeout*
+        is one deadline for the whole group; children that outlive it
+        are killed, and their metrics dump (written only on a graceful
+        exit) is then simply absent from the merge.
         """
         with self._lock:
             if self._stopped:
                 return self._merged
             self._stopped = True
         if self._admin_server is not None:
-            # Stop aggregating before the shards go away: a poll racing
-            # the drain would count its dead shards as errors.
+            # Stop aggregating before the children go away: a poll racing
+            # the drain would count its dead children as errors.
             self._admin_server.close()
             self._admin_server = None
         for child in self._children:
@@ -281,9 +349,12 @@ class Supervisor:
                     child.send_signal(signal.SIGTERM)
                 except OSError:
                     pass
+        deadline = time.monotonic() + timeout
         for child in self._children:
             try:
-                child.communicate(timeout=timeout)
+                child.communicate(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
             except subprocess.TimeoutExpired:
                 child.kill()
                 child.communicate(timeout=10.0)
@@ -295,15 +366,12 @@ class Supervisor:
         from repro.obs.metrics import MetricsRegistry
 
         merged = MetricsRegistry()
-        if self._metrics_dir is None:  # stopped before start
-            return merged
-        directory = pathlib.Path(self._metrics_dir)
-        for path in sorted(directory.glob("metrics-*.json")):
-            # A worker killed mid-dump leaves a truncated file; a worker
+        for path in self.metrics_files():
+            # A child killed mid-dump leaves a truncated file; a child
             # with a naming bug leaves a kind-conflicting one.  Validate
             # each dump on a scratch registry first (merge is not
             # atomic), and never let one bad file lose the other
-            # shards' books — skip it, warn, and count it.
+            # children's books — skip it, warn, and count it.
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     dump = json.load(fh)
@@ -311,16 +379,19 @@ class Supervisor:
             except (ValueError, OSError) as exc:
                 self._dump_errors += 1
                 print(f"WARNING: skipping unreadable metrics dump "
-                      f"{path.name}: {exc}", file=sys.stderr, flush=True)
+                      f"{os.path.basename(path)}: {exc}",
+                      file=sys.stderr, flush=True)
                 continue
             merged.merge(dump)
         if self._dump_errors:
-            merged.counter("procs.dump_errors").inc(self._dump_errors)
+            merged.counter(self._layout.dump_errors).inc(self._dump_errors)
         return merged
 
     def metrics_files(self) -> list:
-        """The per-pid dump paths currently on disk (for inspection or
-        ``python -m repro.obs metrics``)."""
+        """The per-child dump paths currently on disk (for inspection or
+        ``python -m repro.obs metrics``); none before :meth:`start`."""
+        if self._metrics_dir is None:
+            return []
         return sorted(
             str(p) for p in pathlib.Path(self._metrics_dir).glob(
                 "metrics-*.json"
@@ -348,8 +419,6 @@ class Supervisor:
                 pass
             self._placeholder = None
         if self._own_metrics_dir and self._metrics_dir is not None:
-            import shutil
-
             shutil.rmtree(self._metrics_dir, ignore_errors=True)
 
     def __enter__(self):

@@ -1,7 +1,11 @@
 """CLI for standing up a sharded BRMI cluster.
 
-``serve`` spawns one ``python -m repro.aio serve --shard i/N`` process
-per shard and prints the deployment on stdout, one line each::
+``serve`` runs the ``shards=N`` layout of the one process-group
+:class:`~repro.aio.supervisor.Supervisor` — one ``python -m repro.aio
+serve --shard i/N`` process per shard — under the same serve loop as
+``python -m repro.aio serve --procs N``
+(:func:`repro.aio.__main__.serve_group`), and prints the deployment on
+stdout, one line each::
 
     SHARDS 3
     ADDRESSES tcp://127.0.0.1:5001,tcp://127.0.0.1:5002,tcp://127.0.0.1:5003
@@ -17,74 +21,24 @@ at the ADDRESSES list (in order — the position is the shard index).
 from __future__ import annotations
 
 import argparse
-import json
-import signal
-import sys
-import threading
 
-
-def _install_shutdown_signals(stop_event: threading.Event) -> None:
-    def request_stop(signum, frame):
-        stop_event.set()
-
-    for name in ("SIGTERM", "SIGINT"):
-        signum = getattr(signal, name, None)
-        if signum is None:
-            continue
-        try:
-            signal.signal(signum, request_stop)
-        except (ValueError, OSError):
-            pass
-
-
-def _watch_stdin(stop_event: threading.Event) -> None:
-    def drain():
-        try:
-            sys.stdin.read()
-        except Exception:  # noqa: BLE001 - any stdin failure means "stop"
-            pass
-        stop_event.set()
-
-    threading.Thread(target=drain, name="cluster-stdin-eof",
-                     daemon=True).start()
+from repro.aio.__main__ import group_size, port_or_auto, serve_group
+from repro.aio.supervisor import Supervisor
 
 
 def _serve(args) -> int:
-    from repro.cluster.supervisor import ClusterSupervisor
-
-    admin = False
-    if args.admin_port is not None:
-        admin = 0 if args.admin_port == "auto" else int(args.admin_port)
-        if admin == 0:
-            admin = True
-    supervisor = ClusterSupervisor(
+    supervisor = Supervisor(
         shards=args.shards, transport=args.transport,
         workers=args.workers, queue_depth=args.queue_depth,
         exec_workers=args.exec_workers,
         metrics_dir=args.metrics_dir or None,
-        admin=admin,
+        admin=args.admin_port,
     ).start()
-    stop_event = threading.Event()
-    _install_shutdown_signals(stop_event)
-    _watch_stdin(stop_event)
-    print(f"SHARDS {supervisor.shards}", flush=True)
-    print(f"ADDRESSES {','.join(supervisor.addresses)}", flush=True)
+    announce = [f"SHARDS {supervisor.procs}",
+                f"ADDRESSES {','.join(supervisor.addresses)}"]
     if args.admin_port is not None:
-        print(f"ADMIN {supervisor.admin_address}", flush=True)
-    clean = True
-    while not stop_event.wait(0.2):
-        if not supervisor.alive():
-            clean = False
-            break
-    merged = supervisor.stop()
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(merged.to_dict(), fh, sort_keys=True)
-        print(f"METRICS_JSON {args.metrics_json}", flush=True)
-    if not clean:
-        print("SHARD_DIED", flush=True)
-        return 1
-    return 0
+        announce.append(f"ADMIN {supervisor.admin_address}")
+    return serve_group(supervisor, args, announce, "SHARD_DIED")
 
 
 def main(argv=None) -> int:
@@ -95,7 +49,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="run an N-shard cluster")
-    serve.add_argument("--shards", type=int, default=2,
+    serve.add_argument("--shards", type=group_size, default=2,
                        help="shard count (default 2)")
     serve.add_argument("--transport", default="aio", choices=("aio", "tcp"))
     serve.add_argument("--workers", type=int, default=64,
@@ -107,7 +61,8 @@ def main(argv=None) -> int:
                             "0 = serial only, N = private pool of N")
     serve.add_argument("--queue-depth", type=int, default=256,
                        help="admission queue depth per shard")
-    serve.add_argument("--admin-port", default=None, metavar="PORT",
+    serve.add_argument("--admin-port", type=port_or_auto, default=None,
+                       metavar="PORT",
                        help="serve the cluster-wide admin aggregation on "
                             "this port ('auto' picks an ephemeral one)")
     serve.add_argument("--metrics-dir", default=None, metavar="DIR",

@@ -490,7 +490,8 @@ def encode_framed(value) -> bytes:
 
     The header is reserved before encoding and patched in place after —
     no header+payload concatenation anywhere.  The result is exactly
-    ``frame(encode(value))`` byte-for-byte, ready for a stream socket.
+    ``b"".join(frame_views(encode(value)))`` byte-for-byte, ready for a
+    stream socket.
 
     The RMI stack itself encodes (client/dispatch) and frames
     (transport) in different layers, so its hot paths use

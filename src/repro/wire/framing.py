@@ -13,9 +13,7 @@ into a fresh buffer:
   where ``sendmsg`` does not exist);
 - :class:`FrameReceiver` reads frames with ``recv_into`` into one
   reusable per-connection buffer and yields ``memoryview`` windows of
-  it, so the decoder can run straight off the receive buffer;
-- :func:`frame` survives as the compatibility wrapper for callers that
-  want one contiguous ``bytes`` (tests, golden fixtures, legacy code).
+  it, so the decoder can run straight off the receive buffer.
 """
 
 from __future__ import annotations
@@ -50,17 +48,6 @@ def frame_views(payload):
     if size > MAX_FRAME_SIZE:
         raise FrameTooLargeError(size)
     return _u32.pack(size), payload
-
-
-def frame(payload: bytes) -> bytes:
-    """Wrap *payload* in a length prefix (compatibility path).
-
-    Thin wrapper over :func:`frame_views`; prefer :func:`write_frame`
-    (sockets) or the views themselves (``writelines``) on hot paths —
-    this variant pays one header+payload concatenation.
-    """
-    header, body = frame_views(payload)
-    return header + body
 
 
 def write_frame(sock, payload) -> None:

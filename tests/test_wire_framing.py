@@ -4,8 +4,19 @@ import io
 
 import pytest
 
-from repro.wire import DecodeError, FrameBuffer, FrameTooLargeError, frame, read_frame
+from repro.wire import (
+    DecodeError,
+    FrameBuffer,
+    FrameTooLargeError,
+    frame_views,
+    read_frame,
+)
 from repro.wire.framing import MAX_FRAME_SIZE
+
+
+def frame(payload: bytes) -> bytes:
+    """One contiguous frame: the scatter list of ``frame_views`` joined."""
+    return b"".join(frame_views(payload))
 
 
 class FakeSocket:
@@ -122,21 +133,15 @@ class SendallOnlySocket:
 
 class TestFrameViews:
     def test_views_join_to_frame(self):
-        from repro.wire import frame_views
-
         header, body = frame_views(b"hello")
-        assert header + body == frame(b"hello")
+        assert header + body == b"\x00\x00\x00\x05hello"
 
     def test_payload_not_copied(self):
-        from repro.wire import frame_views
-
         payload = b"payload"
         _, body = frame_views(payload)
         assert body is payload
 
     def test_oversize_rejected(self):
-        from repro.wire import frame_views
-
         with pytest.raises(FrameTooLargeError):
             frame_views(bytearray(MAX_FRAME_SIZE + 1))
 

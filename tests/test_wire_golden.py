@@ -9,7 +9,7 @@ a wire-format break, not an optimization.
 import pytest
 
 from repro.rmi.protocol import CallRequest, CallResponse
-from repro.wire import decode, encode, encode_framed, frame
+from repro.wire import decode, encode, encode_framed, frame_views
 from repro.wire.plans import ParamSlot
 from repro.wire.refs import RemoteRef
 
@@ -50,7 +50,7 @@ GOLDEN = {
     ),
 }
 
-#: frame(encode([1, "x"])) from the seed codec.
+#: The u32-length-prefixed frame of encode([1, "x"]) from the seed codec.
 GOLDEN_FRAMED = "000000144c00000002490000000000000001530000000178"
 
 #: CallRequest(7, 'work', (1, 'x'), {'k': 2.5}, 'tok:1') — captured
@@ -111,7 +111,7 @@ class TestGoldenBytes:
         assert decoded.args == ("nope", 3)
 
     def test_framed_golden(self):
-        assert frame(encode([1, "x"])).hex() == GOLDEN_FRAMED
+        assert b"".join(frame_views(encode([1, "x"]))).hex() == GOLDEN_FRAMED
         assert encode_framed([1, "x"]).hex() == GOLDEN_FRAMED
 
 
