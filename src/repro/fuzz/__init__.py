@@ -11,7 +11,9 @@ cursor geometry, server post-state, round-trip counts) is compared.
 Public surface:
 
 - :func:`generate_program` / :func:`generate_corpus` — seeded programs
-- :func:`run_corpus` + :class:`FuzzConfig` — the differential matrix
+  (``roots=1`` for one server, more for a cluster's independent chains)
+- :func:`run_corpus` + :class:`FuzzConfig` — the differential matrix;
+  ``shards`` picks the :class:`World` layout it runs on
 - :func:`run_oracle` / :func:`run_batched` / :func:`compare_runs` —
   single-program building blocks
 - :func:`shrink_program` — minimal-repro reduction

@@ -27,6 +27,7 @@ from repro.fuzz.runner import (
     MODES,
     TRANSPORTS,
     FuzzConfig,
+    roots_for,
     run_corpus,
 )
 
@@ -91,16 +92,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.show:
         for index in range(args.programs):
-            if args.shards > 1:
-                from repro.fuzz.cluster import generate_cluster_program
-
-                program = generate_cluster_program(
-                    args.seed, index,
-                    roots=max(2, min(args.shards + 1, 4)),
-                    max_steps=args.max_steps,
-                )
-            else:
-                program = generate_program(args.seed, index, args.max_steps)
+            program = generate_program(
+                args.seed, index, args.max_steps, roots_for(args.shards)
+            )
             print(program.describe())
             print()
         return 0
@@ -121,12 +115,7 @@ def main(argv=None) -> int:
     )
     log = None if args.quiet else lambda line: print(line, flush=True)
     try:
-        if config.shards > 1:
-            from repro.fuzz.cluster import run_cluster_corpus
-
-            report = run_cluster_corpus(config, log=log)
-        else:
-            report = run_corpus(config, log=log)
+        report = run_corpus(config, log=log)
     except FuzzHarnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

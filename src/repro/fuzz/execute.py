@@ -23,9 +23,17 @@ REPEAT/RESTART policies are out of scope by design: re-running side
 effects is exactly what a sequence of individual calls cannot replay,
 so the generator never produces them and the oracle refuses them.
 
+A multi-root program is interpreted by the same rules with one
+generalisation: the BREAK state is tracked **per chain**, because every
+chain is its own batch — a policy break on one shard's batch never
+aborts another shard's rows.  Cross-chain arguments need no extra
+modelling thanks to the invariant :func:`~repro.fuzz.program.
+validate_program` enforces.
+
 The *batch driver* (:func:`run_batched`) records the same program
-through real proxies — plain (``reuse_plans=False``) or plan-reusing —
-flushes segment by segment, and reads every observable back.  Both
+through real proxies — plain (``reuse_plans=False``) or plan-reusing,
+rooted in one ``create_batch(stub)`` or in a cluster's scatter-gather
+batch — flushes segment by segment, and reads every observable back.  Both
 produce the same :class:`RunResult` shape, which
 :func:`compare_runs` diffs field by field: per-step status/value/
 exception, cursor geometry and per-element matrices, server post-state,
@@ -121,21 +129,22 @@ def _ok_value(value) -> StepOutcome:
 # -- the naive-RMI oracle ----------------------------------------------------
 
 
-def run_oracle(program: Program, stub, policy) -> RunResult:
+def run_oracle(program: Program, stubs: dict, policy) -> RunResult:
     """Execute *program* call-by-call over plain RMI.
 
-    Each executed call is one real round trip against the live server;
+    *stubs* maps root registers (0, -1, ...) to live stubs.  Each
+    executed call is one real round trip against the live server(s);
     the batch semantics (what would not have executed, and what its
     observable verdict would be) are interpreted client-side.
     """
     result = RunResult(mode="oracle")
-    regs = {ROOT_REG: stub}
-    deps = {ROOT_REG: frozenset()}
+    chains = program.chain_of()
+    regs = dict(stubs)
+    deps = {reg: frozenset() for reg in program.root_regs}
     failures = {}  # seq -> exception instance (executed steps only)
     dead = set()  # outcome decided at record time (never recorded)
-    step_segment = {ROOT_REG: -1}
-    stats = stub.owner_client.stats
-    before = stats.requests
+    step_segment = {reg: -1 for reg in program.root_regs}
+    before = _requests(stubs)
 
     def decide(exc, method, index):
         action = policy.decide(exc, method, index)
@@ -145,12 +154,12 @@ def run_oracle(program: Program, stub, policy) -> RunResult:
             )
         return action
 
-    segments = _group_segments(program)
-    for segment_index, steps in enumerate(segments):
-        broke = False
+    for steps in _group_segments(program):
+        broke = dict.fromkeys(range(program.roots), False)  # per chain
         index = 0
         while index < len(steps):
             step = steps[index]
+            chain = chains[step.target]
             if step.kind == "cursor":
                 sub_end = index + 1
                 while (
@@ -159,20 +168,27 @@ def run_oracle(program: Program, stub, policy) -> RunResult:
                 ):
                     sub_end += 1
                 subs = steps[index + 1 : sub_end]
-                broke = _oracle_cursor(
-                    program, step, subs, segment_index, regs, deps,
-                    failures, dead, step_segment, broke, decide, result,
+                broke[chain] = _oracle_cursor(
+                    program, step, subs, step.segment, regs, deps,
+                    failures, dead, step_segment, broke[chain], decide,
+                    result,
                 )
                 index = sub_end
                 continue
-            broke = _oracle_step(
-                step, segment_index, regs, deps, failures, dead,
-                step_segment, broke, decide, result,
+            broke[chain] = _oracle_step(
+                step, step.segment, regs, deps, failures, dead,
+                step_segment, broke[chain], decide, result,
             )
             index += 1
 
-    result.requests = stats.requests - before
+    result.requests = _requests(stubs) - before
     return result
+
+
+def _requests(stubs: dict) -> int:
+    """Round trips so far on the client(s) the root stubs belong to."""
+    clients = {stub.owner_client for stub in stubs.values()}
+    return sum(client.stats.requests for client in clients)
 
 
 def _oracle_step(step, segment_index, regs, deps, failures, dead,
@@ -324,25 +340,38 @@ def _group_segments(program: Program):
 # -- the batch/plan driver ---------------------------------------------------
 
 
-def run_batched(program: Program, stub, policy, *, reuse_plans: bool = False,
-                inject=None) -> RunResult:
+def run_batched(program: Program, stubs: dict, policy, *,
+                reuse_plans: bool = False, inject=None,
+                cluster=None) -> RunResult:
     """Record *program* through real batch proxies and read it back.
+
+    *stubs* maps root registers to live stubs.  How the batch is opened
+    is the one thing the layouts do not share: a plain
+    ``create_batch`` on the (only) root stub, or — given the *cluster*
+    client the stubs came from — one scatter-gather batch with every
+    root attached through ``batch.on``.
 
     *inject* is an optional ``callable(recorder)`` applied before any
     recording — the hook the CLI's ``--inject-bug`` uses to plant a
     deliberate wire-level defect that the differential check must catch.
+    It targets the single-server recorder.
     """
     result = RunResult(mode="plan" if reuse_plans else "batch")
-    batch = create_batch(stub, policy=policy, reuse_plans=reuse_plans)
+    if cluster is None:
+        batch = create_batch(
+            stubs[ROOT_REG], policy=policy, reuse_plans=reuse_plans
+        )
+        regs = {ROOT_REG: batch}
+    else:
+        batch = cluster.create_batch(policy=policy, reuse_plans=reuse_plans)
+        regs = {reg: batch.on(stub) for reg, stub in stubs.items()}
     if inject is not None:
         inject(batch._recorder)
-    regs = {ROOT_REG: batch}
     dead = {}  # seq -> StepOutcome decided at record time
     futures = {}
     proxies = {}
     cursors = {}  # seq -> (CursorProxy, {sub seq -> future})
-    stats = stub.owner_client.stats
-    before = stats.requests
+    before = _requests(stubs)
 
     segments = _group_segments(program)
     last = len(segments) - 1
@@ -379,7 +408,7 @@ def run_batched(program: Program, stub, policy, *, reuse_plans: bool = False,
             break
 
     _collect_batch_outcomes(program, dead, futures, proxies, cursors, result)
-    result.requests = stats.requests - before
+    result.requests = _requests(stubs) - before
     return result
 
 

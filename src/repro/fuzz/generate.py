@@ -1,7 +1,9 @@
 """Seeded generation of random, well-typed batch programs.
 
-Each program picks one application domain (the batch root is one stub)
-and grows a straight-line script over typed registers:
+Each root of a program (one by default; a cluster program has several,
+one batch chain each, two of them always banks) picks an application
+domain and the program grows a straight-line script over typed
+registers:
 
 - **bank** — account creation/lookup (raising and non-raising), card
   operations including over-limit purchases, a nested-list bulk
@@ -12,6 +14,10 @@ and grows a straight-line script over typed registers:
   files raise), deletions, and ``list_files`` cursors with random
   sub-batches producing per-element results and exceptions;
 - **noop** — pure call-count programs (the side-effect baseline).
+
+Multi-root programs add the one operation that crosses chains —
+``credit_line_of`` on one bank with a card minted on another — placed so
+the cross-chain invariant of :mod:`repro.fuzz.program` holds.
 
 Everything is driven by one ``random.Random(seed)`` stream, so a
 ``(seed, index)`` pair names a program forever — that is what the CLI's
@@ -38,7 +44,7 @@ from repro.core.policies import (
     ExceptionAction,
 )
 
-from repro.fuzz.program import Program, Reg, Step, validate_program
+from repro.fuzz.program import Program, Reg, Step, root_reg, validate_program
 
 #: Customers that exist in every bank world; "mallory" never does.
 BANK_CUSTOMERS = ("alice", "bob", "carol")
@@ -85,24 +91,73 @@ _FS_SUB_METHODS = (
 )
 
 
-def generate_program(seed: int, index: int, max_steps: int = 14) -> Program:
-    """Deterministically generate program *index* of corpus *seed*."""
+def generate_program(seed: int, index: int, max_steps: int = 14,
+                     roots: int = 1) -> Program:
+    """Deterministically generate program *index* of corpus *seed*.
+
+    *roots* is the number of independent root stubs (batch chains); the
+    single-server matrix is the ``roots=1`` row.  Each root count has its
+    own rng stream, so a ``(seed, index, roots)`` triple names a program
+    forever.
+    """
     # String seeds hash deterministically across processes (tuple seeds
     # would go through PYTHONHASHSEED-salted hash()).
-    rng = random.Random(f"{seed}:{index}:brmi-fuzz")
-    domain = rng.choice(DOMAINS)
-    steps = _DOMAIN_BUILDERS[domain](rng, max_steps)
+    if roots == 1:
+        rng = random.Random(f"{seed}:{index}:brmi-fuzz")
+        domains = [rng.choice(DOMAINS)]
+        noop = domains[0] == "noop"
+        total = rng.randint(2 if noop else 3, max_steps)
+        break_probability = 0.12 if noop else 0.18
+    else:
+        rng = random.Random(f"{seed}:{index}:{roots}:brmi-cluster-fuzz")
+        # Two bank chains always exist: they are the only chains that can
+        # exchange registers (credit_line_of takes a card), and without
+        # them a corpus would never exercise split points.
+        domains = ["bank", "bank"] + [
+            rng.choice(DOMAINS) for _ in range(roots - 2)
+        ]
+        rng.shuffle(domains)
+        total = rng.randint(roots + 2, max(max_steps, roots + 4))
+        break_probability = 0.18
+    states = [_ChainState(chain, domain)
+              for chain, domain in enumerate(domains)]
+    banks = [s for s in states if s.domain == "bank"]
+    b = _Builder()
+    touched = set()  # chains with any step in the current segment
+    exporters = set()  # chains serving as cross-chain producers this segment
+    while b.seq < total:
+        if b.steps and rng.random() < break_probability:
+            b.segment += 1
+            touched = set()
+            exporters = set()
+            # Cross-chain consumers live right at the fresh boundary,
+            # while every producer chain is still clean this segment.
+            while roots > 1 and rng.random() < 0.55:
+                if not _emit_cross_chain(b, banks, touched, exporters, rng):
+                    break
+        # Producer chains stay stepless for the rest of their segment:
+        # a same-segment producer step could flush before or after the
+        # consumer's nested read, which program order cannot model.
+        # (One root draws nothing here: that stream predates chains.)
+        state = states[0] if roots == 1 else rng.choice(
+            [s for s in states if s.chain not in exporters]
+        )
+        _EMITTERS[state.domain](b, state, rng, total)
+        touched.add(state.chain)
     program = Program(
-        domain=domain, steps=tuple(steps), seed=seed, index=index
+        domain="+".join(domains), steps=tuple(b.steps), seed=seed,
+        index=index, roots=roots,
     )
     validate_program(program)
     return program
 
 
-def generate_corpus(seed: int, programs: int, max_steps: int = 14):
+def generate_corpus(seed: int, programs: int, max_steps: int = 14,
+                    roots: int = 1):
     """The first *programs* programs of corpus *seed*."""
     return [
-        generate_program(seed, index, max_steps) for index in range(programs)
+        generate_program(seed, index, max_steps, roots)
+        for index in range(programs)
     ]
 
 
@@ -118,7 +173,7 @@ def policies_for(program: Program, names=None):
     # their custom policies draw from the union of the pools involved.
     pool = tuple(dict.fromkeys(
         exc
-        for domain in program.domain.split("+")
+        for domain in program.domains
         for exc in _EXCEPTION_POOLS[domain]
     ))
     custom_break = CustomPolicy(default_action=ExceptionAction.CONTINUE)
@@ -145,14 +200,13 @@ def policies_for(program: Program, names=None):
     return axis
 
 
-# -- domain builders ---------------------------------------------------------
+# -- domain emitters ---------------------------------------------------------
 
 
 class _Builder:
     """Shared bookkeeping while growing one program's step list."""
 
-    def __init__(self, rng):
-        self.rng = rng
+    def __init__(self):
         self.steps = []
         self.seq = 0
         self.segment = 0
@@ -173,41 +227,65 @@ class _Builder:
         self.steps.append(step)
         return self.seq
 
-    def maybe_break_segment(self, probability=0.18):
-        if self.steps and self.rng.random() < probability:
-            self.segment += 1
+
+class _ChainState:
+    """Typed registers one chain has produced so far."""
+
+    def __init__(self, chain: int, domain: str):
+        self.chain = chain
+        self.domain = domain
+        self.root = root_reg(chain)
+        self.cards = {}  # seq -> segment it was created in (bank)
+        self.nodes = [self.root]  # linkedlist registers
+        self.files = []  # fileserver registers
 
 
-def _build_bank(rng, max_steps):
-    b = _Builder(rng)
-    cards = []  # register seqs holding CreditCard results
-    total = rng.randint(3, max_steps)
-    while b.seq < total:
-        b.maybe_break_segment()
-        roll = rng.random()
-        if roll < 0.30 or not cards:
-            known = rng.random() < 0.75
-            name = rng.choice(BANK_CUSTOMERS if known else BANK_UNKNOWN)
-            method = rng.choice(
-                ("find_credit_account", "create_credit_account")
-            )
-            cards.append(
-                b.emit(0, method, (name,), kind="remote", iface="card")
-            )
-        elif roll < 0.45:
-            b.emit(0, "credit_line_of", (Reg(rng.choice(cards)),))
-        elif roll < 0.60:
-            b.emit(rng.choice(cards), "get_credit_line")
-        elif roll < 0.75:
-            b.emit(rng.choice(cards), "make_purchase", (_amount(rng),))
-        elif roll < 0.88:
-            amounts = [_amount(rng) for _ in range(rng.randint(1, 3))]
-            if rng.random() < 0.4:
-                amounts = tuple(amounts)
-            b.emit(rng.choice(cards), "make_purchases", (amounts,))
-        else:
-            b.emit(rng.choice(cards), "pay_balance", (_amount(rng),))
-    return b.steps
+def _emit_cross_chain(b, banks, touched, exporters, rng) -> bool:
+    """One consumer-chain ``credit_line_of(card from another chain)``."""
+    pairs = []
+    for consumer in banks:
+        if consumer.chain in exporters:
+            continue  # an exporting chain must stay stepless
+        for producer in banks:
+            if producer.chain == consumer.chain:
+                continue
+            if producer.chain in touched:
+                continue  # producer already recorded in this segment
+            eligible = [seq for seq, segment in producer.cards.items()
+                        if segment < b.segment]
+            if eligible:
+                pairs.append((consumer, producer, eligible))
+    if not pairs:
+        return False
+    consumer, producer, eligible = rng.choice(pairs)
+    b.emit(consumer.root, "credit_line_of", (Reg(rng.choice(eligible)),))
+    touched.add(consumer.chain)
+    exporters.add(producer.chain)
+    return True
+
+
+def _emit_bank(b, state, rng, total):
+    cards = sorted(state.cards)
+    roll = rng.random()
+    if roll < 0.30 or not cards:
+        known = rng.random() < 0.75
+        name = rng.choice(BANK_CUSTOMERS if known else BANK_UNKNOWN)
+        method = rng.choice(("find_credit_account", "create_credit_account"))
+        seq = b.emit(state.root, method, (name,), kind="remote", iface="card")
+        state.cards[seq] = b.segment
+    elif roll < 0.45:
+        b.emit(state.root, "credit_line_of", (Reg(rng.choice(cards)),))
+    elif roll < 0.60:
+        b.emit(rng.choice(cards), "get_credit_line")
+    elif roll < 0.75:
+        b.emit(rng.choice(cards), "make_purchase", (_amount(rng),))
+    elif roll < 0.88:
+        amounts = [_amount(rng) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            amounts = tuple(amounts)
+        b.emit(rng.choice(cards), "make_purchases", (amounts,))
+    else:
+        b.emit(rng.choice(cards), "pay_balance", (_amount(rng),))
 
 
 def _amount(rng):
@@ -219,65 +297,50 @@ def _amount(rng):
     return float(rng.randint(1, 90))
 
 
-def _build_linkedlist(rng, max_steps):
-    b = _Builder(rng)
-    nodes = [0]
-    total = rng.randint(3, max_steps)
-    while b.seq < total:
-        b.maybe_break_segment()
-        if rng.random() < 0.55:
-            base = rng.choice(nodes)
-            nodes.append(
-                b.emit(base, "next_node", kind="remote", iface="node")
-            )
-        else:
-            b.emit(rng.choice(nodes), "get_value")
-    return b.steps
+def _emit_linkedlist(b, state, rng, total):
+    if rng.random() < 0.55:
+        base = rng.choice(state.nodes)
+        state.nodes.append(
+            b.emit(base, "next_node", kind="remote", iface="node")
+        )
+    else:
+        b.emit(rng.choice(state.nodes), "get_value")
 
 
-def _build_fileserver(rng, max_steps):
-    b = _Builder(rng)
-    files = []
-    total = rng.randint(3, max_steps)
-    while b.seq < total:
-        b.maybe_break_segment()
-        roll = rng.random()
-        if roll < 0.22:
-            known = rng.random() < 0.7
-            name = rng.choice(FS_KNOWN if known else FS_UNKNOWN)
-            files.append(
-                b.emit(0, "get_file", (name,), kind="remote", iface="file")
-            )
-        elif roll < 0.30 and b.seq + 2 <= total:
-            cursor = b.emit(0, "list_files", kind="cursor", iface="file")
-            for method in rng.sample(
-                _FS_SUB_METHODS, rng.randint(1, min(3, total - b.seq))
-            ):
-                b.emit(cursor, method, cursor=cursor)
-        elif files:
-            target = rng.choice(files)
-            method = rng.choice(
-                ("get_name", "length", "read_contents", "last_modified",
-                 "is_directory", "delete")
-            )
-            b.emit(target, method)
-        else:
-            b.emit(0, rng.choice(("get_name", "last_modified", "length")))
-    return b.steps
+def _emit_fileserver(b, state, rng, total):
+    roll = rng.random()
+    if roll < 0.22:
+        known = rng.random() < 0.7
+        name = rng.choice(FS_KNOWN if known else FS_UNKNOWN)
+        state.files.append(
+            b.emit(state.root, "get_file", (name,), kind="remote",
+                   iface="file")
+        )
+    elif roll < 0.30 and b.seq + 2 <= total:
+        cursor = b.emit(state.root, "list_files", kind="cursor", iface="file")
+        for method in rng.sample(
+            _FS_SUB_METHODS, rng.randint(1, min(3, total - b.seq))
+        ):
+            b.emit(cursor, method, cursor=cursor)
+    elif state.files:
+        target = rng.choice(state.files)
+        method = rng.choice(
+            ("get_name", "length", "read_contents", "last_modified",
+             "is_directory", "delete")
+        )
+        b.emit(target, method)
+    else:
+        b.emit(state.root,
+               rng.choice(("get_name", "last_modified", "length")))
 
 
-def _build_noop(rng, max_steps):
-    b = _Builder(rng)
-    total = rng.randint(2, max_steps)
-    while b.seq < total:
-        b.maybe_break_segment(0.12)
-        b.emit(0, "noop")
-    return b.steps
+def _emit_noop(b, state, rng, total):
+    b.emit(state.root, "noop")
 
 
-_DOMAIN_BUILDERS = {
-    "bank": _build_bank,
-    "linkedlist": _build_linkedlist,
-    "fileserver": _build_fileserver,
-    "noop": _build_noop,
+_EMITTERS = {
+    "bank": _emit_bank,
+    "linkedlist": _emit_linkedlist,
+    "fileserver": _emit_fileserver,
+    "noop": _emit_noop,
 }

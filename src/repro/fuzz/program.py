@@ -19,6 +19,37 @@ both maintain that invariant, and :func:`validate_program` checks it.
 The model is deliberately independent of any transport or execution
 mode: the same program is interpreted by the naive-RMI oracle and
 recorded through the batch/plan proxies, and the outcomes are compared.
+
+**Multi-root programs.**  With ``roots > 1``, registers 0, -1, ... each
+hold the root stub of an independent application instance (its own
+batch *chain*), which a cluster world homes on different shards.  The
+one operation that crosses chains is passing a register minted on one
+chain as an argument to another (a card to another bank's
+``credit_line_of``) — the scatter-gather batch must turn that into a
+split point.  The oracle interprets such a program sequentially with
+the policy BREAK state tracked per chain, which is sound only under the
+*cross-chain invariant* that :func:`validate_program` enforces:
+
+- a cross-chain argument register always comes from an *earlier*
+  segment, so at record time it is already resolved — a failed register
+  kills the consuming step at record time on both paths, and a live one
+  marshals to a plain stub with no flush-time dependency edge;
+- the producer chain records **no calls at all** in the consumer's
+  segment: the split's early ``flush_and_continue`` then ships *only*
+  export pseudo-ops (it cannot break), and — crucially — no
+  producer-side effect can race the consumer's nested read.  Shard
+  sub-batches of one segment flush in unspecified relative order
+  (concurrently over TCP), so a producer mutation recorded anywhere in
+  the consumer's segment may execute before *or* after the cross-shard
+  read; a stepless producer segment is what makes program order the
+  only observable order.
+
+Violating either clause would not make the cluster wrong — splits are
+always safe, and chains are as independent as separate clients — but it
+would make the oracle's sequential per-chain interpretation unsound, so
+the generator never does and the shrinker skips candidates that do.
+With one root there is no other chain to cross into and the invariant
+is vacuous.
 """
 
 from __future__ import annotations
@@ -98,6 +129,11 @@ class Program:
         return (max((s.segment for s in self.steps), default=0)) + 1
 
     @property
+    def domains(self) -> Tuple[str, ...]:
+        """Per-root domains (joined with '+' in ``domain``)."""
+        return tuple(self.domain.split("+"))
+
+    @property
     def root_regs(self) -> Tuple[int, ...]:
         return tuple(root_reg(chain) for chain in range(self.roots))
 
@@ -111,6 +147,15 @@ class Program:
         for step in self.steps:
             chains[step.seq] = chains[step.target]
         return chains
+
+    def cross_chain_steps(self) -> Tuple[Step, ...]:
+        """The steps consuming a register across chains (split points)."""
+        chains = self.chain_of()
+        return tuple(
+            step for step in self.steps
+            if any(reg.seq > ROOT_REG and chains[reg.seq] != chains[step.target]
+                   for reg in step.arg_regs())
+        )
 
     def step(self, seq: int) -> Step:
         for candidate in self.steps:
@@ -181,15 +226,28 @@ def _render(value):
     return repr(value)
 
 
+class CrossChainError(ValueError):
+    """A well-formed program the sequential oracle cannot soundly judge."""
+
+
 def validate_program(program: Program) -> None:
     """Raise ``ValueError`` when a program violates the model invariants.
 
-    The generator and shrinker only ever produce valid programs; this is
-    the executable statement of what "valid" means (and a unit-test
-    oracle for both).
+    The generator only ever produces valid programs; this is the
+    executable statement of what "valid" means (and a unit-test oracle
+    for it).  Structural violations raise plain ``ValueError`` — the
+    shrinker's candidates are structurally valid by construction — while
+    a breach of the cross-chain invariant (module docstring) raises
+    :class:`CrossChainError`, which merging segments or dropping steps
+    of a multi-root program can legitimately cause.
     """
     if program.roots < 1:
         raise ValueError(f"a program needs at least one root: {program.roots}")
+    if len(program.domains) != program.roots:
+        raise ValueError(
+            f"program has {program.roots} roots but domains "
+            f"{program.domains!r}"
+        )
     seen = {reg: "remote" for reg in program.root_regs}
     segment = 0
     previous_seq = 0
@@ -233,3 +291,35 @@ def validate_program(program: Program) -> None:
         if step.kind not in ("value", "remote", "cursor"):
             raise ValueError(f"unknown step kind: {step.describe()}")
         seen[step.seq] = "remote" if step.kind == "remote" else step.kind
+    _check_cross_chain(program)
+
+
+def _check_cross_chain(program: Program) -> None:
+    """Every argument register consumed across chains must (a) come from
+    an earlier segment than the consuming step and (b) belong to a chain
+    that records **no step at all** in the consuming step's segment —
+    not before the consumer (its effects would precede the read on both
+    paths anyway, but its flush could break), and not after it either,
+    because shard sub-batches of one segment execute in unspecified
+    relative order: a later producer mutation may run before the
+    consumer's nested read on the cluster while the sequential oracle
+    always runs it after.
+    """
+    chains = program.chain_of()
+    stepped = {}  # segment -> chains recording in it
+    for step in program.steps:
+        stepped.setdefault(step.segment, set()).add(chains[step.target])
+    for step in program.steps:
+        for reg in step.arg_regs():
+            if reg.seq <= ROOT_REG or chains[reg.seq] == chains[step.target]:
+                continue
+            if program.step(reg.seq).segment >= step.segment:
+                raise CrossChainError(
+                    f"cross-chain argument r{reg.seq} must come from "
+                    f"an earlier segment: {step.describe()}"
+                )
+            if chains[reg.seq] in stepped[step.segment]:
+                raise CrossChainError(
+                    f"cross-chain producer chain of r{reg.seq} also "
+                    f"records in this segment: {step.describe()}"
+                )

@@ -12,11 +12,16 @@ One :func:`run_corpus` call drives the whole differential experiment:
                    inline, then installs, then hits the plan cache
           compare every run against the oracle
 
-Worlds are persistent (one server per transport for the whole corpus);
-state freshness comes from binding a new application instance under a
-new name for every run, and a new client (with a fresh plan memo) for
-every mode.  Divergences are shrunk to a minimal repro with
-:func:`repro.fuzz.shrink.shrink_program` before being reported.
+Worlds are persistent (one server — or one cluster of shard servers —
+per transport for the whole corpus); state freshness comes from binding
+a new application instance under a new name for every run, and a new
+client (with a fresh plan memo) for every mode.  Divergences are shrunk
+to a minimal repro with :func:`repro.fuzz.shrink.shrink_program` before
+being reported.
+
+The single-server matrix is the one-root, one-server row of the same
+loop: ``FuzzConfig.shards`` only decides how many roots a program has
+(:func:`roots_for`) and which layout every :class:`World` is built in.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from repro.apps.bank import CreditManagerImpl
 from repro.apps.fileserver import make_directory
 from repro.apps.linkedlist import build_list
 from repro.apps.noop import NoOpImpl
+from repro.cluster import ClusterClient, ShardMap, shard_label
 from repro.net import FaultSchedule, FaultyNetwork, SimNetwork, TcpNetwork, preset
 from repro.rmi import RETRYABLE_ERRORS, RMIClient, RMIServer, RetryPolicy
 
@@ -51,6 +57,7 @@ from repro.fuzz.generate import (
     generate_program,
     policies_for,
 )
+from repro.fuzz.program import root_reg
 from repro.fuzz.shrink import shrink_program
 
 TRANSPORTS = ("lan", "wireless", "tcp")
@@ -80,6 +87,22 @@ CLEAN_FAULT_ERRORS = frozenset({
     "repro.net.transport.FaultInjectedError",
 })
 
+#: What a cluster world adds to that contract: a scatter-gather flush
+#: reports the shards that gave out under one typed wrapper.
+CLUSTER_FAULT_ERRORS = frozenset({
+    "repro.cluster.errors.ShardFailedError",
+})
+
+
+def roots_for(shards: int) -> int:
+    """How many roots the programs of a *shards*-server corpus have.
+
+    One server runs the paper's single-root programs; a cluster gets one
+    root more than it has shards, capped at 4 — so up to three shards
+    two chains share a shard while the others spread.
+    """
+    return 1 if shards == 1 else max(2, min(shards + 1, 4))
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -107,8 +130,12 @@ class FuzzConfig:
     max_divergences: int = 3
     faults: bool = False
     fault_rate: float = 0.12
-    #: Shard count: > 1 routes the corpus through the sharded cluster
-    #: matrix of :func:`repro.fuzz.cluster.run_cluster_corpus`.
+    #: Shard count: > 1 runs multi-root programs (:func:`roots_for`)
+    #: through scatter-gather batches on an N-shard cluster world,
+    #: against the per-chain oracle.  The traffic bound is enforced only
+    #: at one root: split points and per-chain close flushes
+    #: legitimately cost extra round trips (correctness first — the
+    #: conformance claim is observational).
     shards: int = 1
     #: Differential scheduler check: run every clean batch/plan cell a
     #: second time against a twin server pinned to width 1
@@ -196,6 +223,14 @@ class FuzzReport:
                 cov.get("plan_cache_hits", 0),
             ),
         ]
+        if self.config.shards > 1:
+            lines.append(
+                "  cluster:    shards=%d roots=%d cross_chain_steps=%d" % (
+                    self.config.shards,
+                    roots_for(self.config.shards),
+                    cov.get("cross_chain_steps", 0),
+                )
+            )
         if self.config.parallel:
             lines.append(
                 "  scheduler:  parallel_batches=%d elements=%d "
@@ -218,50 +253,96 @@ class FuzzReport:
 
 
 class World:
-    """One transport universe: a network and a server that live for the
-    whole corpus, handing out fresh bindings and clients per run.
+    """One transport universe: a network and the server(s) that live for
+    the whole corpus, handing out fresh bindings and clients per run.
 
-    *exec_workers* configures the server's DAG scheduler exactly like
+    The layout is a constructor value.  By default the world is one
+    plain server reached through an :class:`RMIClient`; with *shards*
+    it is that many shard-labelled servers behind a
+    :class:`ClusterClient` (``shards=1`` is a real one-shard cluster —
+    the conformance suite compares it with the plain layout round trip
+    for round trip).
+
+    *exec_workers* configures every server's DAG scheduler exactly like
     :class:`~repro.rmi.server.RMIServer` — ``0`` builds the width-1 twin
     worlds the ``parallel`` differential mode compares against.
     """
 
-    def __init__(self, transport: str, exec_workers: int = None):
+    def __init__(self, transport: str, exec_workers: int = None,
+                 shards: int = None):
         self.transport = transport
+        self.clustered = shards is not None
+        self.shard_map = ShardMap(shards or 1)
+        #: Flush failures a chaos run on this world may cleanly end with.
+        self.clean_errors = CLEAN_FAULT_ERRORS
+        if self.clustered:
+            self.clean_errors |= CLUSTER_FAULT_ERRORS
         if transport == "tcp":
             self.network = TcpNetwork()
-            self.server = RMIServer(
-                self.network, "tcp://127.0.0.1:0",
-                exec_workers=exec_workers,
-            ).start()
         else:
             self.network = SimNetwork(conditions=preset(transport))
-            self.server = RMIServer(
-                self.network, f"sim://{transport}-server:1099",
-                exec_workers=exec_workers,
-            ).start()
+        self.servers = []
+        for index in range(self.shard_map.shards):
+            address = (
+                "tcp://127.0.0.1:0" if transport == "tcp"
+                else f"sim://{transport}-server{index}:1099"
+            )
+            labels = {}
+            if self.clustered:
+                labels = dict(shard=shard_label(index, shards),
+                              shard_home=self.shard_map.home_of)
+            self.servers.append(RMIServer(
+                self.network, address, exec_workers=exec_workers, **labels
+            ).start())
+        self.addresses = tuple(server.address for server in self.servers)
         self._names = itertools.count()
 
-    def fresh_client(self, schedule: FaultSchedule = None) -> RMIClient:
+    def fresh_client(self, schedule: FaultSchedule = None):
         """A clean client, or (given a schedule) a chaos client whose
         transport injects that schedule's faults behind retries."""
-        if schedule is None:
-            return RMIClient(self.network, self.server.address)
-        return RMIClient(
-            FaultyNetwork(self.network, schedule),
-            self.server.address,
-            retry=CHAOS_RETRY,
+        network, retry = self.network, None
+        if schedule is not None:
+            network, retry = FaultyNetwork(self.network, schedule), CHAOS_RETRY
+        if not self.clustered:
+            return RMIClient(network, self.addresses[0], retry=retry)
+        # Scatter-gather flushes stay single-threaded off TCP: the sim
+        # networks advance one virtual clock that is not thread-safe.
+        return ClusterClient(
+            network, self.addresses, retry=retry,
+            concurrent_flush=(self.transport == "tcp"),
         )
 
-    def bind_fresh(self, domain: str):
-        """Bind a brand-new application instance; returns (name, reader)."""
-        impl, reader = _build_domain(domain)
-        name = f"{domain}-{next(self._names)}"
-        self.server.bind(name, impl)
-        return name, reader
+    def rmi_clients(self, client):
+        """The per-server clients behind one :meth:`fresh_client`."""
+        if not self.clustered:
+            return [client]
+        return [client.client_for(index) for index in range(client.shards)]
+
+    def bind_roots(self, program):
+        """Bind a brand-new application instance for every root.
+
+        Returns ``({root register: name}, post-state reader)``.  Root
+        *chain* is homed on server ``chain % servers``: the name is
+        salted until the :class:`ShardMap` places it there, so a
+        program's chains always spread across a cluster (and the
+        registry's own home guard agrees with the placement).
+        """
+        names = {}
+        readers = []
+        for chain, domain in enumerate(program.domains):
+            shard = chain % len(self.servers)
+            impl, reader = _build_domain(domain)
+            name = self.shard_map.homed_name(
+                f"{domain}-{next(self._names)}", shard
+            )
+            self.servers[shard].bind(name, impl)
+            names[root_reg(chain)] = name
+            readers.append(reader)
+        return names, lambda: tuple(reader() for reader in readers)
 
     def close(self) -> None:
-        self.server.close()
+        for server in self.servers:
+            server.close()
         self.network.close()
 
 
@@ -314,7 +395,18 @@ def run_corpus(config: FuzzConfig, log=None) -> FuzzReport:
             f"unknown mode(s) {', '.join(unknown)}; "
             f"choose from {', '.join(MODES)}"
         )
+    if config.shards < 1:
+        raise FuzzHarnessError(
+            f"a corpus needs at least one shard, got {config.shards}"
+        )
     inject = _injection_for(config)
+    if inject is not None and config.shards > 1:
+        raise FuzzHarnessError(
+            "--inject-bug targets the single-server recorder; "
+            "run it without --shards"
+        )
+    layout = config.shards if config.shards > 1 else None
+    roots = roots_for(config.shards)
     report = FuzzReport(config=config)
     coverage = report.coverage
     coverage.update(
@@ -322,7 +414,7 @@ def run_corpus(config: FuzzConfig, log=None) -> FuzzReport:
         plan_inline=0, plan_installs=0, plan_invocations=0,
         plan_cache_hits=0, fault_events=0, clean_failures=0,
         dedup_replays=0, parallel_batches=0, parallel_elements=0,
-        parallel_fallbacks=0,
+        parallel_fallbacks=0, cross_chain_steps=0,
     )
     worlds = {}
     serial_worlds = {}
@@ -330,15 +422,19 @@ def run_corpus(config: FuzzConfig, log=None) -> FuzzReport:
     oracle_client = None
     try:
         for name in config.transports:
-            worlds[name] = World(name)
+            worlds[name] = World(name, shards=layout)
             if config.parallel:
-                serial_worlds[name] = World(name, exec_workers=0)
-        oracle_world = World("localhost")
+                serial_worlds[name] = World(name, exec_workers=0,
+                                            shards=layout)
+        oracle_world = World("localhost", shards=layout)
         oracle_client = oracle_world.fresh_client()
         for index in range(config.programs):
-            program = generate_program(config.seed, index, config.max_steps)
+            program = generate_program(
+                config.seed, index, config.max_steps, roots
+            )
             report.programs += 1
-            coverage["domains"].add(program.domain)
+            coverage["domains"].update(program.domains)
+            coverage["cross_chain_steps"] += len(program.cross_chain_steps())
             if log is not None and index % 10 == 0:
                 log(f"program #{index} ({program.domain}, "
                     f"{len(program.steps)} steps)")
@@ -346,8 +442,8 @@ def run_corpus(config: FuzzConfig, log=None) -> FuzzReport:
                 program, config.policies
             ).items():
                 coverage["policies"].add(policy_name)
-                oracle = _oracle_run(oracle_world, oracle_client, program,
-                                     policy)
+                oracle = _run(oracle_world, oracle_client, program, policy,
+                              "oracle")
                 report.runs += 1
                 for transport in config.transports:
                     coverage["transports"].add(transport)
@@ -370,23 +466,22 @@ def run_corpus(config: FuzzConfig, log=None) -> FuzzReport:
         # Accumulated here so early returns (max_divergences) still
         # report honest plan-path coverage in the failure summary.
         for world in worlds.values():
-            cache_stats = world.server.plan_cache.stats.snapshot()
-            coverage["plan_cache_hits"] += cache_stats.hits
-            coverage["dedup_replays"] += world.server.dedup.hits
-            executor = world.server._batch_executor
-            if executor is not None:
-                snap = executor.scheduler.snapshot()
-                coverage["parallel_batches"] += snap["parallel_batches"]
-                coverage["parallel_elements"] += snap["elements"]
-                coverage["parallel_fallbacks"] += snap["serial_batches"]
+            for server in world.servers:
+                cache_stats = server.plan_cache.stats.snapshot()
+                coverage["plan_cache_hits"] += cache_stats.hits
+                coverage["dedup_replays"] += server.dedup.hits
+                executor = server._batch_executor
+                if executor is not None:
+                    snap = executor.scheduler.snapshot()
+                    coverage["parallel_batches"] += snap["parallel_batches"]
+                    coverage["parallel_elements"] += snap["elements"]
+                    coverage["parallel_fallbacks"] += snap["serial_batches"]
         if oracle_client is not None:
             oracle_client.close()
-        if oracle_world is not None:
-            oracle_world.close()
-        for world in worlds.values():
-            world.close()
-        for world in serial_worlds.values():
-            world.close()
+        for world in (oracle_world, *worlds.values(),
+                      *serial_worlds.values()):
+            if world is not None:
+                world.close()
     return report
 
 
@@ -402,11 +497,21 @@ def _injection_for(config: FuzzConfig):
         ) from None
 
 
-def _oracle_run(world, client, program, policy):
-    name, reader = world.bind_fresh(program.domain)
-    stub = client.lookup(name)
-    result = run_oracle(program, stub, policy)
-    result.post_state = reader()
+def _run(world, client, program, policy, mode, inject=None):
+    """One execution of *program* on fresh app state.
+
+    *mode* is ``"oracle"`` (naive RMI) or one of :data:`MODES`.
+    """
+    names, read_state = world.bind_roots(program)
+    stubs = {reg: client.lookup(name) for reg, name in names.items()}
+    if mode == "oracle":
+        result = run_oracle(program, stubs, policy)
+    else:
+        result = run_batched(
+            program, stubs, policy, reuse_plans=(mode == "plan"),
+            inject=inject, cluster=client if world.clustered else None,
+        )
+    result.post_state = read_state()
     return result
 
 
@@ -428,9 +533,38 @@ def _chaos_schedule(config, *parts) -> FaultSchedule:
     )
 
 
-def _clean_fault_failure(result) -> bool:
-    """Whether a chaos run ended in an allowed typed transport error."""
-    return bool(result.flush_error) and result.flush_error in CLEAN_FAULT_ERRORS
+def _judge(world, client, schedule, oracle, program, policy, mode, config,
+           inject):
+    """Run one mode run and compare it with *oracle*.
+
+    Returns ``(result, diffs)``; *result* is None when the run ended in
+    a clean typed failure, which has nothing to compare.
+    """
+    try:
+        result = _run(world, client, program, policy, mode, inject)
+    except RETRYABLE_ERRORS:
+        if schedule is None:
+            raise
+        # Retries exhausted before the run could even start (e.g. the
+        # lookup kept failing): a clean, typed failure — nothing
+        # executed, nothing to compare.
+        return None, []
+    if schedule is not None and result.flush_error in world.clean_errors:
+        # The batch contract under failure: flush raised a typed
+        # transport error.  Partial segments may have applied (each
+        # flushed segment is exactly-once), so there is no full-program
+        # oracle to compare to.
+        return None, []
+    return result, compare_runs(
+        oracle, result, check_traffic=_checks_traffic(config, program,
+                                                      schedule),
+    )
+
+
+def _checks_traffic(config, program, schedule) -> bool:
+    # Retries legitimately resend, and so do the split points and
+    # per-chain close flushes of a multi-root program.
+    return config.check_traffic and schedule is None and program.roots == 1
 
 
 def _check_program(world, program, policy_name, policy, oracle, config,
@@ -457,79 +591,44 @@ def _check_program(world, program, policy_name, policy, oracle, config,
         try:
             runs = config.plan_runs if mode == "plan" else 1
             for run_index in range(runs):
-                try:
-                    result = _mode_run(
-                        world, client, program, policy, mode, inject
-                    )
-                except RETRYABLE_ERRORS:
-                    if schedule is None:
-                        raise
-                    # Retries exhausted before the run could even start
-                    # (e.g. the lookup kept failing): a clean, typed
-                    # failure — nothing executed, nothing to compare.
-                    coverage["clean_failures"] += 1
-                    report.runs += 1
-                    continue
+                result, diffs = _judge(world, client, schedule, oracle,
+                                       program, policy, mode, config, inject)
                 report.runs += 1
-                if schedule is not None and _clean_fault_failure(result):
-                    # The batch contract under failure: flush raised a
-                    # typed transport error.  Partial segments may have
-                    # applied (each flushed segment is exactly-once),
-                    # so there is no full-program oracle to compare to.
+                if result is None:
                     coverage["clean_failures"] += 1
                     continue
-                diffs = compare_runs(
-                    oracle, result,
-                    check_traffic=config.check_traffic and schedule is None,
-                )
+                judged = mode
+                if not diffs and serial_client is not None:
+                    serial_result = _run(serial_world, serial_client,
+                                         program, policy, mode, inject)
+                    report.runs += 1
+                    judged = f"{mode}+parallel"
+                    diffs = compare_runs(
+                        serial_result, result,
+                        check_traffic=_checks_traffic(config, program, None),
+                    )
                 if diffs:
                     return Divergence(
                         program=program,
                         transport=world.transport,
                         policy=policy_name,
-                        mode=mode,
+                        mode=judged,
                         run_index=run_index,
                         diffs=diffs,
                     )
-                if serial_client is not None:
-                    serial_result = _mode_run(
-                        serial_world, serial_client, program, policy, mode,
-                        inject,
-                    )
-                    report.runs += 1
-                    diffs = compare_runs(serial_result, result,
-                                         check_traffic=config.check_traffic)
-                    if diffs:
-                        return Divergence(
-                            program=program,
-                            transport=world.transport,
-                            policy=policy_name,
-                            mode=f"{mode}+parallel",
-                            run_index=run_index,
-                            diffs=diffs,
-                        )
         finally:
             if mode == "plan":
-                memo = client.plan_memo
-                coverage["plan_inline"] += memo.inline_flushes
-                coverage["plan_installs"] += memo.plan_installs
-                coverage["plan_invocations"] += memo.plan_invocations
+                for rmi_client in world.rmi_clients(client):
+                    memo = rmi_client.plan_memo
+                    coverage["plan_inline"] += memo.inline_flushes
+                    coverage["plan_installs"] += memo.plan_installs
+                    coverage["plan_invocations"] += memo.plan_invocations
             if schedule is not None:
                 coverage["fault_events"] += schedule.injected
             client.close()
             if serial_client is not None:
                 serial_client.close()
     return None
-
-
-def _mode_run(world, client, program, policy, mode, inject):
-    name, reader = world.bind_fresh(program.domain)
-    stub = client.lookup(name)
-    result = run_batched(
-        program, stub, policy, reuse_plans=(mode == "plan"), inject=inject
-    )
-    result.post_state = reader()
-    return result
 
 
 def _shrink_divergence(divergence, world, oracle_world, oracle_client,
@@ -552,7 +651,8 @@ def _shrink_divergence(divergence, world, oracle_world, oracle_client,
         key = candidate.describe()
         if key in seen:
             return seen[key]
-        oracle = _oracle_run(oracle_world, oracle_client, candidate, policy)
+        oracle = _run(oracle_world, oracle_client, candidate, policy,
+                      "oracle")
         # A fresh schedule per candidate replays the cell's exact fault
         # stream, so chaos-born divergences stay reproducible while
         # shrinking.
@@ -564,20 +664,9 @@ def _shrink_divergence(divergence, world, oracle_world, oracle_client,
         diffs = []
         try:
             for _ in range(runs):
-                try:
-                    result = _mode_run(
-                        world, client, candidate, policy, mode, inject
-                    )
-                except RETRYABLE_ERRORS:
-                    if schedule is None:
-                        raise
-                    continue  # clean typed failure: not a divergence
-                if schedule is not None and _clean_fault_failure(result):
-                    continue
-                diffs = compare_runs(
-                    oracle, result,
-                    check_traffic=config.check_traffic and schedule is None,
-                )
+                # A clean typed failure is not a divergence.
+                _, diffs = _judge(world, client, schedule, oracle,
+                                  candidate, policy, mode, config, inject)
                 if diffs:
                     break
         finally:

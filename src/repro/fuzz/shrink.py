@@ -8,9 +8,13 @@ candidates and keeps any that still diverge:
 2. drop one step (plus its dependency closure) at a time;
 3. simplify literal arguments (shorter lists, unit amounts).
 
-Every candidate is a *valid* program by construction —
+Every candidate is a structurally *valid* program by construction —
 ``Program.without_steps`` removes dependents transitively — so the
-predicate never sees a malformed script.  The loop restarts after every
+predicate never sees a malformed script.  Candidates of a multi-root
+program that break the cross-chain invariant (merging segments can pull
+a cross-chain argument into its producer's segment, where the per-chain
+oracle is unsound) are skipped, so the shrinker keeps the last sound
+repro instead.  The loop restarts after every
 successful reduction and stops at a fixpoint or when the attempt budget
 runs out; fuzzing is only as useful as its repros are small.
 """
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.fuzz.program import Program, validate_program
+from repro.fuzz.program import CrossChainError, Program, validate_program
 
 #: Upper bound on predicate evaluations for one shrink.
 DEFAULT_BUDGET = 300
@@ -38,7 +42,10 @@ def shrink_program(program: Program, diverges, budget: int = DEFAULT_BUDGET):
         nonlocal attempts, current
         if attempts >= budget or not candidate.steps:
             return False
-        validate_program(candidate)
+        try:
+            validate_program(candidate)
+        except CrossChainError:
+            return False
         attempts += 1
         if diverges(candidate):
             current = candidate

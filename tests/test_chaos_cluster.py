@@ -23,8 +23,7 @@ import dataclasses
 import pytest
 
 from repro.cluster import ClusterClient, ShardFailedError
-from repro.fuzz.cluster import ClusterWorld
-from repro.fuzz.runner import _build_domain
+from repro.fuzz.runner import World, _build_domain
 from repro.net import FaultSchedule
 from repro.rmi import RMIClient
 from repro.rmi.exceptions import WrongShardError
@@ -42,9 +41,9 @@ def _bind_bank(world, index, base):
 
 
 def test_shard_death_fails_only_that_shards_rows_tcp():
-    world = ClusterWorld("tcp", 2)
+    world = World("tcp", shards=2)
     try:
-        cluster = world.fresh_cluster()
+        cluster = world.fresh_client()
         try:
             names = [_bind_bank(world, i, "bank-death")[0] for i in range(2)]
             batch = cluster.create_batch()
@@ -76,9 +75,9 @@ def test_shard_death_fails_only_that_shards_rows_tcp():
 
 def test_all_shards_dead_reraises_the_raw_error():
     """No survivors -> behave like a single server: the original error."""
-    world = ClusterWorld("lan", 2)
+    world = World("lan", shards=2)
     try:
-        cluster = world.fresh_cluster()
+        cluster = world.fresh_client()
         try:
             name = _bind_bank(world, 1, "bank-solo")[0]
             batch = cluster.create_batch()
@@ -105,10 +104,10 @@ def test_fault_retries_stay_exactly_once_per_shard():
     purchase charges exactly once per card (a re-execution would read
     880, not 940).
     """
-    world = ClusterWorld("lan", 2)
+    world = World("lan", shards=2)
     try:
         schedule = FaultSchedule(seed=8, rate=0.25, delay_s=0.0005)
-        cluster = world.fresh_cluster(schedule)
+        cluster = world.fresh_client(schedule)
         try:
             names = [_bind_bank(world, i, "bank-dedup")[0] for i in range(2)]
             batch = cluster.create_batch()
@@ -138,9 +137,9 @@ def test_restarted_shard_serves_new_batches_old_chain_stays_failed():
     from repro.cluster.shardmap import shard_label
     from repro.rmi import RMIServer
 
-    world = ClusterWorld("lan", 2)
+    world = World("lan", shards=2)
     try:
-        cluster = world.fresh_cluster()
+        cluster = world.fresh_client()
         names = [_bind_bank(world, i, "bank-restart")[0] for i in range(2)]
         batch = cluster.create_batch()
         roots = [batch.on(cluster.lookup(name)) for name in names]
@@ -159,7 +158,7 @@ def test_restarted_shard_serves_new_batches_old_chain_stays_failed():
         ).start()
         fresh_name = _bind_bank(world, 1, "bank-restarted")[0]
 
-        cluster = world.fresh_cluster()
+        cluster = world.fresh_client()
         try:
             cluster.verify_shards()
             batch2 = cluster.create_batch()
@@ -181,9 +180,9 @@ def test_restarted_shard_serves_new_batches_old_chain_stays_failed():
 
 
 def test_forged_shard_stamp_is_rejected_client_side():
-    world = ClusterWorld("lan", 2)
+    world = World("lan", shards=2)
     try:
-        cluster = world.fresh_cluster()
+        cluster = world.fresh_client()
         try:
             name = _bind_bank(world, 0, "bank-stamp")[0]
             ref = cluster.lookup(name).remote_ref
@@ -209,7 +208,7 @@ def test_forged_shard_stamp_is_rejected_client_side():
 
 
 def test_misrouted_name_is_rejected_by_the_server_home_guard():
-    world = ClusterWorld("lan", 2)
+    world = World("lan", shards=2)
     try:
         name = _bind_bank(world, 0, "bank-home")[0]
         wrong = RMIClient(world.network, world.servers[1].address)
@@ -228,7 +227,7 @@ def test_misrouted_name_is_rejected_by_the_server_home_guard():
         finally:
             wrong.close()
         # The routed path resolves the same name without complaint.
-        cluster = world.fresh_cluster()
+        cluster = world.fresh_client()
         try:
             cluster.lookup(name)
         finally:
@@ -238,9 +237,9 @@ def test_misrouted_name_is_rejected_by_the_server_home_guard():
 
 
 def test_verify_shards_catches_swapped_connections():
-    world = ClusterWorld("lan", 2)
+    world = World("lan", shards=2)
     try:
-        good = world.fresh_cluster()
+        good = world.fresh_client()
         try:
             good.verify_shards()
         finally:

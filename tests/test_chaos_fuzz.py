@@ -11,7 +11,9 @@ import pytest
 
 from repro.fuzz.runner import (
     CLEAN_FAULT_ERRORS,
+    CLUSTER_FAULT_ERRORS,
     FuzzConfig,
+    World,
     run_corpus,
 )
 
@@ -66,10 +68,20 @@ class TestChaosConformance:
     def test_clean_fault_errors_are_the_typed_contract(self):
         """The allowed-failure set is exactly the typed transport errors;
         a refactor renaming one must consciously update the contract."""
-        for name in CLEAN_FAULT_ERRORS:
+        for name in CLEAN_FAULT_ERRORS | CLUSTER_FAULT_ERRORS:
             module, _, cls_name = name.rpartition(".")
             mod = __import__(module, fromlist=[cls_name])
             assert hasattr(mod, cls_name), name
+        # ... and each layout's world carries exactly its own contract.
+        for shards, expected in (
+            (None, CLEAN_FAULT_ERRORS),
+            (2, CLEAN_FAULT_ERRORS | CLUSTER_FAULT_ERRORS),
+        ):
+            world = World("lan", shards=shards)
+            try:
+                assert world.clean_errors == expected
+            finally:
+                world.close()
 
     def test_faults_off_is_the_old_harness(self):
         config = FuzzConfig(seed=1, programs=2, transports=("lan",))

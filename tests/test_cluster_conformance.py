@@ -15,23 +15,15 @@ Three pins, mirroring the ISSUE acceptance criteria:
   call, never a wrong answer).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.policies import AbortPolicy, ContinuePolicy
-from repro.fuzz.cluster import (
-    ClusterWorld,
-    count_cross_chain,
-    generate_cluster_program,
-    run_cluster_batched,
-    run_cluster_corpus,
-    run_cluster_oracle,
-    validate_cluster_program,
-    _cluster_requests,
-)
 from repro.fuzz.execute import compare_runs, run_batched, run_oracle
 from repro.fuzz.generate import generate_program, policies_for
 from repro.fuzz.program import Program, Reg, Step, validate_program
-from repro.fuzz.runner import FuzzConfig, World
+from repro.fuzz.runner import FuzzConfig, World, run_corpus
 
 PROGRAMS_PER_SEED = 4
 
@@ -42,23 +34,23 @@ PROGRAMS_PER_SEED = 4
 def test_one_shard_cluster_is_single_server_exactly():
     """Outcome-for-outcome AND round-trip-for-round-trip identical."""
     single = World("lan")
-    cluster_world = ClusterWorld("lan", shards=1)
+    cluster_world = World("lan", shards=1)
     try:
         single_client = single.fresh_client()
-        cluster = cluster_world.fresh_cluster()
+        cluster = cluster_world.fresh_client()
         checked = 0
         for index in range(6):
             program = generate_program(0, index, max_steps=12)
             for policy_name, policy in policies_for(program).items():
-                name, reader = single.bind_fresh(program.domain)
-                stub = single_client.lookup(name)
-                expected = run_batched(program, stub, policy)
-                expected.post_state = (reader(),)
+                names, read_state = single.bind_roots(program)
+                stubs = {0: single_client.lookup(names[0])}
+                expected = run_batched(program, stubs, policy)
+                expected.post_state = read_state()
 
-                names, readers = cluster_world.bind_roots(program)
+                names, read_state = cluster_world.bind_roots(program)
                 stubs = {0: cluster.lookup(names[0])}
-                got = run_cluster_batched(program, cluster, stubs, policy)
-                got.post_state = cluster_world.post_state(program, readers)
+                got = run_batched(program, stubs, policy, cluster=cluster)
+                got.post_state = read_state()
 
                 diffs = compare_runs(expected, got, check_traffic=False)
                 assert not diffs, (
@@ -87,7 +79,7 @@ def test_multi_shard_sim_corpus_matches_oracle(seed):
         seed=seed, programs=PROGRAMS_PER_SEED, shards=2,
         transports=("lan",), shrink=False,
     )
-    report = run_cluster_corpus(config)
+    report = run_corpus(config)
     assert report.ok, "\n\n".join(d.describe() for d in report.divergences)
     assert report.programs == PROGRAMS_PER_SEED
     assert report.runs > 0
@@ -98,7 +90,7 @@ def test_three_shard_sim_corpus_matches_oracle():
         seed=0, programs=PROGRAMS_PER_SEED, shards=3,
         transports=("lan",), shrink=False,
     )
-    report = run_cluster_corpus(config)
+    report = run_corpus(config)
     assert report.ok, "\n\n".join(d.describe() for d in report.divergences)
     # The corpus must actually exercise split points and plan reuse.
     assert report.coverage["cross_chain_steps"] > 0
@@ -111,18 +103,34 @@ def test_multi_shard_tcp_corpus_matches_oracle():
         seed=1, programs=3, shards=2, transports=("tcp",),
         policies=("abort", "continue"), shrink=False,
     )
-    report = run_cluster_corpus(config)
+    report = run_corpus(config)
     assert report.ok, "\n\n".join(d.describe() for d in report.divergences)
+
+
+def test_multi_shard_parallel_corpus_runs_the_width_one_twin():
+    """``parallel`` is not a no-op on a cluster: every clean batch/plan
+    run repeats on a twin cluster whose shard servers are pinned to
+    width 1, and the two must agree."""
+    config = FuzzConfig(
+        seed=0, programs=3, shards=2, transports=("lan",), shrink=False,
+    )
+    plain = run_corpus(config)
+    twinned = run_corpus(dataclasses.replace(config, parallel=True))
+    assert twinned.ok, "\n\n".join(d.describe() for d in twinned.divergences)
+    oracle_runs = plain.programs * len(config.policies)
+    assert twinned.runs == plain.runs + (plain.runs - oracle_runs)
+    # The scheduler counters are summed over every shard server.
+    coverage = twinned.coverage
+    assert coverage["parallel_batches"] + coverage["parallel_fallbacks"] > 0
 
 
 def test_cluster_corpus_programs_always_have_cross_chain_coverage():
     """Across a whole corpus, split points appear (and validate)."""
     total = 0
     for index in range(12):
-        program = generate_cluster_program(0, index, roots=3)
+        program = generate_program(0, index, max_steps=18, roots=3)
         validate_program(program)
-        validate_cluster_program(program)
-        total += count_cross_chain(program)
+        total += len(program.cross_chain_steps())
     assert total > 0
 
 
@@ -147,36 +155,32 @@ def _split_program() -> Program:
     )
     program = Program(domain="bank+bank", steps=steps, roots=2)
     validate_program(program)
-    validate_cluster_program(program)
     return program
 
 
 def test_split_point_values_and_post_state():
     program = _split_program()
-    world = ClusterWorld("lan", shards=2)
+    world = World("lan", shards=2)
     try:
-        cluster = world.fresh_cluster()
-        names, readers = world.bind_roots(program)
+        cluster = world.fresh_client()
+        names, read_state = world.bind_roots(program)
         stubs = {reg: cluster.lookup(name) for reg, name in names.items()}
-        result = run_cluster_batched(
-            program, cluster, stubs, AbortPolicy()
+        result = run_batched(
+            program, stubs, AbortPolicy(), cluster=cluster
         )
         # 1000 limit - 75 purchase = 925, read across shards (r3) and
         # locally one segment later (r4); the final purchase lands last.
         assert result.outcomes[3].value == 925.0
         assert result.outcomes[4].value == 925.0
         assert result.outcomes[5].status == "ok"
-        post = world.post_state(program, readers)
+        post = read_state()
         assert post[0]["dana"] == (175.0, 1000.0)
 
         # And the oracle agrees wholesale.
-        names, readers = world.bind_roots(program)
+        names, read_state = world.bind_roots(program)
         stubs = {reg: cluster.lookup(name) for reg, name in names.items()}
-        oracle = run_cluster_oracle(
-            program, stubs, AbortPolicy(),
-            request_count=lambda: _cluster_requests(cluster),
-        )
-        oracle.post_state = world.post_state(program, readers)
+        oracle = run_oracle(program, stubs, AbortPolicy())
+        oracle.post_state = read_state()
         result.post_state = post
         assert not compare_runs(oracle, result, check_traffic=False)
     finally:
@@ -206,9 +210,8 @@ def test_validator_rejects_producer_steps_in_consumer_segment():
                  segment=1),
         )
         program = Program(domain="bank+bank", steps=steps, roots=2)
-        validate_program(program)
         with pytest.raises(ValueError, match="also records"):
-            validate_cluster_program(program)
+            validate_program(program)
 
 
 def test_failed_register_kills_cross_chain_consumer_at_record_time():
@@ -223,24 +226,23 @@ def test_failed_register_kills_cross_chain_consumer_at_record_time():
     )
     program = Program(domain="bank+bank", steps=steps, roots=2)
     validate_program(program)
-    validate_cluster_program(program)
-    world = ClusterWorld("lan", shards=2)
+    world = World("lan", shards=2)
     try:
-        cluster = world.fresh_cluster()
+        cluster = world.fresh_client()
         for policy in (AbortPolicy(), ContinuePolicy()):
-            names, readers = world.bind_roots(program)
+            names, _ = world.bind_roots(program)
             stubs = {reg: cluster.lookup(name)
                      for reg, name in names.items()}
-            result = run_cluster_batched(program, cluster, stubs, policy)
+            result = run_batched(program, stubs, policy, cluster=cluster)
             assert result.outcomes[1].status == "raise"
             assert "AccountNotFound" in result.outcomes[1].error
             assert result.outcomes[2] == result.outcomes[1]
             assert result.outcomes[3] == result.outcomes[1]
 
-            names, readers = world.bind_roots(program)
+            names, _ = world.bind_roots(program)
             stubs = {reg: cluster.lookup(name)
                      for reg, name in names.items()}
-            oracle = run_cluster_oracle(program, stubs, policy)
+            oracle = run_oracle(program, stubs, policy)
             assert not compare_runs(oracle, result, check_traffic=False)
     finally:
         world.close()
@@ -250,9 +252,9 @@ def test_cursor_state_cannot_cross_shards():
     """Passing a cursor (or element proxy) across chains is a typed error."""
     from repro.core.errors import UnsupportedBatchOperationError
 
-    world = ClusterWorld("lan", shards=2)
+    world = World("lan", shards=2)
     try:
-        cluster = world.fresh_cluster()
+        cluster = world.fresh_client()
         program = Program(
             domain="fileserver+bank",
             steps=(Step(seq=1, target=0, method="list_files",

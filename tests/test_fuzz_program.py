@@ -14,7 +14,6 @@ from repro.fuzz import (
     shrink_program,
     validate_program,
 )
-from repro.fuzz.cluster import generate_cluster_program
 from repro.fuzz.generate import DOMAINS
 
 #: sha256 over describe() of seeds 0-3 x indices 0-299 x max_steps 14/25,
@@ -29,21 +28,13 @@ PINNED_STREAMS = {
 }
 
 
-def _generate(seed, index, max_steps, roots):
-    if roots == 1:
-        return generate_program(seed, index, max_steps)
-    return generate_cluster_program(
-        seed, index, roots=roots, max_steps=max_steps
-    )
-
-
 def test_generator_streams_are_pinned():
     for roots, pinned in PINNED_STREAMS.items():
         digest = hashlib.sha256()
         for seed in range(4):
             for index in range(300):
                 for max_steps in (14, 25):
-                    program = _generate(seed, index, max_steps, roots)
+                    program = generate_program(seed, index, max_steps, roots)
                     digest.update(program.describe().encode("utf-8") + b"\n")
         assert digest.hexdigest() == pinned, f"roots={roots} stream moved"
 
