@@ -7,7 +7,7 @@ same shape as ``test_throughput_aio``), each writing its own keys into
 **Tracing lane** — varying only the tracing switch:
 
 - **off**     — no tracer installed anywhere: the instrumented hot paths
-  cost one module-global read and a ``None`` check;
+  open their spans on the null tracer (one no-op method call per site);
 - **sampled** — tracer installed in both processes at a 10% head rate:
   the production configuration;
 - **full**    — sample rate 1.0: every span of every batch records.

@@ -116,46 +116,42 @@ class AioRMIClient:
         backoff waits happen on this coroutine's loop, reconnects on a
         worker thread, so the event loop never blocks.
         """
+        facade = self._facade
         tracer = current_tracer()
-        if tracer is None:
-            return await self._call_inner(object_id, method, args, kwargs)
         with tracer.span(
             "client.call", method=method, object_id=object_id,
             address=self.address,
         ) as span:
-            return await self._call_inner(
-                object_id, method, args, kwargs, trace=span, tracer=tracer
+            call_id = (
+                facade._next_call_id() if facade.retry is not None else ""
             )
-
-    async def _call_inner(self, object_id, method, args, kwargs,
-                          trace=None, tracer=None):
-        facade = self._facade
-        policy = facade.retry
-        call_id = facade._next_call_id() if policy is not None else ""
-        if tracer is None:
-            payload = facade._encode_request(object_id, method, args, kwargs,
-                                             call_id=call_id)
-        else:
             with tracer.span("client.encode"):
                 payload = facade._encode_request(
-                    object_id, method, args, kwargs, call_id=call_id,
-                    trace=trace,
+                    object_id, method, args, kwargs, call_id, span
                 )
-        if policy is None:
-            span = None
-            if tracer is not None:
-                span = tracer.span("client.send", attempt=0)
-            try:
-                raw = await self._channel.request_async(payload)
-            except TransportError as exc:
-                if span is not None:
-                    span.set(error=repr(exc)).end()
-                raise CommunicationError(
-                    f"remote call {method!r} to {self.address!r} failed: {exc}"
-                ) from exc
-            if span is not None:
-                span.set(bytes_up=len(payload), bytes_down=len(raw)).end()
-            return facade._decode_response(raw)
+            if facade.retry is None:
+                return await self._send_once(payload, method, tracer)
+            return await self._call_with_retry(payload, method, tracer)
+
+    async def _send_once(self, payload: bytes, method: str, tracer):
+        span = tracer.span("client.send", attempt=0)
+        try:
+            raw = await self._channel.request_async(payload)
+        except TransportError as exc:
+            span.set(error=repr(exc)).end()
+            raise CommunicationError(
+                f"remote call {method!r} to {self.address!r} failed: {exc}"
+            ) from exc
+        except BaseException as exc:
+            span.set(error=repr(exc)).end()
+            raise
+        span.set(bytes_up=len(payload), bytes_down=len(raw)).end()
+        return self._facade._decode_response(raw)
+
+    async def _call_with_retry(self, payload: bytes, method: str, tracer):
+        """The awaitable twin of :meth:`RMIClient._call_with_retry`."""
+        facade = self._facade
+        policy = facade.retry
         last = None
         for attempt in range(policy.max_attempts):
             if attempt:
@@ -164,25 +160,24 @@ class AioRMIClient:
             # reconnect after a drop (blocking dial + handshake) is
             # pushed to a worker thread.
             channel = facade.channel
-            span = None
-            if tracer is not None:
-                # A resend is a failure artifact: force-record it even
-                # in an unsampled trace.
-                span = tracer.span(
-                    "client.send", attempt=attempt, force=attempt > 0
-                )
+            # A resend is a failure artifact: force-record it even in an
+            # unsampled trace.
+            span = tracer.span(
+                "client.send", attempt=attempt, force=attempt > 0
+            )
             try:
-                if channel is None:
-                    channel = await asyncio.to_thread(facade._live_channel)
-                raw = await channel.request_async(payload)
-                if span is not None:
-                    span.set(
-                        bytes_up=len(payload), bytes_down=len(raw)
-                    ).end()
+                try:
+                    if channel is None:
+                        channel = await asyncio.to_thread(facade._live_channel)
+                    raw = await channel.request_async(payload)
+                except BaseException as exc:
+                    span.set(error=repr(exc)).end()
+                    raise
+                span.set(bytes_up=len(payload), bytes_down=len(raw)).end()
                 return facade._decode_response(raw)
             except RETRYABLE_ERRORS as exc:
-                if span is not None:
-                    span.set(error=repr(exc)).end()
+                # A retryable answer (a shed) marks the send that got it.
+                span.set(error=repr(exc))
                 if facade._closed:
                     # Mirror the sync client: use-after-close fails fast
                     # instead of burning the backoff budget.

@@ -225,11 +225,8 @@ class AioListener(Listener):
         """Force-record a shed marker: overload must be visible in traces
         at any sample rate (the request was never decoded, so there is no
         context to parent under — sheds are roots)."""
-        tracer = current_tracer()
-        if tracer is not None:
-            now = tracer.now()
-            tracer.record("server.shed", now, now, parent=None, force=True,
-                          capacity=self._capacity)
+        current_tracer().event("server.shed", parent=None, force=True,
+                               capacity=self._capacity)
 
     def _admit(self) -> bool:
         # Only the event loop mutates _in_flight, so this needs no lock.
@@ -266,10 +263,9 @@ class AioListener(Listener):
         start/done accounting cannot be split from its execution.
         """
         self._recorder.on_start()
-        if current_tracer() is not None:
-            # Deposit the admitted->started wait for the dispatch core to
-            # attach to this request's server span (same worker thread).
-            note_queue_wait(time.monotonic() - admitted_at)
+        # Deposit the admitted->started wait for the dispatch core to
+        # attach to this request's server span (same worker thread).
+        note_queue_wait(time.monotonic() - admitted_at)
         try:
             try:
                 return self._handler(payload)

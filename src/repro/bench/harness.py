@@ -120,12 +120,6 @@ class BenchEnv:
         workload(*args)
         return watch.elapsed_ms()
 
-    def measure_with_result(self, workload: Callable, *args):
-        """Like :meth:`measure_ms` but also returns the workload result."""
-        watch = Stopwatch(self.network.clock)
-        result = workload(*args)
-        return result, watch.elapsed_ms()
-
     def close(self) -> None:
         self.client.close()
         self.server.close()

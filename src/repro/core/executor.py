@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.dag import (
@@ -247,85 +246,76 @@ class BatchExecutor:
         analysis runs per batch.  Neither is reachable from the wire —
         the dispatcher pins the pseudo-method arity below them.
         """
-        tracer = current_tracer()
-        if tracer is None:
-            return self._invoke_batch_inner(
-                root_obj, invocations, policy, session_id, keep_session,
-                validated, dag,
-            )
-        with tracer.span(
+        with current_tracer().span(
             "server.execute", ops=len(invocations), validated=validated,
         ) as span:
-            response = self._invoke_batch_inner(
-                root_obj, invocations, policy, session_id, keep_session,
-                validated, dag,
-            )
-            if response.restarts:
-                span.set(restarts=response.restarts)
-            return response
+            if validated:
+                invocations = tuple(invocations)
+            else:
+                invocations = validate_batch(invocations, policy)
+            if session_id != NONE_ID:
+                base_objects = dict(self._sessions.get(session_id))
+                base_objects[ROOT_SEQ] = root_obj
+            else:
+                base_objects = {ROOT_SEQ: root_obj}
 
-    def _invoke_batch_inner(self, root_obj, invocations, policy,
-                            session_id: int = NONE_ID,
-                            keep_session: bool = False,
-                            validated: bool = False,
-                            dag=None) -> BatchResponse:
-        if validated:
-            invocations = tuple(invocations)
-        else:
-            invocations = validate_batch(invocations, policy)
-        if session_id != NONE_ID:
-            base_objects = dict(self._sessions.get(session_id))
-            base_objects[ROOT_SEQ] = root_obj
-        else:
-            base_objects = {ROOT_SEQ: root_obj}
-
-        units, dag = self._schedule(invocations, policy, dag, session_id)
-        span = nullcontext()
-        if dag is not None:
-            self._scheduler.record_parallel(chains=len(dag.chains))
-            tracer = current_tracer()
-            if tracer is not None:
-                span = tracer.span(
+            units, dag = self._schedule(invocations, policy, dag, session_id)
+            if dag is None:
+                outcome, restarts = self._replay(
+                    invocations, units, None, policy, base_objects
+                )
+            else:
+                self._scheduler.record_parallel(chains=len(dag.chains))
+                with current_tracer().span(
                     "server.parallel", chains=len(dag.chains),
                     cursors=len(dag.cursor_units), ops=len(invocations),
-                )
+                ):
+                    outcome, restarts = self._replay(
+                        invocations, units, dag, policy, base_objects
+                    )
+            if restarts:
+                span.set(restarts=restarts)
+
+            response_session = NONE_ID
+            if keep_session:
+                if session_id != NONE_ID:
+                    self._sessions.update(session_id, outcome.objects)
+                    response_session = session_id
+                else:
+                    response_session = self._sessions.create(outcome.objects)
+            elif session_id != NONE_ID:
+                self._sessions.discard(session_id)
+
+            return BatchResponse(
+                results=outcome.results,
+                exceptions=outcome.exceptions,
+                cursor_lengths=outcome.cursor_lengths,
+                cursor_results=outcome.cursor_results,
+                cursor_exceptions=outcome.cursor_exceptions,
+                not_executed=tuple(outcome.not_executed),
+                break_seq=outcome.break_seq,
+                session_id=response_session,
+                restarts=restarts,
+            )
+
+    def _replay(self, invocations, units, dag, policy, base_objects):
+        """Run the batch to an outcome, re-running it from a fresh object
+        table each time an op's policy answers RESTART; returns
+        ``(outcome, restarts)``."""
         restarts = 0
-        with span:
-            while True:
-                outcome = _Outcome(objects=dict(base_objects))
-                try:
-                    self._run(invocations, units, dag, policy, outcome)
-                    break
-                except _RestartSignal:
-                    # Only width 1 gets here: an eligible batch's policy
-                    # never restarts.
-                    restarts += 1
-                    if restarts > MAX_RESTARTS:
-                        # Exhausted restarts escalate to BREAK at the
-                        # point of failure, like exhausted repeats.
-                        policy = _NoRestart(policy)
-
-        response_session = NONE_ID
-        if keep_session:
-            if session_id != NONE_ID:
-                self._sessions.update(session_id, outcome.objects)
-                response_session = session_id
-            else:
-                response_session = self._sessions.create(outcome.objects)
-        elif session_id != NONE_ID:
-            self._sessions.discard(session_id)
-
-        return BatchResponse(
-            results=outcome.results,
-            exceptions=outcome.exceptions,
-            cursor_lengths=outcome.cursor_lengths,
-            cursor_results=outcome.cursor_results,
-            cursor_exceptions=outcome.cursor_exceptions,
-            not_executed=tuple(outcome.not_executed),
-            break_seq=outcome.break_seq,
-            session_id=response_session,
-            restarts=restarts,
-        )
+        while True:
+            outcome = _Outcome(objects=dict(base_objects))
+            try:
+                self._run(invocations, units, dag, policy, outcome)
+                return outcome, restarts
+            except _RestartSignal:
+                # Only width 1 gets here: an eligible batch's policy
+                # never restarts.
+                restarts += 1
+                if restarts > MAX_RESTARTS:
+                    # Exhausted restarts escalate to BREAK at the point
+                    # of failure, like exhausted repeats.
+                    policy = _NoRestart(policy)
 
     # -- scheduling -----------------------------------------------------------
 
@@ -348,13 +338,9 @@ class BatchExecutor:
                 return dag.units, dag
             reason = dag.reason
         self._scheduler.record_serial(reason)
-        tracer = current_tracer()
-        if tracer is not None:
-            now = tracer.now()
-            tracer.record(
-                "server.parallel", now, now, serial=True, reason=reason,
-                instant=True,
-            )
+        current_tracer().event(
+            "server.parallel", serial=True, reason=reason, instant=True,
+        )
         units = split_units(invocations) if dag is None else dag.units
         return units, None
 
@@ -598,50 +584,40 @@ class BatchExecutor:
         result/exception is meaningful.  REPEAT retries in place (bounded);
         RESTART unwinds via :class:`_RestartSignal`.
         """
-        tracer = current_tracer()
-        if tracer is None:
-            return self._call_with_policy_inner(
-                target, inv, args, kwargs, policy, index
-            )
-        span = tracer.span(
-            "server.op", method=inv.method,
-            seq=inv.seq if index is None else index,
+        policy_index = inv.seq if index is None else index
+        span = current_tracer().span(
+            "server.op", method=inv.method, seq=policy_index
         )
+        attempts = 0
         try:
-            result, exc, action = self._call_with_policy_inner(
-                target, inv, args, kwargs, policy, index
-            )
+            while True:
+                try:
+                    method = self._method(target, inv.method)
+                    result = method(*args, **kwargs)
+                except Exception as exc:  # noqa: BLE001 - the policy decides
+                    action = policy.decide(exc, inv.method, policy_index)
+                    if action == ExceptionAction.REPEAT:
+                        attempts += 1
+                        if attempts <= MAX_REPEATS:
+                            continue
+                        action = ExceptionAction.BREAK
+                    if action == ExceptionAction.RESTART:
+                        raise _RestartSignal(exc)
+                    self._server.charge(CHARGE_BATCH_OP)
+                    span.set(
+                        error=repr(exc),
+                        action=getattr(action, "name", str(action)),
+                    ).end()
+                    return None, exc, action
+                self._server.charge(CHARGE_BATCH_OP)
+                span.end()
+                return result, None, None
         except _RestartSignal:
             span.set(action="RESTART").end()
             raise
-        if exc is not None:
-            span.set(
-                error=repr(exc), action=getattr(action, "name", str(action))
-            )
-        span.end()
-        return result, exc, action
-
-    def _call_with_policy_inner(self, target, inv, args, kwargs, policy,
-                                index: int = None):
-        attempts = 0
-        policy_index = inv.seq if index is None else index
-        while True:
-            try:
-                method = self._method(target, inv.method)
-                result = method(*args, **kwargs)
-            except Exception as exc:  # noqa: BLE001 - policies see everything
-                action = policy.decide(exc, inv.method, policy_index)
-                if action == ExceptionAction.REPEAT:
-                    attempts += 1
-                    if attempts <= MAX_REPEATS:
-                        continue
-                    action = ExceptionAction.BREAK
-                if action == ExceptionAction.RESTART:
-                    raise _RestartSignal(exc)
-                self._server.charge(CHARGE_BATCH_OP)
-                return None, exc, action
-            self._server.charge(CHARGE_BATCH_OP)
-            return result, None, None
+        except BaseException as exc:
+            span.set(error=repr(exc)).end()
+            raise
 
     def _method(self, target, name):
         if name == EXPORT_OP:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.rmi.remote import (
-    MethodSpec,
     RemoteInterface,
     lookup_interface,
     qualified_name,
@@ -58,12 +57,6 @@ class BatchInterfaceSpec:
     batch_name: str  # conventional B-prefixed simple name
     cursor_name: str  # conventional C-prefixed simple name
     methods: Tuple[BatchMethodSpec, ...]
-
-    @property
-    def needs_cursor(self) -> bool:
-        """Whether any referencing interface uses this one as a cursor."""
-        # Computed externally; kept as a property hook for symmetry.
-        return True
 
 
 def derive_batch_spec(iface) -> BatchInterfaceSpec:
@@ -204,12 +197,3 @@ def method_translation_table(iface) -> List[Tuple[str, str, str]]:
             remote_side, batch_side = f"list[{simple}]", f"C{simple}"
         rows.append((name, remote_side, batch_side))
     return rows
-
-
-def _spec_from_method(spec: MethodSpec) -> BatchMethodSpec:
-    return BatchMethodSpec(
-        name=spec.name,
-        returns_kind=spec.returns_kind,
-        returns_interface=spec.returns_interface,
-        doc=spec.doc,
-    )

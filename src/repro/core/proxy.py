@@ -364,15 +364,11 @@ class BatchRecorder:
                 self._closed = True
                 return  # empty batch, no server state to release
             invocations = tuple(self._segment)
-            tracer = current_tracer()
-            if tracer is None:
+            with current_tracer().span(
+                "client.flush", ops=len(invocations),
+                keep_session=keep_session,
+            ):
                 response = self._ship(invocations, keep_session)
-            else:
-                with tracer.span(
-                    "client.flush", ops=len(invocations),
-                    keep_session=keep_session,
-                ):
-                    response = self._ship(invocations, keep_session)
             if not isinstance(response, BatchResponse):
                 raise BatchError(
                     f"server returned {type(response).__name__}, expected "

@@ -163,9 +163,6 @@ class Program:
                 return candidate
         raise KeyError(seq)
 
-    def sub_steps(self, cursor_seq: int):
-        return tuple(s for s in self.steps if s.cursor == cursor_seq)
-
     def describe(self) -> str:
         rooting = f", {self.roots} roots" if self.roots > 1 else ""
         header = (

@@ -42,11 +42,8 @@ def _trace_fault(event: str, address: str) -> None:
     """Force-record an injected-fault marker so chaos runs are legible in
     traces at any sample rate.  Parented under the ambient span (the
     client's send, or the server's handle) when one is live."""
-    tracer = current_tracer()
-    if tracer is not None:
-        now = tracer.now()
-        tracer.record("fault.injected", now, now, force=True,
-                      kind=event, address=address)
+    current_tracer().event("fault.injected", force=True,
+                           kind=event, address=address)
 
 
 class FaultInjector:

@@ -15,7 +15,7 @@ simulator:
 - **unified metrics** (:mod:`repro.obs.metrics`) — a
   :class:`MetricsRegistry` of named counters/gauges/histograms that the
   existing fragmented telemetry (``TrafficStats``, ``ServerMetrics``,
-  plan-cache, dedup, buffer-pool) publishes into via
+  plan-cache, dedup, scheduler) publishes into via
   :mod:`repro.obs.bridge`, with one text exposition and mergeable
   per-process dumps;
 - **export and rendering** (:mod:`repro.obs.export`) — JSON-lines trace
@@ -27,9 +27,10 @@ simulator:
   exemplars) plus cluster aggregation across supervised shards, polled
   by ``python -m repro.obs top|health|snapshot``.
 
-Instrumented hot paths guard on :func:`current_tracer` returning
-``None``; with no tracer installed the per-request overhead is one
-module-global read.
+There is one instrumented path: hot paths open their spans on whatever
+:func:`current_tracer` returns, and with no tracer installed that is
+:data:`NULL_TRACER`, whose spans are one shared do-nothing object — the
+statements that run traced are the statements that run in production.
 """
 
 from repro.obs.context import TraceContext, current_span
@@ -56,6 +57,7 @@ from repro.obs.metrics import (
     percentile,
 )
 from repro.obs.tracer import (
+    NULL_TRACER,
     FlightRecorder,
     Span,
     Tracer,
@@ -74,6 +76,7 @@ __all__ = [
     "Histogram",
     "MetricsKindError",
     "MetricsRegistry",
+    "NULL_TRACER",
     "Span",
     "TraceContext",
     "Tracer",

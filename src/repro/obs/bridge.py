@@ -30,41 +30,25 @@ def bind_process(registry: MetricsRegistry, pid: int = None,
     return pid
 
 
+def _traffic_fields(stats, prefix: str) -> dict:
+    """One :class:`~repro.net.stats.TrafficStats` snapshot as metric
+    fields: requests, bytes both ways, middleware charges."""
+    snap = stats.snapshot()
+    out = {
+        f"{prefix}.requests": snap.requests,
+        f"{prefix}.bytes_sent": snap.bytes_sent,
+        f"{prefix}.bytes_received": snap.bytes_received,
+    }
+    for kind, count in snap.charges.items():
+        out[f"{prefix}.charge.{kind}"] = count
+    return out
+
+
 def bind_traffic_stats(registry: MetricsRegistry, stats,
                        prefix: str = "net") -> None:
     """Publish a :class:`~repro.net.stats.TrafficStats` (requests, bytes
     both ways, middleware charges)."""
-
-    def collect():
-        snap = stats.snapshot()
-        out = {
-            f"{prefix}.requests": snap.requests,
-            f"{prefix}.bytes_sent": snap.bytes_sent,
-            f"{prefix}.bytes_received": snap.bytes_received,
-        }
-        for kind, count in snap.charges.items():
-            out[f"{prefix}.charge.{kind}"] = count
-        return out
-
-    registry.add_collector(collect)
-
-
-def bind_plan_cache(registry: MetricsRegistry, cache,
-                    prefix: str = "plan_cache") -> None:
-    """Publish a :class:`~repro.plan.cache.PlanCache`'s counters."""
-
-    def collect():
-        snap = cache.stats.snapshot()
-        return {
-            f"{prefix}.hits": snap.hits,
-            f"{prefix}.misses": snap.misses,
-            f"{prefix}.installs": snap.installs,
-            f"{prefix}.evictions": snap.evictions,
-            f"{prefix}.bytes_saved": snap.bytes_saved,
-            f"{prefix}.size": snap.size,
-        }
-
-    registry.add_collector(collect)
+    registry.add_collector(lambda: _traffic_fields(stats, prefix))
 
 
 def bind_dedup(registry: MetricsRegistry, window,
@@ -76,24 +60,6 @@ def bind_dedup(registry: MetricsRegistry, window,
             f"{prefix}.hits": window.hits,
             f"{prefix}.executed": window.executed,
             f"{prefix}.entries": len(window),
-        }
-
-    registry.add_collector(collect)
-
-
-def bind_buffer_pool(registry: MetricsRegistry, pool=None,
-                     prefix: str = "wire.buffers") -> None:
-    """Publish a :class:`~repro.wire.buffers.BufferPool`'s reuse counters
-    (the process-wide pool by default)."""
-    if pool is None:
-        from repro.wire.buffers import GLOBAL_POOL
-
-        pool = GLOBAL_POOL
-
-    def collect():
-        return {
-            f"{prefix}.acquired": pool.acquired,
-            f"{prefix}.reused": pool.reused,
         }
 
     registry.add_collector(collect)
@@ -134,17 +100,10 @@ def bind_server(registry: MetricsRegistry, server,
 
     def collect_traffic():
         try:
-            snap = server.stats.snapshot()
+            stats = server.stats
         except RuntimeError:  # never started
             return {}
-        out = {
-            f"{prefix}.requests": snap.requests,
-            f"{prefix}.bytes_sent": snap.bytes_sent,
-            f"{prefix}.bytes_received": snap.bytes_received,
-        }
-        for kind, count in snap.charges.items():
-            out[f"{prefix}.charge.{kind}"] = count
-        return out
+        return _traffic_fields(stats, prefix)
 
     def collect_plan_cache():
         runtime = server._plan_runtime  # lazily created; do not force it

@@ -1,7 +1,7 @@
 """Unified metrics: named counters, gauges, histograms; mergeable registries.
 
 Before this module the repo's telemetry was fragmented — ``TrafficStats``
-here, aio-only ``ServerMetrics`` there, plan-cache/dedup/buffer-pool
+here, aio-only ``ServerMetrics`` there, plan-cache/dedup/scheduler
 counters each with their own ad-hoc snapshot shape.  A
 :class:`MetricsRegistry` gives them one namespace, one text exposition,
 and one dump format that **merges across processes**: counters and
@@ -193,7 +193,7 @@ class MetricsRegistry:
     instrument).  *Collectors* are zero-argument callables returning
     ``{name: number}``, evaluated at snapshot/render time — how existing
     stat sources (``TrafficStats``, ``ServerMetrics``, plan cache,
-    dedup, buffer pool) publish without holding a registry reference;
+    dedup, scheduler) publish without holding a registry reference;
     see :mod:`repro.obs.bridge`.  Duplicate names across collectors
     **sum**, so N connections can publish under one metric.
 

@@ -2,9 +2,11 @@
 
 Design constraints, in order:
 
-- **cheap when off** — instrumented hot paths call
-  :func:`current_tracer` and bail on ``None``; no tracer, no cost
-  beyond one module-global read;
+- **one instrumented path** — instrumented code calls
+  :func:`current_tracer` and opens its spans unconditionally.  With
+  nothing installed that is :data:`NULL_TRACER`, whose every span is
+  one shared do-nothing object: tracing-off costs a method call per
+  site, builds nothing, and runs the very statements tracing-on runs;
 - **lock-cheap when on** — finished spans append to a bounded
   ``deque`` (a GIL-atomic operation), so transport threads, pool
   workers and the event loop never contend on a tracer lock;
@@ -203,10 +205,6 @@ class Span:
         """Whether this span's trace records (may flip via a forced span)."""
         return self._state.sampled
 
-    def force_sample(self) -> None:
-        """Upgrade the whole live trace to sampled."""
-        self._state.sampled = True
-
     def set(self, **attrs) -> "Span":
         """Attach attributes; returns self for chaining."""
         self.attrs.update(attrs)
@@ -351,6 +349,12 @@ class Tracer:
         span.end(ended_at)
         return span
 
+    def event(self, name: str, **kwargs) -> Span:
+        """Record a zero-duration marker at the current instant; takes
+        :meth:`record`'s *parent*, *force* and attributes."""
+        now = self.now()
+        return self.record(name, now, now, **kwargs)
+
     def _sample(self) -> bool:
         rate = self.sample_rate
         if rate >= 1.0:
@@ -389,8 +393,53 @@ class Tracer:
         return len(spans)
 
 
-#: The process-wide tracer instrumented code consults (None = tracing off).
-_installed = None
+class _NullSpan:
+    """The span tracing-off hands every site: accepts what instrumented
+    code does to a :class:`Span` and does nothing.  Never ``sampled``,
+    so a request encoded under it carries no trace context."""
+
+    __slots__ = ()
+
+    sampled = False
+    started_at = 0.0
+
+    def set(self, **attrs) -> "_NullSpan":
+        return self
+
+    def end(self, ended_at: float = None) -> None:
+        pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        return False
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _NullTracer:
+    """Tracing off: the span-creating surface of :class:`Tracer`, every
+    call answering the one shared :class:`_NullSpan`.  Deliberately not
+    a :class:`Tracer` — it records nothing, so there is nothing to read,
+    export or install."""
+
+    __slots__ = ()
+
+    flight = None
+
+    def span(self, name: str, *args, **kwargs) -> _NullSpan:
+        return _NULL_SPAN
+
+    record = event = span
+
+
+#: What :func:`current_tracer` returns while no tracer is installed.
+NULL_TRACER = _NullTracer()
+
+#: The process-wide tracer instrumented code consults.
+_installed = NULL_TRACER
 
 
 def install_tracer(tracer: Tracer) -> Tracer:
@@ -403,11 +452,11 @@ def install_tracer(tracer: Tracer) -> Tracer:
 
 
 def uninstall_tracer() -> None:
-    """Disable tracing (instrumented paths return to the no-op guard)."""
+    """Disable tracing (instrumented paths get :data:`NULL_TRACER` back)."""
     global _installed
-    _installed = None
+    _installed = NULL_TRACER
 
 
 def current_tracer():
-    """The installed tracer, or ``None`` when tracing is off."""
+    """The installed tracer, or :data:`NULL_TRACER` when tracing is off."""
     return _installed

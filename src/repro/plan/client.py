@@ -191,43 +191,39 @@ class PlanningBatchRecorder(BatchRecorder):
             # Chained batches carry server-side session state; keep them
             # on the inline path.
             return super()._ship(invocations, keep_session)
-        tracer = current_tracer()
-        if tracer is None:
-            return self._ship_planned(invocations, keep_session, None)
-        with tracer.span("client.plan_lift") as span:
-            return self._ship_planned(invocations, keep_session, span)
-
-    def _ship_planned(self, invocations, keep_session, span):
-        plan, params = compile_plan(invocations, self._policy)
-        digest = plan_hash(plan)
-        if span is not None:
+        with current_tracer().span("client.plan_lift") as span:
+            plan, params = compile_plan(invocations, self._policy)
+            digest = plan_hash(plan)
             span.set(digest=digest)
-        memo = self._memo
-        if not memo.repeat_sighting(digest) or memo.prefer_inline(digest):
-            memo.note_inline()
-            if span is not None:
+            memo = self._memo
+            if not memo.repeat_sighting(digest) or memo.prefer_inline(digest):
+                memo.note_inline()
                 span.set(strategy="inline")
-            return super()._ship(invocations, keep_session)
-        object_id = self._stub.remote_ref.object_id
-        if not memo.confirmed(digest):
-            # First repeat: the server almost certainly lacks the plan —
-            # skip the guaranteed-miss probe and install in one trip.
-            if span is not None:
+                return super()._ship(invocations, keep_session)
+            object_id = self._stub.remote_ref.object_id
+            if not memo.confirmed(digest):
+                # First repeat: the server almost certainly lacks the
+                # plan — skip the guaranteed-miss probe and install in
+                # one trip.
                 span.set(strategy="install")
-            response = self._client.call(object_id, INSTALL_PLAN, (plan, params))
-            memo.note_install(digest)
-            return response
-        try:
-            if span is not None:
+                response = self._client.call(
+                    object_id, INSTALL_PLAN, (plan, params)
+                )
+                memo.note_install(digest)
+                return response
+            try:
                 span.set(strategy="invoke")
-            response = self._client.call(object_id, INVOKE_PLAN, (digest, params))
-            memo.note_hit(digest)
-            memo.note_invocation()
-            return response
-        except PlanNotFoundError:
-            memo.note_miss(digest)
-            if span is not None:
+                response = self._client.call(
+                    object_id, INVOKE_PLAN, (digest, params)
+                )
+                memo.note_hit(digest)
+                memo.note_invocation()
+                return response
+            except PlanNotFoundError:
+                memo.note_miss(digest)
                 span.set(strategy="invoke_miss_install")
-            response = self._client.call(object_id, INSTALL_PLAN, (plan, params))
-            memo.note_install(digest)
-            return response
+                response = self._client.call(
+                    object_id, INSTALL_PLAN, (plan, params)
+                )
+                memo.note_install(digest)
+                return response

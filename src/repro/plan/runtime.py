@@ -95,8 +95,4 @@ class PlanRuntime:
     @staticmethod
     def _mark_plan(digest: str, outcome: str) -> None:
         """Zero-duration trace marker: how this request met the cache."""
-        tracer = current_tracer()
-        if tracer is not None:
-            now = tracer.now()
-            tracer.record("server.plan", now, now,
-                          digest=digest, outcome=outcome)
+        current_tracer().event("server.plan", digest=digest, outcome=outcome)

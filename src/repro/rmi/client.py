@@ -152,52 +152,35 @@ class RMIClient(MarshalContext):
         call's idempotency token before giving up.
         """
         tracer = current_tracer()
-        if tracer is None:
-            return self._call_inner(object_id, method, args, kwargs)
         with tracer.span(
             "client.call", method=method, object_id=object_id,
             address=self._address,
         ) as span:
-            return self._call_inner(
-                object_id, method, args, kwargs, trace=span, tracer=tracer
-            )
-
-    def _call_inner(self, object_id, method, args, kwargs,
-                    trace=None, tracer=None):
-        if tracer is None:
-            payload = self._encode_with_id(object_id, method, args, kwargs)
-        else:
+            call_id = self._next_call_id() if self._retry is not None else ""
             with tracer.span("client.encode"):
-                payload = self._encode_with_id(
-                    object_id, method, args, kwargs, trace=trace
+                payload = self._encode_request(
+                    object_id, method, args, kwargs, call_id, span
                 )
-        if self._retry is None:
-            return self._send_once(payload, method, tracer)
-        return self._call_with_retry(payload, method, tracer)
-
-    def _encode_with_id(self, object_id, method, args, kwargs, trace=None):
-        call_id = self._next_call_id() if self._retry is not None else ""
-        return self._encode_request(
-            object_id, method, args, kwargs, call_id=call_id, trace=trace
-        )
+            if self._retry is None:
+                return self._send_once(payload, method, tracer)
+            return self._call_with_retry(payload, method, tracer)
 
     def _send_once(self, payload: bytes, method: str, tracer):
-        span = None
-        if tracer is not None:
-            span = tracer.span("client.send", attempt=0)
+        span = tracer.span("client.send", attempt=0)
         try:
             raw = self._channel.request(payload)
         except TransportError as exc:
-            if span is not None:
-                span.set(error=repr(exc)).end()
+            span.set(error=repr(exc)).end()
             raise CommunicationError(
                 f"remote call {method!r} to {self._address!r} failed: {exc}"
             ) from exc
-        if span is not None:
-            span.set(bytes_up=len(payload), bytes_down=len(raw)).end()
+        except BaseException as exc:
+            span.set(error=repr(exc)).end()
+            raise
+        span.set(bytes_up=len(payload), bytes_down=len(raw)).end()
         return self._decode_response(raw)
 
-    def _call_with_retry(self, payload: bytes, method: str, tracer=None):
+    def _call_with_retry(self, payload: bytes, method: str, tracer):
         """Send one encoded, token-stamped request until it sticks."""
         policy = self._retry
         last = None
@@ -205,24 +188,23 @@ class RMIClient(MarshalContext):
             if attempt:
                 self._sleep(policy.delay_after(attempt - 1))
             channel = None
-            span = None
-            if tracer is not None:
-                # A resend is a failure artifact: force-record it even
-                # in an unsampled trace.
-                span = tracer.span(
-                    "client.send", attempt=attempt, force=attempt > 0
-                )
+            # A resend is a failure artifact: force-record it even in an
+            # unsampled trace.
+            span = tracer.span(
+                "client.send", attempt=attempt, force=attempt > 0
+            )
             try:
-                channel = self._live_channel()
-                raw = channel.request(payload)
-                if span is not None:
-                    span.set(
-                        bytes_up=len(payload), bytes_down=len(raw)
-                    ).end()
+                try:
+                    channel = self._live_channel()
+                    raw = channel.request(payload)
+                except BaseException as exc:
+                    span.set(error=repr(exc)).end()
+                    raise
+                span.set(bytes_up=len(payload), bytes_down=len(raw)).end()
                 return self._decode_response(raw)
             except RETRYABLE_ERRORS as exc:
-                if span is not None:
-                    span.set(error=repr(exc)).end()
+                # A retryable answer (a shed) marks the send that got it.
+                span.set(error=repr(exc))
                 if self._closed:
                     # Use-after-close is a programming error, not a
                     # transient fault: fail fast instead of burning the
@@ -242,8 +224,8 @@ class RMIClient(MarshalContext):
     def _next_call_id(self) -> str:
         return f"{self._token_prefix}:{next(self._call_ids)}"
 
-    def _encode_request(self, object_id, method, args=(), kwargs=None,
-                        call_id: str = "", trace=None) -> bytes:
+    def _encode_request(self, object_id, method, args, kwargs,
+                        call_id: str, trace) -> bytes:
         """Marshal and encode one request to wire bytes.
 
         Split out of :meth:`call` so the asyncio client can reuse the
@@ -254,11 +236,11 @@ class RMIClient(MarshalContext):
 
         *trace* is the client-side span for this call; a sampled span
         stamps its context into the request so the server parents under
-        it.  Unsampled spans stamp nothing — the bytes stay identical to
-        an untraced client's.
+        it.  An unsampled span — the null tracer's always is — stamps
+        nothing, so the bytes are those of an untraced client.
         """
         wire_args, wire_kwargs = marshal_args(args, kwargs, self)
-        if trace is not None and trace.sampled:
+        if trace.sampled:
             request = CallRequest(
                 object_id, method, wire_args, wire_kwargs, call_id,
                 trace_id=trace.trace_id, span_id=trace.span_id,

@@ -308,8 +308,6 @@ class RMICore(MarshalContext):
                 CallResponse(MarshalError(f"undecodable request: {exc}"), True)
             )
         tracer = current_tracer()
-        if tracer is None:
-            return self._handle_request(request)
         if request.trace_id:
             # The client sampled and stamped its context: parent the
             # server half under it so the cross-process tree connects.
@@ -330,28 +328,18 @@ class RMICore(MarshalContext):
                     "server.queue_wait", span.started_at - wait,
                     span.started_at, parent=span,
                 )
-            return self._handle_request(request, tracer=tracer, span=span)
-
-    def _handle_request(self, request: CallRequest,
-                        tracer=None, span=None) -> bytes:
-        if not request.call_id:
-            return self._respond(request)
-        if tracer is None:
-            response = self._dedup.execute(
-                request.call_id, lambda: self._respond(request)
-            )
-        else:
+            if not request.call_id:
+                return self._respond(request)
             outcome = []
             response = self._dedup.execute(
                 request.call_id, lambda: self._respond(request),
                 observer=outcome.append,
             )
             replayed = outcome == ["replayed"]
-            now = tracer.now()
             # Zero-duration marker; a replay is a failure artifact (the
             # original response was lost), so it records even unsampled.
-            tracer.record(
-                "server.dedup", now, now, parent=span, force=replayed,
+            tracer.event(
+                "server.dedup", parent=span, force=replayed,
                 replayed=replayed, call_id=request.call_id,
             )
         if response is None:

@@ -13,6 +13,9 @@ import asyncio
 
 import pytest
 
+from repro.core.executor import BatchExecutor
+from repro.core.policies import ContinuePolicy
+from repro.core.recording import ArgRef, InvocationData
 from repro.net import FaultSchedule, FaultyNetwork, TcpNetwork
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.obs.export import check_spans
@@ -168,3 +171,86 @@ class TestAioRetryTrace:
         finally:
             server.close()
             network.close()
+
+
+class BrokenPolicy(ContinuePolicy):
+    """A policy whose own decision blows up."""
+
+    def decide(self, exc, method, index):
+        raise RuntimeError("policy bug")
+
+
+class TestHandClosedSpansAlwaysEnd:
+    """``client.send`` and ``server.op`` are not ``with`` blocks (they
+    must not become the ambient parent), so every exit path has to end
+    them itself.  An exception outside the expected set used to strand
+    the span in the flight recorder's in-flight table for the life of
+    the process — and ``--admin-port`` alone installs the tracer that
+    feeds that table.  The real trigger is ``FrameTooLargeError`` (a
+    ``DecodeError``, not a ``TransportError``) on a > 64 MiB request; a
+    ``ValueError`` out of the channel stands in for it here."""
+
+    @staticmethod
+    def assert_send_closed_with_error(tracer):
+        assert tracer.flight.inflight(tracer.now()) == []
+        sends = [s for s in recorded(tracer) if s["name"] == "client.send"]
+        assert "ValueError" in sends[-1]["attrs"]["error"]
+
+    @pytest.mark.parametrize("retry", [None, RetryPolicy(max_attempts=3)])
+    def test_sync_client_send(self, tracer, tcp_world, retry):
+        network, server, _impl = tcp_world
+        client = RMIClient(network, server.address, retry=retry)
+        try:
+            stub = client.lookup("counter")
+
+            def broken(_payload):
+                raise ValueError("frame too large")
+
+            client.channel.request = broken
+            with pytest.raises(ValueError):
+                stub.increment(1)
+        finally:
+            client.close()
+        self.assert_send_closed_with_error(tracer)
+
+    @pytest.mark.parametrize("retry", [None, RetryPolicy(max_attempts=3)])
+    def test_aio_client_send(self, tracer, retry):
+        from repro.aio import AioNetwork, AioRMIClient
+
+        network = AioNetwork()
+        server = RMIServer(network, "tcp://127.0.0.1:0").start()
+        server.bind("counter", CounterImpl())
+        try:
+            client = AioRMIClient(network, server.address, retry=retry)
+
+            async def broken(_payload):
+                raise ValueError("frame too large")
+
+            async def drive():
+                stub = await client.lookup("counter")
+                client.sync.channel.request_async = broken
+                return await client.call_stub(stub, "increment", (1,))
+
+            try:
+                with pytest.raises(ValueError):
+                    asyncio.run(drive())
+            finally:
+                client.close()
+        finally:
+            server.close()
+            network.close()
+        self.assert_send_closed_with_error(tracer)
+
+    def test_server_op_when_the_policy_itself_raises(self, tracer, tcp_world):
+        _network, server, impl = tcp_world
+        executor = BatchExecutor(server, exec_workers=0)
+        boom = InvocationData(
+            seq=1, target=ArgRef(0), method="boom", args=("x",), kwargs={},
+            returns_kind="value",
+        )
+        with pytest.raises(RuntimeError, match="policy bug"):
+            executor.invoke_batch(impl, (boom,), BrokenPolicy(),
+                                  validated=True)
+        assert tracer.flight.inflight(tracer.now()) == []
+        (op,) = [s for s in recorded(tracer) if s["name"] == "server.op"]
+        assert "policy bug" in op["attrs"]["error"]

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core import create_batch
 from repro.obs import (
+    NULL_TRACER,
+    FlightRecorder,
+    Span,
     TraceContext,
     Tracer,
     current_span,
@@ -172,8 +176,56 @@ class TestInstallation:
             assert current_tracer() is tracer
         finally:
             uninstall_tracer()
-        assert current_tracer() is None
+        assert current_tracer() is NULL_TRACER
 
     def test_install_rejects_non_tracer(self):
         with pytest.raises(TypeError):
             install_tracer(object())
+
+
+class TestTracingOff:
+    """No tracer installed means the null tracer, not ``None``:
+    instrumented code runs the same statements either way."""
+
+    def test_current_tracer_is_the_null_tracer_by_default(self):
+        assert current_tracer() is NULL_TRACER
+
+    def test_every_null_span_is_the_one_shared_object(self):
+        span = NULL_TRACER.span("a", x=1)
+        assert span is NULL_TRACER.span("b")
+        assert span is NULL_TRACER.record("c", 0.0, 1.0, parent=None)
+        assert span is NULL_TRACER.event("d", force=True)
+        assert span.set(k=1) is span
+        assert span.set(k=1).end() is None
+        with span as entered:
+            assert entered is span
+            assert current_span() is None  # never the ambient parent
+        assert span.sampled is False
+        assert NULL_TRACER.flight is None
+
+    def test_null_span_does_not_swallow_exceptions(self):
+        with pytest.raises(KeyError):
+            with NULL_TRACER.span("a"):
+                raise KeyError("through")
+
+    def test_null_tracer_cannot_be_installed(self):
+        with pytest.raises(TypeError):
+            install_tracer(NULL_TRACER)
+        assert current_tracer() is NULL_TRACER
+
+    def test_untraced_flush_builds_no_span_and_feeds_no_recorder(
+            self, env, monkeypatch):
+        touched = []
+
+        def note(name):
+            return lambda *args, **kwargs: touched.append(name)
+
+        monkeypatch.setattr(Span, "__init__", note("Span"))
+        monkeypatch.setattr(FlightRecorder, "on_start", note("on_start"))
+        monkeypatch.setattr(FlightRecorder, "on_end", note("on_end"))
+        batch = create_batch(env.client.lookup("counter"), reuse_plans=True)
+        first = batch.increment(2)
+        second = batch.current()
+        batch.flush()
+        assert (first.get(), second.get()) == (2, 2)
+        assert touched == []
