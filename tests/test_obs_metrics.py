@@ -228,3 +228,140 @@ class TestSharedHistogramBacksServerMetrics:
         snapshot = metrics.snapshot()
         assert snapshot.p50_ms == pytest.approx(5.0)
         assert snapshot.p99_ms == pytest.approx(10.0)
+
+
+class TestBridgeNames:
+    """The names ``obs.bridge`` publishes are an interface: CI gates,
+    ``repro.obs top`` and ``benchmarks/e2e/server.py`` read them."""
+
+    def test_bound_server_and_client_publish_exactly_these_names(self):
+        import threading
+        import time
+
+        from repro.aio import AioNetwork
+        from repro.aio.loadgen import LoadTargetImpl
+        from repro.core import create_batch
+        from repro.obs.bridge import bind_client, bind_server
+        from repro.rmi import RMIClient, RMIServer, ServerBusyError
+        from tests.support import CounterImpl
+
+        # One worker, no queue: a second request while the first runs
+        # is shed, so the shed count below is exact.
+        network = AioNetwork(max_workers=1, queue_depth=0)
+        try:
+            server = RMIServer(network, "tcp://127.0.0.1:0").start()
+            server.bind("counter", CounterImpl())
+            server.bind("load", LoadTargetImpl())
+            client = RMIClient(network, server.address)
+            registry = MetricsRegistry()
+            bind_server(registry, server)
+            bind_client(registry, client)
+
+            counter = client.lookup("counter")
+            load = client.lookup("load")
+
+            batch = create_batch(counter)           # one inline flush
+            future = batch.increment(1)
+            batch.flush()
+            assert future.get() == 1
+            for amount in (2, 3, 4):    # inline, then install, then hit
+                batch = create_batch(counter, reuse_plans=True)
+                future = batch.increment(amount)
+                batch.flush()
+                future.get()
+
+            hold = threading.Thread(target=load.work, args=(0.5,))
+            hold.start()
+            deadline = time.monotonic() + 10.0
+            while server.metrics.in_flight == 0:    # the worker is taken
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            with pytest.raises(ServerBusyError):
+                counter.current()                   # one shed
+            hold.join()
+
+            snap = registry.snapshot()
+            client.close()
+        finally:
+            network.close()
+
+        assert sorted(snap) == [
+            "client.bytes_received",
+            "client.bytes_sent",
+            "client.charge.batch_record",
+            "client.charge.proxy_create",
+            "client.charge.stub_create",
+            "client.plan.inline_flushes",
+            "client.plan.installs",
+            "client.plan.invocations",
+            "client.requests",
+            "server.bytes_received",
+            "server.bytes_sent",
+            "server.charge.batch_op",
+            "server.charge.batch_setup",
+            "server.charge.remote_export",
+            "server.dedup.entries",
+            "server.dedup.executed",
+            "server.dedup.hits",
+            "server.plan_cache.bytes_saved",
+            "server.plan_cache.evictions",
+            "server.plan_cache.hits",
+            "server.plan_cache.installs",
+            "server.plan_cache.misses",
+            "server.plan_cache.size",
+            "server.requests",
+            "server.runtime.in_flight",
+            "server.runtime.p50_ms",
+            "server.runtime.p99_ms",
+            "server.runtime.queued",
+            "server.runtime.served",
+            "server.runtime.shed",
+            "server.scheduler.chains",
+            "server.scheduler.elements",
+            "server.scheduler.fallback.disabled",
+            "server.scheduler.fallback.policy",
+            "server.scheduler.fallback.session",
+            "server.scheduler.fallback.shape",
+            "server.scheduler.fallback.single_chain",
+            "server.scheduler.fallback.unsafe_method",
+            "server.scheduler.parallel_batches",
+            "server.scheduler.serial_batches",
+        ]
+        counts = {name: value for name, value in snap.items()
+                  if "bytes" not in name and not name.endswith("_ms")}
+        assert counts == {
+            "client.charge.batch_record": 4,
+            "client.charge.proxy_create": 4,
+            "client.charge.stub_create": 2,
+            "client.plan.inline_flushes": 1,
+            "client.plan.installs": 1,
+            "client.plan.invocations": 1,
+            "client.requests": 8,       # 2 lookups, 4 flushes, work, shed
+            "server.charge.batch_op": 4,
+            "server.charge.batch_setup": 4,
+            "server.charge.remote_export": 2,
+            "server.dedup.entries": 0,  # no retry tokens were sent
+            "server.dedup.executed": 0,
+            "server.dedup.hits": 0,
+            "server.plan_cache.evictions": 0,
+            "server.plan_cache.hits": 1,
+            "server.plan_cache.installs": 1,
+            "server.plan_cache.misses": 0,
+            "server.plan_cache.size": 1,
+            "server.requests": 8,
+            "server.runtime.in_flight": 0,
+            "server.runtime.queued": 0,
+            "server.runtime.served": 7,
+            "server.runtime.shed": 1,
+            "server.scheduler.chains": 0,
+            "server.scheduler.elements": 0,
+            "server.scheduler.fallback.disabled": 0,
+            "server.scheduler.fallback.policy": 4,
+            "server.scheduler.fallback.session": 0,
+            "server.scheduler.fallback.shape": 0,
+            "server.scheduler.fallback.single_chain": 0,
+            "server.scheduler.fallback.unsafe_method": 0,
+            "server.scheduler.parallel_batches": 0,
+            "server.scheduler.serial_batches": 4,
+        }
+        assert snap["server.plan_cache.bytes_saved"] > 0
