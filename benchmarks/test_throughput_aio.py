@@ -20,24 +20,23 @@ The workload's ``work(delay)`` call sleeps server-side, modelling a
 backend touch; with service time dominating, the pipelined runtime must
 sustain at least 3x the sequential baseline at 32 clients (the
 acceptance bar; measured ~5x on a single-core container).  Results are
-written to ``benchmarks/results/BENCH_throughput.json`` so CI can track
-the trajectory.
+written to ``benchmarks/results/BENCH_throughput.json``, a run artifact
+CI uploads.
 
-``BENCH_THROUGHPUT_SCALE=smoke`` shrinks the run for CI smoke jobs
-(fewer clients, shorter window, no ratio assertion — CI machines vary).
+The default ``BENCH_SCALE=smoke`` shrinks the run (fewer clients,
+shorter window) and asserts correctness only; the ratio bars hold at
+``BENCH_SCALE=full``.
 """
 
 from __future__ import annotations
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import pytest
-from conftest import record_results
+from conftest import (
+    MIN_ACCOUNTING, SCALE, accounted, drive, ratio, record_results,
+    serve_child,
+)
 
-from repro.aio import AioNetwork, run_load
+from repro.aio import AioNetwork
 from repro.net import TcpNetwork
 from repro.net.tcp import HAS_REUSEPORT
 
@@ -47,19 +46,13 @@ from repro.net.tcp import HAS_REUSEPORT
 # fully deterministic tier-1 run on noisy machines.
 pytestmark = pytest.mark.slow
 
-#: Seconds allowed for the server subprocess to exit after stdin closes.
-#: Generous on purpose: a loaded CI runner draining hundreds of worker
-#: threads legitimately takes a while, and a flaky kill here used to
-#: shadow real results.
-SHUTDOWN_TIMEOUT = 120.0
-
 SCALES = {
     # 32 clients x 6 streams: the acceptance-criteria scenario.
     "full": dict(clients=32, streams=6, delay=0.2, duration=2.0,
                  warmup=0.7, workers=224, queue_depth=512, min_speedup=3.0),
-    # CI smoke: same shape, small enough for any runner; records, no bar.
+    # Smoke: same shape, small enough for any runner; records, no bar.
     "smoke": dict(clients=8, streams=4, delay=0.1, duration=1.0,
-                  warmup=0.5, workers=48, queue_depth=128, min_speedup=None),
+                  warmup=0.5, workers=48, queue_depth=128),
 }
 
 # The process-sharding lane: N reuseport workers vs one, *same pool size
@@ -71,74 +64,28 @@ PROC_SCALES = {
     "full": dict(procs=4, clients=64, streams=6, delay=0.2, duration=2.5,
                  warmup=1.0, workers=64, queue_depth=512, min_scaling=3.0),
     "smoke": dict(procs=2, clients=16, streams=4, delay=0.1, duration=1.0,
-                  warmup=0.5, workers=24, queue_depth=128, min_scaling=None),
+                  warmup=0.5, workers=24, queue_depth=128),
 }
-
-#: Fraction of client-observed requests the merged per-pid server dumps
-#: must account for (the metrics-accounting acceptance bar).
-MIN_ACCOUNTING = 0.99
-
-
-def _scale() -> str:
-    name = os.environ.get("BENCH_THROUGHPUT_SCALE", "full")
-    if name not in SCALES:
-        raise ValueError(f"unknown BENCH_THROUGHPUT_SCALE {name!r}")
-    return name
-
-
-def _serve(transport: str, workers: int, queue_depth: int):
-    """Start a load-target server process; returns (proc, address)."""
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.aio", "serve",
-         "--transport", transport,
-         "--workers", str(workers), "--queue-depth", str(queue_depth)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
-    )
-    line = proc.stdout.readline().strip()
-    if not line.startswith("ADDRESS "):
-        proc.kill()
-        raise RuntimeError(f"server failed to start: {line!r}")
-    return proc, line.split(" ", 1)[1]
 
 
 def _measure(transport: str, make_network, cfg: dict):
-    proc, address = _serve(transport, cfg["workers"], cfg["queue_depth"])
-    network = make_network()
-    try:
-        report = run_load(
-            network, address,
-            clients=cfg["clients"], streams=cfg["streams"],
-            duration=cfg["duration"], delay=cfg["delay"],
-            warmup=cfg["warmup"],
-        )
-    finally:
-        network.close()
-        proc.stdin.close()
-        try:
-            proc.wait(timeout=SHUTDOWN_TIMEOUT)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=30)
-    return report
+    with serve_child(
+        "--transport", transport, "--workers", str(cfg["workers"]),
+        "--queue-depth", str(cfg["queue_depth"]),
+    ) as (address, _):
+        return drive(address, cfg, make_network)
 
 
 class TestThroughput:
     def test_aio_pipelining_beats_thread_per_connection(self, results_dir):
-        scale = _scale()
-        cfg = SCALES[scale]
+        cfg = SCALES[SCALE]
         baseline = _measure("tcp", TcpNetwork, cfg)
         pipelined = _measure("aio", AioNetwork, cfg)
 
-        speedup = (
-            pipelined.throughput / baseline.throughput
-            if baseline.throughput else float("inf")
-        )
+        speedup = ratio(pipelined.throughput, baseline.throughput)
         payload = {
             "benchmark": "multi-client batch throughput (localhost)",
-            "scale": scale,
+            "scale": SCALE,
             "config": {
                 "clients": cfg["clients"],
                 "streams_per_client": cfg["streams"],
@@ -154,7 +101,7 @@ class TestThroughput:
         record_results("BENCH_throughput.json", payload)
         print()
         print(
-            f"[{scale}] thread-per-connection {baseline.throughput:7.1f} "
+            f"[{SCALE}] thread-per-connection {baseline.throughput:7.1f} "
             f"batches/s | aio pipelined {pipelined.throughput:7.1f} "
             f"batches/s | speedup {speedup:.2f}x"
         )
@@ -165,19 +112,12 @@ class TestThroughput:
         # Neither run may have been propped up by shed-retry loops.
         assert baseline.shed_retries == 0
         assert pipelined.shed_retries == 0
-        if cfg["min_speedup"] is not None:
+        if SCALE == "full":
             assert speedup >= cfg["min_speedup"], (
                 f"aio runtime sustained only {speedup:.2f}x the "
                 f"thread-per-connection baseline (need {cfg['min_speedup']}x): "
                 f"{payload}"
             )
-
-
-def _procs_scale() -> str:
-    name = os.environ.get("BENCH_THROUGHPUT_SCALE", "full")
-    if name not in PROC_SCALES:
-        raise ValueError(f"unknown BENCH_THROUGHPUT_SCALE {name!r}")
-    return name
 
 
 def _measure_procs(procs: int, cfg: dict):
@@ -194,16 +134,9 @@ def _measure_procs(procs: int, cfg: dict):
         procs=procs, workers=cfg["workers"], queue_depth=cfg["queue_depth"],
     ).start()
     registry = MetricsRegistry()
-    network = AioNetwork()
     try:
-        report = run_load(
-            network, supervisor.address,
-            clients=cfg["clients"], streams=cfg["streams"],
-            duration=cfg["duration"], delay=cfg["delay"],
-            warmup=cfg["warmup"], registry=registry,
-        )
+        report = drive(supervisor.address, cfg, registry=registry)
     finally:
-        network.close()
         merged = supervisor.stop()
     client_requests = registry.snapshot().get("client.requests", 0)
     return report, client_requests, merged.snapshot()
@@ -213,29 +146,19 @@ class TestProcsScaling:
     @pytest.mark.skipif(not HAS_REUSEPORT,
                         reason="platform has no SO_REUSEPORT")
     def test_reuseport_shards_scale_aio_throughput(self, results_dir):
-        scale = _procs_scale()
-        cfg = PROC_SCALES[scale]
+        cfg = PROC_SCALES[SCALE]
 
         single, single_client_reqs, single_merged = _measure_procs(1, cfg)
         multi, multi_client_reqs, multi_merged = _measure_procs(
             cfg["procs"], cfg
         )
 
-        scaling = (
-            multi.throughput / single.throughput
-            if single.throughput else float("inf")
-        )
-        single_accounted = (
-            single_merged.get("server.requests", 0) / single_client_reqs
-            if single_client_reqs else 0.0
-        )
-        multi_accounted = (
-            multi_merged.get("server.requests", 0) / multi_client_reqs
-            if multi_client_reqs else 0.0
-        )
+        scaling = ratio(multi.throughput, single.throughput)
+        single_accounted = accounted(single_merged, single_client_reqs)
+        multi_accounted = accounted(multi_merged, multi_client_reqs)
         payload = {
             "benchmark": "reuseport process shards (aio, localhost)",
-            "scale": scale,
+            "scale": SCALE,
             "config": {
                 "procs": cfg["procs"],
                 "clients": cfg["clients"],
@@ -253,7 +176,7 @@ class TestProcsScaling:
         record_results("BENCH_throughput.json", {"procs_scaling": payload})
         print()
         print(
-            f"[{scale}] 1 proc {single.throughput:7.1f} batches/s | "
+            f"[{SCALE}] 1 proc {single.throughput:7.1f} batches/s | "
             f"{cfg['procs']} procs {multi.throughput:7.1f} batches/s | "
             f"scaling {scaling:.2f}x | merged-metrics accounting "
             f"{multi_accounted:.2%}"
@@ -272,7 +195,7 @@ class TestProcsScaling:
               if name.startswith("proc.") and name.endswith(".up")]
         assert len(up) == cfg["procs"]
         assert multi_merged.get("procs.up") == cfg["procs"]
-        if cfg["min_scaling"] is not None:
+        if SCALE == "full":
             assert scaling >= cfg["min_scaling"], (
                 f"{cfg['procs']} reuseport workers sustained only "
                 f"{scaling:.2f}x one process (need {cfg['min_scaling']}x): "

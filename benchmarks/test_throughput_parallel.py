@@ -22,22 +22,21 @@ one's taken right beside it (median of the paired ratios), i.e. the DAG
 analysis a fallback batch pays is noise.
 
 Results land under the ``exec_parallel`` key of
-``benchmarks/results/BENCH_throughput.json``.  ``BENCH_THROUGHPUT_SCALE=
-smoke`` shrinks the run for CI and relaxes the bars (CI machines vary).
+``benchmarks/results/BENCH_throughput.json`` (a run artifact).  The
+default ``BENCH_SCALE=smoke`` shrinks the run and replaces both bars by
+what is deterministic: each server's own ``server.scheduler.*`` books
+say the fan-out batches ran parallel on one and serial on the other.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
-import pathlib
+import json
 import statistics
-import subprocess
-import sys
 import time
 
 import pytest
-from conftest import record_results
+from conftest import SCALE, ratio, record_results, serve_child
 
 from repro.aio import AioNetwork
 from repro.core import ContinuePolicy, create_batch
@@ -48,16 +47,13 @@ from repro.rmi import RMIClient
 # `-m "not slow"` keeps tier-1 deterministic.
 pytestmark = pytest.mark.slow
 
-SHUTDOWN_TIMEOUT = 120.0
-
 SCALES = {
     # fan=8 delay-bound chains per batch, 30 flushes: serial pays
     # ~fan*delay per flush (~12s total), parallel ~delay (+overhead).
     "full": dict(fan=8, delay=0.05, flushes=30, workers=64,
                  min_speedup=2.0, max_fallback_overhead=0.05),
-    # CI smoke: same shape, short window, weak bar.
-    "smoke": dict(fan=4, delay=0.02, flushes=10, workers=32,
-                  min_speedup=1.2, max_fallback_overhead=None),
+    # Smoke: same shape, short window, no bar.
+    "smoke": dict(fan=4, delay=0.02, flushes=10, workers=32),
 }
 
 #: Rounds of the ineligible lane; each times ``flushes`` back-to-back
@@ -65,33 +61,6 @@ SCALES = {
 #: server goes first.
 FALLBACK_REPEATS = 5
 FALLBACK_OPS = 32
-
-
-def _scale() -> str:
-    name = os.environ.get("BENCH_THROUGHPUT_SCALE", "full")
-    if name not in SCALES:
-        raise ValueError(f"unknown BENCH_THROUGHPUT_SCALE {name!r}")
-    return name
-
-
-def _serve(workers: int, exec_workers=None):
-    """Start a load-target server process; returns (proc, address)."""
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [sys.executable, "-m", "repro.aio", "serve",
-           "--transport", "aio", "--workers", str(workers)]
-    if exec_workers is not None:
-        cmd.extend(["--exec-workers", str(exec_workers)])
-    proc = subprocess.Popen(
-        cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        env=env,
-    )
-    line = proc.stdout.readline().strip()
-    if not line.startswith("ADDRESS "):
-        proc.kill()
-        raise RuntimeError(f"server failed to start: {line!r}")
-    return proc, line.split(" ", 1)[1]
 
 
 def _fanout_flush(stub, fan: int, delay: float, policy=None) -> None:
@@ -105,28 +74,31 @@ def _fanout_flush(stub, fan: int, delay: float, policy=None) -> None:
 
 
 @contextlib.contextmanager
-def _served(exec_workers, cfg):
-    """A server process and a connected client; yields the load stub."""
-    proc, address = _serve(cfg["workers"], exec_workers=exec_workers)
-    network = AioNetwork()
-    client = RMIClient(network, address)
-    try:
-        yield client.lookup("load")
-    finally:
-        client.close()
-        network.close()
-        proc.stdin.close()
+def _load_stub(cfg, books, *serve_flags):
+    """A server child and a connected client; yields the load stub.
+    The child leaves its metrics registry in *books* when it exits."""
+    with serve_child("--transport", "aio", "--workers", str(cfg["workers"]),
+                     "--metrics-json", str(books),
+                     *serve_flags) as (address, _):
+        network = AioNetwork()
+        client = RMIClient(network, address)
         try:
-            proc.wait(timeout=SHUTDOWN_TIMEOUT)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=30)
+            yield client.lookup("load")
+        finally:
+            client.close()
+            network.close()
+
+
+def _gauges(books) -> dict:
+    """The metrics a stopped child left in *books*."""
+    return json.loads(books.read_text())["gauges"]
 
 
 class TestParallelExecutor:
-    def test_parallel_chains_beat_serial_replay(self, results_dir):
-        scale = _scale()
-        cfg = SCALES[scale]
+    def test_parallel_chains_beat_serial_replay(self, results_dir, tmp_path):
+        cfg = SCALES[SCALE]
+        serial_books = tmp_path / "serial.json"
+        parallel_books = tmp_path / "parallel.json"
 
         def measure(stub):
             _fanout_flush(stub, cfg["fan"], cfg["delay"],
@@ -137,16 +109,16 @@ class TestParallelExecutor:
                               policy=ContinuePolicy())
             return time.monotonic() - start
 
-        with _served(0, cfg) as stub:
+        with _load_stub(cfg, serial_books, "--exec-workers", "0") as stub:
             serial_s = measure(stub)
-        with _served(None, cfg) as stub:
+        with _load_stub(cfg, parallel_books) as stub:
             parallel_s = measure(stub)
-        speedup = serial_s / parallel_s if parallel_s else float("inf")
+        speedup = ratio(serial_s, parallel_s)
 
         payload = {
             "exec_parallel": {
                 "benchmark": "DAG-scheduler fan-out batches (aio, localhost)",
-                "scale": scale,
+                "scale": SCALE,
                 "config": {
                     "fan": cfg["fan"],
                     "service_delay_s": cfg["delay"],
@@ -161,18 +133,26 @@ class TestParallelExecutor:
         record_results("BENCH_throughput.json", payload)
         print()
         print(
-            f"[{scale}] serial replay {serial_s:6.2f}s | parallel chains "
+            f"[{SCALE}] serial replay {serial_s:6.2f}s | parallel chains "
             f"{parallel_s:6.2f}s | speedup {speedup:.2f}x "
             f"(fan={cfg['fan']}, ceiling {cfg['fan']:.1f}x)"
         )
-        assert speedup >= cfg["min_speedup"], (
-            f"DAG scheduler sustained only {speedup:.2f}x over serial "
-            f"replay (need {cfg['min_speedup']}x): {payload}"
-        )
+        # Every flush (and the warm-up) fanned out on the width-N
+        # server and on none of the width-1 one.
+        fanned_out = "server.scheduler.parallel_batches"
+        assert _gauges(parallel_books)[fanned_out] == cfg["flushes"] + 1
+        assert _gauges(serial_books)[fanned_out] == 0
+        if SCALE == "full":
+            assert speedup >= cfg["min_speedup"], (
+                f"DAG scheduler sustained only {speedup:.2f}x over serial "
+                f"replay (need {cfg['min_speedup']}x): {payload}"
+            )
 
-    def test_ineligible_batches_pay_no_scheduler_tax(self, results_dir):
-        scale = _scale()
-        cfg = SCALES[scale]
+    def test_ineligible_batches_pay_no_scheduler_tax(self, results_dir,
+                                                     tmp_path):
+        cfg = SCALES[SCALE]
+        serial_books = tmp_path / "serial.json"
+        parallel_books = tmp_path / "parallel.json"
 
         def timed(stub):
             start = time.monotonic()
@@ -193,7 +173,8 @@ class TestParallelExecutor:
         # the host: two *identical* servers then came out up to 14%
         # apart within 8 trials (best rounds, interleaved: 10% within
         # 20), against at most 2.3% over 35 trials with pairs.
-        with _served(0, cfg) as serial, _served(None, cfg) as parallel:
+        with _load_stub(cfg, serial_books, "--exec-workers", "0") as serial, \
+                _load_stub(cfg, parallel_books) as parallel:
             serial_samples, parallel_samples = [], []
             lanes = [(serial, serial_samples), (parallel, parallel_samples)]
             for stub, _ in lanes:
@@ -213,7 +194,7 @@ class TestParallelExecutor:
         payload = {
             "exec_parallel_fallback": {
                 "benchmark": "scheduler-ineligible batches (abort policy)",
-                "scale": scale,
+                "scale": SCALE,
                 "config": {
                     "ops": FALLBACK_OPS,
                     "flushes": cfg["flushes"],
@@ -227,11 +208,17 @@ class TestParallelExecutor:
         record_results("BENCH_throughput.json", payload)
         print()
         print(
-            f"[{scale}] ineligible batches: scheduler off {serial_s:6.3f}s "
+            f"[{SCALE}] ineligible batches: scheduler off {serial_s:6.3f}s "
             f"| scheduler on {parallel_s:6.3f}s | overhead "
             f"{overhead * 100:+.1f}%"
         )
-        if cfg["max_fallback_overhead"] is not None:
+        # The lane's premise: no batch fanned out on either server.
+        flushes = 1 + FALLBACK_REPEATS * cfg["flushes"]
+        for books in (serial_books, parallel_books):
+            gauges = _gauges(books)
+            assert gauges["server.scheduler.parallel_batches"] == 0
+            assert gauges["server.scheduler.serial_batches"] == flushes
+        if SCALE == "full":
             assert overhead <= cfg["max_fallback_overhead"], (
                 f"serial-fallback batches got {overhead * 100:.1f}% slower "
                 f"with the scheduler enabled (allowed "

@@ -124,12 +124,6 @@ def run_load(network, address: str, *, clients: int, streams: int,
     retries = [0] * (clients * streams)
     errors = []
     barrier = threading.Barrier(clients * streams + 1)
-    rmi_clients = [RMIClient(network, address) for _ in range(clients)]
-    if registry is not None:
-        from repro.obs.bridge import bind_client
-
-        for rmi_client in rmi_clients:
-            bind_client(registry, rmi_client)
 
     def stream(worker_index: int, client: RMIClient) -> None:
         # The barrier comes first, unconditionally: a stream that dies
@@ -157,28 +151,40 @@ def run_load(network, address: str, *, clients: int, streams: int,
         except Exception as exc:  # noqa: BLE001 - report, never hang the run
             errors.append(f"stream {worker_index}: {exc!r}")
 
-    threads = []
-    for c, client in enumerate(rmi_clients):
-        for s in range(streams):
-            thread = threading.Thread(
-                target=stream, args=(c * streams + s, client),
-                name=f"load-c{c}s{s}", daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
+    rmi_clients = []
+    try:
+        for _ in range(clients):
+            rmi_clients.append(RMIClient(network, address))
+        if registry is not None:
+            from repro.obs.bridge import bind_client
 
-    barrier.wait()
-    time.sleep(warmup)
-    opened = time.monotonic()
-    window["end"] = opened + duration  # end before start: readers check start
-    window["start"] = opened
-    time.sleep(duration)
-    measured = time.monotonic() - window["start"]
-    stop.set()
-    for thread in threads:
-        thread.join(timeout=max(5.0, 10 * delay))
-    for client in rmi_clients:
-        client.close()
+            for rmi_client in rmi_clients:
+                bind_client(registry, rmi_client)
+
+        threads = []
+        for c, client in enumerate(rmi_clients):
+            for s in range(streams):
+                thread = threading.Thread(
+                    target=stream, args=(c * streams + s, client),
+                    name=f"load-c{c}s{s}", daemon=True,
+                )
+                thread.start()
+                threads.append(thread)
+
+        barrier.wait()
+        time.sleep(warmup)
+        opened = time.monotonic()
+        # End before start: readers check start.
+        window["end"] = opened + duration
+        window["start"] = opened
+        time.sleep(duration)
+        measured = time.monotonic() - window["start"]
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=max(5.0, 10 * delay))
+    finally:
+        for client in rmi_clients:
+            client.close()
     return LoadReport(
         batches=sum(counted),
         seconds=min(measured, duration),

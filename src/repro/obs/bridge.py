@@ -9,6 +9,7 @@ read, not a stale copy.  Names are dotted and stable; the exposition
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 from repro.obs.metrics import MetricsRegistry
@@ -30,25 +31,18 @@ def bind_process(registry: MetricsRegistry, pid: int = None,
     return pid
 
 
-def _traffic_fields(stats, prefix: str) -> dict:
-    """One :class:`~repro.net.stats.TrafficStats` snapshot as metric
-    fields: requests, bytes both ways, middleware charges."""
-    snap = stats.snapshot()
-    out = {
-        f"{prefix}.requests": snap.requests,
-        f"{prefix}.bytes_sent": snap.bytes_sent,
-        f"{prefix}.bytes_received": snap.bytes_received,
-    }
-    for kind, count in snap.charges.items():
-        out[f"{prefix}.charge.{kind}"] = count
-    return out
+def _prefixed(prefix: str, fields: dict) -> dict:
+    """A source's own flat field dict under a dotted metric prefix."""
+    return {f"{prefix}.{name}": value for name, value in fields.items()}
 
 
 def bind_traffic_stats(registry: MetricsRegistry, stats,
                        prefix: str = "net") -> None:
     """Publish a :class:`~repro.net.stats.TrafficStats` (requests, bytes
     both ways, middleware charges)."""
-    registry.add_collector(lambda: _traffic_fields(stats, prefix))
+    registry.add_collector(
+        lambda: _prefixed(prefix, stats.snapshot().as_dict())
+    )
 
 
 def bind_dedup(registry: MetricsRegistry, window,
@@ -77,14 +71,7 @@ def bind_server_metrics(registry: MetricsRegistry, source,
         snap = source.metrics
         if snap is None:
             return {}
-        return {
-            f"{prefix}.in_flight": snap.in_flight,
-            f"{prefix}.queued": snap.queued,
-            f"{prefix}.served": snap.served,
-            f"{prefix}.shed": snap.shed,
-            f"{prefix}.p50_ms": snap.p50_ms,
-            f"{prefix}.p99_ms": snap.p99_ms,
-        }
+        return _prefixed(prefix, dataclasses.asdict(snap))
 
     registry.add_collector(collect)
 
@@ -103,31 +90,21 @@ def bind_server(registry: MetricsRegistry, server,
             stats = server.stats
         except RuntimeError:  # never started
             return {}
-        return _traffic_fields(stats, prefix)
+        return _prefixed(prefix, stats.snapshot().as_dict())
 
     def collect_plan_cache():
         runtime = server._plan_runtime  # lazily created; do not force it
         if runtime is None:
             return {}
-        snap = runtime.cache.stats.snapshot()
-        return {
-            f"{prefix}.plan_cache.hits": snap.hits,
-            f"{prefix}.plan_cache.misses": snap.misses,
-            f"{prefix}.plan_cache.installs": snap.installs,
-            f"{prefix}.plan_cache.evictions": snap.evictions,
-            f"{prefix}.plan_cache.bytes_saved": snap.bytes_saved,
-            f"{prefix}.plan_cache.size": snap.size,
-        }
+        return _prefixed(f"{prefix}.plan_cache",
+                         runtime.cache.stats.snapshot().as_dict())
 
     def collect_scheduler():
         executor = server._batch_executor  # lazily created; do not force it
         if executor is None:
             return {}
-        snap = executor.scheduler.snapshot()
-        return {
-            f"{prefix}.scheduler.{name}": value
-            for name, value in snap.items()
-        }
+        return _prefixed(f"{prefix}.scheduler",
+                         executor.scheduler.snapshot())
 
     registry.add_collector(collect_traffic)
     registry.add_collector(collect_plan_cache)

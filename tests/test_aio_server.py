@@ -212,6 +212,36 @@ class TestAdmissionControl:
             network.close()
 
 
+class TestLoadHarness:
+    def test_failed_connect_closes_the_clients_already_opened(self, aio):
+        from repro.aio import run_load
+        from repro.net.transport import ConnectError
+
+        network, server, _client = aio
+
+        class ThirdConnectFails:
+            def __init__(self):
+                self.opened = []
+                self.closed = []
+
+            def connect(self, address, from_host="client"):
+                if len(self.opened) == 2:
+                    raise ConnectError(address)
+                channel = network.connect(address, from_host)
+                self.opened.append(channel)
+                real_close = channel.close
+                channel.close = lambda: (self.closed.append(channel),
+                                         real_close())
+                return channel
+
+        flaky = ThirdConnectFails()
+        with pytest.raises(ConnectError):
+            run_load(flaky, server.address, clients=3, streams=1,
+                     duration=0.1, delay=0.0, warmup=0.0)
+        assert len(flaky.opened) == 2
+        assert flaky.closed == flaky.opened
+
+
 class TestLifecycle:
     def test_stop_is_idempotent_and_stats_survive(self):
         network = AioNetwork()
