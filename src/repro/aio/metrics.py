@@ -5,9 +5,10 @@ TrafficStats`).  A pipelined server with admission control needs more to
 be operable under load: how many requests are in flight right now, how
 many are queued behind the worker pool, how many were shed, and what the
 service-time distribution looks like.  :class:`MetricsRecorder` keeps
-those gauges/counters (thread-safe — transport code on the event loop and
-pool threads both report in) and :meth:`MetricsRecorder.snapshot` freezes
-them into an immutable :class:`ServerMetrics`.
+those counts on a :class:`~repro.net.stats.CounterSet` (thread-safe —
+transport code on the event loop and pool threads both report in) and
+:meth:`MetricsRecorder.snapshot` freezes them into an immutable
+:class:`ServerMetrics`.
 
 Service time is measured admission→completion, so it *includes* queue
 wait: p99 rising while p50 holds is the classic early-overload signature
@@ -21,9 +22,9 @@ percentiles.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.net.stats import CounterSet
 from repro.obs.metrics import Histogram
 
 #: Service-time samples retained for the percentile estimates.
@@ -40,6 +41,14 @@ class ServerMetrics:
     shed: int           #: requests rejected by admission control
     p50_ms: float       #: median service time (admission→completion)
     p99_ms: float       #: tail service time over the sample window
+    #: The live ``service_seconds`` histogram the percentiles were read
+    #: from: the form that merges across processes (windows concatenate;
+    #: percentiles do not add).
+    histograms: dict = field(default_factory=dict, repr=False,
+                             compare=False)
+
+    #: ``as_dict`` fields that read this process's distribution only.
+    local = ("p50_ms", "p99_ms")
 
     def __str__(self):
         return (
@@ -48,60 +57,62 @@ class ServerMetrics:
             f"p50={self.p50_ms:.2f}ms p99={self.p99_ms:.2f}ms"
         )
 
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in (
+            "in_flight", "queued", "served", "shed", "p50_ms", "p99_ms")}
+
 
 class MetricsRecorder:
-    """Thread-safe collector behind :class:`ServerMetrics` snapshots."""
+    """Thread-safe collector behind :class:`ServerMetrics` snapshots.
+
+    Every event is one monotonic count; the in-flight and queued gauges
+    are differences taken from one atomic read, so a snapshot is
+    consistent without any event holding a lock across two counters.
+    """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
-        self._lock = threading.Lock()
-        self._admitted = 0
-        self._running = 0
-        self._served = 0
-        self._shed = 0
+        self._counts = CounterSet("admitted", "started", "served",
+                                  "abandoned", "shed")
         self._samples = Histogram("service_time", window=window)
 
     def on_admit(self) -> None:
         """A request passed admission control (now queued or running)."""
-        with self._lock:
-            self._admitted += 1
+        self._counts.add("admitted")
 
     def on_start(self) -> None:
         """A worker picked the request up (no longer queued)."""
-        with self._lock:
-            self._running += 1
+        self._counts.add("started")
 
     def on_done(self, service_seconds: float) -> None:
         """The request completed; *service_seconds* spans admission→now."""
-        with self._lock:
-            self._admitted -= 1
-            self._running -= 1
-            self._served += 1
+        self._counts.add("served")
         self._samples.observe(service_seconds)
 
     def on_shed(self) -> None:
         """Admission control rejected a request."""
-        with self._lock:
-            self._shed += 1
+        self._counts.add("shed")
 
     def on_abandoned(self) -> None:
         """An admitted request was cancelled before any worker ran it
         (server teardown); it was never served, only un-admitted."""
-        with self._lock:
-            self._admitted -= 1
+        self._counts.add("abandoned")
 
     @property
     def service_times(self) -> Histogram:
-        """The service-time histogram (shareable with a MetricsRegistry)."""
+        """The service-time histogram (shared with a MetricsRegistry
+        through :attr:`ServerMetrics.histograms`)."""
         return self._samples
 
     def snapshot(self) -> ServerMetrics:
         p50, p99 = self._samples.percentiles((0.50, 0.99))
-        with self._lock:
-            return ServerMetrics(
-                in_flight=self._admitted,
-                queued=max(0, self._admitted - self._running),
-                served=self._served,
-                shed=self._shed,
-                p50_ms=p50 * 1e3,
-                p99_ms=p99 * 1e3,
-            )
+        n = self._counts.as_dict()
+        waiting = n["admitted"] - n["abandoned"]
+        return ServerMetrics(
+            in_flight=waiting - n["served"],
+            queued=max(0, waiting - n["started"]),
+            served=n["served"],
+            shed=n["shed"],
+            p50_ms=p50 * 1e3,
+            p99_ms=p99 * 1e3,
+            histograms={"service_seconds": self._samples},
+        )

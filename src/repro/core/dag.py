@@ -31,11 +31,11 @@ plan's DAG computed at install time is valid for every bound invocation
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.core.policies import is_continue_kind
 from repro.core.recording import EXPORT_OP, ROOT_SEQ
+from repro.net.stats import CounterSet
 from repro.rmi.remote import method_parallel_safe
 
 #: Width-1 fallback taxonomy.  One reason per batch, first failing check
@@ -55,6 +55,8 @@ FALLBACK_REASONS = (
     REASON_SHAPE,
     REASON_DISABLED,
 )
+#: The :class:`SchedulerStats` counter each reason is booked under.
+_FALLBACK_NAMES = {reason: f"fallback.{reason}" for reason in FALLBACK_REASONS}
 
 
 @dataclass(frozen=True)
@@ -163,44 +165,25 @@ def analyze_batch(invocations, policy) -> BatchDag:
     return BatchDag(True, "", units, chains, cursor_units)
 
 
-class SchedulerStats:
-    """Thread-safe counters for the DAG scheduler (one per executor).
-
-    Mirrors the locked-counter shape of ``PlanCacheStats``; ``snapshot``
-    returns a flat dict suitable for a ``MetricsRegistry`` collector.
-    """
+class SchedulerStats(CounterSet):
+    """Counters for the DAG scheduler (one per executor): batches by
+    width, chains, fanned-out elements and ``fallback.<reason>`` per
+    width-1 reason."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._parallel_batches = 0
-        self._serial_batches = 0
-        self._chains = 0
-        self._elements = 0
-        self._fallbacks = {reason: 0 for reason in FALLBACK_REASONS}
+        super().__init__("parallel_batches", "serial_batches", "chains",
+                         "elements", *_FALLBACK_NAMES.values())
 
     def record_parallel(self, chains: int) -> None:
         with self._lock:
-            self._parallel_batches += 1
-            self._chains += chains
-
-    def record_elements(self, count: int) -> None:
-        with self._lock:
-            self._elements += count
+            self._values["parallel_batches"] += 1
+            self._values["chains"] += chains
 
     def record_serial(self, reason: str) -> None:
         with self._lock:
-            self._serial_batches += 1
-            if reason in self._fallbacks:
-                self._fallbacks[reason] += 1
+            self._values["serial_batches"] += 1
+            name = _FALLBACK_NAMES.get(reason)
+            if name is not None:
+                self._values[name] += 1
 
-    def snapshot(self) -> dict:
-        with self._lock:
-            flat = {
-                "parallel_batches": self._parallel_batches,
-                "serial_batches": self._serial_batches,
-                "chains": self._chains,
-                "elements": self._elements,
-            }
-            for reason, count in self._fallbacks.items():
-                flat[f"fallback.{reason}"] = count
-            return flat
+    snapshot = CounterSet.as_dict

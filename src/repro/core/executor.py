@@ -502,7 +502,7 @@ class BatchExecutor:
                 for sub_seq in value_sub_seqs:
                     efrag.cursor_results[sub_seq] = []
             if len(items) > 1:
-                self._scheduler.record_elements(len(items))
+                self._scheduler.add("elements", len(items))
 
         def run_element(index):
             into = outcome if fragments is None else fragments[index]

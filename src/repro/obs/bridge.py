@@ -1,18 +1,25 @@
-"""Bridges: publish the existing stat sources into a MetricsRegistry.
+"""Bridges: publish the stack's stat sources into a MetricsRegistry.
 
-Each ``bind_*`` helper registers a *collector* — a closure evaluated at
-snapshot/render time — so the stat sources keep their public APIs and
-never learn about registries, and a registry snapshot is always a live
-read, not a stale copy.  Names are dotted and stable; the exposition
-(:meth:`~repro.obs.metrics.MetricsRegistry.render_text`) sorts them.
+A *stat source* is anything answering ``as_dict()`` with a flat
+``{field: number}`` dict that is additive across processes (every
+:class:`~repro.net.stats.CounterSet`, and the typed views built on
+one).  A source with a distribution also carries it as ``histograms``
+(``{field: Histogram}``) and lists under ``local`` the ``as_dict``
+fields that are only this process's readings of it.
+
+:func:`bind` registers one *collector* per source — evaluated at
+snapshot/render time — so the sources never learn about registries and
+a registry snapshot is always a live read, not a stale copy.  This
+module only names things: ``<prefix>.<field>``, dotted and stable; the
+exposition (:meth:`~repro.obs.metrics.MetricsRegistry.render_text`)
+sorts them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Collected, MetricsRegistry
 
 
 def bind_process(registry: MetricsRegistry, pid: int = None,
@@ -31,47 +38,25 @@ def bind_process(registry: MetricsRegistry, pid: int = None,
     return pid
 
 
-def _prefixed(prefix: str, fields: dict) -> dict:
-    """A source's own flat field dict under a dotted metric prefix."""
-    return {f"{prefix}.{name}": value for name, value in fields.items()}
+def bind(registry: MetricsRegistry, prefix: str, source) -> None:
+    """Publish a stat source's fields as ``<prefix>.<field>``.
 
-
-def bind_traffic_stats(registry: MetricsRegistry, stats,
-                       prefix: str = "net") -> None:
-    """Publish a :class:`~repro.net.stats.TrafficStats` (requests, bytes
-    both ways, middleware charges)."""
-    registry.add_collector(
-        lambda: _prefixed(prefix, stats.snapshot().as_dict())
-    )
-
-
-def bind_dedup(registry: MetricsRegistry, window,
-               prefix: str = "dedup") -> None:
-    """Publish a :class:`~repro.rmi.dispatch.DedupWindow`'s counters."""
+    *source* is a zero-argument callable returning the stat source, or
+    ``None`` while there is none: it is asked again at every snapshot,
+    so binding never forces a lazily created runtime into existence.
+    """
 
     def collect():
-        return {
-            f"{prefix}.hits": window.hits,
-            f"{prefix}.executed": window.executed,
-            f"{prefix}.entries": len(window),
-        }
-
-    registry.add_collector(collect)
-
-
-def bind_server_metrics(registry: MetricsRegistry, source,
-                        prefix: str = "server.runtime") -> None:
-    """Publish :class:`~repro.aio.metrics.ServerMetrics` snapshots.
-
-    *source* is anything with a ``metrics`` attribute/property returning
-    a snapshot or ``None`` (an :class:`~repro.rmi.server.RMIServer`, an
-    :class:`~repro.aio.listener.AioListener`)."""
-
-    def collect():
-        snap = source.metrics
-        if snap is None:
+        stats = source()
+        if stats is None:
             return {}
-        return _prefixed(prefix, dataclasses.asdict(snap))
+        fields = dict(stats.as_dict(), **getattr(stats, "histograms", {}))
+        named = Collected(
+            (f"{prefix}.{name}", value) for name, value in fields.items()
+        )
+        named.local = {f"{prefix}.{name}"
+                       for name in getattr(stats, "local", ())}
+        return named
 
     registry.add_collector(collect)
 
@@ -79,36 +64,23 @@ def bind_server_metrics(registry: MetricsRegistry, source,
 def bind_server(registry: MetricsRegistry, server,
                 prefix: str = "server") -> None:
     """Publish everything one :class:`~repro.rmi.server.RMIServer` knows:
-    traffic, dedup, runtime metrics (aio), and — once the lazy plan
-    runtime exists — the plan cache.  Binding never *creates* the plan
-    runtime; the collector checks again at every snapshot."""
-    bind_dedup(registry, server.dedup, prefix=f"{prefix}.dedup")
-    bind_server_metrics(registry, server, prefix=f"{prefix}.runtime")
-
-    def collect_traffic():
-        try:
-            stats = server.stats
-        except RuntimeError:  # never started
-            return {}
-        return _prefixed(prefix, stats.snapshot().as_dict())
-
-    def collect_plan_cache():
-        runtime = server._plan_runtime  # lazily created; do not force it
-        if runtime is None:
-            return {}
-        return _prefixed(f"{prefix}.plan_cache",
-                         runtime.cache.stats.snapshot().as_dict())
-
-    def collect_scheduler():
-        executor = server._batch_executor  # lazily created; do not force it
-        if executor is None:
-            return {}
-        return _prefixed(f"{prefix}.scheduler",
-                         executor.scheduler.snapshot())
-
-    registry.add_collector(collect_traffic)
-    registry.add_collector(collect_plan_cache)
-    registry.add_collector(collect_scheduler)
+    traffic, dedup, runtime metrics (aio), and — once they exist — the
+    plan cache and the scheduler.  The listener, the plan runtime and
+    the batch executor are created lazily, so they are read from their
+    private slots, never through the properties that would force them.
+    """
+    sources = {
+        prefix: lambda: getattr(
+            server._listener or server._last_listener, "stats", None),
+        f"{prefix}.dedup": lambda: server.dedup,
+        f"{prefix}.runtime": lambda: server.metrics,
+        f"{prefix}.plan_cache": lambda: (
+            server._plan_runtime and server._plan_runtime.cache.stats),
+        f"{prefix}.scheduler": lambda: (
+            server._batch_executor and server._batch_executor.scheduler),
+    }
+    for name, source in sources.items():
+        bind(registry, name, source)
 
 
 def bind_client(registry: MetricsRegistry, client,
@@ -116,16 +88,5 @@ def bind_client(registry: MetricsRegistry, client,
     """Publish an :class:`~repro.rmi.client.RMIClient`'s traffic and —
     if plan reuse ever ran — its memo's strategy counters.  Multiple
     clients bound under one prefix sum (collector semantics)."""
-    bind_traffic_stats(registry, client.stats, prefix=prefix)
-
-    def collect_memo():
-        memo = client._plan_memo  # lazily created; do not force it
-        if memo is None:
-            return {}
-        return {
-            f"{prefix}.plan.inline_flushes": memo.inline_flushes,
-            f"{prefix}.plan.invocations": memo.plan_invocations,
-            f"{prefix}.plan.installs": memo.plan_installs,
-        }
-
-    registry.add_collector(collect_memo)
+    bind(registry, prefix, lambda: client.stats)
+    bind(registry, f"{prefix}.plan", lambda: client._plan_memo)

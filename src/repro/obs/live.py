@@ -73,8 +73,6 @@ class AdminServer:
         self._commands = dict(commands)
         self._lock = threading.Lock()
         self._requests = 0
-        self._errors = 0
-        self._started_at = time.monotonic()
         self._listener = TcpListener(f"tcp://{host}:{port}", self._handle)
 
     @property
@@ -88,10 +86,6 @@ class AdminServer:
         polling never perturbs the books it reads)."""
         with self._lock:
             return self._requests
-
-    @property
-    def uptime(self) -> float:
-        return time.monotonic() - self._started_at
 
     def _handle(self, payload) -> bytes:
         with self._lock:
@@ -109,8 +103,6 @@ class AdminServer:
             response = dict(handler(params))
             response["ok"] = True
         except Exception as exc:  # noqa: BLE001 - every failure answers
-            with self._lock:
-                self._errors += 1
             response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         return json.dumps(response, sort_keys=True, default=str).encode()
 
@@ -196,12 +188,12 @@ def cluster_commands(shard_addresses, *, health=None,
     """
     started = time.monotonic()
 
-    def _poll_all() -> tuple:
+    def _poll_all(cmd: str = "snapshot") -> tuple:
+        """One *cmd* round trip per worker: ``(replies, errors)``."""
         shards, errors = [], []
         for address in shard_addresses():
             try:
-                reply = admin_request(address, "snapshot",
-                                      timeout=poll_timeout)
+                reply = admin_request(address, cmd, timeout=poll_timeout)
                 shards.append(dict(reply, address=address))
             except Exception as exc:  # noqa: BLE001 - degraded, not dead
                 errors.append({"address": address,
@@ -215,16 +207,9 @@ def cluster_commands(shard_addresses, *, health=None,
             merged.merge(shard.get("metrics", {}))
         return merged.to_dict()
 
-    def cmd_health(params) -> dict:
-        shards, errors = [], []
-        for address in shard_addresses():
-            try:
-                reply = admin_request(address, "health",
-                                      timeout=poll_timeout)
-                shards.append(dict(reply, address=address))
-            except Exception as exc:  # noqa: BLE001
-                errors.append({"address": address,
-                               "error": f"{type(exc).__name__}: {exc}"})
+    def _health(shards, errors) -> dict:
+        """The supervisor's health section over the workers' *shards*
+        (their ``health`` replies, each with its ``address``)."""
         payload = {
             "role": "supervisor",
             "pid": os.getpid(),
@@ -239,10 +224,17 @@ def cluster_commands(shard_addresses, *, health=None,
             payload.update(health())
         return payload
 
+    def cmd_health(params) -> dict:
+        return _health(*_poll_all("health"))
+
     def cmd_snapshot(params) -> dict:
         shards, errors = _poll_all()
+        # Every worker snapshot carries its health: no second poll, and
+        # the same keys a ``health`` reply has.
+        healths = [dict(shard["health"], address=shard["address"], ok=True)
+                   for shard in shards]
         return {
-            "health": cmd_health(params),
+            "health": _health(healths, errors),
             "shards": shards,
             "shard_errors": errors,
             "merged": _merge(shards, errors),

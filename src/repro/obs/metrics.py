@@ -186,16 +186,31 @@ class Histogram:
             }
 
 
+class Collected(dict):
+    """A collector's output when not all of it is additive.
+
+    The names in ``local`` are one process's readings of a distribution
+    published alongside as a :class:`Histogram` (its percentiles):
+    :meth:`MetricsRegistry.collected` and ``snapshot`` show them,
+    ``to_dict`` leaves them out, because a merge would sum them.
+    """
+
+    local = frozenset()
+
+
 class MetricsRegistry:
     """A namespace of counters/gauges/histograms plus pluggable collectors.
 
     Accessors are get-or-create (two calls with one name return the one
     instrument).  *Collectors* are zero-argument callables returning
-    ``{name: number}``, evaluated at snapshot/render time — how existing
-    stat sources (``TrafficStats``, ``ServerMetrics``, plan cache,
-    dedup, scheduler) publish without holding a registry reference;
-    see :mod:`repro.obs.bridge`.  Duplicate names across collectors
-    **sum**, so N connections can publish under one metric.
+    ``{name: value}``, evaluated at snapshot/render time — how the stat
+    sources (``TrafficStats``, ``ServerMetrics``, plan cache, dedup,
+    scheduler) publish without holding a registry reference; see
+    :mod:`repro.obs.bridge`.  A value is a number — additive: duplicate
+    names across collectors **sum**, so N connections can publish under
+    one metric, and dumps carry it as a gauge — or a live
+    :class:`Histogram`, dumped as one; see :class:`Collected` for the
+    numbers that are neither.
 
     :meth:`to_dict` / :meth:`merge` / :meth:`from_dict` implement the
     cross-process contract: counters and gauges sum, histogram windows
@@ -253,43 +268,53 @@ class MetricsRegistry:
 
     # -- reading ---------------------------------------------------------
 
-    def collected(self) -> dict:
-        """Evaluate every collector; duplicate names sum."""
+    def _read(self) -> tuple:
+        """One pass over everything: instrument values, then every
+        collector evaluated once — ``(counters, gauges, histograms,
+        collected, local)``, *collected* being the collectors' numbers
+        (duplicate names summed) and *local* the names among them that
+        do not merge."""
         with self._lock:
+            counters = {n: c.value for n, c in self._counters.items()}
+            gauges = {n: g.value for n, g in self._gauges.items()}
+            histograms = dict(self._histograms)
             collectors = list(self._collectors)
-        out = {}
+        collected, local = {}, set()
         for collect in collectors:
-            for name, value in collect().items():
-                out[name] = out.get(name, 0) + value
-        return out
+            fields = collect()
+            local.update(getattr(fields, "local", ()))
+            for name, value in fields.items():
+                if not isinstance(value, Histogram):
+                    collected[name] = collected.get(name, 0) + value
+                elif histograms.setdefault(name, value) is not value:
+                    raise ValueError(
+                        f"histogram {name!r} is published twice")
+        return counters, gauges, histograms, collected, local
+
+    def collected(self) -> dict:
+        """Evaluate every collector; the flat numeric outputs, duplicate
+        names summed."""
+        *_instruments, collected, _local = self._read()
+        return collected
 
     def snapshot(self) -> dict:
         """Flat ``{name: number-or-summary}`` view of everything."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        out = {name: c.value for name, c in counters.items()}
-        out.update({name: g.value for name, g in gauges.items()})
-        out.update(self.collected())
-        for name, hist in histograms.items():
-            out[name] = hist.summary()
-        return out
+        counters, gauges, histograms, collected, _local = self._read()
+        return {**counters, **gauges, **collected,
+                **{name: h.summary() for name, h in histograms.items()}}
 
     def to_dict(self) -> dict:
-        """The mergeable dump.  Collector outputs land under ``gauges``
-        (they are instantaneous reads of external counters; summing them
-        across processes is the aggregate a cluster wants)."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        gauge_dump = {name: g.value for name, g in gauges.items()}
-        for name, value in self.collected().items():
-            gauge_dump[name] = gauge_dump.get(name, 0) + value
+        """The mergeable dump.  Collectors' additive numbers land under
+        ``gauges`` (they are instantaneous reads of external counters;
+        summing them across processes is the aggregate a cluster wants)
+        and their histograms under ``histograms``."""
+        counters, gauges, histograms, collected, local = self._read()
+        for name, value in collected.items():
+            if name not in local:
+                gauges[name] = gauges.get(name, 0) + value
         return {
-            "counters": {name: c.value for name, c in counters.items()},
-            "gauges": gauge_dump,
+            "counters": counters,
+            "gauges": gauges,
             "histograms": {
                 name: h.to_dict() for name, h in histograms.items()
             },

@@ -1,10 +1,11 @@
 """The server-side plan cache: bounded LRU keyed by content hash.
 
 Follows the shape of :class:`~repro.core.session.SessionStore` (bounded,
-LRU, thread-safe) and the counter style of
-:class:`~repro.net.stats.TrafficStats` (locked counters with an immutable
-snapshot): tests and dashboards read ``cache.stats.snapshot()`` instead
-of poking internals.
+LRU, thread-safe) and keeps its books like
+:class:`~repro.net.stats.TrafficStats` (a
+:class:`~repro.net.stats.CounterSet` with an immutable typed snapshot):
+tests and dashboards read ``cache.stats.snapshot()`` instead of poking
+internals.
 
 ``bytes_saved`` is the cache's headline metric: for every hit it credits
 the difference between what the inline path would have shipped (the full
@@ -20,6 +21,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+
+from repro.net.stats import CounterSet
 
 #: Default maximum number of cached plans per server.
 DEFAULT_PLAN_CAPACITY = 256
@@ -42,69 +45,29 @@ class PlanCacheSnapshot:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def as_dict(self) -> dict:
-        """Flat JSON-friendly form, matching the metrics-bridge names."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "installs": self.installs,
-            "evictions": self.evictions,
-            "bytes_saved": self.bytes_saved,
-            "size": self.size,
-        }
 
+class PlanCacheStats(CounterSet):
+    """Hit/miss/install/eviction/bytes-saved counters, plus the live
+    ``size`` read through *size_reader* (the owning cache's ``len``)."""
 
-class PlanCacheStats:
-    """Thread-safe hit/miss/eviction/bytes-saved counters."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._installs = 0
-        self._evictions = 0
-        self._bytes_saved = 0
-        self._size_reader = lambda: 0
+    def __init__(self, size_reader):
+        super().__init__("hits", "misses", "installs", "evictions",
+                         "bytes_saved")
+        self._size_reader = size_reader
 
     def record_hit(self, bytes_saved: int = 0) -> None:
         with self._lock:
-            self._hits += 1
-            self._bytes_saved += max(0, bytes_saved)
+            self._values["hits"] += 1
+            self._values["bytes_saved"] += max(0, bytes_saved)
 
-    def record_miss(self) -> None:
-        with self._lock:
-            self._misses += 1
-
-    def record_install(self) -> None:
-        with self._lock:
-            self._installs += 1
-
-    def record_eviction(self, count: int = 1) -> None:
-        with self._lock:
-            self._evictions += count
-
-    def snapshot(self) -> PlanCacheSnapshot:
+    def as_dict(self) -> dict:
         # Read the size outside our own lock: the cache calls into these
         # counters while holding its lock, so taking the locks in the
         # opposite order here could deadlock.
-        size = self._size_reader()
-        with self._lock:
-            return PlanCacheSnapshot(
-                hits=self._hits,
-                misses=self._misses,
-                installs=self._installs,
-                evictions=self._evictions,
-                bytes_saved=self._bytes_saved,
-                size=size,
-            )
+        return dict(super().as_dict(), size=self._size_reader())
 
-    def reset(self) -> None:
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._installs = 0
-            self._evictions = 0
-            self._bytes_saved = 0
+    def snapshot(self) -> PlanCacheSnapshot:
+        return PlanCacheSnapshot(**self.as_dict())
 
 
 @dataclass
@@ -141,8 +104,7 @@ class PlanCache:
         self._capacity = capacity
         self._lock = threading.Lock()
         self._entries = OrderedDict()
-        self.stats = PlanCacheStats()
-        self.stats._size_reader = self.__len__
+        self.stats = PlanCacheStats(self.__len__)
 
     @property
     def capacity(self) -> int:
@@ -167,14 +129,11 @@ class PlanCache:
                     dag=dag,
                 )
                 self._entries[digest] = entry
-                self.stats.record_install()
+                self.stats.add("installs")
             self._entries.move_to_end(digest)
-            evicted = 0
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
-                evicted += 1
-            if evicted:
-                self.stats.record_eviction(evicted)
+                self.stats.add("evictions")
             return entry
 
     def get(self, digest: str):
@@ -186,7 +145,7 @@ class PlanCache:
         with self._lock:
             entry = self._entries.get(digest)
             if entry is None:
-                self.stats.record_miss()
+                self.stats.add("misses")
                 return None
             self._entries.move_to_end(digest)
             entry.hits += 1

@@ -170,6 +170,13 @@ class PlanMemo:
             if state is not None:
                 state.confirmed = True
 
+    def as_dict(self) -> dict:
+        """How each flush went out, under the published metric names."""
+        with self._lock:
+            return {"inline_flushes": self.inline_flushes,
+                    "invocations": self.plan_invocations,
+                    "installs": self.plan_installs}
+
     def __len__(self):
         with self._lock:
             return len(self._seen)

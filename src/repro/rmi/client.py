@@ -62,15 +62,14 @@ class RMIClient(MarshalContext):
         # uuid prefix keeps two clients' counters from ever colliding.
         self._call_ids = itertools.count(1)
         self._token_prefix = uuid.uuid4().hex
+        # Channels come and go across reconnects; traffic counters must
+        # not reset with them.  Every channel this client opens records
+        # into this one instance.
+        self._stats = TrafficStats()
+        self._channel = None
         if retry is None:
-            self._shared_stats = None
-            self._channel = network.connect(address, from_host)
+            self._live_channel()
         else:
-            # Channels come and go across reconnects; traffic counters
-            # must not reset with them.  Every channel this client opens
-            # records into the one shared TrafficStats instance.
-            self._shared_stats = TrafficStats()
-            self._channel = None
             self._connect_with_retry()
 
     @property
@@ -79,11 +78,11 @@ class RMIClient(MarshalContext):
 
     @property
     def channel(self):
-        """The underlying transport channel (stats live here).
+        """The underlying transport channel.
 
         For a retrying client this is the *current* channel — it changes
         across reconnects, and may be ``None`` between a drop and the
-        next lazy reconnect; use :attr:`stats` for stable counters.
+        next lazy reconnect; the counters live on :attr:`stats`.
         """
         return self._channel
 
@@ -96,12 +95,11 @@ class RMIClient(MarshalContext):
     def stats(self):
         """Traffic counters for this client's own connection.
 
-        Survives reconnects: a retrying client aggregates every channel
-        it ever opened into one counter set.
+        One instance for the client's lifetime: it aggregates every
+        channel the client ever opened and stays readable after
+        :meth:`close`.
         """
-        if self._shared_stats is not None:
-            return self._shared_stats
-        return self._channel.stats
+        return self._stats
 
     @property
     def plan_memo(self):
@@ -303,8 +301,7 @@ class RMIClient(MarshalContext):
             if channel is not None:
                 return channel
             channel = self._network.connect(self._address, self._from_host)
-            if self._shared_stats is not None:
-                channel.stats = self._shared_stats
+            channel.stats = self._stats
             self._channel = channel
             return channel
 
@@ -356,12 +353,6 @@ class RMIClient(MarshalContext):
             peers = list(self._peers.values())
             self._peers.clear()
             channel = self._channel
-            if self._retry is not None:
-                # Retrying clients read stats from _shared_stats, so the
-                # dead channel reference can go.  Fail-fast clients keep
-                # it: their stats property reads channel.stats, which
-                # must stay readable after close.
-                self._channel = None
         for peer in peers:
             peer.close()
         if channel is not None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
+from repro.net.stats import CounterSet
 from repro.net.transport import Channel, host_of
 from repro.obs.context import TraceContext
 from repro.obs.hints import take_queue_wait
@@ -97,24 +98,25 @@ class DedupWindow:
         self._entries = OrderedDict()
         self._capacity = capacity
         self._wait_timeout = wait_timeout
-        self._hits = 0
-        self._executed = 0
+        self._counts = CounterSet("hits", "executed")
 
     @property
     def hits(self) -> int:
         """Duplicates answered from the window (side effects skipped)."""
-        with self._lock:
-            return self._hits
+        return self._counts.get("hits")
 
     @property
     def executed(self) -> int:
         """Tokens this window actually dispatched."""
-        with self._lock:
-            return self._executed
+        return self._counts.get("executed")
 
     def __len__(self):
         with self._lock:
             return len(self._entries)
+
+    def as_dict(self) -> dict:
+        """The counters plus ``entries``, the tokens currently held."""
+        return dict(self._counts.as_dict(), entries=len(self))
 
     def execute(self, call_id: str, compute, observer=None):
         """Run ``compute() -> bytes`` at most once for *call_id*.
@@ -134,10 +136,10 @@ class DedupWindow:
             owner = entry is None
             if owner:
                 entry = self._entries[call_id] = _DedupEntry()
-                self._executed += 1
             else:
                 self._entries.move_to_end(call_id)
         if owner:
+            self._counts.add("executed")
             try:
                 entry.response = compute()
             finally:
@@ -157,8 +159,7 @@ class DedupWindow:
             return None
         response = entry.response
         if response is not None:
-            with self._lock:
-                self._hits += 1
+            self._counts.add("hits")
             if observer is not None:
                 observer("replayed")
         elif observer is not None:

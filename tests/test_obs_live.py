@@ -254,6 +254,33 @@ class TestClusterCommands:
         assert len(reply["shard_errors"]) == 1
         assert health["ready"] is False  # a dark shard fails readiness
 
+    def test_one_poll_per_worker_per_aggregation(self):
+        """A supervisor ``snapshot`` builds its health section from the
+        worker snapshots it already holds: one admin request per worker
+        (two at the parent commit), ``health`` one more."""
+        workers = [AdminServer(worker_commands()) for _ in range(3)]
+        try:
+            addresses = [worker.address for worker in workers]
+            with AdminServer(cluster_commands(lambda: addresses)) as sup:
+                reply = admin_request(sup.address, "snapshot")
+                assert [w.requests for w in workers] == [1, 1, 1]
+                health = admin_request(sup.address, "health")
+                assert [w.requests for w in workers] == [2, 2, 2]
+        finally:
+            for worker in workers:
+                worker.close()
+        # The section built from snapshots is the one ``health`` polls.
+        assert reply["health"]["ready"] is True
+        assert reply["health"]["procs"] == 3
+
+        def shape(section):
+            return (sorted(section),
+                    [sorted(shard) for shard in section["shards"]],
+                    [shard["address"] for shard in section["shards"]])
+
+        assert shape(reply["health"]) == shape(
+            {k: v for k, v in health.items() if k != "ok"})
+
     def test_cluster_slow_log_labels_shard_addresses(self):
         registry = MetricsRegistry()
         tracer = Tracer(sample_rate=0.0,

@@ -1,5 +1,7 @@
 """The unified metrics surface: instruments, registry, merge, exposition."""
 
+import json
+
 import pytest
 
 from repro.obs.metrics import (
@@ -229,6 +231,40 @@ class TestSharedHistogramBacksServerMetrics:
         assert snapshot.p50_ms == pytest.approx(5.0)
         assert snapshot.p99_ms == pytest.approx(10.0)
 
+    def test_merged_percentiles_concatenate_instead_of_summing(self):
+        """Four workers at a 10 ms median merge to a 10 ms median: the
+        distribution travels as a histogram; the per-process p50/p99
+        readings stay out of the mergeable dump (they used to sum to
+        ``server.runtime.p50_ms 40``)."""
+        from repro.aio.metrics import MetricsRecorder
+        from repro.obs.bridge import bind
+
+        merged = MetricsRegistry()
+        for _worker in range(4):
+            recorder = MetricsRecorder()
+            for _request in range(10):
+                recorder.on_admit()
+                recorder.on_start()
+                recorder.on_done(0.010)
+            registry = MetricsRegistry()
+            bind(registry, "server.runtime", recorder.snapshot)
+            collected = registry.collected()   # one process: still flat
+            assert collected["server.runtime.p50_ms"] == pytest.approx(10.0)
+            assert collected["server.runtime.served"] == 10
+            assert all(isinstance(v, (int, float))
+                       for v in collected.values())
+            merged.merge(json.loads(json.dumps(registry.to_dict())))
+
+        dump = merged.to_dict()
+        assert "server.runtime.p50_ms" not in dump["gauges"]
+        assert "server.runtime.p99_ms" not in dump["gauges"]
+        assert dump["gauges"]["server.runtime.served"] == 40
+        summary = merged.snapshot()["server.runtime.service_seconds"]
+        assert summary["count"] == 40
+        assert summary["p50"] == pytest.approx(0.010)
+        assert "server.runtime.service_seconds.p50 0.01" in (
+            merged.render_text().splitlines())
+
 
 class TestBridgeNames:
     """The names ``obs.bridge`` publishes are an interface: CI gates,
@@ -315,6 +351,7 @@ class TestBridgeNames:
             "server.runtime.p99_ms",
             "server.runtime.queued",
             "server.runtime.served",
+            "server.runtime.service_seconds",
             "server.runtime.shed",
             "server.scheduler.chains",
             "server.scheduler.elements",
@@ -328,7 +365,8 @@ class TestBridgeNames:
             "server.scheduler.serial_batches",
         ]
         counts = {name: value for name, value in snap.items()
-                  if "bytes" not in name and not name.endswith("_ms")}
+                  if "bytes" not in name
+                  and not name.endswith(("_ms", "_seconds"))}
         assert counts == {
             "client.charge.batch_record": 4,
             "client.charge.proxy_create": 4,
@@ -365,3 +403,5 @@ class TestBridgeNames:
             "server.scheduler.serial_batches": 4,
         }
         assert snap["server.plan_cache.bytes_saved"] > 0
+        # The distribution behind p50_ms/p99_ms: one sample per served.
+        assert snap["server.runtime.service_seconds"]["count"] == 7
