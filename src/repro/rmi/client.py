@@ -59,9 +59,9 @@ class RMIClient(MarshalContext):
         self._closed = False
         self._plan_memo = None
         # Tokens are unique per client instance and cheap to mint; the
-        # uuid prefix keeps two clients' counters from ever colliding.
+        # 96 random bits keep two clients' counters from ever colliding.
         self._call_ids = itertools.count(1)
-        self._token_prefix = uuid.uuid4().hex
+        self._token_prefix = uuid.uuid4().hex[:24]
         # Channels come and go across reconnects; traffic counters must
         # not reset with them.  Every channel this client opens records
         # into this one instance.
@@ -220,7 +220,9 @@ class RMIClient(MarshalContext):
         ) from last
 
     def _next_call_id(self) -> str:
-        return f"{self._token_prefix}:{next(self._call_ids)}"
+        # Fixed width (24 + 12 hex digits): a request's size must not
+        # depend on how many calls the client has made.
+        return f"{self._token_prefix}{next(self._call_ids):012x}"
 
     def _encode_request(self, object_id, method, args, kwargs,
                         call_id: str, trace) -> bytes:

@@ -49,7 +49,7 @@ from repro.rmi.protocol import (
     CallResponse,
 )
 from repro.rmi.registry import RegistryImpl
-from repro.rmi.remote import interface_names, methods_of
+from repro.rmi.remote import dispatch_table
 from repro.rmi.stub import Stub
 from repro.wire import decode, encode
 from repro.wire.refs import RemoteRef
@@ -63,7 +63,7 @@ DEFAULT_DEDUP_WAIT = 30.0
 
 
 class _DedupEntry:
-    """One token's execution record: a latch plus the response bytes."""
+    """A token still executing: the latch its duplicates wait on."""
 
     __slots__ = ("ready", "response")
 
@@ -81,6 +81,10 @@ class DedupWindow:
     response bytes without re-dispatching — a retried batch flush (or
     plan invocation) whose original response was lost in flight never
     runs its side effects twice.
+
+    A token has two states: a :class:`_DedupEntry` while it executes,
+    then the response bytes alone — a finished token has nobody left to
+    wake, and the latch costs three times what a small response does.
 
     The window is an LRU over *completed* tokens: past *capacity*, the
     oldest finished entries are forgotten (a duplicate arriving after
@@ -146,18 +150,23 @@ class DedupWindow:
                 # compute (RMICore.handle's inner pipeline) never raises,
                 # but a latch must never stay unset: waiters would hang.
                 entry.ready.set()
-                if entry.response is None:
-                    with self._lock:
+                with self._lock:
+                    if entry.response is None:
                         self._entries.pop(call_id, None)
+                    else:
+                        self._entries[call_id] = entry.response
             self._evict()
             if observer is not None:
                 observer("executed")
             return entry.response
-        if not entry.ready.wait(self._wait_timeout):
-            if observer is not None:
-                observer("timeout")
-            return None
-        response = entry.response
+        if isinstance(entry, _DedupEntry):
+            if not entry.ready.wait(self._wait_timeout):
+                if observer is not None:
+                    observer("timeout")
+                return None
+            response = entry.response
+        else:
+            response = entry  # finished: replay at once
         if response is not None:
             self._counts.add("hits")
             if observer is not None:
@@ -170,7 +179,7 @@ class DedupWindow:
         with self._lock:
             while len(self._entries) > self._capacity:
                 for call_id, entry in self._entries.items():
-                    if entry.ready.is_set():
+                    if not isinstance(entry, _DedupEntry):
                         del self._entries[call_id]
                         break
                 else:
@@ -371,8 +380,9 @@ class RMICore(MarshalContext):
         if request.method in PSEUDO_METHODS:
             return self._dispatch_pseudo(request)
         target = self._objects.lookup(request.object_id)
-        if request.method not in methods_of(target):
-            raise NoSuchMethodError(request.method, interface_names(target))
+        table = dispatch_table(target)
+        if request.method not in table.methods:
+            raise NoSuchMethodError(request.method, table.interfaces)
         args = unmarshal(request.args, self)
         kwargs = unmarshal(request.kwargs, self)
         method = getattr(target, request.method)

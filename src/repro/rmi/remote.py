@@ -28,11 +28,13 @@ Example::
 from __future__ import annotations
 
 import collections.abc
+import functools
 import inspect
 import threading
 import typing
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 #: Method names reserved by the batching layer; a remote interface must
 #: not declare them or batch proxies would shadow real remote methods.
@@ -42,10 +44,34 @@ RESERVED_METHOD_NAMES = frozenset(
 
 _interface_registry = {}
 _registry_lock = threading.Lock()
-#: Bumped (under the lock) on every registration; invalidates the cached
-#: parallel-safety name map below.
-_registry_version = 0
-_safe_names_cache = (-1, {})
+#: Everything compiled from the registry: one memo dict per builder below.
+#: A registration replaces the whole object under ``_registry_lock`` —
+#: that swap is the version bump — so readers take one reference, fill it
+#: lazily and never lock: an entry built from an older registry can only
+#: land in an object that has already been replaced.  Dropping the object
+#: also drops its class keys, so nothing here outlives the next
+#: registration.
+_compiled = {}
+
+
+def _until_next_registration(build):
+    """Memoize ``build(key)`` until an interface is registered.
+
+    A *build* that raises stores nothing, so the next call tries again.
+    """
+
+    @functools.wraps(build)
+    def lookup(key):
+        compiled = _compiled
+        memo = compiled.get(build)
+        if memo is None:
+            memo = compiled.setdefault(build, {})
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build(key)
+        return value
+
+    return lookup
 
 
 def remote_method(*, parallel_safe: bool = False):
@@ -102,10 +128,10 @@ class RemoteInterface:
                     f"remote interface {cls.__name__} declares reserved "
                     f"method name {name!r} (reserved for the batch API)"
                 )
-        global _registry_version
+        global _compiled
         with _registry_lock:
             _interface_registry[qualified_name(cls)] = cls
-            _registry_version += 1
+            _compiled = {}
 
 
 def lookup_interface(name: str):
@@ -134,9 +160,18 @@ def remote_interfaces(obj_or_cls) -> Tuple[type, ...]:
     )
 
 
+def _class_of(obj_or_cls) -> type:
+    return obj_or_cls if isinstance(obj_or_cls, type) else type(obj_or_cls)
+
+
+@_until_next_registration
+def _interface_names(cls) -> Tuple[str, ...]:
+    return tuple(qualified_name(iface) for iface in remote_interfaces(cls))
+
+
 def interface_names(obj_or_cls) -> Tuple[str, ...]:
     """Qualified names of all remote interfaces of an object or class."""
-    return tuple(qualified_name(iface) for iface in remote_interfaces(obj_or_cls))
+    return _interface_names(_class_of(obj_or_cls))
 
 
 @dataclass(frozen=True)
@@ -196,14 +231,20 @@ def _classify_return(annotation):
     return "value", None
 
 
-def remote_methods(iface) -> "dict[str, MethodSpec]":
-    """Extract :class:`MethodSpec` for every method of a remote interface.
+def _declared_members(iface):
+    """``(name, member)`` of every remote method *iface* declares or
+    inherits, base-first so a derived declaration comes last; private
+    names (leading underscore) are not remote."""
+    for base in reversed(iface.__mro__):
+        if base in (object, RemoteInterface):
+            continue
+        for name, member in vars(base).items():
+            if not name.startswith("_") and callable(member):
+                yield name, member
 
-    Walks the MRO so extended interfaces inherit their parents' methods;
-    private names (leading underscore) are not remote.
-    """
-    if not (isinstance(iface, type) and issubclass(iface, RemoteInterface)):
-        raise TypeError(f"{iface!r} is not a remote interface class")
+
+@_until_next_registration
+def _interface_table(iface) -> "Mapping[str, MethodSpec]":
     # Forward references in interfaces defined inside functions (common
     # in tests) cannot be resolved through module globals alone; the
     # interface registry provides every known interface by simple name.
@@ -211,22 +252,15 @@ def remote_methods(iface) -> "dict[str, MethodSpec]":
         registry_names = {
             cls.__name__: cls for cls in _interface_registry.values()
         }
-    try:
-        hints_by_method = {}
-        for base in reversed(iface.__mro__):
-            if base in (object, RemoteInterface):
-                continue
-            for name, member in vars(base).items():
-                if name.startswith("_") or not callable(member):
-                    continue
-                hints = typing.get_type_hints(member, localns=registry_names)
-                hints_by_method[name] = (member, hints.get("return"))
-    except Exception as exc:  # unresolvable annotations
-        raise TypeError(f"cannot resolve annotations of {iface.__name__}: {exc}")
-
     specs = {}
-    for name, (member, annotation) in hints_by_method.items():
-        kind, target = _classify_return(annotation)
+    for name, member in _declared_members(iface):
+        try:
+            hints = typing.get_type_hints(member, localns=registry_names)
+        except Exception as exc:  # unresolvable annotations
+            raise TypeError(
+                f"cannot resolve annotations of {iface.__name__}: {exc}"
+            ) from exc
+        kind, target = _classify_return(hints.get("return"))
         specs[name] = MethodSpec(
             name=name,
             returns_kind=kind,
@@ -234,63 +268,80 @@ def remote_methods(iface) -> "dict[str, MethodSpec]":
             doc=inspect.getdoc(member) or "",
             parallel_safe=bool(getattr(member, "__parallel_safe__", False)),
         )
-    return specs
+    return MappingProxyType(specs)
 
 
-def methods_of(obj_or_cls) -> "dict[str, MethodSpec]":
-    """Union of method specs across every remote interface of an object.
+def remote_methods(iface) -> "Mapping[str, MethodSpec]":
+    """:class:`MethodSpec` for every method of a remote interface.
 
-    The table a call is checked against before it reaches the
-    implementation — by plain RMI dispatch and by batch replay alike.
+    Walks the MRO so extended interfaces inherit their parents' methods;
+    private names (leading underscore) are not remote.  The result is a
+    read-only view of the interface's compiled table, shared by every
+    caller until the next registration; annotations that do not resolve
+    raise ``TypeError`` and are tried again on the next call.
     """
+    if not (isinstance(iface, type) and issubclass(iface, RemoteInterface)):
+        raise TypeError(f"{iface!r} is not a remote interface class")
+    return _interface_table(iface)
+
+
+class DispatchTable(NamedTuple):
+    """What a call on one implementation class is checked against."""
+
+    #: Name → spec across every remote interface of the class (read-only).
+    methods: "Mapping[str, MethodSpec]"
+    #: The interfaces' qualified names, for ``NoSuchMethodError``.
+    interfaces: Tuple[str, ...]
+
+
+@_until_next_registration
+def _dispatch_table(cls) -> DispatchTable:
     specs = {}
-    for iface in remote_interfaces(obj_or_cls):
+    for iface in remote_interfaces(cls):
         specs.update(remote_methods(iface))
-    return specs
+    return DispatchTable(MappingProxyType(specs), _interface_names(cls))
 
 
-def _parallel_safe_names() -> "dict[str, bool]":
+def dispatch_table(obj_or_cls) -> DispatchTable:
+    """The compiled method table of an object's (or a class's) remote
+    interfaces — the one lookup plain RMI dispatch and batch replay make
+    before a call reaches the implementation."""
+    return _dispatch_table(_class_of(obj_or_cls))
+
+
+def methods_of(obj_or_cls) -> "Mapping[str, MethodSpec]":
+    """Union of method specs across every remote interface of an object."""
+    return dispatch_table(obj_or_cls).methods
+
+
+@_until_next_registration
+def _parallel_safe_names(_all) -> "Mapping[str, bool]":
     """Name → safety map across every registered interface.
 
     The DAG scheduler checks method names before it knows which object a
     ref resolves to, so safety is the conservative AND across every
     interface declaring the name: one unsafe declaration poisons the
-    name globally.  Rebuilt lazily when the registry grows.
+    name globally.  Read off the declarations, not the resolved specs,
+    so an interface whose annotations do not resolve still counts.
     """
-    global _safe_names_cache
     with _registry_lock:
-        version = _registry_version
         interfaces = list(_interface_registry.values())
-    cached_version, cached = _safe_names_cache
-    if cached_version == version:
-        return cached
     safe = {}
     for iface in interfaces:
-        for base in iface.__mro__:
-            if base in (object, RemoteInterface):
-                continue
-            for name, member in vars(base).items():
-                if name.startswith("_") or not callable(member):
-                    continue
-                flag = bool(getattr(member, "__parallel_safe__", False))
-                safe[name] = safe.get(name, True) and flag
-    _safe_names_cache = (version, safe)
-    return safe
+        for name, member in _declared_members(iface):
+            flag = bool(getattr(member, "__parallel_safe__", False))
+            safe[name] = safe.get(name, True) and flag
+    return MappingProxyType(safe)
 
 
 def method_parallel_safe(name: str) -> bool:
     """True when every registered interface declaring *name* marked it
     ``parallel_safe``; unknown names are unsafe."""
-    return _parallel_safe_names().get(name, False)
+    return _parallel_safe_names(None).get(name, False)
 
 
-def methods_of_names(interface_qualified_names) -> "dict[str, MethodSpec]":
-    """Union of method specs across several interface names.
-
-    Used by stubs, which know their interfaces only as the names carried
-    by the ref.  Unregistered names are skipped (the peer may export
-    interfaces this process never imported).
-    """
+@_until_next_registration
+def _names_table(interface_qualified_names) -> "Mapping[str, MethodSpec]":
     specs = {}
     for name in interface_qualified_names:
         try:
@@ -298,4 +349,14 @@ def methods_of_names(interface_qualified_names) -> "dict[str, MethodSpec]":
         except KeyError:
             continue
         specs.update(remote_methods(iface))
-    return specs
+    return MappingProxyType(specs)
+
+
+def methods_of_names(interface_qualified_names) -> "Mapping[str, MethodSpec]":
+    """Union of method specs across several interface names.
+
+    Used by stubs, which know their interfaces only as the names carried
+    by the ref.  Unregistered names are skipped (the peer may export
+    interfaces this process never imported) until they register.
+    """
+    return _names_table(tuple(interface_qualified_names))

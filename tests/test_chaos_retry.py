@@ -6,6 +6,7 @@ server executes that token at most once however many duplicates arrive,
 in whatever order, on however many connections.
 """
 
+import itertools
 import threading
 
 import pytest
@@ -338,6 +339,150 @@ class TestDedupWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
             DedupWindow(capacity=0)
+
+
+class TestDedupEntryStates:
+    """A token is a latch while it executes and bare bytes afterwards."""
+
+    def test_completed_tokens_keep_bytes_only(self):
+        window = DedupWindow()
+        for n in range(50):
+            window.execute(f"t{n}", lambda n=n: b"r%d" % n)
+        assert window.execute("t7", lambda: b"WRONG") == b"r7"
+        values = list(window._entries.values())
+        assert len(values) == 50
+        assert all(type(value) is bytes for value in values)
+
+    def test_full_window_costs_under_1kb_per_entry(self):
+        import tracemalloc
+
+        window = DedupWindow()
+        tokens = [f"{n:036x}" for n in range(4096)]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for token in tokens:
+                window.execute(token, lambda: bytes(410))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(window) == 4096
+        assert (after - before) / 4096 < 1024
+
+    def test_mid_flight_duplicate_waits_then_late_one_replays_at_once(self):
+        window = DedupWindow()
+        started = threading.Event()
+        release = threading.Event()
+
+        def slow_compute():
+            started.set()
+            assert release.wait(5.0)
+            return b"slow"
+
+        outcomes = []
+        results = []
+        owner = threading.Thread(
+            target=lambda: results.append(
+                window.execute("t", slow_compute, outcomes.append)
+            )
+        )
+        owner.start()
+        assert started.wait(5.0)
+        dup = threading.Thread(
+            target=lambda: results.append(
+                window.execute("t", lambda: b"WRONG", outcomes.append)
+            )
+        )
+        dup.start()
+        dup.join(0.05)
+        assert dup.is_alive()  # parked on the owner's latch
+        release.set()
+        owner.join(5.0)
+        dup.join(5.0)
+        assert not owner.is_alive() and not dup.is_alive()
+        assert results == [b"slow", b"slow"]
+        assert sorted(outcomes) == ["executed", "replayed"]
+        # Finished: no latch is left for a late duplicate to wait on.
+        assert window._entries["t"] == b"slow"
+        assert window.execute("t", lambda: b"WRONG", outcomes.append) == b"slow"
+        assert outcomes[-1] == "replayed"
+        assert window.hits == 2 and window.executed == 1
+
+    def test_eviction_never_drops_an_in_flight_token(self):
+        window = DedupWindow(capacity=2)
+        started = threading.Event()
+        release = threading.Event()
+
+        def slow_compute():
+            started.set()
+            assert release.wait(5.0)
+            return b"slow"
+
+        results = []
+        owner = threading.Thread(
+            target=lambda: results.append(window.execute("slow", slow_compute))
+        )
+        owner.start()
+        assert started.wait(5.0)
+        for n in range(5):  # "slow" is the oldest entry throughout
+            window.execute(f"t{n}", lambda: b"quick")
+        assert len(window) == 2
+        assert "slow" in window._entries
+        release.set()
+        owner.join(5.0)
+        assert not owner.is_alive()
+        assert results == [b"slow"]
+        assert window.execute("slow", lambda: b"WRONG") == b"slow"
+
+    def test_none_response_forgets_the_token(self):
+        window = DedupWindow()
+        assert window.execute("t", lambda: None) is None
+        assert len(window) == 0
+        assert window.execute("t", lambda: b"second") == b"second"
+        assert window.executed == 2
+
+
+class TestFixedWidthTokens:
+    def test_width_is_constant_from_call_1_to_100_000(self, world):
+        network, _server, _impl = world
+        client = retry_client(network, [])
+        try:
+            first = client._next_call_id()
+            client._call_ids = itertools.count(100_000)
+            late = client._next_call_id()
+        finally:
+            client.close()
+        assert len(first) == len(late) == 36
+        assert first[:24] == late[:24] and first != late
+
+    def test_request_size_does_not_depend_on_client_age(self, world):
+        network, _server, _impl = world
+        client = retry_client(network, [])
+        stub = client.lookup("counter")
+        try:
+            young = client.stats.snapshot().bytes_sent
+            stub.increment(1)
+            young = client.stats.snapshot().bytes_sent - young
+            client._call_ids = itertools.count(100_000)
+            old = client.stats.snapshot().bytes_sent
+            stub.increment(1)
+            old = client.stats.snapshot().bytes_sent - old
+        finally:
+            client.close()
+        assert young == old
+
+    def test_tokens_never_repeat_or_collide(self, world):
+        network, _server, _impl = world
+        clients = [retry_client(network, []) for _ in range(2)]
+        try:
+            minted = [
+                [client._next_call_id() for _ in range(2000)]
+                for client in clients
+            ]
+        finally:
+            for client in clients:
+                client.close()
+        assert len(set(minted[0]) | set(minted[1])) == 4000
 
 
 class TestExactlyOnceThroughDispatch:

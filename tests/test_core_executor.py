@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.executor import BatchExecutor
-from repro.core.policies import AbortPolicy
+from repro.core.policies import AbortPolicy, ContinuePolicy
 from repro.core.recording import ArgRef, BatchResponse, InvocationData
 from repro.rmi import MarshalError, NoSuchMethodError, RMIServer
 from repro.rmi.protocol import INVOKE_BATCH
+from repro.rmi.remote import interface_names
 
 from tests.support import CounterImpl, IdentityServiceImpl
 
@@ -80,6 +81,40 @@ class TestExecution:
             CounterImpl(), (inv(1, "quack"),), AbortPolicy()
         )
         assert isinstance(response.exceptions[1], NoSuchMethodError)
+
+    @pytest.mark.parametrize("method", ["backdoor", "_private", "name"])
+    def test_only_declared_methods_are_replayed(self, executor, method):
+        """Same three refusals as plain dispatch (undeclared public,
+        private, declared only on a sibling's interface), cold and warm."""
+        reached = []
+
+        class Sneaky(CounterImpl):
+            def backdoor(self):
+                reached.append("backdoor")
+
+            def _private(self):
+                reached.append("_private")
+
+            def name(self):
+                reached.append("name")
+
+        target = Sneaky()
+        for _ in range(2):
+            response = executor.invoke_batch(
+                target, (inv(1, method), inv(2, "increment", args=(1,))),
+                ContinuePolicy(),
+            )
+            assert isinstance(response.exceptions[1], NoSuchMethodError)
+            assert response.exceptions[1].interfaces == interface_names(target)
+            assert response.results[2] > 0
+        assert reached == []
+
+    def test_instance_level_override_is_the_one_replayed(self, executor):
+        target = CounterImpl()
+        batch = (inv(1, "current"),)
+        assert executor.invoke_batch(target, batch, AbortPolicy()).results[1] == 0
+        target.current = lambda: 41
+        assert executor.invoke_batch(target, batch, AbortPolicy()).results[1] == 41
 
     def test_break_marks_rest_not_executed(self, executor):
         target = CounterImpl()
@@ -169,3 +204,55 @@ class TestViaServerDispatch:
         )
         assert isinstance(response, BatchResponse)
         assert response.results[1] == 7
+
+
+def test_warm_flush_does_no_introspection(network, monkeypatch):
+    """The perf lane that needs no clock: once the dispatch tables are
+    compiled, a cursor flush (1 + 2 * 32 op executions, DAG-parallel)
+    resolves no annotation, reads no docstring and walks no MRO — on
+    the server or on the client that builds its stubs and proxies."""
+    import inspect
+    import typing
+
+    from repro.apps import make_directory
+    from repro.core import create_batch
+    from repro.rmi import RMIClient
+    from repro.rmi import remote
+
+    server = RMIServer(network, "sim://files:1").start()
+    server.bind("dir", make_directory(32, 64))
+    client = RMIClient(network, "sim://files:1")
+
+    def flush():
+        root = create_batch(client.lookup("dir"), policy=ContinuePolicy())
+        cursor = root.list_files()
+        name, length = cursor.get_name(), cursor.length()
+        root.flush()
+        listing = []
+        while cursor.next():
+            listing.append((name.get(), length.get()))
+        assert len(listing) == 32
+
+    calls = []
+
+    def counted(module, attribute):
+        original = getattr(module, attribute)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attribute)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attribute, wrapper)
+
+    try:
+        for _ in range(3):
+            flush()
+        counted(typing, "get_type_hints")
+        counted(inspect, "getdoc")
+        counted(remote, "remote_interfaces")
+        for _ in range(20):
+            flush()
+    finally:
+        client.close()
+        server.close()
+    assert calls == []

@@ -56,6 +56,38 @@ class TestBasicCalls:
         with pytest.raises(NoSuchMethodError):
             stub.does_not_exist()
 
+    @pytest.mark.parametrize("method", ["backdoor", "_private", "name"])
+    def test_only_declared_methods_reach_the_implementation(self, env, method):
+        """An undeclared public method, a private name and a name only a
+        sibling implementation's interface declares (``Item.name``) are
+        refused by the server itself, cold and once the table is warm."""
+        reached = []
+
+        class Sneaky(CounterImpl):
+            def backdoor(self):
+                reached.append("backdoor")
+
+            def _private(self):
+                reached.append("_private")
+
+            def name(self):
+                reached.append("name")
+
+        ref = env.server.bind("sneaky", Sneaky())
+        for _ in range(2):
+            with pytest.raises(NoSuchMethodError) as info:
+                env.client.call(ref.object_id, method)
+            assert info.value.interfaces == ref.interfaces
+            assert env.client.call(ref.object_id, "increment", (1,)) > 0
+        assert reached == []
+
+    def test_instance_level_override_is_the_one_called(self, env):
+        impl = CounterImpl()
+        ref = env.server.bind("patched", impl)
+        assert env.client.call(ref.object_id, "current") == 0  # table warm
+        impl.current = lambda: 41
+        assert env.client.call(ref.object_id, "current") == 41
+
     def test_call_on_dead_object_id(self, env):
         with pytest.raises(NoSuchObjectError):
             env.client.call(9999, "anything")

@@ -8,11 +8,15 @@ from repro.rmi.remote import (
     RESERVED_METHOD_NAMES,
     RemoteInterface,
     RemoteObject,
+    dispatch_table,
     interface_names,
     lookup_interface,
+    method_parallel_safe,
+    methods_of,
     methods_of_names,
     qualified_name,
     remote_interfaces,
+    remote_method,
     remote_methods,
 )
 
@@ -133,3 +137,102 @@ class TestInterfaceNames:
         names = interface_names(Both)
         assert qualified_name(Counter) in names
         assert qualified_name(Item) in names
+
+
+class TestDispatchTable:
+    def test_table_is_compiled_once_and_shared(self):
+        assert remote_methods(Shapes) is remote_methods(Shapes)
+        assert methods_of(CounterImpl()) is methods_of(CounterImpl)
+        names = (qualified_name(Counter),)
+        assert methods_of_names(names) is methods_of_names(list(names))
+        table = dispatch_table(CounterImpl())
+        assert table.methods is methods_of(CounterImpl)
+        assert table.interfaces == interface_names(CounterImpl)
+
+    def test_returned_mappings_are_read_only(self):
+        for table in (
+            remote_methods(Shapes),
+            methods_of(CounterImpl),
+            methods_of_names([qualified_name(Counter)]),
+        ):
+            with pytest.raises(TypeError):
+                table["sneaked_in"] = None
+            with pytest.raises(TypeError):
+                del table[next(iter(table))]
+        assert "sneaked_in" not in remote_methods(Shapes)
+
+    def test_registration_after_first_use_is_visible(self):
+        class Early(RemoteInterface):
+            @remote_method(parallel_safe=True)
+            def probe_late_registration(self) -> int: ...
+
+        class EarlyImpl(RemoteObject, Early):
+            pass
+
+        assert "probe_late_registration" in methods_of(EarlyImpl)
+        assert method_parallel_safe("probe_late_registration")
+        assert not method_parallel_safe("probe_added_later")
+        ghost = qualified_name(Early).replace("Early", "Late")
+        assert methods_of_names([ghost]) == {}
+
+        class Late(RemoteInterface):
+            def probe_late_registration(self) -> int: ...
+
+            @remote_method(parallel_safe=True)
+            def probe_added_later(self) -> int: ...
+
+        assert qualified_name(Late) == ghost
+        # One unsafe declaration now poisons the shared name; the new
+        # name and the formerly unregistered interface both show up.
+        assert not method_parallel_safe("probe_late_registration")
+        assert method_parallel_safe("probe_added_later")
+        assert set(methods_of_names([ghost])) == {
+            "probe_late_registration", "probe_added_later",
+        }
+        assert "probe_late_registration" in methods_of(EarlyImpl)
+
+    def test_unresolvable_annotation_is_never_cached(self):
+        class Dangling(RemoteInterface):
+            def target(self) -> "NotRegisteredYetTarget": ...
+
+        class DanglingImpl(RemoteObject, Dangling):
+            pass
+
+        for _ in range(2):
+            with pytest.raises(TypeError, match="cannot resolve") as info:
+                remote_methods(Dangling)
+            assert isinstance(info.value.__cause__, NameError)
+            with pytest.raises(TypeError, match="cannot resolve"):
+                methods_of(DanglingImpl)
+        # Names need no annotations, so the object stays exportable.
+        assert interface_names(DanglingImpl) == (qualified_name(Dangling),)
+
+        class NotRegisteredYetTarget(RemoteInterface):
+            def ping(self) -> int: ...
+
+        spec = methods_of(DanglingImpl)["target"]
+        assert spec.returns_kind == "remote"
+        assert spec.returns_interface == qualified_name(NotRegisteredYetTarget)
+
+    def test_tables_do_not_keep_classes_alive(self):
+        import gc
+        import weakref
+
+        def build():
+            class Fleeting(RemoteInterface):
+                def ping(self) -> int: ...
+
+            class FleetingImpl(RemoteObject, Fleeting):
+                pass
+
+            assert "ping" in methods_of(FleetingImpl)
+            assert interface_names(FleetingImpl)
+            return weakref.ref(FleetingImpl)
+
+        ref = build()
+
+        class Flush(RemoteInterface):
+            def ping(self) -> int: ...
+
+        gc.collect()
+        assert ref() is None

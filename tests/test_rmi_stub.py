@@ -67,6 +67,12 @@ class TestInvocation:
         specs.clear()
         assert stub.method_specs()  # internal dict unharmed
 
+    def test_stubs_for_one_ref_share_a_table(self):
+        first, second = make_stub([]), make_stub([])
+        assert first._methods is second._methods
+        assert first.method_specs() is not second.method_specs()
+        assert first.method_specs() == dict(first._methods)
+
 
 class TestIdentity:
     def test_equality_by_ref(self):
