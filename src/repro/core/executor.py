@@ -81,7 +81,7 @@ from repro.obs.context import _activate, _deactivate, current_span
 from repro.obs.tracer import current_tracer
 from repro.rmi.exceptions import NoSuchMethodError
 from repro.rmi.marshal import marshal, unmarshal
-from repro.rmi.remote import RemoteObject, dispatch_table
+from repro.rmi.remote import RemoteObject, interface_names, methods_of
 from repro.rmi.stub import Stub
 from repro.wire.refs import RemoteRef
 
@@ -626,9 +626,8 @@ class BatchExecutor:
             # A loopback/foreign stub: the stub enforces its own interface.
             return getattr(target, name)
         if isinstance(target, RemoteObject):
-            table = dispatch_table(target)
-            if name not in table.methods:
-                raise NoSuchMethodError(name, table.interfaces)
+            if name not in methods_of(target):
+                raise NoSuchMethodError(name, interface_names(target))
             return getattr(target, name)
         raise NoSuchMethodError(name, (type(target).__name__,))
 

@@ -49,7 +49,7 @@ from repro.rmi.protocol import (
     CallResponse,
 )
 from repro.rmi.registry import RegistryImpl
-from repro.rmi.remote import dispatch_table
+from repro.rmi.remote import interface_names, methods_of
 from repro.rmi.stub import Stub
 from repro.wire import decode, encode
 from repro.wire.refs import RemoteRef
@@ -380,9 +380,8 @@ class RMICore(MarshalContext):
         if request.method in PSEUDO_METHODS:
             return self._dispatch_pseudo(request)
         target = self._objects.lookup(request.object_id)
-        table = dispatch_table(target)
-        if request.method not in table.methods:
-            raise NoSuchMethodError(request.method, table.interfaces)
+        if request.method not in methods_of(target):
+            raise NoSuchMethodError(request.method, interface_names(target))
         args = unmarshal(request.args, self)
         kwargs = unmarshal(request.kwargs, self)
         method = getattr(target, request.method)

@@ -34,7 +34,7 @@ import threading
 import typing
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 #: Method names reserved by the batching layer; a remote interface must
 #: not declare them or batch proxies would shadow real remote methods.
@@ -285,33 +285,21 @@ def remote_methods(iface) -> "Mapping[str, MethodSpec]":
     return _interface_table(iface)
 
 
-class DispatchTable(NamedTuple):
-    """What a call on one implementation class is checked against."""
-
-    #: Name → spec across every remote interface of the class (read-only).
-    methods: "Mapping[str, MethodSpec]"
-    #: The interfaces' qualified names, for ``NoSuchMethodError``.
-    interfaces: Tuple[str, ...]
-
-
 @_until_next_registration
-def _dispatch_table(cls) -> DispatchTable:
+def _class_table(cls) -> "Mapping[str, MethodSpec]":
     specs = {}
     for iface in remote_interfaces(cls):
         specs.update(remote_methods(iface))
-    return DispatchTable(MappingProxyType(specs), _interface_names(cls))
-
-
-def dispatch_table(obj_or_cls) -> DispatchTable:
-    """The compiled method table of an object's (or a class's) remote
-    interfaces — the one lookup plain RMI dispatch and batch replay make
-    before a call reaches the implementation."""
-    return _dispatch_table(_class_of(obj_or_cls))
+    return MappingProxyType(specs)
 
 
 def methods_of(obj_or_cls) -> "Mapping[str, MethodSpec]":
-    """Union of method specs across every remote interface of an object."""
-    return dispatch_table(obj_or_cls).methods
+    """Union of method specs across every remote interface of an object.
+
+    The table a call is checked against before it reaches the
+    implementation — by plain RMI dispatch and by batch replay alike.
+    """
+    return _class_table(_class_of(obj_or_cls))
 
 
 @_until_next_registration
