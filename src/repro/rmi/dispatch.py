@@ -63,7 +63,8 @@ DEFAULT_DEDUP_WAIT = 30.0
 
 
 class _DedupEntry:
-    """A token still executing: the latch its duplicates wait on."""
+    """A token still executing: the latch its duplicates wait on and the
+    slot its owner leaves the response in for them."""
 
     __slots__ = ("ready", "response")
 

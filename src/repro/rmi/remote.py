@@ -143,25 +143,24 @@ def lookup_interface(name: str):
     return cls
 
 
+def _class_of(obj_or_cls) -> type:
+    return obj_or_cls if isinstance(obj_or_cls, type) else type(obj_or_cls)
+
+
 def remote_interfaces(obj_or_cls) -> Tuple[type, ...]:
     """All remote interfaces implemented by an object or class.
 
     Excludes the :class:`RemoteInterface` base itself; preserves MRO
     order (most derived first).
     """
-    cls = obj_or_cls if isinstance(obj_or_cls, type) else type(obj_or_cls)
     return tuple(
         base
-        for base in cls.__mro__
+        for base in _class_of(obj_or_cls).__mro__
         if base is not RemoteInterface
         and isinstance(base, type)
         and issubclass(base, RemoteInterface)
         and not issubclass(base, RemoteObject)
     )
-
-
-def _class_of(obj_or_cls) -> type:
-    return obj_or_cls if isinstance(obj_or_cls, type) else type(obj_or_cls)
 
 
 @_until_next_registration

@@ -64,6 +64,26 @@ class CounterImpl(RemoteObject, Counter):
         return self._flaky_calls
 
 
+def make_sneaky_counter():
+    """A counter of a fresh class (so its dispatch table starts cold)
+    with three methods no remote call may reach: an undeclared public
+    one, a private one, and one only ``Item`` declares.  Returns the
+    object and the list a reached method would append its name to."""
+    reached = []
+
+    class Sneaky(CounterImpl):
+        def backdoor(self):
+            reached.append("backdoor")
+
+        def _private(self):
+            reached.append("_private")
+
+        def name(self):
+            reached.append("name")
+
+    return Sneaky(), reached
+
+
 class Item(RemoteInterface):
     """Element type for cursor tests."""
 

@@ -369,25 +369,32 @@ class TestDedupEntryStates:
         assert len(window) == 4096
         assert (after - before) / 4096 < 1024
 
-    def test_mid_flight_duplicate_waits_then_late_one_replays_at_once(self):
-        window = DedupWindow()
-        started = threading.Event()
-        release = threading.Event()
+    @staticmethod
+    def start_slow_owner(window, token, observer=None):
+        """Own *token* on a thread whose compute blocks until released."""
+        started, release = threading.Event(), threading.Event()
+        results = []
 
         def slow_compute():
             started.set()
             assert release.wait(5.0)
             return b"slow"
 
-        outcomes = []
-        results = []
         owner = threading.Thread(
             target=lambda: results.append(
-                window.execute("t", slow_compute, outcomes.append)
+                window.execute(token, slow_compute, observer)
             )
         )
         owner.start()
         assert started.wait(5.0)
+        return owner, release, results
+
+    def test_mid_flight_duplicate_waits_then_late_one_replays_at_once(self):
+        window = DedupWindow()
+        outcomes = []
+        owner, release, results = self.start_slow_owner(
+            window, "t", outcomes.append
+        )
         dup = threading.Thread(
             target=lambda: results.append(
                 window.execute("t", lambda: b"WRONG", outcomes.append)
@@ -410,20 +417,7 @@ class TestDedupEntryStates:
 
     def test_eviction_never_drops_an_in_flight_token(self):
         window = DedupWindow(capacity=2)
-        started = threading.Event()
-        release = threading.Event()
-
-        def slow_compute():
-            started.set()
-            assert release.wait(5.0)
-            return b"slow"
-
-        results = []
-        owner = threading.Thread(
-            target=lambda: results.append(window.execute("slow", slow_compute))
-        )
-        owner.start()
-        assert started.wait(5.0)
+        owner, release, results = self.start_slow_owner(window, "slow")
         for n in range(5):  # "slow" is the oldest entry throughout
             window.execute(f"t{n}", lambda: b"quick")
         assert len(window) == 2
@@ -459,14 +453,16 @@ class TestFixedWidthTokens:
         network, _server, _impl = world
         client = retry_client(network, [])
         stub = client.lookup("counter")
+
+        def bytes_of_one_call():
+            before = client.stats.snapshot().bytes_sent
+            stub.increment(1)
+            return client.stats.snapshot().bytes_sent - before
+
         try:
-            young = client.stats.snapshot().bytes_sent
-            stub.increment(1)
-            young = client.stats.snapshot().bytes_sent - young
+            young = bytes_of_one_call()
             client._call_ids = itertools.count(100_000)
-            old = client.stats.snapshot().bytes_sent
-            stub.increment(1)
-            old = client.stats.snapshot().bytes_sent - old
+            old = bytes_of_one_call()
         finally:
             client.close()
         assert young == old

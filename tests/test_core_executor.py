@@ -9,7 +9,11 @@ from repro.rmi import MarshalError, NoSuchMethodError, RMIServer
 from repro.rmi.protocol import INVOKE_BATCH
 from repro.rmi.remote import interface_names
 
-from tests.support import CounterImpl, IdentityServiceImpl
+from tests.support import (
+    CounterImpl,
+    IdentityServiceImpl,
+    make_sneaky_counter,
+)
 
 
 @pytest.fixture
@@ -86,19 +90,7 @@ class TestExecution:
     def test_only_declared_methods_are_replayed(self, executor, method):
         """Same three refusals as plain dispatch (undeclared public,
         private, declared only on a sibling's interface), cold and warm."""
-        reached = []
-
-        class Sneaky(CounterImpl):
-            def backdoor(self):
-                reached.append("backdoor")
-
-            def _private(self):
-                reached.append("_private")
-
-            def name(self):
-                reached.append("name")
-
-        target = Sneaky()
+        target, reached = make_sneaky_counter()
         for _ in range(2):
             response = executor.invoke_batch(
                 target, (inv(1, method), inv(2, "increment", args=(1,))),

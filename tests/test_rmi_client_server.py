@@ -22,6 +22,7 @@ from tests.support import (
     CounterImpl,
     Point,
     make_container,
+    make_sneaky_counter,
 )
 
 
@@ -61,19 +62,8 @@ class TestBasicCalls:
         """An undeclared public method, a private name and a name only a
         sibling implementation's interface declares (``Item.name``) are
         refused by the server itself, cold and once the table is warm."""
-        reached = []
-
-        class Sneaky(CounterImpl):
-            def backdoor(self):
-                reached.append("backdoor")
-
-            def _private(self):
-                reached.append("_private")
-
-            def name(self):
-                reached.append("name")
-
-        ref = env.server.bind("sneaky", Sneaky())
+        sneaky, reached = make_sneaky_counter()
+        ref = env.server.bind("sneaky", sneaky)
         for _ in range(2):
             with pytest.raises(NoSuchMethodError) as info:
                 env.client.call(ref.object_id, method)
