@@ -25,7 +25,8 @@ Results land under the ``exec_parallel`` key of
 ``benchmarks/results/BENCH_throughput.json`` (a run artifact).  The
 default ``BENCH_SCALE=smoke`` shrinks the run and replaces both bars by
 what is deterministic: each server's own ``server.scheduler.*`` books
-say the fan-out batches ran parallel on one and serial on the other.
+say the fan-out batches ran parallel on one (``parallel_batches``, and
+``helpers`` — pool tasks that took a chain) and serial on the other.
 """
 
 from __future__ import annotations
@@ -138,10 +139,14 @@ class TestParallelExecutor:
             f"(fan={cfg['fan']}, ceiling {cfg['fan']:.1f}x)"
         )
         # Every flush (and the warm-up) fanned out on the width-N
-        # server and on none of the width-1 one.
-        fanned_out = "server.scheduler.parallel_batches"
-        assert _gauges(parallel_books)[fanned_out] == cfg["flushes"] + 1
-        assert _gauges(serial_books)[fanned_out] == 0
+        # server and on none of the width-1 one: scheduled on the DAG
+        # path, and — the ops block — run by pool helpers beside the
+        # caller, at least one per flush.
+        wide, narrow = _gauges(parallel_books), _gauges(serial_books)
+        assert wide["server.scheduler.parallel_batches"] == cfg["flushes"] + 1
+        assert wide["server.scheduler.helpers"] >= cfg["flushes"]
+        assert narrow["server.scheduler.parallel_batches"] == 0
+        assert narrow["server.scheduler.helpers"] == 0
         if SCALE == "full":
             assert speedup >= cfg["min_speedup"], (
                 f"DAG scheduler sustained only {speedup:.2f}x over serial "

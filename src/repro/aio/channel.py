@@ -101,7 +101,12 @@ class AioConnection:
             raise ConnectionClosedError(
                 f"i/o failure talking to {self._address!r}: {exc}"
             ) from exc
-        return await future
+        try:
+            return await future
+        finally:
+            # Cancelled while waiting (the sync facade's timeout): no
+            # response may ever come to take the entry out.
+            self._pending.pop(request_id, None)
 
     async def _request_sequential(self, payload: bytes) -> bytes:
         # Legacy peer: one round trip at a time; the lock spans the whole

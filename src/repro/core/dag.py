@@ -167,12 +167,14 @@ def analyze_batch(invocations, policy) -> BatchDag:
 
 class SchedulerStats(CounterSet):
     """Counters for the DAG scheduler (one per executor): batches by
-    width, chains, fanned-out elements and ``fallback.<reason>`` per
-    width-1 reason."""
+    width, chains, fanned-out elements, ``helpers`` (pool tasks that
+    took at least one key — ``parallel_batches`` says a batch was
+    scheduled wide, this says something ran beside the caller) and
+    ``fallback.<reason>`` per width-1 reason."""
 
     def __init__(self):
         super().__init__("parallel_batches", "serial_batches", "chains",
-                         "elements", *_FALLBACK_NAMES.values())
+                         "elements", "helpers", *_FALLBACK_NAMES.values())
 
     def record_parallel(self, chains: int) -> None:
         with self._lock:

@@ -28,9 +28,10 @@ through the same ``_run_unit`` / ``_run_cursor`` / ``_run_sub_op``:
   zero-duration ``server.parallel`` trace marker;
 - **width N** (a worker pool): the chains found by
   :func:`~repro.core.dag.analyze_batch` — and each cursor's *elements* —
-  run concurrently, each into a private outcome fragment, and the
-  fragments are merged in seq order so the response is byte-identical
-  to width 1.
+  are shared out lazily (``_fan_out``): the caller starts on them and
+  recruits helpers only while its ops block.  Units and worker runs
+  write private outcome fragments, merged in seq order so the response
+  is byte-identical to width 1.
 
 The one thing that differs is *when a value result is marshalled*, and
 it is a property of the fragment, not of the engine.  A fragment filled
@@ -51,6 +52,7 @@ need a fixed reference width to compare the fan-out against.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -87,8 +89,9 @@ from repro.wire.refs import RemoteRef
 
 
 #: Size of the process-wide shared scheduler pool (``exec_workers=None``).
-#: Eligible work is I/O-bound by declaration (``parallel_safe`` methods
-#: commute), so the pool is sized past the core count.
+#: ``parallel_safe`` declares a method order-insensitive, not blocking;
+#: the pool is sized past the core count because only ops that block
+#: (and so release the GIL) ever recruit a second thread.
 DEFAULT_EXEC_WORKERS = 16
 
 _shared_pool = None
@@ -112,6 +115,15 @@ def _default_exec_pool() -> ThreadPoolExecutor:
                     thread_name_prefix="repro-exec",
                 )
     return _shared_pool
+
+
+def _settle(recruit):
+    """Withdraw a recruited helper the pool never started
+    (``Future.cancel`` succeeds only then) or wait for it — by then it
+    has settled its own recruit the same way; its exception, or None."""
+    if recruit is None or recruit.cancel():
+        return None
+    return recruit.exception()
 
 
 class _RestartSignal(Exception):
@@ -344,45 +356,62 @@ class BatchExecutor:
         units = split_units(invocations) if dag is None else dag.units
         return units, None
 
-    def _fan_out(self, pool, fn, keys):
-        """Call ``fn(key)`` for every key; concurrently given a pool.
+    def _fan_out(self, pool, work, keys):
+        """Share *keys* out to workers: each calls ``work(claimed)``
+        once, *claimed* iterating over the keys that worker takes.
 
-        Scheduling is cancel-steal: the caller runs the first key
-        inline, then claims each still-queued one back from the pool
-        (``Future.cancel`` succeeds only before a task starts) and runs
-        it inline too.  Under a saturated pool the caller therefore
-        degenerates to the plain in-order loop that no pool (or a single
-        key) gets — never slower than width 1, and never deadlocked
-        waiting on work no thread will pick up.
+        No pool, or a single key: the caller is the only worker and
+        takes the keys in order, which *is* width 1.  Otherwise lazy
+        work sharing: the keys go in one deque, the caller recruits one
+        helper from the pool and starts draining; a helper that gets to
+        run recruits the next (while keys remain) before it drains.  So
+        width grows only while earlier workers have let go of the GIL:
+        a batch nothing blocks in pays one submit and one cancel, ops
+        that block reach full width within as many thread starts.
+
+        Every recruiter settles its own recruit on the way out, so the
+        caller waits on one future transitively and nobody waits on
+        queued work: under a saturated pool, or nested in a pool thread,
+        this degenerates to the in-order loop and cannot deadlock.  A
+        failing worker empties the deque, so no further key starts, and
+        waits out the recruits still running before its error leaves.
         """
         if pool is None or len(keys) < 2:
-            for key in keys:
-                fn(key)
+            work(iter(keys))
             return
+        queue = deque(keys)
         # The ambient span is a contextvar, so worker threads start
         # blank; re-activating the caller's span keeps ``server.op``
         # spans parented under this batch's ``server.execute``.
         parent = current_span()
 
-        def task(key):
+        def claim(helping):
+            while True:
+                try:
+                    key = queue.popleft()
+                except IndexError:
+                    return
+                if helping:
+                    self._scheduler.add("helpers")
+                    helping = False
+                yield key
+
+        def drain(helping):
+            recruit = pool.submit(drain, True) if queue else None
             token = _activate(parent)
             try:
-                fn(key)
+                work(claim(helping))
+            except BaseException:
+                queue.clear()
+                _settle(recruit)  # the first error wins
+                raise
             finally:
                 _deactivate(token)
+            error = _settle(recruit)
+            if error is not None:
+                raise error
 
-        futures = [(key, pool.submit(task, key)) for key in keys[1:]]
-        try:
-            fn(keys[0])
-            for key, fut in futures:
-                if fut.cancel():
-                    fn(key)
-                else:
-                    fut.result()
-        except BaseException:
-            for _key, fut in futures:
-                fut.cancel()
-            raise
+        drain(False)
 
     # -- main replay loop ---------------------------------------------------
 
@@ -403,12 +432,13 @@ class BatchExecutor:
             pool, chains = self._pool(), dag.chains
             fragments = [outcome.fragment() for _ in units]
 
-        def run_chain(chain):
-            for u in chain:
-                into = outcome if fragments is None else fragments[u]
-                self._run_unit(invocations, units[u], policy, into, pool)
+        def run_chains(claimed):
+            for chain in claimed:
+                for u in chain:
+                    into = outcome if fragments is None else fragments[u]
+                    self._run_unit(invocations, units[u], policy, into, pool)
 
-        self._fan_out(pool, run_chain, chains)
+        self._fan_out(pool, run_chains, chains)
         if fragments is not None:
             for frag in fragments:
                 self._merge_fragment(outcome, frag)
@@ -462,10 +492,12 @@ class BatchExecutor:
                     pool) -> bool:
         """Run a cursor op plus its sub-batch; False if the op failed.
 
-        Given a pool the elements fan out like chains do: each runs the
-        sub-batch into an element fragment, and the index-major merge
-        reproduces width 1's insertion order (elements outer, sub-ops
-        inner) exactly.
+        Given a pool the elements fan out like chains do.  A fragment
+        belongs to a worker *run*, not to an element: every value
+        sub-op files exactly one entry per element (a result or a
+        failure's ``None``), so an element's entries sit at its
+        position in the run, and the index-major merge reproduces width
+        1's insertion order (elements outer, sub-ops inner) exactly.
         """
         collection, exc, action = self._call_top_level(inv, policy, outcome)
         if exc is None:
@@ -495,32 +527,35 @@ class BatchExecutor:
         if not sub_ops:
             return True
 
-        fragments = None
-        if pool is not None:
-            fragments = [outcome.fragment() for _ in items]
-            for efrag in fragments:
+        # Width N: ``(run fragment, position)`` of each element.
+        placed = None if pool is None else [None] * len(items)
+        if placed is not None and len(items) > 1:
+            self._scheduler.add("elements", len(items))
+
+        def run_elements(claimed):
+            into = outcome
+            if placed is not None:
+                into = outcome.fragment()
                 for sub_seq in value_sub_seqs:
-                    efrag.cursor_results[sub_seq] = []
-            if len(items) > 1:
-                self._scheduler.add("elements", len(items))
+                    into.cursor_results[sub_seq] = []
+            for position, index in enumerate(claimed):
+                if placed is not None:
+                    placed[index] = (into, position)
+                for sub in sub_ops:
+                    if into.broke:
+                        return
+                    self._run_sub_op(sub, index, element_scope, policy, into)
 
-        def run_element(index):
-            into = outcome if fragments is None else fragments[index]
-            for sub in sub_ops:
-                if into.broke:
-                    return
-                self._run_sub_op(sub, index, element_scope, policy, into)
-
-        self._fan_out(pool, run_element, range(len(items)))
-        for index, efrag in enumerate(fragments or ()):
+        self._fan_out(pool, run_elements, range(len(items)))
+        for index, (run, position) in enumerate(placed or ()):
             for sub in sub_ops:
                 if sub.returns_kind == "value":
-                    entry = efrag.cursor_results[sub.seq][0]
+                    entry = run.cursor_results[sub.seq][position]
                     bucket = outcome.cursor_results[sub.seq]
                     bucket.append(entry)
                     if isinstance(entry, _Deferred):
                         outcome.marshal_log.append((bucket, len(bucket) - 1))
-                per_element = efrag.cursor_exceptions.get(sub.seq)
+                per_element = run.cursor_exceptions.get(sub.seq)
                 if per_element and index in per_element:
                     outcome.record_element_failure(
                         sub.seq, index, per_element[index]
@@ -646,11 +681,16 @@ class BatchExecutor:
     def _resolve(self, inv, objects, element_scope=None, index=None):
         """Live target, args and kwargs of one op; KeyError carries the
         table key of a dependency that never materialized."""
-        return (
-            self._resolve_ref(inv.target, objects, element_scope, index),
-            self._substitute(inv.args, objects, element_scope, index),
-            self._substitute(inv.kwargs, objects, element_scope, index),
-        )
+        target = self._resolve_ref(inv.target, objects, element_scope, index)
+        # Most ops carry no arguments.  The recorded empty containers
+        # go through as they are: the call unpacks them, so a callee
+        # never holds (or mutates) a plan's stored dict.
+        args, kwargs = inv.args, inv.kwargs
+        if args:
+            args = self._substitute(args, objects, element_scope, index)
+        if kwargs:
+            kwargs = self._substitute(kwargs, objects, element_scope, index)
+        return target, args, kwargs
 
     def _resolve_ref(self, ref: ArgRef, objects, element_scope=None,
                      index=None):

@@ -232,3 +232,28 @@ class TestLifecycle:
             assert channel.request(b"after") == b"after"
         finally:
             network.close()
+
+    def test_timed_out_request_leaves_no_pending_entry(self):
+        """Against a peer that never answers, an abandoned request must
+        not stay in the connection's request-id table (the regression:
+        one retained future per timeout, until teardown)."""
+        network = AioNetwork(max_workers=4, queue_depth=4,
+                             request_timeout=0.2)
+        gate = threading.Event()
+        try:
+            def handler(payload):
+                if payload == b"stall":
+                    gate.wait(10.0)  # not released while the test looks
+                return payload
+
+            listener = network.listen("tcp://127.0.0.1:0", handler)
+            channel = network.connect(listener.address)
+            with pytest.raises(TransportError):
+                channel.request(b"stall")
+            # The cancellation reaches the loop before this request
+            # does, so its round trip is the synchronization point.
+            assert channel.request(b"after") == b"after"
+            assert channel._conn._pending == {}
+        finally:
+            gate.set()
+            network.close()

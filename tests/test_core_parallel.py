@@ -9,6 +9,8 @@ width 1 with its reason visible in the scheduler counters and as a
 ``server.parallel`` trace marker.
 """
 
+import threading
+from concurrent.futures import Future
 from typing import List
 
 import pytest
@@ -23,7 +25,7 @@ from repro.core.dag import (
     analyze_batch,
     split_units,
 )
-from repro.core.executor import BatchExecutor
+from repro.core.executor import BatchExecutor, _Outcome
 from repro.core.errors import UnsupportedBatchOperationError
 from repro.core.policies import (
     AbortPolicy,
@@ -35,6 +37,7 @@ from repro.core.policies import (
 from repro.core.recording import NONE_ID, ArgRef, InvocationData
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.rmi import RemoteInterface, RemoteObject, RMIServer, remote_method
+from repro.rmi.stub import Stub
 from repro.wire import encode
 from repro.wire.registry import register_exception
 
@@ -136,6 +139,93 @@ class LedgerImpl(RemoteObject, Ledger):
     def ledger_books(self):
         # Two books over the same live list.
         return [LedgerImpl(self._entries), LedgerImpl(self._entries)]
+
+
+class Probe(RemoteInterface):
+    """What the fan-out guards drive: ops that park, meet, fail and
+    report the arguments they were handed."""
+
+    @remote_method(parallel_safe=True)
+    def probe_describe(self, *parts, **named) -> str: ...
+
+    @remote_method(parallel_safe=True)
+    def probe_grab(self, **named) -> int: ...
+
+    @remote_method(parallel_safe=True)
+    def probe_widget(self) -> "Widget": ...
+
+    @remote_method(parallel_safe=True)
+    def probe_meet(self) -> int: ...
+
+    @remote_method(parallel_safe=True)
+    def probe_fail(self) -> int: ...
+
+    @remote_method(parallel_safe=True)
+    def probe_park(self) -> int: ...
+
+    @remote_method(parallel_safe=True)
+    def probe_mark(self) -> int: ...
+
+
+class Abort(BaseException):
+    """Not an ``Exception``: no policy sees it, it leaves the batch."""
+
+
+class ProbeImpl(RemoteObject, Probe):
+    def __init__(self, parties=1):
+        self.widget = WidgetImpl("pw", 7)
+        self.barrier = threading.Barrier(parties)
+        self.parked = threading.Event()
+        self.release = threading.Event()
+        self.park_finished = False
+        self.marks = 0
+        self.grabbed = []
+
+    def probe_describe(self, *parts, **named):
+        return f"{render_live(parts)} {render_live(named)}"
+
+    def probe_grab(self, **named):
+        self.grabbed.append(dict(named))
+        named["seen"] = True
+        return len(self.grabbed)
+
+    def probe_widget(self):
+        return self.widget
+
+    def probe_meet(self):
+        # Returns only once every party is inside the call at once.
+        return self.barrier.wait(timeout=10)
+
+    def probe_fail(self):
+        assert self.parked.wait(10), "the parked op never started"
+        # Let the parked op go a moment after this one has failed.
+        threading.Timer(0.1, self.release.set).start()
+        raise Abort("key 0")
+
+    def probe_park(self):
+        self.parked.set()
+        assert self.release.wait(10), "the parked op was never released"
+        self.park_finished = True
+        return 1
+
+    def probe_mark(self):
+        self.marks += 1
+        return self.marks
+
+
+def render_live(value):
+    """*value* with live widgets and stubs named, containers kept."""
+    if isinstance(value, WidgetImpl):
+        return f"<live {value.tag}>"
+    if isinstance(value, Stub):
+        return f"<stub {value.widget_tag()}>"
+    if isinstance(value, (list, tuple)):
+        inner = ", ".join(render_live(v) for v in value)
+        return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            f"{k}: {render_live(v)}" for k, v in value.items()) + "}"
+    return repr(value)
 
 
 def make_rack():
@@ -307,10 +397,10 @@ class TestSplitUnits:
 
 class TestByteIdentity:
     def run_modes(self, network, batch, make_root=make_rack, policy=None,
-                  **kwargs):
+                  widths=(0, 4), **kwargs):
         """The same batch on fresh width-1 and width-4 universes."""
         responses = []
-        for workers in (0, 4):
+        for workers in widths:
             # Same address both times (sequentially), so exported
             # remote references can be compared byte-for-byte.
             server = RMIServer(network, "sim://ident:1").start()
@@ -556,6 +646,205 @@ class TestFallbackTaxonomy:
             ContinuePolicy(),
         )
         assert parallel_executor.scheduler.snapshot()["elements"] == 4
+
+
+class NeverRunsPool:
+    """A pool whose tasks stay queued for ever: ``submit`` hands back a
+    pending future (so ``cancel`` succeeds) and runs nothing."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append((fn, args))
+        return Future()
+
+
+class TestLazyFanOut:
+    """The fan-out recruits helpers one at a time and only a helper that
+    runs recruits the next; nobody waits on queued work.  None of these
+    reads a clock: a hang (bounded by the waits' timeouts) or a count is
+    the failure."""
+
+    def test_idle_pool_costs_one_submit_and_few_fragments(
+            self, network, monkeypatch):
+        widgets = [WidgetImpl(f"w{i:02d}", i, flagged=i % 5 == 0)
+                   for i in range(32)]
+        batch = (
+            inv(1, "rack_widgets", kind="cursor"),
+            inv(2, "widget_tag", target=1, cursor_seq=1),
+            inv(3, "widget_weight", target=1, cursor_seq=1),
+        )
+        fragments = []
+        make_fragment = _Outcome.fragment
+        monkeypatch.setattr(
+            _Outcome, "fragment",
+            lambda self: fragments.append(1) or make_fragment(self),
+        )
+        server = RMIServer(network, "sim://ident:1").start()
+        executor = BatchExecutor(server, exec_workers=4)
+        pool = NeverRunsPool()
+        monkeypatch.setattr(executor, "_pool", lambda: pool)
+        try:
+            wide = executor.invoke_batch(
+                RackImpl(widgets), batch, ContinuePolicy())
+            snap = executor.scheduler.snapshot()
+        finally:
+            server.close()
+        # One fan-out had keys to share (the cursor's 32 elements; the
+        # single chain has nothing to share) and recruited once.
+        assert len(pool.submitted) == 1
+        assert (snap["parallel_batches"], snap["elements"]) == (1, 32)
+        assert snap["helpers"] == 0
+        # The unit's fragment and the caller's one run of 32 elements.
+        assert len(fragments) <= 3
+        (narrow,) = TestByteIdentity().run_modes(
+            network, batch, make_root=lambda: RackImpl(widgets), widths=(0,))
+        TestByteIdentity().assert_identical(narrow, wide)
+        assert sorted(wide.cursor_exceptions[3]) == [0, 5, 10, 15, 20, 25, 30]
+
+    @pytest.mark.parametrize("parties", [2, 8])
+    def test_blocking_keys_recruit_to_full_width(self, network, parties):
+        """Every op waits for all the others to be running: recruitment
+        is transitive (caller → helper → helper ...) and reaches the
+        width of the batch."""
+        server = RMIServer(network, "sim://meet:1").start()
+        executor = BatchExecutor(server, exec_workers=parties)
+        try:
+            response = executor.invoke_batch(
+                ProbeImpl(parties),
+                tuple(inv(seq, "probe_meet")
+                      for seq in range(1, parties + 1)),
+                ContinuePolicy(),
+            )
+            snap = executor.scheduler.snapshot()
+        finally:
+            executor.close()
+            server.close()
+        assert response.exceptions == {}  # no BrokenBarrierError
+        assert sorted(response.results.values()) == list(range(parties))
+        assert snap["helpers"] == parties - 1
+
+    def test_nested_fan_out_on_a_small_pool(self, network):
+        """4 chains, each a 4-element cursor, on 2 pool threads: chain
+        workers fan their elements out on the pool they run on, so any
+        wait on queued work would hang here."""
+        batch = tuple(
+            op
+            for seq in (1, 3, 5, 7)
+            for op in (inv(seq, "rack_widgets", kind="cursor"),
+                       inv(seq + 1, "widget_weight", target=seq,
+                           cursor_seq=seq))
+        )
+        one, two = TestByteIdentity().run_modes(
+            network, batch, widths=(0, 2))
+        TestByteIdentity().assert_identical(one, two)
+        assert two.cursor_lengths == {1: 4, 3: 4, 5: 4, 7: 4}
+        assert two.cursor_results[8] == [10, None, 30, None]
+
+    def test_failing_key_leaves_no_straggler(self, network):
+        """Key 0 raises out of the batch while key 1 is parked in a pool
+        thread: the error propagates only once the parked op is done,
+        and no later key starts (the regression: running stragglers kept
+        executing ops after ``invoke_batch`` had raised)."""
+        root = ProbeImpl()
+        server = RMIServer(network, "sim://straggler:1").start()
+        # One pool thread: it takes key 1, the helper it recruits for
+        # keys 2.. stays queued.
+        executor = BatchExecutor(server, exec_workers=1)
+        batch = (inv(1, "probe_fail"), inv(2, "probe_park"),
+                 inv(3, "probe_mark"), inv(4, "probe_mark"))
+        try:
+            with pytest.raises(Abort):
+                executor.invoke_batch(root, batch, ContinuePolicy())
+            assert root.park_finished
+            assert root.marks == 0
+        finally:
+            root.release.set()
+            executor.close()
+            server.close()
+        assert root.marks == 0
+
+
+class TestResolveFastPath:
+    """Ops without arguments skip the substitution walk; ops with them
+    resolve exactly as they did."""
+
+    def test_nested_refs_substitute_at_both_widths(self, network):
+        batch = (
+            inv(1, "probe_widget", kind="remote"),
+            inv(2, "probe_describe", args=([ArgRef(1), 1],)),
+            inv(3, "probe_describe", args=((ArgRef(1), "t"),)),
+            inv(4, "probe_describe", kwargs={"named": {"k": ArgRef(1)}}),
+            inv(5, "probe_describe", args=(ArgRef(1),),
+                kwargs={"also": [(ArgRef(1),)]}),
+            inv(6, "probe_describe"),
+            inv(7, "probe_grab"),
+        )
+        one, four = TestByteIdentity().run_modes(
+            network, batch, make_root=ProbeImpl)
+        TestByteIdentity().assert_identical(one, four)
+        assert one.exceptions == {}
+        assert one.results == {
+            2: "([<live pw>, 1]) {}",
+            3: "((<live pw>, 't')) {}",
+            4: "() {named: {k: <live pw>}}",
+            5: "(<live pw>) {also: [(<live pw>)]}",
+            6: "() {}",
+            7: 1,
+        }
+
+    def test_remote_ref_argument_becomes_a_stub(self, network):
+        """§4.4's quirk holds on the non-empty path: a plain remote
+        argument arrives as a loopback stub, never the live object."""
+        server = RMIServer(network, "sim://stub-arg:1").start()
+        spare_ref = server.export(WidgetImpl("spare", 1))
+        try:
+            for workers in (0, 4):
+                executor = BatchExecutor(server, exec_workers=workers)
+                try:
+                    response = executor.invoke_batch(
+                        ProbeImpl(),
+                        (inv(1, "probe_describe", args=(spare_ref,)),
+                         inv(2, "probe_describe", args=([spare_ref],))),
+                        ContinuePolicy(),
+                    )
+                finally:
+                    executor.close()
+                assert response.exceptions == {}
+                assert response.results == {
+                    1: "(<stub spare>) {}", 2: "([<stub spare>]) {}",
+                }
+        finally:
+            server.close()
+
+    def test_plan_hit_keeps_its_stored_kwargs(self, network):
+        """An op recorded without keyword arguments hands the callee a
+        fresh dict every time — never the installed plan's own."""
+        from repro.core import create_batch
+        from repro.rmi import RMIClient
+
+        root = ProbeImpl()
+        server = RMIServer(network, "sim://plan-kwargs:1").start()
+        server.bind("probe", root)
+        client = RMIClient(network, server.address)
+        try:
+            stub = client.lookup("probe")
+            for expected in (1, 2, 3):  # inline, install, plan hit
+                batch = create_batch(stub, policy=ContinuePolicy(),
+                                     reuse_plans=True)
+                grabbed = batch.probe_grab()
+                batch.flush()
+                assert grabbed.get() == expected
+            assert server.plan_cache.stats.snapshot().hits == 1
+            # The callee writes into what it was handed; it saw nothing
+            # left behind by an earlier call, and the plan is untouched.
+            assert root.grabbed == [{}, {}, {}]
+            (entry,) = server.plan_cache._entries.values()
+            assert [op.kwargs for op in entry.plan.ops] == [{}]
+        finally:
+            client.close()
+            server.close()
 
 
 class TestTraceMarkers:

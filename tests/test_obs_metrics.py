@@ -361,6 +361,7 @@ class TestBridgeNames:
             "server.scheduler.fallback.shape",
             "server.scheduler.fallback.single_chain",
             "server.scheduler.fallback.unsafe_method",
+            "server.scheduler.helpers",
             "server.scheduler.parallel_batches",
             "server.scheduler.serial_batches",
         ]
@@ -399,6 +400,7 @@ class TestBridgeNames:
             "server.scheduler.fallback.shape": 0,
             "server.scheduler.fallback.single_chain": 0,
             "server.scheduler.fallback.unsafe_method": 0,
+            "server.scheduler.helpers": 0,
             "server.scheduler.parallel_batches": 0,
             "server.scheduler.serial_batches": 4,
         }
