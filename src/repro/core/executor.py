@@ -172,7 +172,7 @@ class _Outcome:
 
     def fragment(self) -> "_Outcome":
         """A private outcome over the same object table, for one unit or
-        cursor element run off-thread."""
+        one worker's run of cursor elements off-thread."""
         return _Outcome(objects=self.objects, marshal_log=[])
 
     def record_failure(self, seq: int, exc: BaseException,
@@ -378,40 +378,41 @@ class BatchExecutor:
         """
         if pool is None or len(keys) < 2:
             work(iter(keys))
-            return
-        queue = deque(keys)
-        # The ambient span is a contextvar, so worker threads start
-        # blank; re-activating the caller's span keeps ``server.op``
-        # spans parented under this batch's ``server.execute``.
-        parent = current_span()
+        else:
+            # The ambient span is a contextvar, so worker threads start
+            # blank; re-activating the caller's span keeps ``server.op``
+            # spans parented under this batch's ``server.execute``.
+            self._drain(pool, work, deque(keys), current_span(), False)
 
-        def claim(helping):
-            while True:
-                try:
-                    key = queue.popleft()
-                except IndexError:
-                    return
-                if helping:
-                    self._scheduler.add("helpers")
-                    helping = False
-                yield key
+    def _drain(self, pool, work, queue, parent, helping):
+        """One worker of a fan-out: recruit, drain, settle.  A method:
+        a closure that submits itself is a reference cycle per flush."""
+        recruit = pool.submit(self._drain, pool, work, queue, parent,
+                              True) if queue else None
+        token = _activate(parent)
+        try:
+            work(self._claim(queue, helping))
+        except BaseException:
+            queue.clear()
+            _settle(recruit)  # the first error wins
+            raise
+        finally:
+            _deactivate(token)
+        error = _settle(recruit)
+        if error is not None:
+            raise error
 
-        def drain(helping):
-            recruit = pool.submit(drain, True) if queue else None
-            token = _activate(parent)
+    def _claim(self, queue, helping):
+        """Keys off the shared deque; a helper that gets one is counted."""
+        while True:
             try:
-                work(claim(helping))
-            except BaseException:
-                queue.clear()
-                _settle(recruit)  # the first error wins
-                raise
-            finally:
-                _deactivate(token)
-            error = _settle(recruit)
-            if error is not None:
-                raise error
-
-        drain(False)
+                key = queue.popleft()
+            except IndexError:
+                return
+            if helping:
+                self._scheduler.add("helpers")
+                helping = False
+            yield key
 
     # -- main replay loop ---------------------------------------------------
 
@@ -493,11 +494,10 @@ class BatchExecutor:
         """Run a cursor op plus its sub-batch; False if the op failed.
 
         Given a pool the elements fan out like chains do.  A fragment
-        belongs to a worker *run*, not to an element: every value
-        sub-op files exactly one entry per element (a result or a
-        failure's ``None``), so an element's entries sit at its
-        position in the run, and the index-major merge reproduces width
-        1's insertion order (elements outer, sub-ops inner) exactly.
+        belongs to a worker *run*: every value sub-op files exactly one
+        entry per element (a result or a failure's ``None``), so an
+        element's entries sit at its position in the run, and the
+        index-major merge reproduces width 1's insertion order exactly.
         """
         collection, exc, action = self._call_top_level(inv, policy, outcome)
         if exc is None:

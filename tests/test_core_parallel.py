@@ -9,6 +9,8 @@ width 1 with its reason visible in the scheduler counters and as a
 ``server.parallel`` trace marker.
 """
 
+import contextlib
+import gc
 import threading
 from concurrent.futures import Future
 from typing import List
@@ -281,6 +283,19 @@ def parallel_executor(network):
     yield executor
     executor.close()
     server.close()
+
+
+@contextlib.contextmanager
+def executor_of_width(network, workers):
+    """A started server and an executor with a private pool of
+    *workers* threads, both closed on the way out."""
+    server = RMIServer(network, "sim://width-exec:1").start()
+    executor = BatchExecutor(server, exec_workers=workers)
+    try:
+        yield executor
+    finally:
+        executor.close()
+        server.close()
 
 
 class TestAnalysis:
@@ -667,7 +682,7 @@ class TestLazyFanOut:
     the failure."""
 
     def test_idle_pool_costs_one_submit_and_few_fragments(
-            self, network, monkeypatch):
+            self, network, parallel_executor, monkeypatch):
         widgets = [WidgetImpl(f"w{i:02d}", i, flagged=i % 5 == 0)
                    for i in range(32)]
         batch = (
@@ -681,16 +696,11 @@ class TestLazyFanOut:
             _Outcome, "fragment",
             lambda self: fragments.append(1) or make_fragment(self),
         )
-        server = RMIServer(network, "sim://ident:1").start()
-        executor = BatchExecutor(server, exec_workers=4)
         pool = NeverRunsPool()
-        monkeypatch.setattr(executor, "_pool", lambda: pool)
-        try:
-            wide = executor.invoke_batch(
-                RackImpl(widgets), batch, ContinuePolicy())
-            snap = executor.scheduler.snapshot()
-        finally:
-            server.close()
+        monkeypatch.setattr(parallel_executor, "_pool", lambda: pool)
+        wide = parallel_executor.invoke_batch(
+            RackImpl(widgets), batch, ContinuePolicy())
+        snap = parallel_executor.scheduler.snapshot()
         # One fan-out had keys to share (the cursor's 32 elements; the
         # single chain has nothing to share) and recruited once.
         assert len(pool.submitted) == 1
@@ -708,9 +718,7 @@ class TestLazyFanOut:
         """Every op waits for all the others to be running: recruitment
         is transitive (caller → helper → helper ...) and reaches the
         width of the batch."""
-        server = RMIServer(network, "sim://meet:1").start()
-        executor = BatchExecutor(server, exec_workers=parties)
-        try:
+        with executor_of_width(network, parties) as executor:
             response = executor.invoke_batch(
                 ProbeImpl(parties),
                 tuple(inv(seq, "probe_meet")
@@ -718,9 +726,6 @@ class TestLazyFanOut:
                 ContinuePolicy(),
             )
             snap = executor.scheduler.snapshot()
-        finally:
-            executor.close()
-            server.close()
         assert response.exceptions == {}  # no BrokenBarrierError
         assert sorted(response.results.values()) == list(range(parties))
         assert snap["helpers"] == parties - 1
@@ -742,27 +747,44 @@ class TestLazyFanOut:
         assert two.cursor_lengths == {1: 4, 3: 4, 5: 4, 7: 4}
         assert two.cursor_results[8] == [10, None, 30, None]
 
+    def test_fan_out_leaves_no_cyclic_garbage(self, parallel_executor):
+        """A worker that submitted *itself* as a closure made every
+        flush a reference cycle (≈ 200 objects, the fragments among
+        them) that only the cycle collector frees — it read as server
+        RSS on the e2e ruler."""
+        batch = (
+            inv(1, "rack_widgets", kind="cursor"),
+            inv(2, "widget_tag", target=1, cursor_seq=1),
+        )
+        rack = make_rack()
+        parallel_executor.invoke_batch(rack, batch, ContinuePolicy())
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                parallel_executor.invoke_batch(rack, batch, ContinuePolicy())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_failing_key_leaves_no_straggler(self, network):
         """Key 0 raises out of the batch while key 1 is parked in a pool
         thread: the error propagates only once the parked op is done,
         and no later key starts (the regression: running stragglers kept
         executing ops after ``invoke_batch`` had raised)."""
         root = ProbeImpl()
-        server = RMIServer(network, "sim://straggler:1").start()
-        # One pool thread: it takes key 1, the helper it recruits for
-        # keys 2.. stays queued.
-        executor = BatchExecutor(server, exec_workers=1)
         batch = (inv(1, "probe_fail"), inv(2, "probe_park"),
                  inv(3, "probe_mark"), inv(4, "probe_mark"))
-        try:
-            with pytest.raises(Abort):
-                executor.invoke_batch(root, batch, ContinuePolicy())
-            assert root.park_finished
-            assert root.marks == 0
-        finally:
-            root.release.set()
-            executor.close()
-            server.close()
+        # One pool thread: it takes key 1, the helper it recruits for
+        # keys 2.. stays queued.
+        with executor_of_width(network, 1) as executor:
+            try:
+                with pytest.raises(Abort):
+                    executor.invoke_batch(root, batch, ContinuePolicy())
+                assert root.park_finished
+            finally:
+                root.release.set()
+        # Not even once the pool has been drained and shut down.
         assert root.marks == 0
 
 
@@ -797,26 +819,19 @@ class TestResolveFastPath:
     def test_remote_ref_argument_becomes_a_stub(self, network):
         """§4.4's quirk holds on the non-empty path: a plain remote
         argument arrives as a loopback stub, never the live object."""
-        server = RMIServer(network, "sim://stub-arg:1").start()
-        spare_ref = server.export(WidgetImpl("spare", 1))
-        try:
-            for workers in (0, 4):
-                executor = BatchExecutor(server, exec_workers=workers)
-                try:
-                    response = executor.invoke_batch(
-                        ProbeImpl(),
-                        (inv(1, "probe_describe", args=(spare_ref,)),
-                         inv(2, "probe_describe", args=([spare_ref],))),
-                        ContinuePolicy(),
-                    )
-                finally:
-                    executor.close()
-                assert response.exceptions == {}
-                assert response.results == {
-                    1: "(<stub spare>) {}", 2: "([<stub spare>]) {}",
-                }
-        finally:
-            server.close()
+        for workers in (0, 4):
+            with executor_of_width(network, workers) as executor:
+                spare_ref = executor._server.export(WidgetImpl("spare", 1))
+                response = executor.invoke_batch(
+                    ProbeImpl(),
+                    (inv(1, "probe_describe", args=(spare_ref,)),
+                     inv(2, "probe_describe", args=([spare_ref],))),
+                    ContinuePolicy(),
+                )
+            assert response.exceptions == {}
+            assert response.results == {
+                1: "(<stub spare>) {}", 2: "([<stub spare>]) {}",
+            }
 
     def test_plan_hit_keeps_its_stored_kwargs(self, network):
         """An op recorded without keyword arguments hands the callee a
