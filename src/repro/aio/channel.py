@@ -2,14 +2,16 @@
 
 Two pieces:
 
-- :class:`AioConnection` — the asyncio-native engine: one TCP stream,
-  a negotiated pipelining envelope (falling back to sequential framing
-  against legacy listeners), and a request-id → future table so any
-  number of concurrent ``await request()`` calls multiplex over the one
-  socket and complete out of order.  Lives entirely on one event loop.
+- :class:`AioConnection` — an ``asyncio.Protocol`` on the shared
+  background loop: one TCP transport, a negotiated pipelining envelope
+  (falling back to sequential framing against legacy listeners), and a
+  request-id → ``concurrent.futures.Future`` table so any number of
+  in-flight requests multiplex over the one socket and complete out of
+  order.  A round trip is handed over twice on this side: the caller
+  frames the request in its own thread and passes it to the loop with
+  its waiter; ``data_received`` settles the waiter with the response.
 - :class:`AioChannel` — the synchronous :class:`~repro.net.transport.
-  Channel` facade over an :class:`AioConnection` running on the shared
-  background loop.  It is thread-safe *without* serializing round trips:
+  Channel` facade.  It is thread-safe *without* serializing round trips:
   N threads calling :meth:`AioChannel.request` share the connection and
   their requests pipeline.  This is what lets every existing sync layer
   — ``RMIClient``, ``create_batch``, plan reuse — run over the asyncio
@@ -19,6 +21,7 @@ Two pieces:
 from __future__ import annotations
 
 import asyncio
+import collections
 import concurrent.futures
 import itertools
 import threading
@@ -28,7 +31,6 @@ from repro.aio.frames import (
     MAGIC,
     MAGIC_ACK,
     framed_envelope_views,
-    read_frame_async,
     split_envelope,
 )
 from repro.net.tcp import parse_tcp_address
@@ -38,137 +40,140 @@ from repro.net.transport import (
     ConnectionClosedError,
     TransportError,
 )
-from repro.wire.framing import frame_views
+from repro.wire.errors import DecodeError
+from repro.wire.framing import FrameBuffer, frame_views
 
 #: Seconds allowed for TCP connect plus the pipelining handshake.
 CONNECT_TIMEOUT = 10.0
 
 
-class AioConnection:
-    """A multiplexed framed connection; every method runs on its loop."""
+def _settle(setter, value) -> None:
+    """Complete a waiter that its caller may have just abandoned: losing
+    that race to a timeout's ``cancel()`` is not a connection failure."""
+    try:
+        setter(value)
+    except concurrent.futures.InvalidStateError:
+        pass
+
+
+class AioConnection(asyncio.Protocol):
+    """A multiplexed framed connection; only :meth:`submit` and
+    :meth:`forget` may be called off its loop."""
 
     def __init__(self, loop: asyncio.AbstractEventLoop, address: str):
         self._loop = loop
         self._address = address
-        self._reader = None
-        self._writer = None
-        self._write_lock = asyncio.Lock()
-        self._pending = {}
+        self._transport = None
+        self._frames = FrameBuffer()
+        self._pending = {}                    # request id -> waiter (pipelined)
+        self._waiters = collections.deque()   # waiters in send order (legacy)
         self._ids = itertools.count(1)
-        self._read_task = None
+        self._hello = loop.create_future()    # settled by the first frame
+        self._lost = loop.create_future()     # settled by connection_lost
         self._closed = False
         self.pipelined = False
 
     async def open(self) -> "AioConnection":
         host, port = parse_tcp_address(self._address)
-        self._reader, self._writer = await asyncio.open_connection(host, port)
-        self._writer.writelines(frame_views(MAGIC))
-        await self._writer.drain()
-        ack = await read_frame_async(self._reader)
-        if ack == b"":
-            raise ConnectionClosedError(
-                f"server at {self._address!r} closed during the aio handshake"
-            )
+        await self._loop.create_connection(lambda: self, host, port)
+        self._transport.writelines(frame_views(MAGIC))
         # A legacy listener answers the hello with an ordinary (error)
-        # response instead of the ack; consume it and fall back to
-        # sequential framing on the same socket.
-        self.pipelined = ack == MAGIC_ACK
-        if self.pipelined:
-            self._read_task = self._loop.create_task(self._read_loop())
+        # response, not the ack: sequential framing on the same socket.
+        await self._hello
         return self
 
-    async def request(self, payload: bytes) -> bytes:
-        if self._closed:
+    def submit(self, payload: bytes):
+        """Frame *payload* and hand it to the loop, from any thread;
+        returns ``(request_id, waiter)``.  The scatter list is built
+        here, so an oversized payload raises in the caller, before
+        anything reaches the loop or the waiter table."""
+        if self.pipelined:
+            request_id = next(self._ids)
+            views = framed_envelope_views(request_id, payload)
+        else:
+            request_id = None
+            views = frame_views(payload)
+        waiter = concurrent.futures.Future()
+        try:
+            self._loop.call_soon_threadsafe(self._send, request_id, views, waiter)
+        except RuntimeError as exc:  # the loop is closed
             raise ConnectionClosedError(
                 f"connection to {self._address!r} is closed"
-            )
-        if not self.pipelined:
-            return await self._request_sequential(payload)
-        request_id = next(self._ids)
-        # Build the scatter list (frame header, envelope, payload — no
-        # concatenation copies) before registering the future: an
-        # oversized payload must raise without leaking a pending entry.
-        views = framed_envelope_views(request_id, payload)
-        future = self._loop.create_future()
-        self._pending[request_id] = future
-        try:
-            async with self._write_lock:
-                self._writer.writelines(views)
-                await self._writer.drain()
-        except (OSError, ConnectionError) as exc:
-            self._pending.pop(request_id, None)
-            await self._teardown(exc)
-            raise ConnectionClosedError(
-                f"i/o failure talking to {self._address!r}: {exc}"
             ) from exc
-        try:
-            return await future
-        finally:
-            # Cancelled while waiting (the sync facade's timeout): no
-            # response may ever come to take the entry out.
-            self._pending.pop(request_id, None)
+        return request_id, waiter
 
-    async def _request_sequential(self, payload: bytes) -> bytes:
-        # Legacy peer: one round trip at a time; the lock spans the whole
-        # exchange, exactly like TcpChannel's io lock.
-        async with self._write_lock:
+    def forget(self, request_id) -> None:
+        """Drop an abandoned request's table entry — no response may ever
+        come to take it out.  (A legacy waiter keeps its place in line,
+        so the unenveloped responses behind it still pair up.)"""
+        if request_id is not None:
             try:
-                self._writer.writelines(frame_views(payload))
-                await self._writer.drain()
-                response = await read_frame_async(self._reader)
-            except (OSError, ConnectionError) as exc:
-                await self._teardown(exc)
-                raise ConnectionClosedError(
-                    f"i/o failure talking to {self._address!r}: {exc}"
-                ) from exc
-        if response == b"":
-            await self._teardown(None)
-            raise ConnectionClosedError(
-                f"server at {self._address!r} closed the connection"
-            )
-        return response
+                self._loop.call_soon_threadsafe(self._pending.pop, request_id, None)
+            except RuntimeError:
+                pass  # the loop is closed, and the table with it
 
-    async def _read_loop(self):
-        error = None
+    # -- event loop side -------------------------------------------------
+
+    def _send(self, request_id, views, waiter) -> None:
+        if self._closed:
+            return _settle(waiter.set_exception, ConnectionClosedError(
+                f"connection to {self._address!r} is closed"
+            ))
+        if request_id is None:
+            self._waiters.append(waiter)
+        else:
+            self._pending[request_id] = waiter
+        self._transport.writelines(views)
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._frames.feed(data)
         try:
-            while True:
-                frame_body = await read_frame_async(self._reader)
-                if frame_body == b"":
-                    break
-                request_id, payload = split_envelope(frame_body)
-                future = self._pending.pop(request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(payload)
-        except asyncio.CancelledError:
-            return  # close() settles the pending futures
-        except Exception as exc:  # noqa: BLE001 - every reason fails the conn
-            error = exc
-        await self._teardown(error, cancel_reader=False)
+            for body in self._frames.frames():
+                if not self._hello.done():
+                    self.pipelined = body == MAGIC_ACK
+                    self._hello.set_result(None)
+                elif self.pipelined:
+                    request_id, payload = split_envelope(body)
+                    waiter = self._pending.pop(request_id, None)
+                    if waiter is not None:  # else: forgotten by its caller
+                        _settle(waiter.set_result, payload)
+                elif self._waiters:
+                    _settle(self._waiters.popleft().set_result, body)
+        except DecodeError as exc:
+            self._teardown(exc)
 
-    async def _teardown(self, error, cancel_reader: bool = True):
+    def eof_received(self) -> None:
+        try:
+            self._frames.eof()
+        except DecodeError as exc:
+            self._teardown(exc)
+
+    def connection_lost(self, exc) -> None:
+        self._teardown(exc)
+        self._lost.set_result(None)
+
+    def _teardown(self, error) -> None:
         if self._closed:
             return
         self._closed = True
-        if cancel_reader and self._read_task is not None:
-            self._read_task.cancel()
-        reason = (
-            f"connection to {self._address!r} lost: {error}"
-            if error is not None
-            else f"connection to {self._address!r} closed"
-        )
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(ConnectionClosedError(reason))
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
+        reason = f"connection to {self._address!r} " + (
+            "closed" if error is None else f"lost: {error}")
+        if not self._hello.done():
+            self._hello.set_exception(ConnectionClosedError(
+                f"server at {self._address!r} closed during the aio handshake"
+            ))
+        for waiter in (*self._pending.values(), *self._waiters):
+            _settle(waiter.set_exception, ConnectionClosedError(reason))
+        self._pending.clear()
+        self._waiters.clear()
+        self._transport.close()
 
     async def close(self):
-        await self._teardown(None)
+        self._teardown(None)
+        await self._lost  # the socket is closed, not merely closing
 
 
 class AioChannel(Channel):
@@ -176,8 +181,8 @@ class AioChannel(Channel):
 
     Concurrent :meth:`request` calls from any number of threads
     multiplex over the single connection — no per-channel serialization
-    (unless the peer is a legacy listener, where round trips serialize
-    to keep the unenveloped stream coherent).
+    (a legacy listener answers in order, so round trips there queue up
+    on the peer instead).
 
     *request_timeout* bounds each round trip (seconds); ``None`` waits
     forever.  A timed-out pipelined request abandons only itself — the
@@ -219,36 +224,33 @@ class AioChannel(Channel):
         """Whether the peer accepted the multiplexing envelope."""
         return self._conn.pipelined
 
+    def _submit(self, payload: bytes):
+        if not self._open:
+            raise ConnectionClosedError(f"channel to {self._address!r} is closed")
+        return self._conn.submit(payload)
+
     def request(self, payload: bytes) -> bytes:
         """Send *payload*, block until the peer's response arrives."""
-        if not self._open:
-            raise ConnectionClosedError(
-                f"channel to {self._address!r} is closed"
-            )
         started = time.monotonic() if self._trace is not None else 0.0
-        future = self._loop_thread.submit(self._conn.request(payload))
+        request_id, waiter = self._submit(payload)
         try:
-            response = future.result(self._request_timeout)
+            response = waiter.result(self._request_timeout)
         except concurrent.futures.TimeoutError:
-            future.cancel()
+            waiter.cancel()
+            self._conn.forget(request_id)
             if not self._conn.pipelined:
-                # The unenveloped response stream is now desynchronized.
+                # A legacy peer answers strictly in order: everything sent
+                # after the stalled request would wait behind it.
                 self.close()
             raise TransportError(
                 f"request to {self._address!r} timed out after "
                 f"{self._request_timeout}s"
             ) from None
-        except TransportError:
-            raise
-        except Exception as exc:
-            raise ConnectionClosedError(
-                f"i/o failure talking to {self._address!r}: {exc}"
-            ) from exc
-        self.stats.record_request(len(payload), len(response))
-        self._trace_round_trip(started, len(payload), len(response))
+        self._record(started, len(payload), len(response))
         return response
 
-    def _trace_round_trip(self, started, bytes_up, bytes_down) -> None:
+    def _record(self, started, bytes_up, bytes_down) -> None:
+        self.stats.record_request(bytes_up, bytes_down)
         if self._trace is None:
             return
         from repro.net.trace import MessageEvent
@@ -261,20 +263,21 @@ class AioChannel(Channel):
     def request_async(self, payload: bytes):
         """Awaitable round trip, usable from *any* event loop.
 
-        The coroutine runs on the channel's background loop; the returned
-        future is awaitable where the caller lives.  Stats are recorded on
-        completion.
+        The same hand-off as :meth:`request`; the waiter is wrapped for
+        the caller's loop instead of blocked on.  Stats are recorded on
+        completion; cancelling the awaitable abandons the request.
         """
-        return asyncio.wrap_future(
-            self._loop_thread.submit(self._recorded_request(payload))
-        )
-
-    async def _recorded_request(self, payload: bytes) -> bytes:
         started = time.monotonic() if self._trace is not None else 0.0
-        response = await self._conn.request(payload)
-        self.stats.record_request(len(payload), len(response))
-        self._trace_round_trip(started, len(payload), len(response))
-        return response
+        request_id, waiter = self._submit(payload)
+
+        def done(waiter, bytes_up=len(payload)):  # not the payload itself
+            if waiter.cancelled():
+                self._conn.forget(request_id)
+            elif waiter.exception() is None:
+                self._record(started, bytes_up, len(waiter.result()))
+
+        waiter.add_done_callback(done)
+        return asyncio.wrap_future(waiter)
 
     def close(self) -> None:
         with self._close_lock:

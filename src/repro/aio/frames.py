@@ -20,11 +20,13 @@ requests can be in flight on one connection and complete out of order:
 
 MAGIC is not a valid TLV encoding of any protocol message, so it can
 never collide with a real first request.
+
+Both ends are ``asyncio.Protocol`` objects whose ``data_received`` feeds
+the shared reassembler, :class:`repro.wire.framing.FrameBuffer`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import struct
 
 from repro.wire.errors import DecodeError
@@ -50,8 +52,8 @@ def pack_envelope(request_id: int, payload: bytes) -> bytes:
 
 def framed_envelope_views(request_id: int, payload):
     """The ``(frame header, envelope, payload)`` scatter list for one
-    enveloped frame — feed it to ``StreamWriter.writelines`` so neither
-    the envelope nor the frame is glued into a staging buffer."""
+    enveloped frame — feed it to ``transport.writelines`` so the caller
+    glues neither the envelope nor the frame into a staging buffer."""
     size = ENVELOPE_BYTES + len(payload)
     if size > MAX_FRAME_SIZE:
         raise FrameTooLargeError(size)
@@ -67,31 +69,3 @@ def split_envelope(frame_body: bytes):
         )
     (request_id,) = _u64.unpack_from(frame_body)
     return request_id, frame_body[ENVELOPE_BYTES:]
-
-
-async def read_frame_async(reader: asyncio.StreamReader) -> bytes:
-    """Read one complete frame from an asyncio stream.
-
-    Returns ``b""`` on clean EOF at a frame boundary; raises
-    :class:`~repro.wire.errors.DecodeError` on EOF mid-frame or an
-    oversized prefix — the async twin of
-    :func:`repro.wire.framing.read_frame`.
-    """
-    try:
-        header = await reader.readexactly(_u32.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return b""
-        raise DecodeError(
-            f"connection closed mid-header ({len(exc.partial)}/4 bytes read)"
-        ) from exc
-    (length,) = _u32.unpack(header)
-    if length > MAX_FRAME_SIZE:
-        raise FrameTooLargeError(length)
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise DecodeError(
-            f"connection closed mid-frame ({len(exc.partial)}/{length} "
-            "bytes read)"
-        ) from exc

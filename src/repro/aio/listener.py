@@ -4,15 +4,18 @@
 as the threaded :class:`~repro.net.tcp.TcpListener`, with a different
 serving model:
 
-- **accept loop** — one asyncio server task per connection instead of
-  one thread; thousands of idle connections cost almost nothing;
+- **accept loop** — one ``asyncio.Protocol`` object per connection
+  instead of one thread (and no task or coroutine per connection or per
+  request); thousands of idle connections cost almost nothing;
 - **pipelining** — a negotiated correlation envelope (see
   :mod:`repro.aio.frames`) lets one connection keep many requests in
   flight and receive responses out of order; legacy clients that skip
   the handshake get strict sequential service on the same port;
 - **bounded worker pool** — the handler (RMI dispatch plus user code)
   blocks, so it runs on a ``ThreadPoolExecutor`` off the event loop;
-  ``max_workers`` bounds concurrent execution;
+  ``max_workers`` bounds concurrent execution.  A request is handed
+  over twice: ``pool.submit`` in, one ``call_soon_threadsafe`` from the
+  worker back to the loop, which writes the response;
 - **admission control** — at most ``max_workers + queue_depth`` requests
   may be admitted; beyond that the listener sheds load instantly with a
   pre-encoded :class:`~repro.rmi.exceptions.ServerBusyError` response
@@ -36,7 +39,6 @@ from repro.aio.frames import (
     MAGIC,
     MAGIC_ACK,
     framed_envelope_views,
-    read_frame_async,
     split_envelope,
 )
 from repro.aio.metrics import MetricsRecorder, ServerMetrics
@@ -48,7 +50,7 @@ from repro.rmi.exceptions import RemoteError, ServerBusyError
 from repro.rmi.protocol import CallResponse
 from repro.wire import encode
 from repro.wire.errors import DecodeError
-from repro.wire.framing import frame_views
+from repro.wire.framing import FrameBuffer, FrameTooLargeError, frame_views
 
 #: Default number of worker threads executing handlers.
 DEFAULT_MAX_WORKERS = 16
@@ -58,6 +60,105 @@ DEFAULT_QUEUE_DEPTH = 64
 
 #: Default seconds close() waits for in-flight requests to finish.
 DEFAULT_DRAIN_TIMEOUT = 5.0
+
+
+class _ServerConnection(asyncio.Protocol):
+    """One accepted socket; every method runs on the event loop.
+
+    The first frame picks the mode: :data:`MAGIC` is acknowledged and
+    every later frame is an enveloped request, dispatched as it arrives;
+    anything else is the first request of a sequential (legacy) peer,
+    served one at a time — the rest of what it sent waits in the frame
+    buffer with the socket paused.
+    """
+
+    def __init__(self, listener: "AioListener"):
+        self._listener = listener
+        self._transport = None
+        self._frames = FrameBuffer()
+        self._pipelined = None       # decided by the first frame
+        self._write_paused = False   # transport buffer above its high-water
+        self._input_ended = False    # EOF or garbage: answer, then close
+        self.outstanding = 0         # admitted from this socket, unanswered
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._listener._transports.add(transport)
+        if self._listener._closing:
+            transport.close()
+
+    def connection_lost(self, exc) -> None:
+        self._listener._transports.discard(self._transport)
+
+    def data_received(self, data: bytes) -> None:
+        self._frames.feed(data)
+        self.pump()
+
+    def eof_received(self) -> bool:
+        # A half-closed peer still gets its in-flight replies: keep the
+        # write side open; pump() closes once nothing is outstanding.
+        self._input_ended = True
+        self.pump()
+        return True
+
+    def pause_writing(self) -> None:
+        # Reached from inside pump()'s own writes too: only flag it there.
+        self._write_paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self.pump()
+
+    def pump(self) -> None:
+        """Dispatch buffered requests, then set the socket to match."""
+        transport, listener = self._transport, self._listener
+        if transport.is_closing():
+            return  # dropped or lost: what is still buffered has no reader
+        try:
+            for body in self._frames.frames():
+                if self._pipelined is None:
+                    self._pipelined = body == MAGIC
+                    if self._pipelined:
+                        transport.writelines(frame_views(MAGIC_ACK))
+                        continue
+                if self._pipelined:
+                    listener._dispatch(self, *split_envelope(body))
+                else:
+                    listener._dispatch(self, None, body)
+                if self._write_paused or (
+                        self.outstanding and not self._pipelined):
+                    break  # the rest waits in the frame buffer
+        except DecodeError:
+            # Short envelope or oversized prefix: drop this connection,
+            # once what it already had admitted is answered.
+            self._frames = FrameBuffer()
+            self._input_ended = True
+        owing = self.outstanding and (self._input_ended or not self._pipelined)
+        if self._write_paused or owing:
+            # Write flow control lives here: a peer that does not read
+            # its responses is neither read from nor dispatched for.
+            transport.pause_reading()
+        elif self._input_ended:
+            transport.close()  # nothing buffered, nothing outstanding
+        else:
+            transport.resume_reading()
+
+    def reply(self, request_id, request_bytes: int, response) -> None:
+        """Write one response (``request_id`` None: sequential framing)."""
+        transport = self._transport
+        if response is None:
+            # Injected server-side fault: drop the whole connection, the
+            # same observable failure the threaded listener produces.
+            transport.close()
+        elif not transport.is_closing():  # else the reply has no home
+            try:
+                transport.writelines(
+                    frame_views(response) if request_id is None else
+                    framed_envelope_views(request_id, response))
+            except FrameTooLargeError:
+                return transport.close()
+            self._listener.stats.record_request(request_bytes, len(response))
 
 
 class AioListener(Listener):
@@ -86,8 +187,8 @@ class AioListener(Listener):
         self._in_flight = 0          # touched only on the event loop
         self._closing = False
         self._closed = False
-        self._request_tasks = set()
-        self._writers = set()
+        self._drained = None         # close() waiting for _in_flight == 0
+        self._transports = set()
         # Shed responses are identical and hot by definition: encode once.
         self._busy_payload = encode(
             CallResponse(ServerBusyError(self._capacity), True)
@@ -97,8 +198,8 @@ class AioListener(Listener):
             # worker processes (or N listeners) share one address — the
             # multi-core serving model; see repro.aio.supervisor.
             self._server = loop_thread.run(
-                asyncio.start_server(
-                    self._on_connection, host, port,
+                self._loop.create_server(
+                    lambda: _ServerConnection(self), host, port,
                     reuse_port=reuse_port or None,
                 )
             )
@@ -128,99 +229,6 @@ class AioListener(Listener):
 
     # -- serving (event loop side) ---------------------------------------
 
-    async def _on_connection(self, reader, writer):
-        if self._closing:
-            writer.close()
-            return
-        self._writers.add(writer)
-        conn_tasks = set()
-        try:
-            first = await read_frame_async(reader)
-            if first == b"":
-                return
-            if first == MAGIC:
-                writer.writelines(frame_views(MAGIC_ACK))
-                await writer.drain()
-                await self._serve_pipelined(reader, writer, conn_tasks)
-            else:
-                await self._serve_sequential(first, reader, writer)
-        except (DecodeError, OSError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            # Let this connection's in-flight responses go out before the
-            # socket closes under them.
-            if conn_tasks:
-                await asyncio.gather(*conn_tasks, return_exceptions=True)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-
-    async def _serve_pipelined(self, reader, writer, conn_tasks):
-        """Many in-flight requests per connection, out-of-order replies."""
-        write_lock = asyncio.Lock()
-        while True:
-            frame_body = await read_frame_async(reader)
-            if frame_body == b"":
-                return
-            request_id, payload = split_envelope(frame_body)
-            if not self._admit():
-                self._recorder.on_shed()
-                self._trace_shed()
-                async with write_lock:
-                    writer.writelines(
-                        framed_envelope_views(request_id, self._busy_payload)
-                    )
-                    await writer.drain()
-                self.stats.record_request(len(payload), len(self._busy_payload))
-                continue
-            task = self._loop.create_task(
-                self._run_pipelined(request_id, payload, writer, write_lock)
-            )
-            conn_tasks.add(task)
-            task.add_done_callback(conn_tasks.discard)
-            self._track(task)
-
-    async def _run_pipelined(self, request_id, payload, writer, write_lock):
-        response = await self._execute_admitted(payload)
-        if response is None:
-            # Injected server-side fault: drop the whole connection, the
-            # same observable failure the threaded listener produces.
-            writer.close()
-            return
-        try:
-            async with write_lock:
-                # Scatter-gather: the response is framed and enveloped
-                # without being re-copied into a staging buffer.
-                writer.writelines(framed_envelope_views(request_id, response))
-                await writer.drain()
-            self.stats.record_request(len(payload), len(response))
-        except (OSError, ConnectionError):
-            pass  # peer vanished; the work is done, the reply has no home
-
-    async def _serve_sequential(self, first, reader, writer):
-        """Legacy mode: strict one-request-one-response, in order."""
-        payload = first
-        while True:
-            if not self._admit():
-                self._recorder.on_shed()
-                self._trace_shed()
-                response = self._busy_payload
-            else:
-                task = self._loop.create_task(self._execute_admitted(payload))
-                self._track(task)
-                response = await task
-            if response is None:
-                return  # injected server-side fault: drop the connection
-            writer.writelines(frame_views(response))
-            await writer.drain()
-            self.stats.record_request(len(payload), len(response))
-            payload = await read_frame_async(reader)
-            if payload == b"":
-                return
-
     def _trace_shed(self) -> None:
         """Force-record a shed marker: overload must be visible in traces
         at any sample rate (the request was never decoded, so there is no
@@ -228,29 +236,47 @@ class AioListener(Listener):
         current_tracer().event("server.shed", parent=None, force=True,
                                capacity=self._capacity)
 
-    def _admit(self) -> bool:
+    def _dispatch(self, conn, request_id, payload: bytes) -> None:
+        """Admit one request onto the pool, or shed it on the spot."""
         # Only the event loop mutates _in_flight, so this needs no lock.
         if self._closing or self._in_flight >= self._capacity:
-            return False
+            self._recorder.on_shed()
+            self._trace_shed()
+            conn.reply(request_id, len(payload), self._busy_payload)
+            return
         self._in_flight += 1
         self._recorder.on_admit()
-        return True
+        conn.outstanding += 1
+        self._pool.submit(
+            self._serve, conn, request_id, payload, time.monotonic()
+        ).add_done_callback(self._note_abandoned)
 
-    async def _execute_admitted(self, payload: bytes) -> bytes:
-        admitted_at = time.monotonic()
-        worker_future = self._pool.submit(self._invoke, payload, admitted_at)
+    def _note_abandoned(self, job) -> None:
+        # close() cancels work no worker ever started; its on_start/on_done
+        # pair will never run, so release the admission here.
+        if job.cancelled():
+            self._recorder.on_abandoned()
+
+    def _finish(self, conn, request_id, request_bytes, response):
+        """Loop side of a finished request: books, response, drain."""
+        self._in_flight -= 1
+        conn.outstanding -= 1
+        conn.reply(request_id, request_bytes, response)
+        conn.pump()
+        if self._drained is not None and not self._in_flight:
+            self._drained.set_result(None)
+            self._drained = None
+
+    # -- serving (worker pool side) --------------------------------------
+
+    def _serve(self, conn, request_id, payload, admitted_at):
+        response = self._invoke(payload, admitted_at)
         try:
-            return await asyncio.wrap_future(worker_future)
-        except asyncio.CancelledError:
-            # Teardown cancelled us.  If the worker never started, its
-            # on_start/on_done pair will never run — release the
-            # admission so the books balance (a request that did start
-            # keeps running on its worker thread and settles itself).
-            if worker_future.cancel():
-                self._recorder.on_abandoned()
-            raise
-        finally:
-            self._in_flight -= 1
+            self._loop.call_soon_threadsafe(
+                self._finish, conn, request_id, len(payload), response
+            )
+        except RuntimeError:
+            pass  # close() gave up on this handler and the loop is gone
 
     def _invoke(self, payload: bytes, admitted_at: float):
         """Worker-pool side: run the handler, never let it raise.
@@ -283,10 +309,6 @@ class AioListener(Listener):
         finally:
             self._recorder.on_done(time.monotonic() - admitted_at)
 
-    def _track(self, task) -> None:
-        self._request_tasks.add(task)
-        task.add_done_callback(self._request_tasks.discard)
-
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
@@ -305,14 +327,15 @@ class AioListener(Listener):
                 )
             except Exception:
                 pass  # drain is best-effort; the pool shutdown below is not
-        self._pool.shutdown(wait=False)
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
     async def _shutdown(self):
         self._closing = True
         self._server.close()
+        if self._in_flight:
+            self._drained = self._loop.create_future()
+            await asyncio.wait([self._drained], timeout=self._drain_timeout)
+            self._drained = None
+        for transport in list(self._transports):
+            transport.close()
         await self._server.wait_closed()
-        pending = list(self._request_tasks)
-        if pending:
-            await asyncio.wait(pending, timeout=self._drain_timeout)
-        for writer in list(self._writers):
-            writer.close()

@@ -23,6 +23,7 @@ import struct
 from repro.wire.errors import DecodeError
 
 _u32 = struct.Struct(">I")
+_join = b"".join
 
 #: Upper bound on a single message.  Large enough for the file-server
 #: macro benchmark payloads (hundreds of KB), small enough to reject
@@ -186,30 +187,61 @@ class FrameBuffer:
     """Incremental frame reassembly for non-blocking or chunked input.
 
     Feed arbitrary byte chunks with :meth:`feed`; complete frames pop out
-    of :meth:`frames`.
+    of :meth:`frames`.  Chunks are kept by reference and joined once the
+    bytes the next frame needs have all arrived, so a frame that arrives
+    in N chunks costs O(size), not O(N * size); each payload is copied
+    out of the joined bytes exactly once.  The length prefix is checked
+    against :data:`MAX_FRAME_SIZE` as soon as its four bytes are in —
+    before any of the body is accepted as a frame.
     """
 
     def __init__(self):
-        self._buf = bytearray()
+        self._chunks = []  # unconsumed input, oldest first
+        self._skip = 0     # bytes of _chunks[0] already handed out
+        self._have = 0     # unconsumed bytes buffered
+        self._need = 4     # unconsumed bytes the next parse step requires
 
     def feed(self, data: bytes):
         """Append received bytes to the reassembly buffer."""
-        self._buf += data
+        self._chunks.append(data)
+        self._have += len(data)
 
     def frames(self):
-        """Yield every complete frame currently buffered."""
-        while True:
-            if len(self._buf) < 4:
-                return
-            (length,) = _u32.unpack(bytes(self._buf[:4]))
+        """Yield every complete frame currently buffered.
+
+        The buffer is consistent before each yield, so a consumer may
+        stop iterating early and come back for the rest later.
+        """
+        if self._have < self._need:
+            return
+        if self._skip:
+            self._chunks[0] = self._chunks[0][self._skip:]
+        data = _join(self._chunks)
+        self._chunks = [data]
+        self._skip = pos = 0
+        end = len(data)
+        while end - pos >= 4:
+            (length,) = _u32.unpack_from(data, pos)
             if length > MAX_FRAME_SIZE:
                 raise FrameTooLargeError(length)
-            if len(self._buf) < 4 + length:
+            self._need = 4 + length
+            if end - pos < self._need:
                 return
-            payload = bytes(self._buf[4 : 4 + length])
-            del self._buf[: 4 + length]
-            yield payload
+            start = pos + 4
+            self._skip = pos = start + length
+            self._have -= self._need
+            self._need = 4
+            yield data[start:pos]
 
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet forming a complete frame."""
-        return len(self._buf)
+        return self._have
+
+    def eof(self) -> None:
+        """The input ended: raise :class:`DecodeError` if it ended inside
+        a frame (the wording :func:`read_frame` uses)."""
+        if self._have:
+            raise DecodeError(
+                f"connection closed mid-frame ({self._have}/{self._need} "
+                "bytes read)"
+            )

@@ -6,11 +6,22 @@ references and the interface registry has stable qualified names.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List
 
 from repro.rmi import RemoteInterface, RemoteObject
 from repro.wire.registry import register_exception, serializable
+
+
+def wait_until(predicate, timeout=10.0):
+    """Bounded poll: true as soon as *predicate* holds, false on timeout."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 @register_exception

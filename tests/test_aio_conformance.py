@@ -22,8 +22,10 @@ import pytest
 
 from repro.aio import AioNetwork, LoadTargetImpl
 from repro.core import ContinuePolicy, create_batch
-from repro.net import LAN, SimNetwork
-from repro.rmi import RMIClient, RMIServer, ServerBusyError
+from repro.net import LAN, SimNetwork, TcpNetwork
+from repro.obs import Tracer, install_tracer, uninstall_tracer
+from repro.rmi import RetryPolicy, RMIClient, RMIServer, ServerBusyError
+from repro.wire.framing import FrameTooLargeError
 
 from tests.support import BoomError, CounterImpl
 
@@ -214,3 +216,61 @@ class TestConcurrentConformance:
             client.close()
         finally:
             network.close()
+
+
+class TestOversizedRequest:
+    """A request over the frame cap is the caller's error, on every
+    transport alike: it raises :class:`FrameTooLargeError` where it was
+    made and leaves the connection — which other threads may be
+    pipelining on — exactly as it was.  (The aio channel used to report
+    a dead connection, which a retrying client then really dropped,
+    reconnected and re-sent ``max_attempts`` times.)"""
+
+    CAP = 1024
+
+    @pytest.fixture(params=[TcpNetwork, AioNetwork], ids=["tcp", "aio"])
+    def network(self, request):
+        network = request.param()
+        yield network
+        network.close()
+
+    @pytest.fixture
+    def capped(self, monkeypatch):
+        def apply():
+            monkeypatch.setattr("repro.wire.framing.MAX_FRAME_SIZE", self.CAP)
+            monkeypatch.setattr("repro.aio.frames.MAX_FRAME_SIZE", self.CAP)
+        return apply
+
+    def test_raises_in_the_caller_and_the_channel_stays_open(
+            self, network, capped):
+        listener = network.listen("tcp://127.0.0.1:0", lambda p: bytes(p))
+        channel = network.connect(listener.address)
+        assert channel.request(b"warm") == b"warm"
+        capped()
+        with pytest.raises(FrameTooLargeError):
+            channel.request(b"x" * (2 * self.CAP))
+        assert channel.stats.requests == 1
+        assert channel.request(b"same channel") == b"same channel"
+        assert channel.stats.requests == 2
+
+    def test_a_retrying_client_attempts_it_once(self, network, capped):
+        tracer = install_tracer(Tracer(sample_rate=1.0))
+        try:
+            server = RMIServer(network, "tcp://127.0.0.1:0").start()
+            server.bind("counter", CounterImpl())
+            client = RMIClient(network, server.address, retry=RetryPolicy())
+            stub = client.lookup("counter")
+            channel = client.channel
+            capped()
+            with pytest.raises(FrameTooLargeError):
+                stub.boom("x" * (2 * self.CAP))
+            failed = [attrs for attrs in (
+                span.to_dict()["attrs"] for span in tracer.spans()
+                if span.name == "client.send") if "error" in attrs]
+            assert [attrs["attempt"] for attrs in failed] == [0]
+            assert "FrameTooLargeError" in failed[0]["error"]
+            assert client.channel is channel  # not dropped, not redialled
+            assert stub.increment(1) == 1
+            client.close()
+        finally:
+            uninstall_tracer()

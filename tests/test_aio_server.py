@@ -6,16 +6,32 @@ pool + admission control, graceful drain, metrics, and the idempotent
 ``stop()`` contract.
 """
 
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.aio import AioNetwork, AioRMIClient, LoadTargetImpl
+from repro.aio.frames import MAGIC, MAGIC_ACK, pack_envelope, split_envelope
+from repro.aio.listener import AioListener, _ServerConnection
 from repro.core import create_batch
+from repro.net.tcp import parse_tcp_address
 from repro.rmi import RMIClient, RMIServer, ServerBusyError
+from repro.wire.framing import (
+    MAX_FRAME_SIZE,
+    frame_views,
+    read_frame,
+    write_frame,
+)
 
-from tests.support import BoomError, CounterImpl, IdentityServiceImpl, make_container
+from tests.support import (
+    BoomError,
+    CounterImpl,
+    IdentityServiceImpl,
+    make_container,
+    wait_until,
+)
 
 
 @pytest.fixture
@@ -441,3 +457,197 @@ class TestMetricsPercentiles:
         recorder.on_done(0.001)
         assert recorder.snapshot().queued == 0
         assert recorder.snapshot().in_flight == 0
+
+
+class RawPipelinedPeer:
+    """A hand-driven pipelined client: nothing is read unless asked."""
+
+    def __init__(self, address, rcvbuf=None):
+        host, port = parse_tcp_address(address)
+        self.sock = socket.socket()
+        if rcvbuf is not None:  # before connect, so the window honours it
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        self.sock.settimeout(10.0)
+        self.sock.connect((host, port))
+        write_frame(self.sock, MAGIC)
+        assert read_frame(self.sock) == MAGIC_ACK
+
+    def send(self, request_id, payload=b"ping"):
+        write_frame(self.sock, pack_envelope(request_id, payload))
+
+    def read_ids(self, count):
+        """Ids of the next *count* responses; fewer if EOF comes first."""
+        ids = []
+        while len(ids) < count:
+            body = read_frame(self.sock)
+            if body == b"":
+                break
+            ids.append(split_envelope(body)[0])
+        return ids
+
+    def close(self):
+        self.sock.close()
+
+
+class TestFlowControlAndTeardown:
+    """What ``drain()`` and a task per request used to give for free."""
+
+    def test_unread_responses_stop_the_reads_of_that_socket_only(
+            self, monkeypatch):
+        paused = threading.Event()
+        real_pause = _ServerConnection.pause_writing
+
+        def spying_pause(conn):
+            paused.set()
+            real_pause(conn)
+
+        monkeypatch.setattr(_ServerConnection, "pause_writing", spying_pause)
+        network = AioNetwork(max_workers=2, queue_depth=254)
+        peer = None
+        try:
+            listener = network.listen(
+                "tcp://127.0.0.1:0", lambda p: b"r" * 65536)
+            peer = RawPipelinedPeer(listener.address, rcvbuf=4096)
+
+            def served():
+                return listener.metrics.served
+
+            # One request at a time, so admission can never be what
+            # stops the count: the peer reads nothing, the kernel's
+            # buffers fill, then the transport's passes its high-water.
+            sent = 0
+            while not paused.is_set():
+                assert sent < 256, "reached capacity without a pause"
+                peer.send(sent)
+                sent += 1
+                assert wait_until(lambda: served() == sent)
+            stalled_at = sent
+            # Requests sent now are not even read...
+            for _ in range(8):
+                peer.send(sent)
+                sent += 1
+            # ...while another connection is served as usual (its round
+            # trip is also the sync point: the loop has been around).
+            other = network.connect(listener.address)
+            assert len(other.request(b"x")) == 65536
+            assert wait_until(lambda: listener.metrics.in_flight == 0)
+            assert served() == stalled_at + 1
+            # The peer drains: everything it ever sent is answered once.
+            assert sorted(peer.read_ids(sent)) == list(range(sent))
+            assert wait_until(lambda: served() == sent + 1)
+        finally:
+            if peer is not None:
+                peer.close()
+            network.close()
+
+    def test_half_closed_peer_still_gets_its_replies(self):
+        network = AioNetwork(max_workers=2, queue_depth=16)
+        try:
+            listener = network.listen("tcp://127.0.0.1:0", lambda p: p)
+            peer = RawPipelinedPeer(listener.address)
+            for request_id in range(8):
+                peer.send(request_id)
+            peer.sock.shutdown(socket.SHUT_WR)
+            assert sorted(peer.read_ids(9)) == list(range(8))  # then EOF
+            peer.close()
+        finally:
+            network.close()
+
+    def test_sequential_peer_backlog_is_served_one_at_a_time(self):
+        """A legacy peer that sends ahead of its responses (then
+        half-closes) is answered in order, never two at once."""
+        network = AioNetwork(max_workers=4, queue_depth=16)
+        running, overlaps = [], []
+
+        def handler(payload):
+            running.append(payload)
+            overlaps.append(len(running))
+            time.sleep(0.01)
+            running.remove(payload)
+            return payload
+
+        try:
+            listener = network.listen("tcp://127.0.0.1:0", handler)
+            host, port = parse_tcp_address(listener.address)
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(b"".join(
+                    part for i in range(5)
+                    for part in frame_views(b"req%d" % i)))
+                sock.shutdown(socket.SHUT_WR)
+                replies = [read_frame(sock) for _ in range(6)]
+            assert replies == [b"req%d" % i for i in range(5)] + [b""]
+            assert overlaps == [1] * 5
+        finally:
+            network.close()
+
+    def test_close_abandons_queued_work_and_survives_a_late_handler(
+            self, monkeypatch, caplog):
+        network = AioNetwork(max_workers=1, queue_depth=8, drain_timeout=0.2)
+        gate, parked, finished = (threading.Event() for _ in range(3))
+
+        def handler(payload):
+            if payload == b"park":
+                parked.set()
+                gate.wait(10.0)
+                finished.set()
+            return payload
+
+        worker_errors = []
+        real_serve = AioListener._serve
+
+        def spying_serve(listener, *args):
+            try:
+                return real_serve(listener, *args)
+            except BaseException as exc:
+                worker_errors.append(exc)
+                raise
+
+        monkeypatch.setattr(AioListener, "_serve", spying_serve)
+        try:
+            listener = network.listen("tcp://127.0.0.1:0", handler)
+            peer = RawPipelinedPeer(listener.address)
+            peer.send(0, b"park")
+            assert parked.wait(5.0)
+            for request_id in (1, 2, 3):
+                peer.send(request_id, b"queued")
+            assert wait_until(lambda: listener.metrics.queued == 3)
+            listener.close()  # gives up on the parked one after 0.2 s
+            metrics = listener.metrics
+            assert (metrics.queued, metrics.in_flight) == (0, 1)
+            assert peer.read_ids(1) == []  # closed; nothing was written
+            peer.close()
+            gate.set()  # the parked handler finishes after the close
+            assert finished.wait(5.0)
+            assert wait_until(lambda: listener.metrics.in_flight == 0)
+            # admitted (4) == served (1) + abandoned (3)
+            metrics = listener.metrics
+            assert (metrics.served, metrics.queued, metrics.shed) == (1, 0, 0)
+            # The loop outlived the listener, so the late _finish ran: a
+            # round trip through the same loop is the sync point.
+            other = network.listen("tcp://127.0.0.1:0", lambda p: p)
+            assert network.connect(other.address).request(b"x") == b"x"
+            assert listener.stats.requests == 0  # and it wrote nothing
+        finally:
+            gate.set()
+            network.close()
+        assert worker_errors == []
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    @pytest.mark.parametrize("garbage", [
+        (4).to_bytes(4, "big") + b"\x00\x00\x00\x01",   # envelope < 8 bytes
+        (MAX_FRAME_SIZE + 1).to_bytes(4, "big"),        # prefix over the cap
+    ])
+    def test_decode_error_drops_that_connection_only(self, garbage):
+        network = AioNetwork(max_workers=2, queue_depth=16)
+        try:
+            listener = network.listen("tcp://127.0.0.1:0", lambda p: p)
+            bystander = network.connect(listener.address)
+            peer = RawPipelinedPeer(listener.address)
+            peer.send(7)
+            assert peer.read_ids(1) == [7]
+            peer.sock.sendall(garbage)
+            assert peer.read_ids(1) == []  # EOF: dropped
+            peer.close()
+            assert bystander.request(b"still here") == b"still here"
+        finally:
+            network.close()

@@ -5,8 +5,10 @@ protocol-level behavior, below the RMI stack.
 """
 
 import asyncio
+import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,6 +17,9 @@ from repro.aio.frames import MAGIC, MAGIC_ACK, pack_envelope, split_envelope
 from repro.net import TcpNetwork
 from repro.net.transport import ConnectError, ConnectionClosedError, TransportError
 from repro.wire.errors import DecodeError
+from repro.wire.framing import frame_views, read_frame, write_frame
+
+from tests.support import wait_until
 
 
 @pytest.fixture
@@ -210,6 +215,30 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             network.connect("tcp://127.0.0.1:1")
 
+    def test_peer_closing_mid_frame_fails_the_waiter_with_the_reason(
+            self, net):
+        accepting = socket.create_server(("127.0.0.1", 0))
+        port = accepting.getsockname()[1]
+
+        def half_answer():
+            peer, _ = accepting.accept()
+            with peer:
+                assert read_frame(peer) == MAGIC
+                write_frame(peer, MAGIC_ACK)
+                read_frame(peer)
+                peer.sendall((100).to_bytes(4, "big") + b"only this")
+
+        server = threading.Thread(target=half_answer)
+        server.start()
+        try:
+            channel = net.connect(f"tcp://127.0.0.1:{port}")
+            with pytest.raises(ConnectionClosedError,
+                               match=r"closed mid-frame \(13/104 bytes read\)"):
+                channel.request(b"x")
+        finally:
+            server.join(timeout=5.0)
+            accepting.close()
+
     def test_request_timeout_keeps_pipelined_channel_open(self):
         network = AioNetwork(max_workers=4, queue_depth=4,
                              request_timeout=0.2)
@@ -257,3 +286,150 @@ class TestLifecycle:
         finally:
             gate.set()
             network.close()
+
+
+class TestHopShape:
+    """The hop does per request only what it needs: one hand-off in and
+    one out on each side — no task, coroutine or stream in between."""
+
+    def test_warm_round_trips_create_no_tasks_and_four_hand_offs(
+            self, monkeypatch):
+        server_net = AioNetwork(max_workers=4, queue_depth=16)
+        client_net = AioNetwork()
+        try:
+            listener = server_net.listen("tcp://127.0.0.1:0", lambda p: p)
+            channel = client_net.connect(listener.address)
+            for _ in range(20):
+                channel.request(b"warm")  # pool threads started, caches hot
+
+            counts = {"client_tasks": 0, "server_tasks": 0,
+                      "into_client_loop": 0, "into_server_loop": 0,
+                      "pool_submits": 0}
+
+            def count(key, real):
+                def counted(*args, **kwargs):
+                    counts[key] += 1
+                    return real(*args, **kwargs)
+                return counted
+
+            for side, net in (("client", client_net), ("server", server_net)):
+                loop = net.loop_thread.loop
+                loop.set_task_factory(count(
+                    f"{side}_tasks",
+                    lambda loop, coro, **kw: asyncio.Task(coro, loop=loop, **kw),
+                ))
+                monkeypatch.setattr(
+                    loop, "call_soon_threadsafe",
+                    count(f"into_{side}_loop", loop.call_soon_threadsafe))
+            monkeypatch.setattr(
+                ThreadPoolExecutor, "submit",
+                count("pool_submits", ThreadPoolExecutor.submit))
+
+            for i in range(20):
+                assert channel.request(b"echo%d" % i) == b"echo%d" % i
+
+            assert counts == {"client_tasks": 0, "server_tasks": 0,
+                              "into_client_loop": 20, "into_server_loop": 20,
+                              "pool_submits": 20}
+        finally:
+            monkeypatch.undo()  # before close() goes through the loops
+            client_net.close()
+            server_net.close()
+
+    def test_cancelled_request_async_leaves_no_pending_entry(self, net):
+        """The awaitable twin of the timeout test above."""
+        gate = threading.Event()
+
+        def handler(payload):
+            if payload == b"stall":
+                gate.wait(10.0)  # not released while the test looks
+            return payload
+
+        listener = net.listen("tcp://127.0.0.1:0", handler)
+        channel = net.connect(listener.address)
+
+        async def drive():
+            stalled = asyncio.ensure_future(channel.request_async(b"stall"))
+            await asyncio.sleep(0)
+            stalled.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await stalled
+            # The forget reaches the loop before this request does.
+            return await channel.request_async(b"after")
+
+        try:
+            assert asyncio.run(drive()) == b"after"
+            assert channel._conn._pending == {}
+        finally:
+            gate.set()
+
+    def test_response_for_a_forgotten_id_is_ignored(self):
+        network = AioNetwork(max_workers=4, queue_depth=4,
+                             request_timeout=0.2)
+        gate = threading.Event()
+        try:
+            def handler(payload):
+                if payload == b"stall":
+                    gate.wait(10.0)
+                return payload
+
+            listener = network.listen("tcp://127.0.0.1:0", handler)
+            channel = network.connect(listener.address)
+            with pytest.raises(TransportError):
+                channel.request(b"stall")
+            gate.set()  # now the abandoned request's response is sent
+            assert wait_until(lambda: listener.stats.requests == 1)
+            assert channel.request(b"after") == b"after"
+            assert channel._conn._pending == {}
+            assert channel.stats.requests == 1  # the late one never counted
+        finally:
+            gate.set()
+            network.close()
+
+    def test_losing_the_race_to_a_cancel_is_not_a_connection_failure(self):
+        """A response can arrive between a caller's timeout and the loop
+        learning of it: the waiter is still in the table, but cancelled.
+        Settling it must not raise into ``data_received`` — that would
+        tear down a connection other threads share."""
+        from concurrent.futures import Future
+
+        from repro.aio import AioConnection
+
+        loop = asyncio.new_event_loop()
+        try:
+            conn = AioConnection(loop, "tcp://127.0.0.1:1")
+            conn.data_received(b"".join(frame_views(MAGIC_ACK)))
+            assert conn.pipelined
+            abandoned, live = Future(), Future()
+            abandoned.cancel()
+            conn._pending.update({5: abandoned, 6: live})
+            conn.data_received(b"".join(
+                part for rid in (5, 6)
+                for part in frame_views(pack_envelope(rid, b"late"))))
+            assert live.result(0) == b"late"
+            assert conn._pending == {} and not conn._closed
+        finally:
+            loop.close()
+
+    def test_threads_sharing_a_channel_never_cross_wires(self, net):
+        """8 threads x 200 requests, each answered with its own nonce."""
+        listener = net.listen("tcp://127.0.0.1:0", lambda p: b"re:" + p)
+        channel = net.connect(listener.address)
+        crossed = []
+
+        def worker(thread_no):
+            for i in range(200):
+                nonce = b"%d/%d" % (thread_no, i)
+                if channel.request(nonce) != b"re:" + nonce:
+                    crossed.append(nonce)
+
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert crossed == []
+        assert channel.stats.requests == 1600
+        assert channel._conn._pending == {}

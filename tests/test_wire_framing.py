@@ -93,6 +93,81 @@ class TestFrameBuffer:
         with pytest.raises(FrameTooLargeError):
             list(buf.frames())
 
+    def test_oversize_prefix_rejected_after_the_frames_before_it(self):
+        buf = FrameBuffer()
+        buf.feed(frame(b"ok") + (MAX_FRAME_SIZE + 1).to_bytes(4, "big"))
+        frames = buf.frames()
+        assert next(frames) == b"ok"
+        with pytest.raises(FrameTooLargeError):
+            next(frames)
+
+    def test_large_frame_in_small_chunks_costs_its_size_once(
+            self, monkeypatch):
+        """An 8 MiB frame fed in 4 KiB chunks: the bytes copied while
+        reassembling are counted, not timed.  A parser that re-glues its
+        buffer on every feed copies ~8 GiB here; this one joins what the
+        frame needs once (plus the first chunk, to read the header)."""
+        from repro.wire import framing
+
+        size, chunk = 8 * 1024 * 1024, 4096
+        joined = []
+
+        def counting_join(chunks):
+            data = b"".join(chunks)
+            joined.append(len(data))
+            return data
+
+        monkeypatch.setattr(framing, "_join", counting_join)
+        payload = bytes(range(256)) * (size // 256)
+        wire = frame(payload) + frame(b"tail")
+        buf = FrameBuffer()
+        out = []
+        feeds = 0
+        for start in range(0, len(wire), chunk):
+            buf.feed(wire[start:start + chunk])
+            feeds += 1
+            out.extend(buf.frames())
+        assert out == [payload, b"tail"]
+        assert feeds > 2000
+        assert len(joined) == 2          # not one join per feed
+        assert sum(joined) <= len(wire) + chunk
+        assert buf.pending_bytes() == 0
+
+    def test_consumer_may_stop_early_and_resume(self):
+        buf = FrameBuffer()
+        buf.feed(frame(b"a") + frame(b"bb") + frame(b"ccc")[:5])
+        assert next(buf.frames()) == b"a"      # abandon the generator
+        assert buf.pending_bytes() == 6 + 5
+        buf.feed(frame(b"ccc")[5:])
+        assert list(buf.frames()) == [b"bb", b"ccc"]
+        assert buf.pending_bytes() == 0
+
+    def test_frames_are_bytes_whatever_was_fed(self):
+        buf = FrameBuffer()
+        buf.feed(bytearray(frame(b"abc")))
+        buf.feed(memoryview(frame(b"de")))
+        frames = list(buf.frames())
+        assert frames == [b"abc", b"de"]
+        assert all(type(f) is bytes for f in frames)
+
+    @pytest.mark.parametrize("fed, got_expected", [
+        (frame(b"abcdef")[:2], "2/4"),      # inside the length prefix
+        (frame(b"abcdef")[:7], "7/10"),     # inside the body
+    ])
+    def test_eof_inside_a_frame(self, fed, got_expected):
+        buf = FrameBuffer()
+        buf.feed(fed)
+        assert list(buf.frames()) == []
+        with pytest.raises(DecodeError, match=f"closed mid-frame .{got_expected}"):
+            buf.eof()
+
+    def test_eof_at_a_frame_boundary_is_clean(self):
+        buf = FrameBuffer()
+        buf.eof()
+        buf.feed(frame(b"abc"))
+        assert list(buf.frames()) == [b"abc"]
+        buf.eof()
+
 
 class ChunkySocket:
     """recv_into() in deliberately awkward chunk sizes; sendmsg-capable."""
