@@ -25,7 +25,6 @@ import collections
 import concurrent.futures
 import itertools
 import threading
-import time
 
 from repro.aio.frames import (
     MAGIC,
@@ -194,16 +193,13 @@ class AioChannel(Channel):
     #: this channel natively exposes an awaitable request path.
     supports_async = True
 
-    def __init__(self, loop_thread, address: str, request_timeout: float = None,
-                 trace=None, from_host: str = "client"):
+    def __init__(self, loop_thread, address: str, request_timeout: float = None):
         super().__init__()
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError(f"request_timeout must be positive: {request_timeout}")
         self._loop_thread = loop_thread
         self._address = address
         self._request_timeout = request_timeout
-        self._trace = trace
-        self._from_host = from_host
         self._close_lock = threading.Lock()
         self._open = False
         connection = AioConnection(loop_thread.loop, address)
@@ -231,53 +227,55 @@ class AioChannel(Channel):
 
     def request(self, payload: bytes) -> bytes:
         """Send *payload*, block until the peer's response arrives."""
-        started = time.monotonic() if self._trace is not None else 0.0
         request_id, waiter = self._submit(payload)
         try:
             response = waiter.result(self._request_timeout)
         except concurrent.futures.TimeoutError:
             waiter.cancel()
             self._conn.forget(request_id)
-            if not self._conn.pipelined:
-                # A legacy peer answers strictly in order: everything sent
-                # after the stalled request would wait behind it.
-                self.close()
-            raise TransportError(
-                f"request to {self._address!r} timed out after "
-                f"{self._request_timeout}s"
-            ) from None
-        self._record(started, len(payload), len(response))
+            raise self._timed_out() from None
+        self.stats.record_request(len(payload), len(response))
         return response
 
-    def _record(self, started, bytes_up, bytes_down) -> None:
-        self.stats.record_request(bytes_up, bytes_down)
-        if self._trace is None:
-            return
-        from repro.net.trace import MessageEvent
-
-        self._trace.record(MessageEvent(
-            started, time.monotonic(), self._from_host, self._address,
-            bytes_up, bytes_down, False,
-        ))
+    def _timed_out(self) -> TransportError:
+        """The error for a round trip past *request_timeout*."""
+        if not self._conn.pipelined:
+            # A legacy peer answers strictly in order: everything sent
+            # after the stalled request would wait behind it.
+            self.close()
+        return TransportError(
+            f"request to {self._address!r} timed out after "
+            f"{self._request_timeout}s"
+        )
 
     def request_async(self, payload: bytes):
         """Awaitable round trip, usable from *any* event loop.
 
         The same hand-off as :meth:`request`; the waiter is wrapped for
         the caller's loop instead of blocked on.  Stats are recorded on
-        completion; cancelling the awaitable abandons the request.
+        completion; cancelling the awaitable abandons the request, and
+        so does *request_timeout*, with :meth:`request`'s error.
         """
-        started = time.monotonic() if self._trace is not None else 0.0
         request_id, waiter = self._submit(payload)
 
         def done(waiter, bytes_up=len(payload)):  # not the payload itself
             if waiter.cancelled():
                 self._conn.forget(request_id)
             elif waiter.exception() is None:
-                self._record(started, bytes_up, len(waiter.result()))
+                self.stats.record_request(bytes_up, len(waiter.result()))
 
         waiter.add_done_callback(done)
-        return asyncio.wrap_future(waiter)
+        response = asyncio.wrap_future(waiter)
+        if self._request_timeout is None:
+            return response
+        return self._bounded(response)
+
+    async def _bounded(self, response):
+        try:
+            return await asyncio.wait_for(response, self._request_timeout)
+        except asyncio.TimeoutError:
+            # wait_for cancelled the waiter, which forgot the request.
+            raise await asyncio.to_thread(self._timed_out) from None
 
     def close(self) -> None:
         with self._close_lock:

@@ -37,9 +37,7 @@ class AioNetwork(Network):
 
     *max_workers*, *queue_depth* and *drain_timeout* configure every
     listener created through :meth:`listen`; *request_timeout* bounds
-    each client round trip on channels from :meth:`connect`; *trace* is
-    an optional :class:`~repro.net.trace.NetworkTrace` every channel
-    records its round trips into (wall-clock timestamps).
+    each client round trip on channels from :meth:`connect`.
     """
 
     #: Tells RMICore that handlers run on a bounded pool: loopback stubs
@@ -50,13 +48,12 @@ class AioNetwork(Network):
     def __init__(self, *, max_workers: int = DEFAULT_MAX_WORKERS,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-                 request_timeout: float = None, trace=None,
+                 request_timeout: float = None,
                  reuse_port: bool = False):
         self._max_workers = max_workers
         self._queue_depth = queue_depth
         self._drain_timeout = drain_timeout
         self._request_timeout = request_timeout
-        self._trace = trace
         self._reuse_port = reuse_port
         self._lock = threading.Lock()
         self._loop_thread = None
@@ -89,7 +86,6 @@ class AioNetwork(Network):
     def connect(self, address: str, from_host: str = "client") -> AioChannel:
         channel = AioChannel(
             self.loop_thread, address, request_timeout=self._request_timeout,
-            trace=self._trace, from_host=from_host,
         )
         with self._lock:
             self._channels.append(channel)

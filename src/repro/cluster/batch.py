@@ -54,7 +54,6 @@ from repro.core.proxy import BatchProxy, BatchRecorder
 from repro.core.recording import EXPORT_OP, NONE_ID, ROOT_SEQ
 from repro.net.conditions import CHARGE_PROXY_CREATE
 from repro.plan.client import PlanningBatchProxy, PlanningBatchRecorder
-from repro.rmi.marshal import marshal
 from repro.rmi.remote import MethodSpec
 from repro.rmi.stub import Stub
 
@@ -65,33 +64,6 @@ from repro.rmi.stub import Stub
 #: intra-shard chains still parallelize under scatter-gather.
 EXPORT_SPEC = MethodSpec(name=EXPORT_OP, returns_kind="value",
                          returns_interface=None, parallel_safe=True)
-
-
-class _ChainMixin:
-    """Recorder hook shared by the plain and plan-reusing chain recorders.
-
-    Intercepts exactly one case the single-server recorder rejects: a
-    batch-proxy argument owned by a *sibling* chain of the same cluster
-    batch becomes a split point instead of a :class:`NotInBatchError`.
-    """
-
-    _cluster = None  # assigned by ClusterBatch right after construction
-
-    def _convert_one(self, value, owner):
-        cluster = self._cluster
-        if (cluster is not None and isinstance(value, BatchProxy)
-                and value._recorder is not self):
-            stub = cluster._export_for(value)
-            return marshal(stub, self._client), owner
-        return super()._convert_one(value, owner)
-
-
-class _ChainRecorder(_ChainMixin, BatchRecorder):
-    pass
-
-
-class _PlanChainRecorder(_ChainMixin, PlanningBatchRecorder):
-    pass
 
 
 class _Chain:
@@ -172,13 +144,15 @@ class ClusterBatch:
         client = self._cluster.client_for(shard_index)
         specs = stub.method_specs()
         if self._reuse_plans:
-            recorder = _PlanChainRecorder(stub, self._policy, client)
+            recorder = PlanningBatchRecorder(stub, self._policy, client)
             root = PlanningBatchProxy(recorder, ROOT_SEQ, specs)
         else:
-            recorder = _ChainRecorder(stub, self._policy, client)
+            recorder = BatchRecorder(stub, self._policy, client)
             root = BatchProxy(recorder, ROOT_SEQ, specs)
         recorder.root = root
-        recorder._cluster = self
+        # The one case a single-server recorder rejects: an argument
+        # owned by a sibling chain becomes a split point.
+        recorder._export_sibling = self._export_for
         client.charge(CHARGE_PROXY_CREATE)
         chain = _Chain(shard_index, self._cluster.label_for(shard_index),
                        recorder, root)

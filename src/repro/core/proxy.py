@@ -144,6 +144,10 @@ class BatchRecorder:
         self._lock = threading.RLock()
         self.flush_count = 0
         self.root = None  # assigned by create_batch
+        #: What to do with an argument proxy owned by another chain:
+        #: ``None`` rejects it; a cluster batch installs the function
+        #: that exports a sibling chain's register to a live stub.
+        self._export_sibling = None
 
     @property
     def session_id(self) -> int:
@@ -256,9 +260,12 @@ class BatchRecorder:
             )
         if isinstance(value, BatchProxy):
             if value._recorder is not self:
-                raise NotInBatchError(
-                    "argument batch object belongs to a different batch chain"
-                )
+                if self._export_sibling is None:
+                    raise NotInBatchError(
+                        "argument batch object belongs to a different "
+                        "batch chain"
+                    )
+                return marshal(self._export_sibling(value), self._client), owner
             if value._failure is not None:
                 raise value._failure
             if isinstance(value, CursorProxy):

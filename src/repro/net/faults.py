@@ -34,6 +34,10 @@ from repro.net.transport import (
     FaultInjectedError,
     Listener,
     Network,
+    awaiting,
+    drive,
+    drive_async,
+    send_blocking,
 )
 from repro.obs.tracer import current_tracer
 
@@ -253,6 +257,29 @@ def _corrupt(response: bytes) -> bytes:
     return first + response[1:]
 
 
+def _exchange(schedule, address, peer, payload):
+    """One round trip with *peer* under *schedule*, sans-io (see
+    :func:`~repro.net.transport.drive`): decide, mark the fault, sever
+    or delay, the inner round trip, sever or damage the response.  Both
+    sides of the wire run it; what ``drop`` does to a connection (and
+    which error reports it) is the side's own effect."""
+    event = schedule.decide("request")
+    if event is not None:
+        _trace_fault(event, address)
+    if event == "drop-request":
+        yield "drop", event
+    if event == "delay":
+        yield "sleep", schedule.delay_s
+    response = yield "send", (peer, payload)
+    if event == "drop-response":
+        yield "drop", event
+    if event == "corrupt-response":
+        return _corrupt(response)
+    if event == "truncate-response":
+        return response[: len(response) // 2]
+    return response
+
+
 class FaultyChannel(Channel):
     """A channel wrapper injecting schedule-driven faults per exchange.
 
@@ -268,6 +295,9 @@ class FaultyChannel(Channel):
         self._inner = inner
         self._schedule = schedule
         self._broken = False
+        self._effects = {
+            "sleep": time.sleep, "send": send_blocking, "drop": self._sever,
+        }
 
     @property
     def address(self) -> str:
@@ -279,24 +309,16 @@ class FaultyChannel(Channel):
         return self._inner
 
     def request(self, payload: bytes) -> bytes:
+        return drive(self._round_trip(payload), self._effects)
+
+    def _round_trip(self, payload: bytes):
         if self._broken:
             raise ConnectionClosedError(
                 f"channel to {self.address!r} is down (injected fault)"
             )
-        event = self._schedule.decide("request")
-        if event is not None:
-            _trace_fault(event, self.address)
-        if event == "drop-request":
-            self._sever("connection lost before the request was delivered")
-        if event == "delay":
-            time.sleep(self._schedule.delay_s)
-        response = self._inner.request(payload)
-        if event == "drop-response":
-            self._sever("connection lost before the response arrived")
-        if event == "corrupt-response":
-            response = _corrupt(response)
-        elif event == "truncate-response":
-            response = response[: len(response) // 2]
+        response = yield from _exchange(
+            self._schedule, self.address, self._inner, payload
+        )
         self.stats.record_request(len(payload), len(response))
         return response
 
@@ -321,61 +343,29 @@ class FaultyChannel(Channel):
         return hasattr(inner, "request_async")
 
     def request_async(self, payload: bytes):
-        """Awaitable faulty round trip (wrapping a pipelined channel)."""
+        """Awaitable faulty round trip (wrapping a pipelined channel).
+
+        The aio channel's close blocks on its background loop; severing
+        on a worker thread keeps the caller's event loop responsive.
+        """
         if not hasattr(self._inner, "request_async"):
             raise AttributeError(
                 f"wrapped channel {type(self._inner).__name__} has no "
                 "async request path"
             )
-        return self._request_async(payload)
+        return drive_async(self._round_trip(payload), awaiting(self._effects))
 
-    async def _request_async(self, payload: bytes) -> bytes:
-        import asyncio
-
-        if self._broken:
-            raise ConnectionClosedError(
-                f"channel to {self.address!r} is down (injected fault)"
-            )
-        event = self._schedule.decide("request")
-        if event is not None:
-            _trace_fault(event, self.address)
-        if event == "drop-request":
-            await self._sever_async(
-                "connection lost before the request was delivered"
-            )
-        if event == "delay":
-            await asyncio.sleep(self._schedule.delay_s)
-        response = await self._inner.request_async(payload)
-        if event == "drop-response":
-            await self._sever_async(
-                "connection lost before the response arrived"
-            )
-        if event == "corrupt-response":
-            response = _corrupt(response)
-        elif event == "truncate-response":
-            response = response[: len(response) // 2]
-        self.stats.record_request(len(payload), len(response))
-        return response
-
-    async def _sever_async(self, why: str):
-        import asyncio
-
-        self._broken = True
-        try:
-            # The aio channel's close blocks on its background loop;
-            # keep the caller's event loop responsive while it happens.
-            await asyncio.to_thread(self._inner.close)
-        except Exception:  # noqa: BLE001 - best-effort teardown
-            pass
-        raise ConnectionClosedError(f"injected fault: {why}")
-
-    def _sever(self, why: str):
+    def _sever(self, event: str):
         self._broken = True
         try:
             self._inner.close()
         except Exception:  # noqa: BLE001 - best-effort teardown
             pass
-        raise ConnectionClosedError(f"injected fault: {why}")
+        raise ConnectionClosedError(
+            "injected fault: connection lost before the "
+            + ("request was delivered" if event == "drop-request"
+               else "response arrived")
+        )
 
     def charge(self, kind: str, count: int = 1) -> None:
         # Delegate so the simulator still prices middleware CPU into
@@ -496,25 +486,19 @@ class FaultyNetwork(Network):
         if schedule is None:
             return handler
 
-        def serving(payload: bytes) -> bytes:
-            event = schedule.decide("request")
-            if event is not None:
-                _trace_fault(event, "server")
-            if event == "drop-request":
-                raise FaultInjectedError(
-                    "injected server fault: request dropped before dispatch"
-                )
-            if event == "delay":
-                time.sleep(schedule.delay_s)
-            response = handler(payload)
-            if event == "drop-response":
-                raise FaultInjectedError(
-                    "injected server fault: connection dropped before reply"
-                )
-            if event == "corrupt-response":
-                return _corrupt(response)
-            if event == "truncate-response":
-                return response[: len(response) // 2]
-            return response
+        def dropped(event):
+            raise FaultInjectedError(
+                "injected server fault: "
+                + ("request dropped before dispatch"
+                   if event == "drop-request"
+                   else "connection dropped before reply")
+            )
 
-        return serving
+        effects = {
+            "sleep": time.sleep,
+            "send": lambda pair: pair[0](pair[1]),
+            "drop": dropped,
+        }
+        return lambda payload: drive(
+            _exchange(schedule, "server", handler, payload), effects
+        )

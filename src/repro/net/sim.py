@@ -45,13 +45,11 @@ class SimNetwork(Network):
         hosts: HostCosts = DEFAULT_HOSTS,
         clock: SimClock = None,
         faults: FaultInjector = None,
-        trace=None,
     ):
         self.conditions = conditions
         self.hosts = hosts
         self.clock = clock if clock is not None else SimClock()
         self.faults = faults if faults is not None else FaultInjector()
-        self.trace = trace  # optional repro.net.trace.NetworkTrace
         self._listeners = {}
         self._channels = []
         self._lock = threading.Lock()
@@ -134,7 +132,6 @@ class SimChannel(Channel):
         super().__init__()
         self._network = network
         self._address = address
-        self._from_host = from_host
         self._loopback = from_host == host_of(address)
         self._open = True
 
@@ -156,7 +153,6 @@ class SimChannel(Channel):
         conditions = network.conditions
         hosts = network.hosts
         clock = network.clock
-        started_at = clock.now()
 
         clock.advance(
             hosts.request_overhead_s
@@ -178,20 +174,6 @@ class SimChannel(Channel):
         )
         self.stats.record_request(len(payload), len(response))
         listener.stats.record_request(len(payload), len(response))
-        if network.trace is not None:
-            from repro.net.trace import MessageEvent
-
-            network.trace.record(
-                MessageEvent(
-                    started_at=started_at,
-                    finished_at=clock.now(),
-                    source=self._from_host,
-                    target=self._address,
-                    bytes_up=len(payload),
-                    bytes_down=len(response),
-                    loopback=self._loopback,
-                )
-            )
         return response
 
     def charge(self, kind: str, count: int = 1) -> None:

@@ -74,19 +74,12 @@ def reserve_reuseport(host: str = "127.0.0.1", port: int = 0):
 
 
 class TcpNetwork(Network):
-    """Factory for real socket listeners/channels.
+    """Factory for real socket listeners/channels."""
 
-    *trace* is an optional :class:`~repro.net.trace.NetworkTrace`: every
-    channel this network hands out records its round trips there
-    (wall-clock timestamps), so the Figure-1 message charts render from
-    real TCP runs exactly as they do from the simulator.
-    """
-
-    def __init__(self, trace=None, reuse_port: bool = False):
+    def __init__(self, reuse_port: bool = False):
         self._listeners = []
         self._channels = []
         self._lock = threading.Lock()
-        self._trace = trace
         self._reuse_port = reuse_port
 
     def listen(self, address: str, handler) -> "TcpListener":
@@ -96,7 +89,7 @@ class TcpNetwork(Network):
         return listener
 
     def connect(self, address: str, from_host: str = "client") -> "TcpChannel":
-        channel = TcpChannel(address, trace=self._trace, from_host=from_host)
+        channel = TcpChannel(address)
         with self._lock:
             self._channels.append(channel)
         return channel
@@ -252,15 +245,12 @@ class TcpChannel(Channel):
     be desynchronized if a late reply arrived for an abandoned request.
     """
 
-    def __init__(self, address: str, request_timeout: float = None,
-                 trace=None, from_host: str = "client"):
+    def __init__(self, address: str, request_timeout: float = None):
         super().__init__()
         host, port = _parse(address)
         self._address = address
         self._io_lock = threading.Lock()
         self._receiver = FrameReceiver()
-        self._trace = trace
-        self._from_host = from_host
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError(f"request_timeout must be positive: {request_timeout}")
         self._request_timeout = request_timeout
@@ -276,7 +266,6 @@ class TcpChannel(Channel):
         return self._address
 
     def request(self, payload: bytes) -> bytes:
-        started = time.monotonic() if self._trace is not None else 0.0
         with self._io_lock:
             if not self._open:
                 raise ConnectionClosedError(
@@ -300,13 +289,6 @@ class TcpChannel(Channel):
                 f"server at {self._address!r} closed the connection"
             )
         self.stats.record_request(len(payload), len(response))
-        if self._trace is not None:
-            from repro.net.trace import MessageEvent
-
-            self._trace.record(MessageEvent(
-                started, time.monotonic(), self._from_host, self._address,
-                len(payload), len(response), False,
-            ))
         return response
 
     def close(self) -> None:

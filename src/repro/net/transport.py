@@ -17,6 +17,9 @@ not just wire time.
 
 from __future__ import annotations
 
+import asyncio
+import functools
+
 from repro.net.stats import TrafficStats
 
 
@@ -100,6 +103,67 @@ class Network:
     def __exit__(self, *exc_info):
         self.close()
         return False
+
+
+# -- sans-io round trips -----------------------------------------------------
+#
+# Whatever decides *what* a round trip does — the client's attempt loop,
+# the chaos channel's exchange — is written once, as a generator that
+# yields ``(effect, argument)`` pairs and is sent each effect's outcome
+# or thrown its exception.  How an effect is performed (blocking, or
+# awaited) is a table handed to one of the two drivers below.  The
+# vocabulary: ``sleep`` seconds, ``connect``, ``send`` (channel, payload),
+# ``drop`` channel.
+
+
+def send_blocking(pair):
+    """The blocking ``send`` effect: one round trip on a channel."""
+    channel, payload = pair
+    return channel.request(payload)
+
+
+def awaiting(effects) -> dict:
+    """The awaited twin of a blocking effect table: the pause and the
+    round trip belong to the caller's event loop, everything else (a
+    dial, a teardown) blocks, so it runs on a worker thread."""
+    table = {
+        name: functools.partial(asyncio.to_thread, perform)
+        for name, perform in effects.items()
+    }
+    table["sleep"] = asyncio.sleep
+    table["send"] = lambda pair: pair[0].request_async(pair[1])
+    return table
+
+
+def drive(steps, effects):
+    """Run the sans-io generator *steps* to its return value, performing
+    each effect it yields with the blocking table *effects*."""
+    try:
+        effect, argument = next(steps)
+        while True:
+            try:
+                outcome = effects[effect](argument)
+            except BaseException as exc:  # handed to steps, which re-raises
+                effect, argument = steps.throw(exc)
+            else:
+                effect, argument = steps.send(outcome)
+    except StopIteration as done:
+        return done.value
+
+
+async def drive_async(steps, effects):
+    """:func:`drive`, awaiting each effect of an :func:`awaiting` table."""
+    try:
+        effect, argument = next(steps)
+        while True:
+            try:
+                outcome = await effects[effect](argument)
+            except BaseException as exc:  # handed to steps, which re-raises
+                effect, argument = steps.throw(exc)
+            else:
+                effect, argument = steps.send(outcome)
+    except StopIteration as done:
+        return done.value
 
 
 def host_of(address: str) -> str:

@@ -6,10 +6,10 @@ The JSON-lines format is one span dict per line (see
 here operates on those dicts, so traces round-trip through files and
 merge across processes by simple concatenation.
 
-:func:`render_span_tree` is the span-level generalization of
-``net/trace.py``'s Figure-1 message charts; :func:`render_message_chart`
-reproduces the chart itself from ``client.send`` spans, so the paper's
-n-pairs-versus-one contrast can be drawn from a trace of any transport.
+:func:`render_message_chart` draws the paper's Figure 1 — n
+request/response pairs under RMI against one batched pair — from the
+``client.send`` spans of a run on any transport, blocking or awaited;
+:func:`render_span_tree` shows everything else the trace holds.
 """
 
 from __future__ import annotations
@@ -208,26 +208,42 @@ def _render_node(node, base, indent, lines) -> None:
         _render_node(child, base, indent + "  ", lines)
 
 
+def _sent_by_server(span, by_id) -> bool:
+    """Whether a ``client.send`` was made while serving a request: some
+    ancestor among the spans given is a ``server.handle``."""
+    seen = set()
+    while span is not None and span["span_id"] not in seen:
+        if span["name"] == "server.handle":
+            return True
+        seen.add(span["span_id"])
+        span = by_id.get(span["parent_id"])
+    return False
+
+
 def render_message_chart(spans, client: str = "client",
                          server_label: str = "server") -> str:
     """The Figure-1 message chart, drawn from ``client.send`` spans.
 
-    Works on traces from any transport — this is the generalization of
-    the sim-only ``NetworkTrace`` chart to anything the tracer saw.
+    Round trips appear in completion order.  One made from inside a
+    server — §4.4's stub that points back at its own host — renders as
+    a self-arrow on the server's lifeline and is not counted as a
+    network round trip.
     """
-    spans = [
-        s for s in _as_dicts(spans)
+    spans = _as_dicts(spans)
+    by_id = {s["span_id"]: s for s in spans}
+    sends = [
+        s for s in spans
         if s["name"] == "client.send" and s.get("end") is not None
     ]
-    spans.sort(key=lambda s: s["start"])
+    sends.sort(key=lambda s: s["end"])
     width = 34
     lines = [
         f"{client:<12}{'':{width}}{server_label}",
         f"{'|':<12}{'':{width}}|",
     ]
-    base = spans[0]["start"] if spans else 0.0
-    total = 0
-    for index, span in enumerate(spans, start=1):
+    base = min((s["start"] for s in sends), default=0.0)
+    trips = total = 0
+    for index, span in enumerate(sends, start=1):
         attrs = span.get("attrs", {})
         up = attrs.get("bytes_up", "?")
         down = attrs.get("bytes_down", "?")
@@ -236,6 +252,13 @@ def render_message_chart(spans, client: str = "client",
         if isinstance(down, int):
             total += down
         stamp = f"t={(span['start'] - base) * 1e3:8.3f}ms"
+        if _sent_by_server(span, by_id):
+            lines.append(
+                f"{'|':<12}{'':{width}}|--. loopback ({up}B) {stamp}"
+            )
+            lines.append(f"{'|':<12}{'':{width}}|<-'")
+            continue
+        trips += 1
         arrow = "-" * (width - 2)
         lines.append(f"{'|':<12}{arrow}> [{index}] {up}B {stamp}")
         lines.append(
@@ -243,6 +266,6 @@ def render_message_chart(spans, client: str = "client",
             f"(+{(span['end'] - span['start']) * 1e3:.3f}ms)"
         )
     lines.append(
-        f"{'':12}{len(spans)} network round trip(s), {total} bytes total"
+        f"{'':12}{trips} network round trip(s), {total} bytes total"
     )
     return "\n".join(lines)

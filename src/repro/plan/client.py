@@ -208,29 +208,25 @@ class PlanningBatchRecorder(BatchRecorder):
                 span.set(strategy="inline")
                 return super()._ship(invocations, keep_session)
             object_id = self._stub.remote_ref.object_id
-            if not memo.confirmed(digest):
+            if memo.confirmed(digest):
+                try:
+                    span.set(strategy="invoke")
+                    response = self._client.call(
+                        object_id, INVOKE_PLAN, (digest, params)
+                    )
+                    memo.note_hit(digest)
+                    memo.note_invocation()
+                    return response
+                except PlanNotFoundError:
+                    memo.note_miss(digest)
+                    span.set(strategy="invoke_miss_install")
+            else:
                 # First repeat: the server almost certainly lacks the
                 # plan — skip the guaranteed-miss probe and install in
                 # one trip.
                 span.set(strategy="install")
-                response = self._client.call(
-                    object_id, INSTALL_PLAN, (plan, params)
-                )
-                memo.note_install(digest)
-                return response
-            try:
-                span.set(strategy="invoke")
-                response = self._client.call(
-                    object_id, INVOKE_PLAN, (digest, params)
-                )
-                memo.note_hit(digest)
-                memo.note_invocation()
-                return response
-            except PlanNotFoundError:
-                memo.note_miss(digest)
-                span.set(strategy="invoke_miss_install")
-                response = self._client.call(
-                    object_id, INSTALL_PLAN, (plan, params)
-                )
-                memo.note_install(digest)
-                return response
+            response = self._client.call(
+                object_id, INSTALL_PLAN, (plan, params)
+            )
+            memo.note_install(digest)
+            return response

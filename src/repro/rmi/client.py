@@ -27,7 +27,12 @@ import time
 import uuid
 
 from repro.net.stats import TrafficStats
-from repro.net.transport import ConnectionClosedError, TransportError
+from repro.net.transport import (
+    ConnectionClosedError,
+    TransportError,
+    drive,
+    send_blocking,
+)
 from repro.obs.tracer import current_tracer
 from repro.rmi.exceptions import CommunicationError, MarshalError
 from repro.rmi.marshal import MarshalContext, marshal_args, unmarshal
@@ -53,7 +58,6 @@ class RMIClient(MarshalContext):
         self._from_host = from_host
         self._callback_server = callback_server
         self._retry = retry
-        self._sleep = sleep if sleep is not None else time.sleep
         self._peers = {}  # endpoint -> RMIClient for refs to other servers
         self._lock = threading.Lock()
         self._closed = False
@@ -67,10 +71,15 @@ class RMIClient(MarshalContext):
         # into this one instance.
         self._stats = TrafficStats()
         self._channel = None
-        if retry is None:
-            self._live_channel()
-        else:
-            self._connect_with_retry()
+        # How this client performs what :meth:`_calling` asks for when it
+        # is driven by blocking calls; AioRMIClient awaits the same table.
+        self._effects = {
+            "sleep": sleep if sleep is not None else time.sleep,
+            "connect": lambda _: self._live_channel(),
+            "send": send_blocking,
+            "drop": self._drop_channel,
+        }
+        drive(self._dialling(), self._effects)
 
     @property
     def address(self) -> str:
@@ -149,75 +158,82 @@ class RMIClient(MarshalContext):
         retry policy, transient transport failures are retried under the
         call's idempotency token before giving up.
         """
+        return drive(
+            self._calling(object_id, method, args, kwargs), self._effects
+        )
+
+    def _calling(self, object_id: int, method: str, args, kwargs):
+        """One logical call, sans-io (see :func:`~repro.net.transport.
+        drive`): span, token, encode, then the attempt loop — send the
+        same bytes until a response decodes or the policy gives up.
+
+        Fail-fast is the loop's one-attempt row: no token, only a
+        :class:`TransportError` is wrapped (a shed or an undecodable
+        answer surfaces as itself), and the channel is left as it is —
+        a client without a policy never reconnects.
+        """
+        policy = self._retry
+        if policy is None:
+            attempts, retryable = 1, (TransportError,)
+        else:
+            attempts, retryable = policy.max_attempts, RETRYABLE_ERRORS
         tracer = current_tracer()
         with tracer.span(
             "client.call", method=method, object_id=object_id,
             address=self._address,
-        ) as span:
-            call_id = self._next_call_id() if self._retry is not None else ""
+        ) as call_span:
+            call_id = self._next_call_id() if policy is not None else ""
             with tracer.span("client.encode"):
                 payload = self._encode_request(
-                    object_id, method, args, kwargs, call_id, span
+                    object_id, method, args, kwargs, call_id, call_span
                 )
-            if self._retry is None:
-                return self._send_once(payload, method, tracer)
-            return self._call_with_retry(payload, method, tracer)
-
-    def _send_once(self, payload: bytes, method: str, tracer):
-        span = tracer.span("client.send", attempt=0)
-        try:
-            raw = self._channel.request(payload)
-        except TransportError as exc:
-            span.set(error=repr(exc)).end()
-            raise CommunicationError(
-                f"remote call {method!r} to {self._address!r} failed: {exc}"
-            ) from exc
-        except BaseException as exc:
-            span.set(error=repr(exc)).end()
-            raise
-        span.set(bytes_up=len(payload), bytes_down=len(raw)).end()
-        return self._decode_response(raw)
-
-    def _call_with_retry(self, payload: bytes, method: str, tracer):
-        """Send one encoded, token-stamped request until it sticks."""
-        policy = self._retry
-        last = None
-        for attempt in range(policy.max_attempts):
-            if attempt:
-                self._sleep(policy.delay_after(attempt - 1))
-            channel = None
-            # A resend is a failure artifact: force-record it even in an
-            # unsampled trace.
-            span = tracer.span(
-                "client.send", attempt=attempt, force=attempt > 0
-            )
-            try:
+            for attempt in range(attempts):
+                if attempt:
+                    yield self._backoff(attempt)
+                # Hot path: the live channel is read directly; only the
+                # dial after a drop is an effect.
+                channel = self._channel
+                # A resend is a failure artifact: force-record it even in
+                # an unsampled trace.
+                span = tracer.span(
+                    "client.send", attempt=attempt, force=attempt > 0
+                )
                 try:
-                    channel = self._live_channel()
-                    raw = channel.request(payload)
-                except BaseException as exc:
-                    span.set(error=repr(exc)).end()
-                    raise
-                span.set(bytes_up=len(payload), bytes_down=len(raw)).end()
-                return self._decode_response(raw)
-            except RETRYABLE_ERRORS as exc:
-                # A retryable answer (a shed) marks the send that got it.
-                span.set(error=repr(exc))
-                if self._closed:
-                    # Use-after-close is a programming error, not a
-                    # transient fault: fail fast instead of burning the
-                    # backoff budget on retries that can never reconnect.
-                    raise CommunicationError(
-                        f"remote call {method!r} to {self._address!r} "
-                        "failed: client is closed"
-                    ) from exc
-                last = exc
-                if isinstance(exc, TransportError) and channel is not None:
-                    self._drop_channel(channel)
-        raise CommunicationError(
-            f"remote call {method!r} to {self._address!r} failed after "
-            f"{policy.max_attempts} attempts: {last}"
-        ) from last
+                    try:
+                        if channel is None:
+                            channel = yield "connect", None
+                        raw = yield "send", (channel, payload)
+                    except BaseException as exc:
+                        span.set(error=repr(exc)).end()
+                        raise
+                    span.set(bytes_up=len(payload), bytes_down=len(raw)).end()
+                    return self._decode_response(raw)
+                except retryable as exc:
+                    # A retryable answer (a shed) marks the send that got it.
+                    span.set(error=repr(exc))
+                    last = exc
+                    if policy is None:
+                        break
+                    if self._closed:
+                        # Use-after-close is a programming error, not a
+                        # transient fault: fail fast instead of burning
+                        # the backoff budget on retries that can never
+                        # reconnect.
+                        raise CommunicationError(
+                            f"remote call {method!r} to {self._address!r} "
+                            "failed: client is closed"
+                        ) from exc
+                    if isinstance(exc, TransportError) and channel is not None:
+                        yield "drop", channel
+            gave_up = f" after {attempts} attempts" if policy else ""
+            raise CommunicationError(
+                f"remote call {method!r} to {self._address!r} "
+                f"failed{gave_up}: {last}"
+            ) from last
+
+    def _backoff(self, attempt: int):
+        """The pause owed before zero-based *attempt*, as an effect."""
+        return "sleep", self._retry.delay_after(attempt - 1)
 
     def _next_call_id(self) -> str:
         # Fixed width (24 + 12 hex digits): a request's size must not
@@ -228,8 +244,6 @@ class RMIClient(MarshalContext):
                         call_id: str, trace) -> bytes:
         """Marshal and encode one request to wire bytes.
 
-        Split out of :meth:`call` so the asyncio client can reuse the
-        marshalling rules around its own (awaitable) transport hop.
         ``encode`` draws from the wire layer's buffer pool, and the
         transport frames these bytes with scatter-gather writes — the
         request is copied exactly once (into the immutable payload).
@@ -274,7 +288,12 @@ class RMIClient(MarshalContext):
 
     def lookup(self, name: str) -> Stub:
         """Resolve *name* in the server's registry to a stub."""
-        result = self.call(REGISTRY_OBJECT_ID, "lookup", (name,))
+        return drive(self._looking_up(name), self._effects)
+
+    def _looking_up(self, name: str):
+        result = yield from self._calling(
+            REGISTRY_OBJECT_ID, "lookup", (name,), None
+        )
         if not isinstance(result, Stub):
             raise CommunicationError(
                 f"registry returned {type(result).__name__} for {name!r}, "
@@ -293,19 +312,35 @@ class RMIClient(MarshalContext):
     # -- connection lifecycle -------------------------------------------
 
     def _live_channel(self):
-        """The current channel, reconnecting lazily after a drop."""
+        """The current channel, reconnecting lazily after a drop.
+
+        The dial happens outside the lock — it can take the transport's
+        whole connect timeout, and ``close()`` must not wait for it —
+        and is installed under it.  A dial that finds the client closed
+        meanwhile closes what it opened; one that lost to a concurrent
+        dial does the same and uses the winner's channel.
+        """
         with self._lock:
             if self._closed:
                 raise ConnectionClosedError(
                     f"client for {self._address!r} is closed"
                 )
             channel = self._channel
-            if channel is not None:
-                return channel
-            channel = self._network.connect(self._address, self._from_host)
-            channel.stats = self._stats
-            self._channel = channel
+        if channel is not None:
             return channel
+        dialled = self._network.connect(self._address, self._from_host)
+        with self._lock:
+            closed, winner = self._closed, self._channel
+            if not closed and winner is None:
+                dialled.stats = self._stats
+                self._channel = dialled
+                return dialled
+        dialled.close()
+        if closed:
+            raise ConnectionClosedError(
+                f"client for {self._address!r} was closed during the dial"
+            )
+        return winner
 
     def _drop_channel(self, channel) -> None:
         """Retire a broken channel; the next call reconnects."""
@@ -317,15 +352,15 @@ class RMIClient(MarshalContext):
         except Exception:  # noqa: BLE001 - already broken; nothing to do
             pass
 
-    def _connect_with_retry(self) -> None:
+    def _dialling(self):
+        """The constructor's connect, sans-io: under the retry policy
+        when there is one, and raising the transport's own error."""
         policy = self._retry
-        last = None
-        for attempt in range(policy.max_attempts):
+        for attempt in range(policy.max_attempts if policy else 1):
             if attempt:
-                self._sleep(policy.delay_after(attempt - 1))
+                yield self._backoff(attempt)
             try:
-                self._live_channel()
-                return
+                return (yield "connect", None)
             except TransportError as exc:
                 last = exc
         raise last
@@ -342,7 +377,7 @@ class RMIClient(MarshalContext):
                     from_host=self._from_host,
                     callback_server=self._callback_server,
                     retry=self._retry,
-                    sleep=self._sleep,
+                    sleep=self._effects["sleep"],
                 )
                 self._peers[endpoint] = peer
             return peer

@@ -357,6 +357,52 @@ class TestAsyncClient:
         assert aclient.pipelined
         aclient.close()
 
+    def test_awaited_timeout_is_retried_like_any_transport_error(self):
+        """``request_timeout`` bounds the awaited round trip too, and
+        the retrying client treats it as the TransportError it is: drop,
+        reconnect, resend the same token — executed exactly once."""
+        import asyncio
+
+        from repro.obs import Tracer, install_tracer, uninstall_tracer
+        from repro.rmi import RetryPolicy
+
+        class StallsOnce(CounterImpl):
+            stalled = False
+
+            def increment(self, amount: int) -> int:
+                if not self.stalled:
+                    self.stalled = True
+                    time.sleep(0.5)  # past the client's 0.2 s bound
+                return super().increment(amount)
+
+        network = AioNetwork(max_workers=4, queue_depth=16,
+                             request_timeout=0.2)
+        server = RMIServer(network, "tcp://127.0.0.1:0").start()
+        impl = StallsOnce()
+        server.bind("counter", impl)
+        aclient = AioRMIClient(
+            network, server.address,
+            retry=RetryPolicy(max_attempts=6, backoff_s=0.01, jitter=False),
+        )
+        tracer = install_tracer(Tracer())
+        try:
+            async def drive():
+                stub = await aclient.lookup("counter")
+                return await aclient.call_stub(stub, "increment", (5,))
+
+            assert asyncio.run(drive()) == 5
+        finally:
+            uninstall_tracer()
+            aclient.close()
+            network.close()
+        assert impl.value == 5  # the resends were replays, not re-runs
+        assert server.dedup.hits >= 1
+        errors = [s.attrs.get("error", "") for s in tracer.spans()
+                  if s.name == "client.send"]
+        assert len(errors) >= 3  # lookup, the timed-out send, a resend
+        assert "timed out after 0.2s" in errors[1]
+        assert errors[-1] == ""
+
     def test_requires_aio_network(self):
         from repro.net import TcpNetwork
 

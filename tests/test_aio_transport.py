@@ -287,6 +287,71 @@ class TestLifecycle:
             gate.set()
             network.close()
 
+    def test_request_async_is_bounded_like_request(self):
+        """``request_timeout`` "bounds each round trip" — the awaited
+        one too (the regression: ``request_async`` waited out the whole
+        stall and answered)."""
+        network = AioNetwork(max_workers=4, queue_depth=4,
+                             request_timeout=0.2)
+        gate = threading.Event()
+        try:
+            def handler(payload):
+                if payload == b"stall":
+                    gate.wait(10.0)  # not released while the test looks
+                return payload
+
+            listener = network.listen("tcp://127.0.0.1:0", handler)
+            channel = network.connect(listener.address)
+
+            async def awaited_request(payload):
+                return await channel.request_async(payload)
+
+            with pytest.raises(TransportError) as blocking:
+                channel.request(b"stall")
+            started = time.monotonic()
+            with pytest.raises(TransportError) as awaited:
+                asyncio.run(awaited_request(b"stall"))
+            assert time.monotonic() - started < 5.0
+            assert type(awaited.value) is type(blocking.value)
+            assert str(awaited.value) == str(blocking.value)
+            assert "timed out after 0.2s" in str(awaited.value)
+            # The timed-out request abandoned only itself: the channel
+            # is open, its table empty, and nothing was counted.
+            assert asyncio.run(awaited_request(b"after")) == b"after"
+            assert channel._conn._pending == {}
+            assert channel.stats.requests == 1
+        finally:
+            gate.set()
+            network.close()
+
+    def test_request_async_timeout_closes_a_legacy_channel(self):
+        """A legacy peer answers strictly in order, so an awaited
+        timeout there closes the channel, as a blocking one does."""
+        tcp = TcpNetwork()
+        network = AioNetwork(request_timeout=0.2)
+        gate = threading.Event()
+        try:
+            def handler(payload):
+                if bytes(payload) == b"stall":
+                    gate.wait(10.0)
+                return b"ok"
+
+            listener = tcp.listen("tcp://127.0.0.1:0", handler)
+            channel = network.connect(listener.address)
+            assert not channel.pipelined
+
+            async def awaited_request(payload):
+                return await channel.request_async(payload)
+
+            with pytest.raises(TransportError, match="timed out after 0.2s"):
+                asyncio.run(awaited_request(b"stall"))
+            with pytest.raises(ConnectionClosedError):
+                channel.request(b"after")
+        finally:
+            gate.set()
+            network.close()
+            tcp.close()
+
 
 class TestHopShape:
     """The hop does per request only what it needs: one hand-off in and

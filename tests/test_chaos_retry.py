@@ -255,6 +255,62 @@ class TestRetryHeals:
         client.close()
 
 
+class TestDialOutsideTheLock:
+    def test_close_does_not_wait_for_a_dial_and_the_dial_cleans_up(
+            self, world):
+        """A reconnect can take the transport's whole connect timeout;
+        ``close()`` and ``plan_memo`` must not queue behind it, and the
+        channel it finally opens must not be installed on (or leaked
+        by) a client that was closed meanwhile."""
+        network, _, _ = world
+        dialling = threading.Event()
+        release = threading.Event()
+        opened = []
+
+        class SlowRedialNetwork:
+            def connect(self, address, from_host="client"):
+                if opened:  # every dial after the first one stalls
+                    dialling.set()
+                    release.wait(10.0)
+                channel = network.connect(address, from_host)
+                opened.append(channel)
+                return channel
+
+        client = RMIClient(
+            FaultyNetwork(SlowRedialNetwork(),
+                          FaultSchedule.scripted(["drop-request"])),
+            SERVER, retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
+            sleep=lambda _s: None,
+        )
+        outcome = []
+
+        def call():
+            try:
+                outcome.append(client.list_names())
+            except CommunicationError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call)
+        closer = threading.Thread(target=client.close)
+        try:
+            caller.start()
+            assert dialling.wait(5.0)  # the resend's reconnect is stuck
+            assert client.plan_memo is not None  # takes the same lock
+            closer.start()
+            closer.join(2.0)
+            assert not closer.is_alive()  # close() returned mid-dial
+        finally:
+            release.set()
+            caller.join(5.0)
+            closer.join(5.0)
+        assert not caller.is_alive()
+        assert len(opened) == 2
+        assert client.channel is None  # the late channel was not installed
+        assert not any(channel._open for channel in opened)
+        (error,) = outcome
+        assert "client is closed" in str(error)
+
+
 class TestDedupWindow:
     def test_duplicate_replays_without_recompute(self):
         window = DedupWindow()

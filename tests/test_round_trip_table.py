@@ -254,8 +254,7 @@ def test_blocking_and_awaited_calls_agree(scenario, sample_rate):
     errors = [error for _attempt, _keys, error in blocking["sends"]]
     if sample_rate == 1.0:
         assert errors == [e or "None" for e in scenario.errors]
-        for (attempt, keys, error), index in zip(
-                blocking["sends"], range(len(errors))):
+        for index, (attempt, keys, error) in enumerate(blocking["sends"]):
             assert attempt == index
             assert keys == (
                 ("attempt", "bytes_down", "bytes_up") if error == "None"
@@ -380,3 +379,46 @@ def test_chaos_events_fired_inside_a_server():
     markers = [(s.attrs["kind"], s.attrs["address"]) for s in tracer.spans()
                if s.name == "fault.injected"]
     assert markers == [(event, "server") for event in FAULT_KINDS]
+
+
+# -- guards: the path exists once --------------------------------------------
+
+
+def test_the_round_trip_is_written_once():
+    import ast
+    import pathlib
+    import re
+
+    import repro
+    from repro.net import FaultyChannel
+
+    retired = {
+        AioRMIClient: ("_send_once", "_call_with_retry"),
+        RMIClient: ("_send_once", "_call_with_retry", "_connect_with_retry"),
+        FaultyChannel: ("_request_async", "_sever_async"),
+    }
+    for owner, names in retired.items():
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
+    src = pathlib.Path(repro.__file__).parent
+    sources = {path: path.read_text() for path in src.rglob("*.py")}
+
+    def call_sites(pattern):
+        return [f"{path.relative_to(src)}:{number}"
+                for path, text in sources.items()
+                if path.relative_to(src).as_posix() != "rmi/retry.py"
+                for number, line in enumerate(text.splitlines(), 1)
+                if re.search(pattern, line)]
+
+    assert len(call_sites(r"\.delay_after\(")) == 1
+    assert len(call_sites(r"\.decide\(\"request\"\)")) == 1
+
+    # One blocking and one awaiting driver: nothing else sends into a
+    # generator, and the aio client awaits only through its public calls.
+    assert [site.split(":")[0] for site in call_sites(r"\.send\(")] == [
+        "net/transport.py", "net/transport.py"]
+    tree = ast.parse(sources[src / "aio" / "client.py"])
+    assert sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.AsyncFunctionDef)) == [
+        "call", "call_stub", "list_names", "lookup"]
