@@ -1,16 +1,17 @@
 """Asyncio server runtime and client connection layer (beyond the paper).
 
-The threaded transports serve one strictly-sequential request stream per
-connection; this package serves the same wire protocol with an asyncio
-accept loop, per-connection request pipelining, a bounded worker pool
-with admission control, graceful drain, and live metrics — the runtime
-that turns the batch + plan stack into something load-testable.
+The threaded transports serve one request at a time per connection;
+this package serves the same messages, inside a correlation envelope
+both of its ends require, with an asyncio accept loop, per-connection
+request pipelining, a bounded worker pool with admission control,
+graceful drain, and live metrics — the runtime that turns the batch +
+plan stack into something load-testable.
 
 Entry points:
 
-- :class:`AioNetwork` — drop-in :class:`~repro.net.transport.Network`;
-  swap it into ``RMIServer``/``RMIClient`` and everything above runs
-  pipelined, unchanged.
+- :class:`AioNetwork` — drop-in :class:`~repro.net.transport.Network`
+  for both ends; swap it into ``RMIServer``/``RMIClient`` and
+  everything above runs multiplexed, unchanged.
 - :class:`AioRMIClient` — asyncio-native client (awaitable calls) whose
   ``.sync`` facade shares the same multiplexed connection with threaded
   batch code.
@@ -26,7 +27,7 @@ Entry points:
 
 from repro.aio.channel import AioChannel, AioConnection
 from repro.aio.client import AioRMIClient
-from repro.aio.frames import MAGIC, MAGIC_ACK, pack_envelope, split_envelope
+from repro.aio.frames import MAGIC, MAGIC_ACK, split_envelope
 from repro.aio.listener import (
     DEFAULT_DRAIN_TIMEOUT,
     DEFAULT_MAX_WORKERS,
@@ -65,7 +66,6 @@ __all__ = [
     "ServerMetrics",
     "Supervisor",
     "SupervisorError",
-    "pack_envelope",
     "run_load",
     "split_envelope",
 ]

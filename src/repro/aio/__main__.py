@@ -165,7 +165,7 @@ def _install_shutdown_signals(stop_event: threading.Event) -> None:
 
 
 def _watch_stdin(stop_event: threading.Event) -> None:
-    """Set *stop_event* when stdin reaches EOF (the legacy stop path)."""
+    """Set *stop_event* when stdin reaches EOF (the original stop path)."""
 
     def drain():
         try:
@@ -285,9 +285,6 @@ def _serve(args) -> int:
                        "transport": args.transport}
             if shard:
                 payload["shard"] = shard
-            loop_thread = getattr(network, "_loop_thread", None)
-            if loop_thread is not None:
-                payload["loop_tasks"] = loop_thread.task_count()
             return payload
 
         admin = AdminServer(worker_commands(

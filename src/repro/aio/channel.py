@@ -3,13 +3,14 @@
 Two pieces:
 
 - :class:`AioConnection` — an ``asyncio.Protocol`` on the shared
-  background loop: one TCP transport, a negotiated pipelining envelope
-  (falling back to sequential framing against legacy listeners), and a
-  request-id → ``concurrent.futures.Future`` table so any number of
-  in-flight requests multiplex over the one socket and complete out of
-  order.  A round trip is handed over twice on this side: the caller
-  frames the request in its own thread and passes it to the loop with
-  its waiter; ``data_received`` settles the waiter with the response.
+  background loop: one TCP transport, the correlation envelope opened
+  by the hello handshake (a listener that does not acknowledge it fails
+  the connect), and a request-id → ``concurrent.futures.Future`` table
+  so any number of in-flight requests multiplex over the one socket
+  and complete out of order.  A round trip is handed over twice on
+  this side: the caller frames the request in its own thread and
+  passes it to the loop with its waiter; ``data_received`` settles the
+  waiter with the response.
 - :class:`AioChannel` — the synchronous :class:`~repro.net.transport.
   Channel` facade.  It is thread-safe *without* serializing round trips:
   N threads calling :meth:`AioChannel.request` share the connection and
@@ -21,7 +22,6 @@ Two pieces:
 from __future__ import annotations
 
 import asyncio
-import collections
 import concurrent.futures
 import itertools
 import threading
@@ -64,20 +64,16 @@ class AioConnection(asyncio.Protocol):
         self._address = address
         self._transport = None
         self._frames = FrameBuffer()
-        self._pending = {}                    # request id -> waiter (pipelined)
-        self._waiters = collections.deque()   # waiters in send order (legacy)
+        self._pending = {}                    # request id -> waiter
         self._ids = itertools.count(1)
         self._hello = loop.create_future()    # settled by the first frame
         self._lost = loop.create_future()     # settled by connection_lost
         self._closed = False
-        self.pipelined = False
 
     async def open(self) -> "AioConnection":
         host, port = parse_tcp_address(self._address)
         await self._loop.create_connection(lambda: self, host, port)
         self._transport.writelines(frame_views(MAGIC))
-        # A legacy listener answers the hello with an ordinary (error)
-        # response, not the ack: sequential framing on the same socket.
         await self._hello
         return self
 
@@ -86,12 +82,8 @@ class AioConnection(asyncio.Protocol):
         returns ``(request_id, waiter)``.  The scatter list is built
         here, so an oversized payload raises in the caller, before
         anything reaches the loop or the waiter table."""
-        if self.pipelined:
-            request_id = next(self._ids)
-            views = framed_envelope_views(request_id, payload)
-        else:
-            request_id = None
-            views = frame_views(payload)
+        request_id = next(self._ids)
+        views = framed_envelope_views(request_id, payload)
         waiter = concurrent.futures.Future()
         try:
             self._loop.call_soon_threadsafe(self._send, request_id, views, waiter)
@@ -103,13 +95,11 @@ class AioConnection(asyncio.Protocol):
 
     def forget(self, request_id) -> None:
         """Drop an abandoned request's table entry — no response may ever
-        come to take it out.  (A legacy waiter keeps its place in line,
-        so the unenveloped responses behind it still pair up.)"""
-        if request_id is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._pending.pop, request_id, None)
-            except RuntimeError:
-                pass  # the loop is closed, and the table with it
+        come to take it out."""
+        try:
+            self._loop.call_soon_threadsafe(self._pending.pop, request_id, None)
+        except RuntimeError:
+            pass  # the loop is closed, and the table with it
 
     # -- event loop side -------------------------------------------------
 
@@ -118,10 +108,7 @@ class AioConnection(asyncio.Protocol):
             return _settle(waiter.set_exception, ConnectionClosedError(
                 f"connection to {self._address!r} is closed"
             ))
-        if request_id is None:
-            self._waiters.append(waiter)
-        else:
-            self._pending[request_id] = waiter
+        self._pending[request_id] = waiter
         self._transport.writelines(views)
 
     def connection_made(self, transport) -> None:
@@ -132,15 +119,14 @@ class AioConnection(asyncio.Protocol):
         try:
             for body in self._frames.frames():
                 if not self._hello.done():
-                    self.pipelined = body == MAGIC_ACK
+                    if body != MAGIC_ACK:
+                        raise DecodeError("the hello was answered without its ack")
                     self._hello.set_result(None)
-                elif self.pipelined:
-                    request_id, payload = split_envelope(body)
-                    waiter = self._pending.pop(request_id, None)
-                    if waiter is not None:  # else: forgotten by its caller
-                        _settle(waiter.set_result, payload)
-                elif self._waiters:
-                    _settle(self._waiters.popleft().set_result, body)
+                    continue
+                request_id, payload = split_envelope(body)
+                waiter = self._pending.pop(request_id, None)
+                if waiter is not None:  # else: forgotten by its caller
+                    _settle(waiter.set_result, payload)
         except DecodeError as exc:
             self._teardown(exc)
 
@@ -162,12 +148,12 @@ class AioConnection(asyncio.Protocol):
             "closed" if error is None else f"lost: {error}")
         if not self._hello.done():
             self._hello.set_exception(ConnectionClosedError(
-                f"server at {self._address!r} closed during the aio handshake"
+                f"aio handshake with {self._address!r} failed: "
+                + ("the server closed" if error is None else str(error))
             ))
-        for waiter in (*self._pending.values(), *self._waiters):
+        for waiter in self._pending.values():
             _settle(waiter.set_exception, ConnectionClosedError(reason))
         self._pending.clear()
-        self._waiters.clear()
         self._transport.close()
 
     async def close(self):
@@ -176,17 +162,15 @@ class AioConnection(asyncio.Protocol):
 
 
 class AioChannel(Channel):
-    """Sync :class:`Channel` facade over a pipelined :class:`AioConnection`.
+    """Sync :class:`Channel` facade over a multiplexed :class:`AioConnection`.
 
     Concurrent :meth:`request` calls from any number of threads
-    multiplex over the single connection — no per-channel serialization
-    (a legacy listener answers in order, so round trips there queue up
-    on the peer instead).
+    multiplex over the single connection — no per-channel serialization.
 
     *request_timeout* bounds each round trip (seconds); ``None`` waits
-    forever.  A timed-out pipelined request abandons only itself — the
+    forever.  A timed-out request abandons only itself — the
     correlation id keeps the stream consistent, so the channel stays
-    open, unlike the sequential transports.
+    open, unlike :class:`~repro.net.tcp.TcpChannel`.
     """
 
     #: Capability probe for wrappers (see FaultyChannel.supports_async):
@@ -215,11 +199,6 @@ class AioChannel(Channel):
     def address(self) -> str:
         return self._address
 
-    @property
-    def pipelined(self) -> bool:
-        """Whether the peer accepted the multiplexing envelope."""
-        return self._conn.pipelined
-
     def _submit(self, payload: bytes):
         if not self._open:
             raise ConnectionClosedError(f"channel to {self._address!r} is closed")
@@ -239,10 +218,6 @@ class AioChannel(Channel):
 
     def _timed_out(self) -> TransportError:
         """The error for a round trip past *request_timeout*."""
-        if not self._conn.pipelined:
-            # A legacy peer answers strictly in order: everything sent
-            # after the stalled request would wait behind it.
-            self.close()
         return TransportError(
             f"request to {self._address!r} timed out after "
             f"{self._request_timeout}s"
@@ -275,7 +250,7 @@ class AioChannel(Channel):
             return await asyncio.wait_for(response, self._request_timeout)
         except asyncio.TimeoutError:
             # wait_for cancelled the waiter, which forgot the request.
-            raise await asyncio.to_thread(self._timed_out) from None
+            raise self._timed_out() from None
 
     def close(self) -> None:
         with self._close_lock:

@@ -1,14 +1,14 @@
 """`AioRMIClient`: the asyncio-native RMI client.
 
 One connection, many concurrent conversations: every ``await`` on
-:meth:`AioRMIClient.call` rides the pipelining envelope, so an asyncio
+:meth:`AioRMIClient.call` rides the correlation envelope, so an asyncio
 program can ``asyncio.gather`` dozens of remote calls — or whole batch
 flushes — over a single socket and they complete out of order.
 
 Neither the marshalling rules nor the call path are duplicated: the
 client wraps a full synchronous :class:`~repro.rmi.client.RMIClient`
 (the **sync facade**, reachable at :attr:`AioRMIClient.sync`) whose
-channel is the pipelined :class:`~repro.aio.channel.AioChannel`.  An
+channel is the multiplexed :class:`~repro.aio.channel.AioChannel`.  An
 awaited call runs the facade's own sans-io call generator — span,
 token, encode, attempt loop, decode — with awaits where the facade
 blocks, and the facade itself is what threaded code uses —
@@ -43,7 +43,7 @@ from repro.rmi.stub import Stub
 
 
 class AioRMIClient:
-    """Asyncio-native RMI client multiplexing one pipelined connection."""
+    """Asyncio-native RMI client multiplexing one connection."""
 
     def __init__(self, network: AioNetwork, address: str,
                  from_host: str = "client", callback_server=None,
@@ -67,7 +67,6 @@ class AioRMIClient:
                 "wrapper around one), got a channel of type "
                 f"{type(channel).__name__}"
             )
-        self._channel = channel
         self._effects = awaiting(self._facade._effects)
 
     # -- identity & facade ----------------------------------------------
@@ -95,12 +94,6 @@ class AioRMIClient:
     def plan_memo(self):
         """The facade's memory of flushed batch shapes (plan reuse)."""
         return self._facade.plan_memo
-
-    @property
-    def pipelined(self) -> bool:
-        """Whether the server accepted the multiplexing envelope."""
-        channel = self._facade.channel or self._channel
-        return channel.pipelined
 
     # -- awaitable calls -------------------------------------------------
 

@@ -7,10 +7,10 @@ serving model:
 - **accept loop** — one ``asyncio.Protocol`` object per connection
   instead of one thread (and no task or coroutine per connection or per
   request); thousands of idle connections cost almost nothing;
-- **pipelining** — a negotiated correlation envelope (see
-  :mod:`repro.aio.frames`) lets one connection keep many requests in
-  flight and receive responses out of order; legacy clients that skip
-  the handshake get strict sequential service on the same port;
+- **pipelining** — a correlation envelope, opened by a hello frame
+  (see :mod:`repro.aio.frames`), lets one connection keep many
+  requests in flight and receive responses out of order; a peer whose
+  first frame is not the hello is dropped;
 - **bounded worker pool** — the handler (RMI dispatch plus user code)
   blocks, so it runs on a ``ThreadPoolExecutor`` off the event loop;
   ``max_workers`` bounds concurrent execution.  A request is handed
@@ -65,18 +65,16 @@ DEFAULT_DRAIN_TIMEOUT = 5.0
 class _ServerConnection(asyncio.Protocol):
     """One accepted socket; every method runs on the event loop.
 
-    The first frame picks the mode: :data:`MAGIC` is acknowledged and
-    every later frame is an enveloped request, dispatched as it arrives;
-    anything else is the first request of a sequential (legacy) peer,
-    served one at a time — the rest of what it sent waits in the frame
-    buffer with the socket paused.
+    The first frame must be :data:`MAGIC`, which is acknowledged; every
+    later frame is an enveloped request, dispatched as it arrives.  Any
+    other first frame drops the connection.
     """
 
     def __init__(self, listener: "AioListener"):
         self._listener = listener
         self._transport = None
         self._frames = FrameBuffer()
-        self._pipelined = None       # decided by the first frame
+        self._greeted = False        # the hello arrived and was acknowledged
         self._write_paused = False   # transport buffer above its high-water
         self._input_ended = False    # EOF or garbage: answer, then close
         self.outstanding = 0         # admitted from this socket, unanswered
@@ -117,25 +115,21 @@ class _ServerConnection(asyncio.Protocol):
             return  # dropped or lost: what is still buffered has no reader
         try:
             for body in self._frames.frames():
-                if self._pipelined is None:
-                    self._pipelined = body == MAGIC
-                    if self._pipelined:
-                        transport.writelines(frame_views(MAGIC_ACK))
-                        continue
-                if self._pipelined:
-                    listener._dispatch(self, *split_envelope(body))
-                else:
-                    listener._dispatch(self, None, body)
-                if self._write_paused or (
-                        self.outstanding and not self._pipelined):
+                if not self._greeted:
+                    if body != MAGIC:
+                        raise DecodeError("first frame is not the aio hello")
+                    self._greeted = True
+                    transport.writelines(frame_views(MAGIC_ACK))
+                    continue
+                listener._dispatch(self, *split_envelope(body))
+                if self._write_paused:
                     break  # the rest waits in the frame buffer
         except DecodeError:
-            # Short envelope or oversized prefix: drop this connection,
-            # once what it already had admitted is answered.
+            # No hello, short envelope or oversized prefix: drop this
+            # connection, once what it already had admitted is answered.
             self._frames = FrameBuffer()
             self._input_ended = True
-        owing = self.outstanding and (self._input_ended or not self._pipelined)
-        if self._write_paused or owing:
+        if self._write_paused or (self.outstanding and self._input_ended):
             # Write flow control lives here: a peer that does not read
             # its responses is neither read from nor dispatched for.
             transport.pause_reading()
@@ -145,7 +139,7 @@ class _ServerConnection(asyncio.Protocol):
             transport.resume_reading()
 
     def reply(self, request_id, request_bytes: int, response) -> None:
-        """Write one response (``request_id`` None: sequential framing)."""
+        """Write one response, enveloped with its request's id."""
         transport = self._transport
         if response is None:
             # Injected server-side fault: drop the whole connection, the
@@ -154,7 +148,6 @@ class _ServerConnection(asyncio.Protocol):
         elif not transport.is_closing():  # else the reply has no home
             try:
                 transport.writelines(
-                    frame_views(response) if request_id is None else
                     framed_envelope_views(request_id, response))
             except FrameTooLargeError:
                 return transport.close()
@@ -162,7 +155,7 @@ class _ServerConnection(asyncio.Protocol):
 
 
 class AioListener(Listener):
-    """A pipelined asyncio listener serving ``handler(bytes) -> bytes``."""
+    """A multiplexing asyncio listener serving ``handler(bytes) -> bytes``."""
 
     def __init__(self, loop_thread, address: str, handler, *,
                  max_workers: int = DEFAULT_MAX_WORKERS,

@@ -14,7 +14,7 @@ The workload is a :class:`LoadTarget` batch whose single ``work(delay)``
 call sleeps server-side, modelling a backend touch (a disk read, an
 upstream RPC).  With service time dominating, throughput is bounded by
 *requests in flight*, not client count — the thread-per-connection
-runtime caps that at one per connection, the pipelined runtime at
+runtime caps that at one per connection, the asyncio runtime at
 ``streams`` per connection.
 """
 

@@ -1,7 +1,7 @@
 """Live server metrics for the asyncio runtime.
 
 The threaded transports only count traffic (:class:`~repro.net.stats.
-TrafficStats`).  A pipelined server with admission control needs more to
+TrafficStats`).  A multiplexing server with admission control needs more to
 be operable under load: how many requests are in flight right now, how
 many are queued behind the worker pool, how many were shed, and what the
 service-time distribution looks like.  :class:`MetricsRecorder` keeps

@@ -2,19 +2,19 @@
 
 Implements the :class:`~repro.net.transport.Network` contract, so the
 entire existing stack — ``RMIServer``, ``RMIClient``, ``create_batch``,
-plan reuse — runs over the pipelined asyncio runtime by swapping one
+plan reuse — runs over the multiplexing asyncio runtime by swapping one
 constructor argument::
 
     network = AioNetwork(max_workers=32, queue_depth=128)
     server = RMIServer(network, "tcp://127.0.0.1:0").start()
-    client = RMIClient(network, server.address)   # pipelined facade
+    client = RMIClient(network, server.address)   # multiplexed facade
 
 One background event loop (one thread) carries all listeners and
 channels of the network; handlers execute on each listener's bounded
-worker pool.  Wire-compatible with the threaded TCP transport in both
-directions: plain ``TcpChannel`` clients get sequential service from an
-``AioListener``, and an ``AioChannel`` talking to a plain
-``TcpListener`` falls back to sequential framing after the handshake.
+worker pool.  Both ends must be aio: the hello handshake (see
+:mod:`repro.aio.frames`) fails a ``TcpChannel`` against an
+``AioListener``, and an ``AioChannel`` against a ``TcpListener``, with
+a typed error instead of a hang.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.net.transport import Network
 
 
 class AioNetwork(Network):
-    """Factory for pipelined asyncio listeners and channels.
+    """Factory for multiplexing asyncio listeners and channels.
 
     *max_workers*, *queue_depth* and *drain_timeout* configure every
     listener created through :meth:`listen`; *request_timeout* bounds

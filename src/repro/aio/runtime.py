@@ -59,24 +59,6 @@ class EventLoopThread:
             raise RuntimeError("event loop thread is stopped")
         return asyncio.run_coroutine_threadsafe(coro, self._loop)
 
-    def task_count(self, timeout: float = 1.0) -> int:
-        """Best-effort count of unfinished tasks on the loop.
-
-        Introspection for the admin plane's health payload; returns 0
-        when the loop is stopped or too busy to answer within *timeout*
-        (a health poll must never wedge on the thing it is probing).
-        """
-
-        async def count():
-            return sum(1 for task in asyncio.all_tasks() if not task.done())
-
-        if not self.alive:
-            return 0
-        try:
-            return self.run(count(), timeout=timeout)
-        except Exception:  # noqa: BLE001 - best-effort by contract
-            return 0
-
     def run(self, coro, timeout: float = None):
         """Run *coro* on the loop and block for its result.
 

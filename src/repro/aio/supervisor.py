@@ -1,6 +1,6 @@
 """Process groups: N serve processes under one supervisor, in two layouts.
 
-One Python process — however pipelined — tops out at one core: the
+One Python process — however multiplexed — tops out at one core: the
 benchmarks are delay/GIL-bound on a single event loop.  The
 :class:`Supervisor` runs N ordinary ``python -m repro.aio serve``
 children (the unchanged aio runtime: worker pool, admission control,

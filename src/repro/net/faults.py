@@ -323,11 +323,6 @@ class FaultyChannel(Channel):
         return response
 
     @property
-    def pipelined(self):
-        """Whether the wrapped channel negotiated pipelining (aio only)."""
-        return getattr(self._inner, "pipelined", False)
-
-    @property
     def supports_async(self) -> bool:
         """Whether an awaitable request path exists under the wrapper.
 
@@ -343,7 +338,7 @@ class FaultyChannel(Channel):
         return hasattr(inner, "request_async")
 
     def request_async(self, payload: bytes):
-        """Awaitable faulty round trip (wrapping a pipelined channel).
+        """Awaitable faulty round trip (wrapping an aio channel).
 
         The aio channel's close blocks on its background loop; severing
         on a worker thread keeps the caller's event loop responsive.

@@ -16,6 +16,7 @@ import socket
 import threading
 import time
 
+from repro.wire.errors import DecodeError
 from repro.wire.framing import FrameReceiver, write_frame
 from repro.net.transport import (
     Channel,
@@ -272,17 +273,21 @@ class TcpChannel(Channel):
                     f"channel to {self._address!r} is closed"
                 )
             try:
+                # An oversized payload raises FrameTooLargeError here,
+                # before a byte is sent: the channel stays usable.
                 write_frame(self._sock, payload)
+            except OSError as exc:
+                raise self._broken(exc) from exc
+            try:
                 # Detach from the reusable receive buffer: the Channel
                 # API promises bytes that outlive the next round trip.
-                # (Like read_frame before it, this folds the empty frame
-                # into the clean-EOF b"" — the codec never emits one.)
+                # (This folds the empty frame into the clean-EOF b"" —
+                # the codec never emits one.)
                 response = bytes(self._receiver.receive(self._sock))
-            except OSError as exc:
-                self._open = False
-                raise ConnectionClosedError(
-                    f"i/o failure talking to {self._address!r}: {exc}"
-                ) from exc
+            except (OSError, DecodeError) as exc:
+                # A peer gone mid-frame or an oversized length prefix
+                # leaves the stream desynchronized, like an i/o error.
+                raise self._broken(exc) from exc
         if response == b"":
             self._open = False
             raise ConnectionClosedError(
@@ -290,6 +295,14 @@ class TcpChannel(Channel):
             )
         self.stats.record_request(len(payload), len(response))
         return response
+
+    def _broken(self, exc) -> ConnectionClosedError:
+        """Mark the channel closed after a failed exchange; the error
+        for the caller."""
+        self._open = False
+        return ConnectionClosedError(
+            f"i/o failure talking to {self._address!r}: {exc}"
+        )
 
     def close(self) -> None:
         with self._io_lock:

@@ -5,7 +5,8 @@ dumped at shutdown, traces visible once exported.  An
 :class:`AdminServer` makes a serving process observable *while it runs
 and degrades*: a side-port endpoint speaking **JSON over the existing
 length-prefixed frames** (:mod:`repro.wire.framing` via the threaded
-:class:`~repro.net.tcp.TcpListener` — the RMI wire format itself stays
+:class:`~repro.net.tcp.TcpListener` and
+:class:`~repro.net.tcp.TcpChannel` — the RMI wire format itself stays
 frozen; admin frames carry plain JSON, never TLV).
 
 Protocol: one request frame containing ``{"cmd": <name>, ...params}``,
@@ -34,13 +35,12 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import threading
 import time
 
-from repro.net.tcp import TcpListener, parse_tcp_address
+from repro.net.tcp import TcpChannel, TcpListener
+from repro.net.transport import ConnectError, TransportError
 from repro.obs.metrics import MetricsRegistry
-from repro.wire.framing import read_frame, write_frame
 
 #: Seconds an admin client waits for one poll round trip.
 DEFAULT_POLL_TIMEOUT = 5.0
@@ -280,19 +280,16 @@ class AdminClient:
 
     Pollers keep one of these open (1 Hz polling should not pay a TCP
     handshake per tick); one-shot callers use :func:`admin_request`.
-    Not thread-safe — one poller, one client.
+    *timeout* bounds each poll round trip.
     """
 
     def __init__(self, address: str, timeout: float = DEFAULT_POLL_TIMEOUT):
-        host, port = parse_tcp_address(address)
         self._address = address
         try:
-            self._sock = socket.create_connection((host, port),
-                                                  timeout=timeout)
-            self._sock.settimeout(timeout)
-        except OSError as exc:
+            self._channel = TcpChannel(address, request_timeout=timeout)
+        except ConnectError as exc:
             raise AdminError(
-                f"cannot reach admin endpoint {address!r}: {exc}"
+                f"cannot reach admin endpoint {address!r}: {exc.__cause__}"
             ) from exc
 
     @property
@@ -307,18 +304,11 @@ class AdminClient:
         """
         message = dict(params, cmd=cmd)
         try:
-            write_frame(self._sock, json.dumps(message).encode())
-            response = read_frame(self._sock)
-        except AdminError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - any transport failure
+            response = self._channel.request(json.dumps(message).encode())
+        except TransportError as exc:
             raise AdminError(
                 f"admin poll of {self._address!r} failed: {exc}"
             ) from exc
-        if response == b"":
-            raise AdminError(
-                f"admin endpoint {self._address!r} closed the connection"
-            )
         try:
             reply = json.loads(response)
         except ValueError as exc:
@@ -333,10 +323,7 @@ class AdminClient:
         return reply
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._channel.close()
 
     def __enter__(self):
         return self

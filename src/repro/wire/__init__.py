@@ -10,8 +10,8 @@ Public surface:
 - :func:`register_exception` — register an exception for faithful transfer
 - :class:`RemoteRef` — the wire-native remote reference
 - :class:`ParamSlot` — the wire-native plan parameter placeholder
-- :func:`frame_views` / :func:`write_frame` / :func:`read_frame` /
-  :class:`FrameReceiver` / :class:`FrameBuffer` — stream framing (scatter-gather on the hot paths)
+- :func:`frame_views` / :func:`write_frame` / :class:`FrameReceiver` /
+  :class:`FrameBuffer` — stream framing (scatter-gather on the hot paths)
 """
 
 from repro.wire.buffers import GLOBAL_POOL, BufferPool
@@ -36,7 +36,6 @@ from repro.wire.framing import (
     FrameReceiver,
     FrameTooLargeError,
     frame_views,
-    read_frame,
     write_frame,
 )
 from repro.wire.plans import ParamSlot
@@ -71,7 +70,6 @@ __all__ = [
     "encode_framed",
     "encode_many",
     "frame_views",
-    "read_frame",
     "register_exception",
     "registered_classes",
     "registered_exceptions",

@@ -11,9 +11,12 @@ into a fresh buffer:
 - :func:`write_frame` pushes that list through ``socket.sendmsg`` —
   scatter-gather I/O, no concatenation (falling back to ``sendall``
   where ``sendmsg`` does not exist);
-- :class:`FrameReceiver` reads frames with ``recv_into`` into one
-  reusable per-connection buffer and yields ``memoryview`` windows of
-  it, so the decoder can run straight off the receive buffer.
+- :class:`FrameReceiver` — the one blocking reader — reads frames with
+  ``recv_into`` into one reusable per-connection buffer and yields
+  ``memoryview`` windows of it, so the decoder can run straight off the
+  receive buffer;
+- :class:`FrameBuffer` reassembles frames from the chunks an
+  ``asyncio.Protocol`` is fed — the non-blocking reader.
 """
 
 from __future__ import annotations
@@ -74,38 +77,6 @@ def write_frame(sock, payload) -> None:
         sock.sendall(body)
     else:
         sock.sendall(memoryview(body)[sent - 4 :])
-
-
-def read_frame(sock) -> bytes:
-    """Read one complete frame from a socket-like object.
-
-    Returns ``b""`` on clean EOF at a frame boundary.  Raises
-    :class:`~repro.wire.errors.DecodeError` on EOF mid-frame or an
-    oversized prefix.
-    """
-    header = _read_exact(sock, 4, allow_eof=True)
-    if header == b"":
-        return b""
-    (length,) = _u32.unpack(header)
-    if length > MAX_FRAME_SIZE:
-        raise FrameTooLargeError(length)
-    return _read_exact(sock, length, allow_eof=False)
-
-
-def _read_exact(sock, count, allow_eof):
-    chunks = []
-    got = 0
-    while got < count:
-        chunk = sock.recv(count - got)
-        if not chunk:
-            if allow_eof and got == 0:
-                return b""
-            raise DecodeError(
-                f"connection closed mid-frame ({got}/{count} bytes read)"
-            )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
 
 
 class FrameReceiver:
@@ -239,7 +210,7 @@ class FrameBuffer:
 
     def eof(self) -> None:
         """The input ended: raise :class:`DecodeError` if it ended inside
-        a frame (the wording :func:`read_frame` uses)."""
+        a frame (the wording :class:`FrameReceiver` uses)."""
         if self._have:
             raise DecodeError(
                 f"connection closed mid-frame ({self._have}/{self._need} "

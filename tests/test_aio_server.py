@@ -13,17 +13,17 @@ import time
 import pytest
 
 from repro.aio import AioNetwork, AioRMIClient, LoadTargetImpl
-from repro.aio.frames import MAGIC, MAGIC_ACK, pack_envelope, split_envelope
+from repro.aio.frames import (
+    MAGIC,
+    MAGIC_ACK,
+    framed_envelope_views,
+    split_envelope,
+)
 from repro.aio.listener import AioListener, _ServerConnection
 from repro.core import create_batch
 from repro.net.tcp import parse_tcp_address
 from repro.rmi import RMIClient, RMIServer, ServerBusyError
-from repro.wire.framing import (
-    MAX_FRAME_SIZE,
-    frame_views,
-    read_frame,
-    write_frame,
-)
+from repro.wire.framing import MAX_FRAME_SIZE, FrameReceiver, write_frame
 
 from tests.support import (
     BoomError,
@@ -354,7 +354,6 @@ class TestAsyncClient:
         batch.flush()
         assert future.get() == 9
         assert aclient.stats.requests >= 2
-        assert aclient.pipelined
         aclient.close()
 
     def test_awaited_timeout_is_retried_like_any_transport_error(self):
@@ -515,17 +514,18 @@ class RawPipelinedPeer:
             self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
         self.sock.settimeout(10.0)
         self.sock.connect((host, port))
+        self.receiver = FrameReceiver()
         write_frame(self.sock, MAGIC)
-        assert read_frame(self.sock) == MAGIC_ACK
+        assert self.receiver.receive(self.sock) == MAGIC_ACK
 
     def send(self, request_id, payload=b"ping"):
-        write_frame(self.sock, pack_envelope(request_id, payload))
+        self.sock.sendall(b"".join(framed_envelope_views(request_id, payload)))
 
     def read_ids(self, count):
         """Ids of the next *count* responses; fewer if EOF comes first."""
         ids = []
         while len(ids) < count:
-            body = read_frame(self.sock)
+            body = self.receiver.receive(self.sock)
             if body == b"":
                 break
             ids.append(split_envelope(body)[0])
@@ -596,33 +596,6 @@ class TestFlowControlAndTeardown:
             peer.sock.shutdown(socket.SHUT_WR)
             assert sorted(peer.read_ids(9)) == list(range(8))  # then EOF
             peer.close()
-        finally:
-            network.close()
-
-    def test_sequential_peer_backlog_is_served_one_at_a_time(self):
-        """A legacy peer that sends ahead of its responses (then
-        half-closes) is answered in order, never two at once."""
-        network = AioNetwork(max_workers=4, queue_depth=16)
-        running, overlaps = [], []
-
-        def handler(payload):
-            running.append(payload)
-            overlaps.append(len(running))
-            time.sleep(0.01)
-            running.remove(payload)
-            return payload
-
-        try:
-            listener = network.listen("tcp://127.0.0.1:0", handler)
-            host, port = parse_tcp_address(listener.address)
-            with socket.create_connection((host, port), timeout=10.0) as sock:
-                sock.sendall(b"".join(
-                    part for i in range(5)
-                    for part in frame_views(b"req%d" % i)))
-                sock.shutdown(socket.SHUT_WR)
-                replies = [read_frame(sock) for _ in range(6)]
-            assert replies == [b"req%d" % i for i in range(5)] + [b""]
-            assert overlaps == [1] * 5
         finally:
             network.close()
 

@@ -1,10 +1,12 @@
-"""The asyncio transport layer: framing, pipelining, interop, lifecycle.
+"""The asyncio transport layer: framing, pipelining, the one wire mode,
+lifecycle.
 
 Everything here drives raw ``handler(bytes) -> bytes`` listeners —
 protocol-level behavior, below the RMI stack.
 """
 
 import asyncio
+import contextlib
 import socket
 import threading
 import time
@@ -13,11 +15,17 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.aio import AioNetwork, EventLoopThread
-from repro.aio.frames import MAGIC, MAGIC_ACK, pack_envelope, split_envelope
+from repro.aio.frames import (
+    MAGIC,
+    MAGIC_ACK,
+    framed_envelope_views,
+    split_envelope,
+)
 from repro.net import TcpNetwork
 from repro.net.transport import ConnectError, ConnectionClosedError, TransportError
+from repro.rmi import CommunicationError, RMIClient
 from repro.wire.errors import DecodeError
-from repro.wire.framing import frame_views, read_frame, write_frame
+from repro.wire.framing import FrameReceiver, frame_views, write_frame
 
 from tests.support import wait_until
 
@@ -29,13 +37,49 @@ def net():
     network.close()
 
 
+def envelope(request_id, payload):
+    """The body of one enveloped frame (its length prefix dropped)."""
+    return b"".join(framed_envelope_views(request_id, payload))[4:]
+
+
+#: Answers that are not a whole frame: a 100-byte body cut short, and a
+#: length prefix over the cap.
+CUT_SHORT = (100).to_bytes(4, "big") + b"only this"
+OVERSIZED = (2 ** 31).to_bytes(4, "big")
+
+
+@contextlib.contextmanager
+def broken_answer(answer: bytes):
+    """A raw peer that reads one request — after the aio hello, if one
+    comes — then sends *answer*, which is not a whole frame, and hangs
+    up.  Yields its address."""
+    accepting = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        peer, _ = accepting.accept()
+        with peer:
+            receiver = FrameReceiver()
+            if receiver.receive(peer) == MAGIC:
+                write_frame(peer, MAGIC_ACK)
+                receiver.receive(peer)
+            peer.sendall(answer)
+
+    server = threading.Thread(target=serve)
+    server.start()
+    try:
+        yield f"tcp://127.0.0.1:{accepting.getsockname()[1]}"
+    finally:
+        server.join(timeout=5.0)
+        accepting.close()
+
+
 class TestEnvelope:
     def test_round_trip(self):
-        rid, body = split_envelope(pack_envelope(77, b"payload"))
+        rid, body = split_envelope(envelope(77, b"payload"))
         assert (rid, body) == (77, b"payload")
 
     def test_empty_payload(self):
-        rid, body = split_envelope(pack_envelope(1, b""))
+        rid, body = split_envelope(envelope(1, b""))
         assert (rid, body) == (1, b"")
 
     def test_short_frame_rejected(self):
@@ -90,7 +134,6 @@ class TestAioEcho:
     def test_request_response(self, net):
         listener = net.listen("tcp://127.0.0.1:0", lambda p: p + b"!")
         channel = net.connect(listener.address)
-        assert channel.pipelined
         assert channel.request(b"hello") == b"hello!"
         assert listener.stats.requests == 1
 
@@ -160,26 +203,32 @@ class TestAioEcho:
 
 
 class TestInterop:
+    """The envelope is the aio pair's only wire mode: a threaded peer on
+    either end is a typed failure, never a hang or a second mode."""
+
     def test_tcp_channel_against_aio_listener(self, net):
-        """Legacy sequential clients are served on the same port."""
-        listener = net.listen("tcp://127.0.0.1:0", lambda p: p + b"?")
+        """A first frame that is not the hello drops that connection,
+        before anything is dispatched; aio connections are unaffected."""
+        calls = []
+        listener = net.listen("tcp://127.0.0.1:0",
+                              lambda p: calls.append(p) or p + b"?")
         tcp = TcpNetwork()
         try:
             channel = tcp.connect(listener.address)
-            assert channel.request(b"legacy") == b"legacy?"
-            assert channel.request(b"again") == b"again?"
+            with pytest.raises(ConnectionClosedError):
+                channel.request(b"no hello")
+            assert net.connect(listener.address).request(b"aio") == b"aio?"
+            assert calls == [b"aio"]
         finally:
             tcp.close()
 
     def test_aio_channel_against_tcp_listener(self, net):
-        """The pipelining handshake falls back against a legacy server."""
+        """A hello answered without the ack fails the connect."""
         tcp = TcpNetwork()
         try:
             listener = tcp.listen("tcp://127.0.0.1:0", lambda p: bytes(p) + b".")
-            channel = net.connect(listener.address)
-            assert not channel.pipelined
-            assert channel.request(b"fallback") == b"fallback."
-            assert channel.request(b"works") == b"works."
+            with pytest.raises(TransportError, match="aio handshake"):
+                net.connect(listener.address)
         finally:
             tcp.close()
 
@@ -215,29 +264,42 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             network.connect("tcp://127.0.0.1:1")
 
+    @pytest.mark.parametrize("network, answer, reason", [
+        pytest.param(TcpNetwork, CUT_SHORT,
+                     r"closed mid-frame \(9/100 bytes read\)", id="tcp"),
+        pytest.param(AioNetwork, CUT_SHORT,
+                     r"closed mid-frame \(13/104 bytes read\)", id="aio"),
+        pytest.param(TcpNetwork, OVERSIZED,
+                     "frame of 2147483648 bytes exceeds", id="tcp-oversized"),
+        pytest.param(AioNetwork, OVERSIZED,
+                     "frame of 2147483648 bytes exceeds", id="aio-oversized"),
+    ])
     def test_peer_closing_mid_frame_fails_the_waiter_with_the_reason(
-            self, net):
-        accepting = socket.create_server(("127.0.0.1", 0))
-        port = accepting.getsockname()[1]
-
-        def half_answer():
-            peer, _ = accepting.accept()
-            with peer:
-                assert read_frame(peer) == MAGIC
-                write_frame(peer, MAGIC_ACK)
-                read_frame(peer)
-                peer.sendall((100).to_bytes(4, "big") + b"only this")
-
-        server = threading.Thread(target=half_answer)
-        server.start()
+            self, network, answer, reason):
+        """A broken answer is a communication failure that closes the
+        channel, on both transports (the threaded one used to raise the
+        reader's DecodeError and keep a desynchronized stream open)."""
+        network = network()
         try:
-            channel = net.connect(f"tcp://127.0.0.1:{port}")
-            with pytest.raises(ConnectionClosedError,
-                               match=r"closed mid-frame \(13/104 bytes read\)"):
-                channel.request(b"x")
+            with broken_answer(answer) as at:
+                channel = network.connect(at)
+                with pytest.raises(ConnectionClosedError, match=reason):
+                    channel.request(b"x")
+            with pytest.raises(ConnectionClosedError):
+                channel.request(b"y")
         finally:
-            server.join(timeout=5.0)
-            accepting.close()
+            network.close()
+
+    def test_fail_fast_client_sees_a_communication_error(self):
+        network = TcpNetwork()
+        try:
+            with broken_answer(CUT_SHORT) as at:
+                client = RMIClient(network, at)
+                with pytest.raises(CommunicationError,
+                                   match="closed mid-frame"):
+                    client.list_names()
+        finally:
+            network.close()
 
     def test_request_timeout_keeps_pipelined_channel_open(self):
         network = AioNetwork(max_workers=4, queue_depth=4,
@@ -256,8 +318,7 @@ class TestLifecycle:
                 channel.request(b"stall")
             gate.set()
             # Correlation ids keep the stream coherent: the channel
-            # survives an abandoned request, unlike the sequential
-            # transports.
+            # survives an abandoned request, unlike TcpChannel.
             assert channel.request(b"after") == b"after"
         finally:
             network.close()
@@ -323,35 +384,6 @@ class TestLifecycle:
         finally:
             gate.set()
             network.close()
-
-    def test_request_async_timeout_closes_a_legacy_channel(self):
-        """A legacy peer answers strictly in order, so an awaited
-        timeout there closes the channel, as a blocking one does."""
-        tcp = TcpNetwork()
-        network = AioNetwork(request_timeout=0.2)
-        gate = threading.Event()
-        try:
-            def handler(payload):
-                if bytes(payload) == b"stall":
-                    gate.wait(10.0)
-                return b"ok"
-
-            listener = tcp.listen("tcp://127.0.0.1:0", handler)
-            channel = network.connect(listener.address)
-            assert not channel.pipelined
-
-            async def awaited_request(payload):
-                return await channel.request_async(payload)
-
-            with pytest.raises(TransportError, match="timed out after 0.2s"):
-                asyncio.run(awaited_request(b"stall"))
-            with pytest.raises(ConnectionClosedError):
-                channel.request(b"after")
-        finally:
-            gate.set()
-            network.close()
-            tcp.close()
-
 
 class TestHopShape:
     """The hop does per request only what it needs: one hand-off in and
@@ -464,13 +496,12 @@ class TestHopShape:
         try:
             conn = AioConnection(loop, "tcp://127.0.0.1:1")
             conn.data_received(b"".join(frame_views(MAGIC_ACK)))
-            assert conn.pipelined
             abandoned, live = Future(), Future()
             abandoned.cancel()
             conn._pending.update({5: abandoned, 6: live})
             conn.data_received(b"".join(
                 part for rid in (5, 6)
-                for part in frame_views(pack_envelope(rid, b"late"))))
+                for part in framed_envelope_views(rid, b"late")))
             assert live.result(0) == b"late"
             assert conn._pending == {} and not conn._closed
         finally:

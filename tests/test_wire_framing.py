@@ -1,15 +1,17 @@
 """Unit tests for length-prefixed framing."""
 
 import io
+import socket
 
 import pytest
 
 from repro.wire import (
     DecodeError,
     FrameBuffer,
+    FrameReceiver,
     FrameTooLargeError,
     frame_views,
-    read_frame,
+    write_frame,
 )
 from repro.wire.framing import MAX_FRAME_SIZE
 
@@ -19,47 +21,66 @@ def frame(payload: bytes) -> bytes:
     return b"".join(frame_views(payload))
 
 
-class FakeSocket:
-    """recv() in deliberately awkward chunk sizes."""
-
-    def __init__(self, data, chunk=3):
-        self._stream = io.BytesIO(data)
-        self._chunk = chunk
-
-    def recv(self, n):
-        return self._stream.read(min(n, self._chunk))
-
-
 class TestFrame:
-    def test_roundtrip(self):
-        framed = frame(b"hello")
-        assert read_frame(FakeSocket(framed)) == b"hello"
+    """What :func:`write_frame` sends over a real socket pair,
+    :class:`FrameReceiver` — the one blocking reader — reads back; its
+    failures carry the wording the transports' errors quote."""
 
-    def test_empty_payload(self):
-        assert read_frame(FakeSocket(frame(b""))) == b""
+    @pytest.fixture
+    def pair(self):
+        writer, reader = socket.socketpair()
+        yield writer, reader
+        writer.close()
+        reader.close()
 
-    def test_multiple_frames_sequentially(self):
-        data = frame(b"one") + frame(b"two")
-        sock = FakeSocket(data)
-        assert read_frame(sock) == b"one"
-        assert read_frame(sock) == b"two"
+    def test_roundtrip(self, pair):
+        writer, reader = pair
+        write_frame(writer, b"hello")
+        assert FrameReceiver().receive(reader) == b"hello"
 
-    def test_clean_eof_returns_empty(self):
-        assert read_frame(FakeSocket(b"")) == b""
+    def test_empty_payload(self, pair):
+        writer, reader = pair
+        write_frame(writer, b"")
+        write_frame(writer, b"next")
+        receiver = FrameReceiver()
+        assert len(receiver.receive(reader)) == 0
+        assert receiver.receive(reader) == b"next"
 
-    def test_eof_mid_header(self):
-        with pytest.raises(DecodeError):
-            read_frame(FakeSocket(b"\x00\x00"))
+    def test_multiple_frames_sequentially(self, pair):
+        writer, reader = pair
+        write_frame(writer, b"one")
+        write_frame(writer, b"two")
+        receiver = FrameReceiver()
+        first = bytes(receiver.receive(reader))  # detached: outlives the next
+        assert (first, receiver.receive(reader)) == (b"one", b"two")
 
-    def test_eof_mid_payload(self):
-        framed = frame(b"hello")[:-2]
-        with pytest.raises(DecodeError):
-            read_frame(FakeSocket(framed))
+    def test_clean_eof_returns_empty(self, pair):
+        writer, reader = pair
+        writer.close()
+        assert FrameReceiver().receive(reader) == b""
 
-    def test_oversize_prefix_rejected(self):
-        bad = (MAX_FRAME_SIZE + 1).to_bytes(4, "big")
-        with pytest.raises(FrameTooLargeError):
-            read_frame(FakeSocket(bad))
+    def test_eof_mid_header(self, pair):
+        writer, reader = pair
+        writer.sendall(b"\x00\x00")
+        writer.close()
+        with pytest.raises(DecodeError,
+                           match=r"closed mid-frame \(2/4 bytes read\)"):
+            FrameReceiver().receive(reader)
+
+    def test_eof_mid_payload(self, pair):
+        writer, reader = pair
+        writer.sendall(frame(b"hello")[:-2])
+        writer.close()
+        with pytest.raises(DecodeError,
+                           match=r"closed mid-frame \(3/5 bytes read\)"):
+            FrameReceiver().receive(reader)
+
+    def test_oversize_prefix_rejected(self, pair):
+        writer, reader = pair
+        writer.sendall((MAX_FRAME_SIZE + 1).to_bytes(4, "big"))
+        with pytest.raises(FrameTooLargeError, match="exceeds limit") as info:
+            FrameReceiver().receive(reader)
+        assert info.value.size == MAX_FRAME_SIZE + 1
 
     def test_frame_too_large_to_send(self):
         with pytest.raises(FrameTooLargeError):
