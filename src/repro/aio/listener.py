@@ -12,10 +12,12 @@ serving model:
   requests in flight and receive responses out of order; a peer whose
   first frame is not the hello is dropped;
 - **bounded worker pool** — the handler (RMI dispatch plus user code)
-  blocks, so it runs on a ``ThreadPoolExecutor`` off the event loop;
+  blocks, so the listener's request step (:meth:`~repro.net.transport.
+  Listener.answer`) runs on a ``ThreadPoolExecutor`` off the event loop;
   ``max_workers`` bounds concurrent execution.  A request is handed
   over twice: ``pool.submit`` in, one ``call_soon_threadsafe`` from the
-  worker back to the loop, which writes the response;
+  worker back to the loop, which writes the response — or, when the
+  step failed, drops the connection, as every driver does;
 - **admission control** — at most ``max_workers + queue_depth`` requests
   may be admitted; beyond that the listener sheds load instantly with a
   pre-encoded :class:`~repro.rmi.exceptions.ServerBusyError` response
@@ -45,8 +47,8 @@ from repro.aio.metrics import MetricsRecorder, ServerMetrics
 from repro.net.tcp import parse_tcp_address
 from repro.obs.hints import note_queue_wait
 from repro.obs.tracer import current_tracer
-from repro.net.transport import FaultInjectedError, Listener
-from repro.rmi.exceptions import RemoteError, ServerBusyError
+from repro.net.transport import ConnectionClosedError, Listener
+from repro.rmi.exceptions import ServerBusyError
 from repro.rmi.protocol import CallResponse
 from repro.wire import encode
 from repro.wire.errors import DecodeError
@@ -142,8 +144,8 @@ class _ServerConnection(asyncio.Protocol):
         """Write one response, enveloped with its request's id."""
         transport = self._transport
         if response is None:
-            # Injected server-side fault: drop the whole connection, the
-            # same observable failure the threaded listener produces.
+            # The request step failed: drop the whole connection, every
+            # request multiplexed on it included, as every driver does.
             transport.close()
         elif not transport.is_closing():  # else the reply has no home
             try:
@@ -167,10 +169,9 @@ class AioListener(Listener):
         if queue_depth < 0:
             raise ValueError(f"queue_depth must be >= 0: {queue_depth}")
         host, port = parse_tcp_address(address)
-        super().__init__(address)
+        super().__init__(address, handler)
         self._loop_thread = loop_thread
         self._loop = loop_thread.loop
-        self._handler = handler
         self._capacity = max_workers + queue_depth
         self._drain_timeout = drain_timeout
         self._pool = ThreadPoolExecutor(
@@ -214,11 +215,6 @@ class AioListener(Listener):
         """True while the listener accepts new connections (what the
         admin endpoint's ``health`` readiness reports)."""
         return not self._closing and not self._closed
-
-    def charge(self, kind: str, count: int = 1) -> None:
-        """Record middleware charges for statistics only (real CPU time
-        is already spent for real on this transport)."""
-        self.stats.record_charge(kind, count)
 
     # -- serving (event loop side) ---------------------------------------
 
@@ -272,12 +268,9 @@ class AioListener(Listener):
             pass  # close() gave up on this handler and the loop is gone
 
     def _invoke(self, payload: bytes, admitted_at: float):
-        """Worker-pool side: run the handler, never let it raise.
+        """Worker-pool side: the request step, or ``None`` when it
+        failed (the writer side then drops the connection).
 
-        The RMI core already encodes its own failures; a raw exception
-        here means the handler itself is broken.  Unlike the threaded
-        transport we cannot just drop the connection — other requests
-        are multiplexed on it — so degrade to an encoded error response.
         Metrics are recorded here, on the worker, so a request's
         start/done accounting cannot be split from its execution.
         """
@@ -286,19 +279,9 @@ class AioListener(Listener):
         # attach to this request's server span (same worker thread).
         note_queue_wait(time.monotonic() - admitted_at)
         try:
-            try:
-                return self._handler(payload)
-            except FaultInjectedError:
-                # A fault-injecting wrapper asked for a dropped connection
-                # (None tells the writer side to close it) — the chaos
-                # harness's stand-in for a server crashing mid-exchange.
-                return None
-            except Exception as exc:  # noqa: BLE001 - must not kill the worker
-                return encode(
-                    CallResponse(
-                        RemoteError(f"server handler failure: {exc}"), True
-                    )
-                )
+            return self.answer(payload)
+        except ConnectionClosedError:
+            return None
         finally:
             self._recorder.on_done(time.monotonic() - admitted_at)
 

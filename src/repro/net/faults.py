@@ -7,10 +7,13 @@ let tests prove exactly that — and prove the *retry* layer built on top:
 
 - :class:`FaultInjector` — the original simulated-network hook: decide,
   per request, whether :class:`~repro.net.sim.SimNetwork` fails it.
-- :class:`FaultyNetwork` / :class:`FaultyChannel` / :class:`FaultyListener`
-  — a chaos wrapper around *any* transport (threaded TCP, asyncio, or the
-  simulator), injecting seeded drop/delay/corrupt/truncate/disconnect
-  events at frame boundaries, driven by a :class:`FaultSchedule`.
+- :class:`FaultyNetwork` / :class:`FaultyChannel` — a chaos wrapper
+  around *any* transport (threaded TCP, asyncio, or the simulator),
+  injecting seeded drop/delay/corrupt/truncate/disconnect events at
+  frame boundaries, driven by a :class:`FaultSchedule`.  Server-side
+  events fire inside the wrapped handler: a drop raises
+  :class:`~repro.net.transport.FaultInjectedError` into the listener's
+  request step, which drops the connection on every transport.
 
 The wrapper's event vocabulary distinguishes the two failure moments that
 matter for exactly-once semantics: a fault *before* delivery (the server
@@ -372,52 +375,14 @@ class FaultyChannel(Channel):
         self._inner.close()
 
 
-class FaultyListener(Listener):
-    """A listener façade over a wrapped transport listener.
-
-    The fault work happens in the handler wrapper installed by
-    :meth:`FaultyNetwork.listen`; this class only forwards the listener
-    surface (address, stats, charges, metrics, close) so server
-    front-ends run unchanged.
-    """
-
-    def __init__(self, inner):
-        self._inner = inner
-        super().__init__(inner.address)
-        self.stats = inner.stats
-
-    @property
-    def address(self) -> str:
-        return self._inner.address
-
-    @address.setter
-    def address(self, value) -> None:
-        pass  # the wrapped listener owns (and may adopt) the real address
-
-    @property
-    def inner(self):
-        """The wrapped transport listener."""
-        return self._inner
-
-    @property
-    def metrics(self):
-        """The wrapped listener's live metrics, when it keeps any."""
-        return getattr(self._inner, "metrics", None)
-
-    def charge(self, kind: str, count: int = 1) -> None:
-        self._inner.charge(kind, count)
-
-    def close(self) -> None:
-        self._inner.close()
-
-
 class FaultyNetwork(Network):
     """Wrap any :class:`~repro.net.transport.Network` with fault injection.
 
     ``connect`` hands out :class:`FaultyChannel` wrappers driven by the
     client-side *schedule* (consulted at the connect boundary too, which
-    covers handshake-time failures); ``listen`` wraps the handler with
-    the optional *server_schedule*, whose events fire inside the server:
+    covers handshake-time failures); ``listen`` returns the wrapped
+    network's own listener, serving the handler wrapped with the
+    optional *server_schedule*, whose events fire inside the server:
     ``drop-request`` kills the connection before dispatch,
     ``drop-response`` after (side effects applied), ``corrupt-response``
     and ``truncate-response`` damage the reply, ``delay`` stalls it.
@@ -447,10 +412,8 @@ class FaultyNetwork(Network):
         """The client-side fault schedule."""
         return self._schedule
 
-    def listen(self, address: str, handler) -> FaultyListener:
-        listener = FaultyListener(
-            self._inner.listen(address, self._wrap_handler(handler))
-        )
+    def listen(self, address: str, handler) -> Listener:
+        listener = self._inner.listen(address, self._wrap_handler(handler))
         with self._lock:
             self._listeners.append(listener)
         return listener

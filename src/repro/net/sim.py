@@ -13,7 +13,8 @@ virtual clock advances by the modelled cost:
 Because the handler runs inline, nested calls (a server invoking a stub
 that points back at itself — the §4.4 loopback scenario) recurse naturally
 and their cost lands inside the outer request's interval, exactly as it
-would on real hardware.
+would on real hardware.  A broken handler closes the channel (see
+:meth:`~repro.net.transport.Listener.answer`), as a real server would.
 
 Loopback detection: a channel whose originating host equals the listener's
 host pays ``loopback_latency_s`` instead of propagation latency.
@@ -109,15 +110,14 @@ class SimListener(Listener):
     """A handler registered at a simulated address."""
 
     def __init__(self, network: SimNetwork, address: str, handler):
-        super().__init__(address)
+        super().__init__(address, handler)
         self._network = network
-        self._handler = handler
         self._open = True
         self.host = host_of(address)
 
     def charge(self, kind: str, count: int = 1) -> None:
         """Report server-side middleware CPU (prices into virtual time)."""
-        self.stats.record_charge(kind, count)
+        super().charge(kind, count)
         self._network.charge_cpu(kind, count)
 
     def close(self) -> None:
@@ -160,12 +160,11 @@ class SimChannel(Channel):
             + conditions.transmission_time(len(payload), self._loopback)
             + hosts.dispatch_overhead_s
         )
-        response = listener._handler(payload)
-        if not isinstance(response, (bytes, bytearray, memoryview)):
-            raise TypeError(
-                f"handler for {self._address!r} returned "
-                f"{type(response).__name__}, expected bytes"
-            )
+        try:
+            response = listener.answer(payload)
+        except ConnectionClosedError:
+            self._open = False  # as a socket the server closed
+            raise
         # Byte accounting charges len() of whatever buffer the handler
         # returned — a zero-copy view prices identically to its bytes.
         clock.advance(

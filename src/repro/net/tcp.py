@@ -7,7 +7,8 @@ clients and all — not just the in-process simulator.
 
 One thread per accepted connection; requests on a single connection are
 processed in order (matching the synchronous RMI call model), while
-separate connections proceed concurrently.
+separate connections proceed concurrently.  A failed request step
+(:meth:`~repro.net.transport.Listener.answer`) drops the connection.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ def parse_tcp_address(address: str):
         raise ValueError(f"bad tcp address {address!r}; want tcp://host:port")
     return host, int(port)
 
-
-_parse = parse_tcp_address
 
 #: Whether this platform can shard one listening port across processes.
 #: Linux and the BSDs have ``SO_REUSEPORT``; where it is missing the
@@ -117,8 +116,7 @@ class TcpListener(Listener):
     """
 
     def __init__(self, address: str, handler, reuse_port: bool = False):
-        host, port = _parse(address)
-        self._handler = handler
+        host, port = parse_tcp_address(address)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         if reuse_port:
@@ -129,7 +127,7 @@ class TcpListener(Listener):
         self._sock.bind((host, port))
         self._sock.listen(64)
         actual_host, actual_port = self._sock.getsockname()
-        super().__init__(f"tcp://{actual_host}:{actual_port}")
+        super().__init__(f"tcp://{actual_host}:{actual_port}", handler)
         self._closed = threading.Event()
         self._conn_lock = threading.Lock()
         self._threads = []
@@ -138,11 +136,6 @@ class TcpListener(Listener):
             target=self._accept_loop, name=f"tcp-accept-{actual_port}", daemon=True
         )
         self._accept_thread.start()
-
-    def charge(self, kind: str, count: int = 1) -> None:
-        """Record middleware charges for statistics only (real CPU time
-        is already spent for real on this transport)."""
-        self.stats.record_charge(kind, count)
 
     def _accept_loop(self):
         while not self._closed.is_set():
@@ -180,17 +173,10 @@ class TcpListener(Listener):
                     if payload == b"":
                         return  # clean EOF
                     try:
-                        response = self._handler(payload)
-                    except Exception:
-                        # The RMI dispatcher encodes its own error responses; a
-                        # raw exception here means the handler itself is broken.
-                        # Close the connection so the client sees a transport
-                        # error instead of hanging.
-                        return
-                    try:
+                        response = self.answer(payload)
                         write_frame(conn, response)
-                    except OSError:
-                        return
+                    except (ConnectionClosedError, OSError):
+                        return  # a broken handler or peer: drop the connection
                     self.stats.record_request(len(payload), len(response))
         finally:
             with self._conn_lock:
@@ -248,7 +234,7 @@ class TcpChannel(Channel):
 
     def __init__(self, address: str, request_timeout: float = None):
         super().__init__()
-        host, port = _parse(address)
+        host, port = parse_tcp_address(address)
         self._address = address
         self._io_lock = threading.Lock()
         self._receiver = FrameReceiver()

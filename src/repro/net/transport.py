@@ -21,6 +21,7 @@ import asyncio
 import functools
 
 from repro.net.stats import TrafficStats
+from repro.wire import framing
 
 
 class TransportError(Exception):
@@ -71,11 +72,43 @@ class Channel:
 
 
 class Listener:
-    """A server's presence at an address."""
+    """A server's presence at an address, and the one request step its
+    driver (sim channel, threaded connection loop, aio worker) runs."""
 
-    def __init__(self, address: str):
+    #: Live runtime metrics; only a listener that keeps some overrides it.
+    metrics = None
+
+    def __init__(self, address: str, handler):
         self.address = address
         self.stats = TrafficStats()
+        self._handler = handler
+
+    def answer(self, payload):
+        """Run the handler on one request: its bytes-like response.
+
+        A handler that raises (an injected :class:`FaultInjectedError`
+        included), answers with something other than bytes, or answers
+        more than a frame can carry raises :class:`ConnectionClosedError`
+        chained from the cause, and every driver drops the connection.
+        """
+        try:
+            response = self._handler(payload)
+            if not isinstance(response, (bytes, bytearray, memoryview)):
+                raise TypeError(
+                    f"handler returned {type(response).__name__}, "
+                    "expected bytes"
+                )
+            if len(response) > framing.MAX_FRAME_SIZE:
+                raise framing.FrameTooLargeError(len(response))
+        except Exception as exc:
+            raise ConnectionClosedError(
+                f"server at {self.address!r} dropped the connection: {exc}"
+            ) from exc
+        return response
+
+    def charge(self, kind: str, count: int = 1) -> None:
+        """Record a middleware charge (a real CPU charges itself)."""
+        self.stats.record_charge(kind, count)
 
     def close(self) -> None:
         """Stop accepting requests at this address."""

@@ -40,7 +40,6 @@ from repro.obs.export import (
     read_jsonl,
     render_message_chart,
     render_span_tree,
-    write_jsonl,
 )
 from repro.obs.live import (
     AdminClient,
@@ -91,5 +90,4 @@ __all__ = [
     "render_message_chart",
     "render_span_tree",
     "uninstall_tracer",
-    "write_jsonl",
 ]

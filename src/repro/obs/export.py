@@ -18,18 +18,6 @@ import json
 from collections import OrderedDict
 
 
-def write_jsonl(spans, path) -> int:
-    """Write spans (Span objects or dicts) as JSON lines; returns count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in spans:
-            record = span if isinstance(span, dict) else span.to_dict()
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-            count += 1
-    return count
-
-
 def read_jsonl(path) -> list:
     """Read a JSON-lines trace file back into span dicts."""
     spans = []

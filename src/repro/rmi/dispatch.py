@@ -51,7 +51,7 @@ from repro.rmi.protocol import (
 from repro.rmi.registry import RegistryImpl
 from repro.rmi.remote import interface_names, methods_of
 from repro.rmi.stub import Stub
-from repro.wire import decode, encode
+from repro.wire import decode, encode, framing
 from repro.wire.refs import RemoteRef
 
 
@@ -440,10 +440,14 @@ class RMICore(MarshalContext):
         # encode() draws from the wire buffer pool: across requests the
         # response path reuses the same per-thread scratch buffers.
         try:
-            return encode(response)
+            data = encode(response)
+            if len(data) > framing.MAX_FRAME_SIZE:
+                raise framing.FrameTooLargeError(len(data))
+            return data
         except Exception as exc:
-            # The value (or exception) would not encode; degrade to a
-            # marshalling error the client can decode for sure.
+            # The value (or exception) would not encode, or not fit one
+            # frame: degrade to a marshalling error the client can decode
+            # for sure (a dropped connection would be retried in vain).
             fallback = CallResponse(
                 MarshalError(f"response not encodable: {exc}"), True
             )

@@ -12,7 +12,8 @@ the serving model:
   request pipelining, bounded worker pool with admission control.
 
 The dispatch core is re-entrant, so the same server code serves all
-three unchanged.
+three unchanged.  ``handle`` never raises (a response over the frame cap
+is answered as a ``MarshalError``): only injected faults drop connections.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ class RMIServer(RMICore):
         service-time percentiles); other transports return ``None``.
         """
         listener = self._listener or self._last_listener
-        snapshot = getattr(listener, "metrics", None)
-        return snapshot
+        return None if listener is None else listener.metrics
 
     def start(self) -> "RMIServer":
         """Begin serving; returns self so construction can chain.

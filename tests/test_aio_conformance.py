@@ -15,16 +15,24 @@ control never executed, so a client that retries must converge on
 exactly the oracle's state — no lost or double-applied batches.
 """
 
+import re
 import threading
 import time
 
 import pytest
 
 from repro.aio import AioNetwork, LoadTargetImpl
+from repro.apps.fileserver import make_directory
 from repro.core import ContinuePolicy, create_batch
 from repro.net import LAN, SimNetwork, TcpNetwork
 from repro.obs import Tracer, install_tracer, uninstall_tracer
-from repro.rmi import RetryPolicy, RMIClient, RMIServer, ServerBusyError
+from repro.rmi import (
+    MarshalError,
+    RetryPolicy,
+    RMIClient,
+    RMIServer,
+    ServerBusyError,
+)
 from repro.wire.framing import FrameTooLargeError
 
 from tests.support import BoomError, CounterImpl
@@ -218,6 +226,25 @@ class TestConcurrentConformance:
             network.close()
 
 
+#: The frame cap the oversized cases lower the wire to.
+CAP = 1024
+
+
+@pytest.fixture(params=[TcpNetwork, AioNetwork], ids=["tcp", "aio"])
+def network(request):
+    network = request.param()
+    yield network
+    network.close()
+
+
+@pytest.fixture
+def capped(monkeypatch):
+    def apply():
+        monkeypatch.setattr("repro.wire.framing.MAX_FRAME_SIZE", CAP)
+        monkeypatch.setattr("repro.aio.frames.MAX_FRAME_SIZE", CAP)
+    return apply
+
+
 class TestOversizedRequest:
     """A request over the frame cap is the caller's error, on every
     transport alike: it raises :class:`FrameTooLargeError` where it was
@@ -226,21 +253,6 @@ class TestOversizedRequest:
     a dead connection, which a retrying client then really dropped,
     reconnected and re-sent ``max_attempts`` times.)"""
 
-    CAP = 1024
-
-    @pytest.fixture(params=[TcpNetwork, AioNetwork], ids=["tcp", "aio"])
-    def network(self, request):
-        network = request.param()
-        yield network
-        network.close()
-
-    @pytest.fixture
-    def capped(self, monkeypatch):
-        def apply():
-            monkeypatch.setattr("repro.wire.framing.MAX_FRAME_SIZE", self.CAP)
-            monkeypatch.setattr("repro.aio.frames.MAX_FRAME_SIZE", self.CAP)
-        return apply
-
     def test_raises_in_the_caller_and_the_channel_stays_open(
             self, network, capped):
         listener = network.listen("tcp://127.0.0.1:0", lambda p: bytes(p))
@@ -248,7 +260,7 @@ class TestOversizedRequest:
         assert channel.request(b"warm") == b"warm"
         capped()
         with pytest.raises(FrameTooLargeError):
-            channel.request(b"x" * (2 * self.CAP))
+            channel.request(b"x" * (2 * CAP))
         assert channel.stats.requests == 1
         assert channel.request(b"same channel") == b"same channel"
         assert channel.stats.requests == 2
@@ -263,7 +275,7 @@ class TestOversizedRequest:
             channel = client.channel
             capped()
             with pytest.raises(FrameTooLargeError):
-                stub.boom("x" * (2 * self.CAP))
+                stub.boom("x" * (2 * CAP))
             failed = [attrs for attrs in (
                 span.to_dict()["attrs"] for span in tracer.spans()
                 if span.name == "client.send") if "error" in attrs]
@@ -272,5 +284,42 @@ class TestOversizedRequest:
             assert client.channel is channel  # not dropped, not redialled
             assert stub.increment(1) == 1
             client.close()
+        finally:
+            uninstall_tracer()
+
+
+class TestOversizedResponse:
+    """A response over the frame cap is the server's typed answer: a
+    :class:`MarshalError` naming its size, made once.  A dropped
+    connection would be retried, and the dedup window would replay the
+    oversized bytes to every attempt."""
+
+    def test_is_a_marshal_error_made_once(self, network, capped,
+                                          monkeypatch):
+        leaked = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: leaked.append(args.exc_type))
+        tracer = install_tracer(Tracer(sample_rate=1.0))
+        try:
+            server = RMIServer(network, "tcp://127.0.0.1:0").start()
+            server.bind("files", make_directory(1, 4 * CAP))
+            client = RMIClient(network, server.address,
+                               retry=RetryPolicy(max_attempts=4))
+            entry = client.lookup("files").get_file("file00.dat")
+            capped()
+            sent = len(tracer.spans())
+            with pytest.raises(MarshalError) as info:
+                entry.read_contents()
+            attempts = [span for span in tracer.spans()[sent:]
+                        if span.name == "client.send"]
+            assert len(attempts) == 1
+            size = re.search(r"frame of (\d+) bytes exceeds limit 1024",
+                             str(info.value))
+            assert size and int(size.group(1)) > 4 * CAP
+            assert server.dedup.hits == 0
+            assert entry.length() == 4 * CAP  # the connection stayed up
+            client.close()
+            server.close()  # joins the threaded listener's connections
+            assert leaked == []
         finally:
             uninstall_tracer()

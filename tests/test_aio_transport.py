@@ -188,18 +188,22 @@ class TestAioEcho:
 
         assert asyncio.run(drive()) == [f"M{i}".encode() for i in range(5)]
 
-    def test_handler_exception_becomes_error_response(self, net):
+    def test_handler_exception_drops_the_connection(self, net):
         def broken(payload):
-            raise RuntimeError("handler bug")
+            if payload == b"x":
+                raise RuntimeError("handler bug")
+            return bytes(payload)
 
         listener = net.listen("tcp://127.0.0.1:0", broken)
         channel = net.connect(listener.address)
-        # Unlike the threaded transport (which drops the connection), the
-        # pipelined listener must keep the multiplexed stream alive: the
-        # broken handler degrades to an encoded error response.
-        response = channel.request(b"x")
-        assert b"handler failure" in response
-        assert channel.request(b"y")  # connection still usable
+        # Every driver's answer to a broken handler: the connection
+        # drops, whatever else is multiplexed on it, and the listener
+        # keeps serving new ones.
+        with pytest.raises(ConnectionClosedError):
+            channel.request(b"x")
+        with pytest.raises(ConnectionClosedError):
+            channel.request(b"y")
+        assert net.connect(listener.address).request(b"y") == b"y"
 
 
 class TestInterop:

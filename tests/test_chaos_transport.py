@@ -153,7 +153,7 @@ class TestFaultyChannelSim:
         client.close()
 
 
-class TestFaultyListenerSim:
+class TestServerScheduleSim:
     def test_server_drop_request_skips_dispatch(self, sim_world):
         network, _, _ = sim_world
         chaos = FaultyNetwork(

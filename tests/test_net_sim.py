@@ -76,7 +76,11 @@ class TestListenConnect:
         net = SimNetwork(flat_conditions(), FREE_CPU)
         net.listen("sim://s:1", lambda p: "not-bytes")
         channel = net.connect("sim://s:1")
-        with pytest.raises(TypeError):
+        # Dropped, as a real server drops the connection: typed, chained.
+        with pytest.raises(ConnectionClosedError, match="returned str") as info:
+            channel.request(b"x")
+        assert isinstance(info.value.__cause__, TypeError)
+        with pytest.raises(ConnectionClosedError, match="is closed"):
             channel.request(b"x")
 
     def test_reuse_address_after_close(self):

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.net.tcp import TcpNetwork, _parse
+from repro.net.tcp import TcpNetwork, parse_tcp_address
 from repro.net.transport import ConnectError, ConnectionClosedError
 
 
@@ -17,15 +17,15 @@ def net():
 
 class TestParse:
     def test_scheme_and_port(self):
-        assert _parse("tcp://127.0.0.1:8080") == ("127.0.0.1", 8080)
+        assert parse_tcp_address("tcp://127.0.0.1:8080") == ("127.0.0.1", 8080)
 
     def test_without_scheme(self):
-        assert _parse("127.0.0.1:9") == ("127.0.0.1", 9)
+        assert parse_tcp_address("127.0.0.1:9") == ("127.0.0.1", 9)
 
     @pytest.mark.parametrize("bad", ["tcp://nohost", "tcp://h:port", ":80"])
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
-            _parse(bad)
+            parse_tcp_address(bad)
 
 
 class TestRoundTrip:
