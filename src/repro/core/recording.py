@@ -96,6 +96,20 @@ class InvocationData:
             raise ValueError(f"bad cursor_seq: {self.cursor_seq}")
         object.__setattr__(self, "args", tuple(self.args))
 
+    def with_arguments(self, args: tuple, kwargs: dict) -> "InvocationData":
+        """This op with other arguments, without re-running ``__post_init__``.
+
+        The plan binder's constructor: every other field was checked when
+        this op was built, so a plan hit does not pay to check them
+        again.  *args* must already be a tuple.
+        """
+        copy = object.__new__(InvocationData)
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields["args"] = args
+        fields["kwargs"] = kwargs
+        return copy
+
     @property
     def in_cursor(self) -> bool:
         """Whether this op belongs to a cursor's sub-batch."""

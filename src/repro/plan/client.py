@@ -2,15 +2,16 @@
 
 ``create_batch(stub, reuse_plans=True)`` returns a
 :class:`PlanningBatchProxy` — API-identical to a plain batch proxy.  The
-difference is the recorder underneath: at flush time it compiles the
-recorded segment into a plan, consults the owning client's
-:class:`PlanMemo`, and picks the cheapest wire strategy:
+difference is the recorder underneath: at flush time it takes the
+recorded segment's shape key (:func:`~repro.plan.model.shape_key`),
+asks the owning client's :class:`PlanMemo` for a route, and picks the
+cheapest wire strategy:
 
 - **first sighting** of a shape — ship inline, exactly like a plain
-  batch (paying plan compilation only to learn the hash);
-- **first repeat** — the server almost certainly lacks the plan, so go
-  straight to ``__install_plan__``: upload, install and execute in one
-  round trip (no guaranteed-miss probe);
+  batch;
+- **first repeat** — the server almost certainly lacks the plan, so
+  compile it and go straight to ``__install_plan__``: upload, install
+  and execute in one round trip (no guaranteed-miss probe);
 - **confirmed shape** (a prior install or hit) — send
   ``__invoke_plan__(hash, params)``; the typed miss
   (:class:`~repro.rmi.exceptions.PlanNotFoundError` — eviction or a
@@ -20,18 +21,23 @@ Because plans are content-addressed, installs are idempotent: each
 client uploads a shape at most once (two clients producing the same
 digest share one cache entry, and re-installing is harmless), and a
 stale memo costs one tiny extra round trip, never a wrong answer.
-Compilation and hashing run on every flush — roughly the CPU the
-inline path spends encoding the full script — so the win is wire
-bytes and latency, not client CPU.  Two guards keep
-the optimism bounded: the memo itself is a capped LRU (a client cannot
-leak memory by flushing endlessly varying shapes), and a shape whose
-plan invocations keep missing — the server's cache is thrashing — is
-demoted back to the inline path after ``MISS_LIMIT`` consecutive
-misses.  Demotion is itself temporary: after ``RETRY_INTERVAL`` inline
-flushes the shape probes the plan path again, so a transient burst of
-cache pressure costs a bounded detour, never a permanent one.  Chained
-batches (``flush_and_continue`` or an open session) always take the
-inline path — their server context is inherently stateful.
+A confirmed flush costs what its parameters cost: the key walk gathers
+them, the memo holds the digest the install computed, and no plan is
+compiled or hashed.  Only the install paths compile.  A recording the
+key walk does not recognise (a container subclass, a float dict key)
+takes the slow path instead — compiled and hashed on every flush, and
+keyed by its digest.
+
+Two guards keep the optimism bounded: the memo itself is a capped LRU
+(a client cannot leak memory by flushing endlessly varying shapes), and
+a shape whose plan invocations keep missing — the server's cache is
+thrashing — is demoted back to the inline path after ``MISS_LIMIT``
+consecutive misses.  Demotion is itself temporary: after
+``RETRY_INTERVAL`` inline flushes the shape probes the plan path again,
+so a transient burst of cache pressure costs a bounded detour, never a
+permanent one.  Chained batches (``flush_and_continue`` or an open
+session) always take the inline path — their server context is
+inherently stateful.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from collections import OrderedDict
 from repro.core.proxy import BatchProxy, BatchRecorder
 from repro.core.recording import NONE_ID
 from repro.obs.tracer import current_tracer
-from repro.plan.model import compile_plan, plan_hash
+from repro.plan.model import compile_plan, plan_hash, shape_key
 from repro.rmi.exceptions import PlanNotFoundError
 from repro.rmi.protocol import INSTALL_PLAN, INVOKE_PLAN
 
@@ -55,12 +61,18 @@ MISS_LIMIT = 3
 #: Inline flushes of a demoted shape before the plan path is retried.
 RETRY_INTERVAL = 16
 
+#: Routes :meth:`PlanMemo.route` picks; INSTALL is also a settle outcome.
+INLINE, INSTALL, INVOKE = "inline", "install", "invoke"
+
+#: What the server answered a plan invocation, for :meth:`PlanMemo.settle`.
+HIT, MISS = "hit", "miss"
+
 
 class _ShapeState:
     """What the memo knows about one batch shape."""
 
     __slots__ = ("sightings", "confirmed", "miss_streak", "demoted",
-                 "inline_since_demotion")
+                 "inline_since_demotion", "digest")
 
     def __init__(self):
         self.sightings = 0
@@ -68,16 +80,22 @@ class _ShapeState:
         self.miss_streak = 0
         self.demoted = False
         self.inline_since_demotion = 0
+        self.digest = None
 
 
 class PlanMemo:
     """Per-client memory of flushed batch shapes (thread-safe, bounded).
 
     Shared by every planning batch the client creates, so a shape seen
-    in one batch object is immediately "hot" for the next.  Bounded LRU:
-    the least recently flushed shapes are forgotten past *capacity*
-    (they simply go inline once more when they reappear).  Also counts
-    how each flush went out, for examples and tests.
+    in one batch object is immediately "hot" for the next.  Keys are
+    shape keys, or plan digests for recordings on the slow path; each
+    shape's state carries the digest once an install has computed it.
+    Bounded LRU: the least recently flushed shapes are forgotten past
+    *capacity* (they simply go inline once more when they reappear).
+    Also counts how each flush went out, for examples and tests.
+
+    A flush takes the lock twice: :meth:`route` before the request and
+    :meth:`settle` after the response.
     """
 
     def __init__(self, capacity: int = DEFAULT_MEMO_CAPACITY,
@@ -94,81 +112,51 @@ class PlanMemo:
         self.plan_invocations = 0
         self.plan_installs = 0
 
-    def repeat_sighting(self, digest: str) -> bool:
-        """Count one sighting; True when the shape was seen before."""
-        with self._lock:
-            state = self._seen.get(digest)
-            if state is None:
-                state = self._seen[digest] = _ShapeState()
-            state.sightings += 1
-            self._seen.move_to_end(digest)
-            while len(self._seen) > self._capacity:
-                self._seen.popitem(last=False)
-            return state.sightings > 1
+    def route(self, key):
+        """Count one flush of shape *key*; returns ``(state, route)``.
 
-    def prefer_inline(self, digest: str) -> bool:
-        """Whether this flush of the shape should take the inline path.
-
-        Called once per flush of a repeated shape, so it doubles as the
-        retry clock: after ``retry_interval`` inline flushes a demoted
-        shape is given a fresh chance on the plan path (and will only be
-        re-demoted by another full miss streak).
+        INLINE for a first sighting or a demoted shape, INVOKE once the
+        server is believed to hold the plan (its digest is
+        ``state.digest``), INSTALL otherwise.
         """
         with self._lock:
-            state = self._seen.get(digest)
-            if state is None or not state.demoted:
-                return False
-            state.inline_since_demotion += 1
-            if state.inline_since_demotion >= self._retry_interval:
-                state.demoted = False
-                state.miss_streak = 0
-                state.inline_since_demotion = 0
-                return False
-            return True
+            state = self._sight(key)
+            if state.sightings == 1 or self._held_inline(state):
+                self.inline_flushes += 1
+                return state, INLINE
+            return state, INVOKE if state.confirmed else INSTALL
 
-    def confirmed(self, digest: str) -> bool:
-        """Whether the server is believed to hold this plan already."""
+    def settle(self, state, outcome: str, digest: str = None) -> None:
+        """Record how the server answered a routed flush: HIT, MISS, or
+        INSTALL of the plan *digest*."""
         with self._lock:
-            state = self._seen.get(digest)
-            return state is not None and state.confirmed
+            self._settle(state, outcome, digest)
 
-    def note_hit(self, digest: str) -> None:
+    # -- single rules, for driving the memo by hand ---------------------
+
+    def repeat_sighting(self, key) -> bool:
+        """Count one sighting; True when the shape was seen before."""
         with self._lock:
-            state = self._seen.get(digest)
-            if state is not None:
-                state.miss_streak = 0
-                state.confirmed = True
+            return self._sight(key).sightings > 1
 
-    def note_miss(self, digest: str) -> None:
+    def prefer_inline(self, key) -> bool:
+        """Whether this flush of a repeated shape should go inline
+        (ticks the retry clock of a demoted shape)."""
+        with self._lock:
+            state = self._seen.get(key)
+            return state is not None and self._held_inline(state)
+
+    def note_hit(self, key) -> None:
+        self._settle_known(key, HIT)
+
+    def note_miss(self, key) -> None:
         """One plan-cache miss; demote the shape past the streak limit."""
-        with self._lock:
-            state = self._seen.get(digest)
-            if state is None:
-                return
-            state.miss_streak += 1
-            if state.miss_streak >= self._miss_limit:
-                state.demoted = True
-                state.inline_since_demotion = 0
+        self._settle_known(key, MISS)
 
-    def times_seen(self, digest: str) -> int:
+    def times_seen(self, key) -> int:
         with self._lock:
-            state = self._seen.get(digest)
+            state = self._seen.get(key)
             return state.sightings if state is not None else 0
-
-    def note_inline(self) -> None:
-        with self._lock:
-            self.inline_flushes += 1
-
-    def note_invocation(self) -> None:
-        with self._lock:
-            self.plan_invocations += 1
-
-    def note_install(self, digest: str) -> None:
-        with self._lock:
-            self.plan_installs += 1
-            state = self._seen.get(digest)
-            if state is not None:
-                state.confirmed = True
 
     def as_dict(self) -> dict:
         """How each flush went out, under the published metric names."""
@@ -180,6 +168,55 @@ class PlanMemo:
     def __len__(self):
         with self._lock:
             return len(self._seen)
+
+    # -- the rules, called with the lock held ---------------------------
+
+    def _sight(self, key) -> _ShapeState:
+        state = self._seen.get(key)
+        if state is None:
+            state = self._seen[key] = _ShapeState()
+            while len(self._seen) > self._capacity:
+                self._seen.popitem(last=False)
+        else:
+            self._seen.move_to_end(key)
+        state.sightings += 1
+        return state
+
+    def _held_inline(self, state) -> bool:
+        """Whether a repeated shape stays inline.  Also the retry clock:
+        after ``retry_interval`` inline flushes a demoted shape is given
+        a fresh chance on the plan path (and will only be re-demoted by
+        another full miss streak)."""
+        if not state.demoted:
+            return False
+        state.inline_since_demotion += 1
+        if state.inline_since_demotion >= self._retry_interval:
+            state.demoted = False
+            state.miss_streak = 0
+            state.inline_since_demotion = 0
+            return False
+        return True
+
+    def _settle(self, state, outcome, digest) -> None:
+        if outcome == HIT:
+            self.plan_invocations += 1
+            state.miss_streak = 0
+            state.confirmed = True
+        elif outcome == MISS:
+            state.miss_streak += 1
+            if state.miss_streak >= self._miss_limit:
+                state.demoted = True
+                state.inline_since_demotion = 0
+        else:
+            self.plan_installs += 1
+            state.digest = digest
+            state.confirmed = True
+
+    def _settle_known(self, key, outcome) -> None:
+        with self._lock:
+            state = self._seen.get(key)
+            if state is not None:
+                self._settle(state, outcome, None)
 
 
 class PlanningBatchProxy(BatchProxy):
@@ -199,34 +236,44 @@ class PlanningBatchRecorder(BatchRecorder):
             # on the inline path.
             return super()._ship(invocations, keep_session)
         with current_tracer().span("client.plan_lift") as span:
-            plan, params = compile_plan(invocations, self._policy)
-            digest = plan_hash(plan)
-            span.set(digest=digest)
             memo = self._memo
-            if not memo.repeat_sighting(digest) or memo.prefer_inline(digest):
-                memo.note_inline()
-                span.set(strategy="inline")
+            plan = None
+            shape = shape_key(invocations, self._policy)
+            if shape is None:
+                plan, params, key = self._compile(invocations)
+            else:
+                key, params = shape
+            state, route = memo.route(key)
+            digest = key if plan is not None else state.digest
+            span.set(digest=digest, strategy=route)
+            if route == INLINE:
                 return super()._ship(invocations, keep_session)
             object_id = self._stub.remote_ref.object_id
-            if memo.confirmed(digest):
+            if route == INVOKE:
                 try:
-                    span.set(strategy="invoke")
                     response = self._client.call(
                         object_id, INVOKE_PLAN, (digest, params)
                     )
-                    memo.note_hit(digest)
-                    memo.note_invocation()
-                    return response
                 except PlanNotFoundError:
-                    memo.note_miss(digest)
+                    memo.settle(state, MISS)
                     span.set(strategy="invoke_miss_install")
-            else:
-                # First repeat: the server almost certainly lacks the
-                # plan — skip the guaranteed-miss probe and install in
-                # one trip.
-                span.set(strategy="install")
+                else:
+                    memo.settle(state, HIT)
+                    return response
+            # First repeat, or a miss: the server lacks the plan — skip
+            # the guaranteed-miss probe and install in one trip.
+            if plan is None:
+                plan, params, digest = self._compile(invocations)
+                span.set(digest=digest)
             response = self._client.call(
                 object_id, INSTALL_PLAN, (plan, params)
             )
-            memo.note_install(digest)
+            memo.settle(state, INSTALL, digest)
             return response
+
+    def _compile(self, invocations):
+        """``(plan, params, digest)`` — the one place a plan is compiled:
+        on the install paths, and on every flush of a recording the key
+        walk does not recognise."""
+        plan, params = compile_plan(invocations, self._policy)
+        return plan, params, plan_hash(plan)

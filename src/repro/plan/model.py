@@ -1,4 +1,4 @@
-"""The plan data model: compile, hash, and bind recorded batches.
+"""The plan data model: compile, hash, key and bind recorded batches.
 
 ``compile_plan`` splits a recorded invocation list into an immutable
 :class:`BatchPlan` (the shape) and a flat parameter tuple (the values):
@@ -14,6 +14,12 @@ the same recording always produces the same bytes).  Content addressing
 gives three properties for free: the cache key needs no coordination,
 an installed plan can be shared by every client that produces the same
 shape, and the server can verify an upload by re-hashing it.
+
+``shape_key`` is the client's cheap stand-in for both: one walk over the
+recording that elides the leaves and gathers them as parameters, without
+building a plan or encoding one.  Equal keys mean equal plan hashes — the
+key may be finer than the plan, never coarser — so a client that has
+learnt a key's digest once can invoke the plan from the key alone.
 
 ``BatchPlan.bind`` is the inverse of compilation: substitute a parameter
 tuple back into the slots, yielding plain ``InvocationData`` records the
@@ -34,6 +40,17 @@ from repro.rmi.exceptions import PlanError
 from repro.wire import canonical_set_order, encode
 from repro.wire.plans import ParamSlot
 from repro.wire.registry import serializable
+
+#: What compilation keeps as batch structure.  Every other value is a
+#: leaf and becomes a parameter slot — the one definition that both
+#: ``_lift`` and the shape-key walk read, so the two cannot drift apart.
+_STRUCTURE = (ArgRef, list, tuple, dict, set, frozenset)
+
+#: Dict-key types the shape key carries literally, tagged with the type:
+#: for these, equal ``(type, key)`` pairs always encode to equal bytes.
+#: Floats (``0.0 == -0.0``), tuples (``(1,) == (True,)``) and every other
+#: key type send the flush down the slow path.
+_LITERAL_KEY_TYPES = frozenset({str, int, bool, bytes, type(None)})
 
 
 @serializable
@@ -56,26 +73,56 @@ class BatchPlan:
         object.__setattr__(self, "ops", tuple(self.ops))
         if not isinstance(self.param_count, int) or self.param_count < 0:
             raise ValueError(f"bad param_count: {self.param_count!r}")
+        # Not a field: neither encoded nor compared.  Built by the first
+        # bind (the server's install), read by every later one.
+        object.__setattr__(self, "_template", None)
 
     def bind(self, params) -> Tuple[InvocationData, ...]:
-        """Substitute *params* into the slots; returns runnable invocations."""
+        """Substitute *params* into the slots; returns runnable invocations.
+
+        The first bind flattens every op into a template once: where each
+        top-level argument comes from, a slot's parameter or a constant
+        shared by every bind.  A later bind writes only the slot leaves.
+        Ops the template cannot flatten are rebuilt by ``_fill``.
+        """
         params = tuple(params)
         if len(params) != self.param_count:
             raise PlanError(
                 f"plan expects {self.param_count} parameters, got {len(params)}"
             )
-        return tuple(
-            InvocationData(
-                seq=op.seq,
-                target=op.target,
-                method=op.method,
-                args=_fill(op.args, params),
-                kwargs=_fill(op.kwargs, params),
-                returns_kind=op.returns_kind,
-                cursor_seq=op.cursor_seq,
-            )
+        if self._template is None:
+            object.__setattr__(self, "_template", self._flatten())
+        steps, constants = self._template
+        get = (params + constants).__getitem__
+        bound = []
+        for op, arg_sources, kwarg_names, kwarg_sources in steps:
+            if arg_sources:
+                args = tuple(map(get, arg_sources))
+            elif arg_sources is None:
+                args = _fill(op.args, params)
+            else:
+                args = op.args
+            if kwarg_sources:
+                kwargs = dict(zip(kwarg_names, map(get, kwarg_sources)))
+            elif kwarg_sources is None:
+                kwargs = _fill(op.kwargs, params)
+            else:
+                kwargs = op.kwargs
+            bound.append(op.with_arguments(args, kwargs))
+        return tuple(bound)
+
+    def _flatten(self):
+        """The bind template: per op, the sources of its top-level args
+        and kwarg values as indices into ``params + constants``."""
+        constants = []
+        steps = tuple(
+            (op,
+             _sources(op.args, self.param_count, constants),
+             tuple(op.kwargs),
+             _sources(op.kwargs.values(), self.param_count, constants))
             for op in self.ops
         )
+        return steps, tuple(constants)
 
     def validate_slots(self) -> None:
         """Check every slot index is in range (server-side install guard)."""
@@ -127,6 +174,67 @@ def plan_hash(plan: BatchPlan) -> str:
     return hashlib.sha256(encode(plan)).hexdigest()
 
 
+def shape_key(invocations, policy):
+    """``(key, params)`` for a recording, or ``None`` to take the slow path.
+
+    *params* equals what ``compile_plan`` returns.  The key is a flat
+    token tuple: the policy's encoding, then per op its fields and its
+    argument geometry in prefix form — a container's exact type and
+    length before its items, ``ParamSlot`` where compilation puts a slot,
+    an ``ArgRef``'s fields, a dict key's type before the key.  Equal keys
+    therefore compile to plans with equal ``plan_hash``.  The policy goes
+    in as bytes because a ``CustomPolicy`` is mutable and unhashable.
+
+    ``None`` means the walk met something it does not recognise: a
+    subclass of a structural type, or a dict key outside
+    ``_LITERAL_KEY_TYPES``.  It never guesses about those.
+    """
+    tokens = [encode(policy)]
+    params = []
+    try:
+        for inv in invocations:
+            tokens += (inv.seq, inv.method, inv.returns_kind, inv.cursor_seq)
+            _walk((inv.target, inv.args, inv.kwargs), tokens, params)
+    except _Unkeyable:
+        return None
+    return tuple(tokens), tuple(params)
+
+
+class _Unkeyable(Exception):
+    """The shape-key walk met a value it does not recognise."""
+
+
+def _walk(values, tokens, params):
+    """Append the shape of each of *values* to *tokens* and its leaves
+    to *params*, in ``_lift``'s order.  A dict writes its typed keys
+    before its values."""
+    for value in values:
+        if not isinstance(value, _STRUCTURE):
+            tokens.append(ParamSlot)
+            params.append(value)
+            continue
+        kind = type(value)
+        if kind is ArgRef:
+            tokens += (ArgRef, value.seq, value.cursor_index)
+        elif kind is tuple or kind is list:
+            tokens += (kind, len(value))
+            _walk(value, tokens, params)
+        elif kind is dict:
+            tokens += (dict, len(value))
+            if value:
+                for key in value:
+                    key_type = type(key)
+                    if key_type not in _LITERAL_KEY_TYPES:
+                        raise _Unkeyable
+                    tokens += (key_type, key)
+                _walk(value.values(), tokens, params)
+        elif kind is set or kind is frozenset:
+            tokens += (kind, len(value))
+            _walk(canonical_set_order(value), tokens, params)
+        else:
+            raise _Unkeyable
+
+
 def _lift(value, params):
     """Copy *value* with every non-structural leaf replaced by a slot.
 
@@ -135,6 +243,10 @@ def _lift(value, params):
     either, so lifting them would change semantics); everything else —
     primitives, registered serializable objects, RemoteRefs — is lifted.
     """
+    if not isinstance(value, _STRUCTURE):
+        slot = ParamSlot(len(params))
+        params.append(value)
+        return slot
     if isinstance(value, ArgRef):
         return value
     if isinstance(value, list):
@@ -143,17 +255,11 @@ def _lift(value, params):
         return tuple(_lift(item, params) for item in value)
     if isinstance(value, dict):
         return {key: _lift(item, params) for key, item in value.items()}
-    if isinstance(value, (set, frozenset)):
-        # Iterate in the encoder's canonical order, not hash order:
-        # slot numbering must be identical across processes for the
-        # same recording, or content addressing splinters per client.
-        lifted = {
-            _lift(item, params) for item in canonical_set_order(value)
-        }
-        return frozenset(lifted) if isinstance(value, frozenset) else lifted
-    slot = ParamSlot(len(params))
-    params.append(value)
-    return slot
+    # A set or frozenset.  Iterate in the encoder's canonical order, not
+    # hash order: slot numbering must be identical across processes for
+    # the same recording, or content addressing splinters per client.
+    lifted = {_lift(item, params) for item in canonical_set_order(value)}
+    return frozenset(lifted) if isinstance(value, frozenset) else lifted
 
 
 def _fill(value, params):
@@ -170,6 +276,49 @@ def _fill(value, params):
         filled = {_fill(item, params) for item in value}
         return frozenset(filled) if isinstance(value, frozenset) else filled
     return value
+
+
+def _sources(items, param_count, constants):
+    """Where each top-level argument of a bound op comes from.
+
+    A slot reads its parameter; a value with no slot and no mutable set
+    inside is a constant, appended to *constants* once and shared by
+    every bind (the executor rebuilds lists, tuples and dicts when it
+    substitutes, and unpacks the top-level containers into the call,
+    but passes a set through to the method).  Returns the indices into
+    ``params + constants``; ``()`` when there is no slot at all, so bind
+    shares the op's own container; ``None`` for anything else — a slot
+    below the top level, an out-of-range slot — which ``_fill`` rebuilds
+    on every bind.
+    """
+    sources = []
+    shared = []
+    for item in items:
+        if type(item) is ParamSlot and item.index < param_count:
+            sources.append(item.index)
+        elif _is_constant(item):
+            sources.append(param_count + len(constants) + len(shared))
+            shared.append(item)
+        else:
+            return None
+    if len(shared) == len(sources):
+        return ()
+    constants += shared
+    return tuple(sources)
+
+
+def _is_constant(value) -> bool:
+    """Whether *value* holds neither a slot nor a mutable set."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (ParamSlot, set)):
+            return False
+        if isinstance(item, (list, tuple, frozenset)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+    return True
 
 
 def _slots_in(value):

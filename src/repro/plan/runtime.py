@@ -6,7 +6,8 @@ The runtime sits between the RMI dispatcher and the ordinary
 shape to the request's parameter tuple and replays it through the same
 executor as an inline batch — identical results, policy behavior and
 cursor geometry, with validation skipped because the shape was validated
-once at install time.  A miss raises the typed
+once at install time.  The install's bind also builds the plan's bind
+template, so a hit writes only the slot leaves.  A miss raises the typed
 :class:`~repro.rmi.exceptions.PlanNotFoundError` so the client can fall
 back to uploading the plan inline.
 

@@ -173,14 +173,14 @@ def _dedup():
 
 
 def _memo():
-    from repro.plan.client import PlanMemo
+    from repro.plan.client import HIT, INSTALL, PlanMemo
 
     memo = PlanMemo()
 
     def write():
-        memo.note_inline()
-        memo.note_invocation()
-        memo.note_install("d")
+        state, _route = memo.route(object())  # a first sighting: inline
+        memo.settle(state, HIT)
+        memo.settle(state, INSTALL, "d")
 
     return memo, write, {"inline_flushes": HAMMERED,
                          "invocations": HAMMERED, "installs": HAMMERED}

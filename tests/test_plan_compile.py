@@ -1,10 +1,18 @@
 """Plan compilation: lifting, content hashing, and binding."""
 
+from collections import OrderedDict, namedtuple
+
 import pytest
 
-from repro.core.policies import AbortPolicy, ContinuePolicy
+from repro.core.policies import (
+    AbortPolicy,
+    ContinuePolicy,
+    CustomPolicy,
+    ExceptionAction,
+)
 from repro.core.recording import ArgRef, InvocationData
 from repro.plan import BatchPlan, ParamSlot, compile_plan, plan_hash
+from repro.plan.model import shape_key
 from repro.rmi.exceptions import PlanError
 from repro.wire import decode, encode
 from repro.wire.refs import RemoteRef
@@ -147,3 +155,131 @@ class TestBinding:
     def test_well_formed_plan_passes_slot_validation(self):
         plan, _ = compile_plan((inv(1, args=("a",), kwargs={"k": 2}),), AbortPolicy())
         plan.validate_slots()
+
+
+# -- the shape key: at least as fine as the plan ---------------------------
+
+Pair = namedtuple("Pair", "left right")
+
+
+def _derive(invocations, policy):
+    """``(memo key, digest)`` of one flush: the key the client memo files
+    it under, next to the digest the slow path derives."""
+    digest = plan_hash(compile_plan(invocations, policy)[0])
+    shape = shape_key(invocations, policy)
+    # The client keys a recording the walk declines by its digest.
+    return (digest if shape is None else shape[0]), digest
+
+
+def _arg_pair(left, right, **extra):
+    """Two one-op recordings that differ only in the argument tuple."""
+    yield (inv(1, args=left, **extra),), AbortPolicy()
+    yield (inv(1, args=right, **extra),), AbortPolicy()
+
+
+def _mutated_policy():
+    policy = CustomPolicy()
+    yield (inv(1, args=("x",)),), policy
+    policy.set_action("ValueError", ExceptionAction.BREAK, method="m")
+    yield (inv(1, args=("x",)),), policy
+
+
+def _set_built_in_two_orders():
+    first, second = set(), set()
+    for word in ("pear", "apple", "fig"):
+        first.add(word)
+    for word in ("fig", "pear", "apple"):
+        second.add(word)
+    return _arg_pair((first,), (second,))
+
+
+#: (row, recording pair as a generator, same plan?).  A generator so the
+#: policy row can mutate its policy between the two recordings, as a
+#: client does between two flushes.
+KEY_ORACLE = [
+    ("values only", lambda: _arg_pair(("a", 1), ("b", 2)), True),
+    ("leaf types are elided", lambda: _arg_pair((b"a",), (1.5,)), True),
+    ("dict keys 1 / True", lambda: _arg_pair(({1: "x"},), ({True: "x"},)),
+     False),
+    ("dict keys 1 / 1.0", lambda: _arg_pair(({1: "x"},), ({1.0: "x"},)),
+     False),
+    ("dict keys True / 1.0",
+     lambda: _arg_pair(({True: "x"},), ({1.0: "x"},)), False),
+    ("dict keys 1 / '1'", lambda: _arg_pair(({1: "x"},), ({"1": "x"},)),
+     False),
+    ("list / tuple", lambda: _arg_pair(([1, 2],), ((1, 2),)), False),
+    ("set / frozenset",
+     lambda: _arg_pair(({1, 2},), (frozenset({1, 2}),)), False),
+    ("empty / non-empty nested list", lambda: _arg_pair(([[]],), ([[1]],)),
+     False),
+    ("empty / non-empty nested dict",
+     lambda: _arg_pair(({"k": {}},), ({"k": {"a": 1}},)), False),
+    ("set element order", _set_built_in_two_orders, True),
+    ("set values", lambda: _arg_pair(({1, 2},), ({7, 9},)), True),
+    ("ArgRef / literal leaf",
+     lambda: _arg_pair((ArgRef(0),), (5,)), False),
+    ("ArgRef / element ArgRef",
+     lambda: _arg_pair((ArgRef(0),), (ArgRef(0, 2),)), False),
+    ("method", lambda: iter([
+        ((inv(1, method="m"),), AbortPolicy()),
+        ((inv(1, method="n"),), AbortPolicy()),
+    ]), False),
+    ("target", lambda: iter([
+        ((inv(1), inv(2, target_seq=1)), AbortPolicy()),
+        ((inv(1), inv(2, target_seq=0)), AbortPolicy()),
+    ]), False),
+    ("seq", lambda: iter([
+        ((inv(1),), AbortPolicy()),
+        ((inv(2),), AbortPolicy()),
+    ]), False),
+    ("op count", lambda: iter([
+        ((inv(1),), AbortPolicy()),
+        ((inv(1), inv(2)), AbortPolicy()),
+    ]), False),
+    ("cursor_seq", lambda: iter([
+        ((inv(1), inv(2, target_seq=1, cursor_seq=1)), AbortPolicy()),
+        ((inv(1), inv(2, target_seq=1)), AbortPolicy()),
+    ]), False),
+    ("returns_kind", lambda: iter([
+        ((inv(1, returns_kind="remote"),), AbortPolicy()),
+        ((inv(1),), AbortPolicy()),
+    ]), False),
+    ("kwargs order", lambda: iter([
+        ((inv(1, kwargs={"a": 1, "b": 2}),), AbortPolicy()),
+        ((inv(1, kwargs={"b": 2, "a": 1}),), AbortPolicy()),
+    ]), False),
+    ("namedtuple argument",
+     lambda: _arg_pair((Pair(1, 2),), (Pair(3, 4),)), True),
+    ("OrderedDict argument", lambda: _arg_pair(
+        (OrderedDict(a=1, b=2),), (OrderedDict(b=1, a=2),)), False),
+    ("CustomPolicy mutated between flushes", _mutated_policy, False),
+]
+
+
+class TestShapeKeyOracle:
+    @pytest.mark.parametrize("row, recordings, same_plan", KEY_ORACLE,
+                             ids=[row for row, _, _ in KEY_ORACLE])
+    def test_keys_are_equal_exactly_when_plans_are(self, row, recordings,
+                                                   same_plan):
+        (key_a, digest_a), (key_b, digest_b) = [
+            _derive(invocations, policy)
+            for invocations, policy in recordings()
+        ]
+        assert (digest_a == digest_b) is same_plan, row
+        assert (key_a == key_b) is same_plan, row
+
+    @pytest.mark.parametrize("row, recordings, _same", KEY_ORACLE,
+                             ids=[row for row, _, _ in KEY_ORACLE])
+    def test_gathered_params_are_compile_plans(self, row, recordings, _same):
+        for invocations, policy in recordings():
+            shape = shape_key(invocations, policy)
+            if shape is not None:
+                assert shape[1] == compile_plan(invocations, policy)[1], row
+
+    @pytest.mark.parametrize("args", [
+        (Pair(1, 2),), (OrderedDict(a=1),), ({1.0: "x"},), ({(1,): "x"},),
+        ([Pair(1, 2)],),
+    ], ids=["namedtuple", "OrderedDict", "float key", "tuple key",
+            "nested namedtuple"])
+    def test_the_walk_declines_what_it_does_not_recognise(self, args):
+        assert shape_key((inv(1, args=args),), AbortPolicy()) is None
