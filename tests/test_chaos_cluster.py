@@ -23,9 +23,10 @@ import dataclasses
 import pytest
 
 from repro.cluster import ClusterClient, ShardFailedError
+from repro.core import FutureNotReadyError
 from repro.fuzz.runner import World, _build_domain
 from repro.net import FaultSchedule
-from repro.rmi import RMIClient
+from repro.rmi import CommunicationError, RMIClient
 from repro.rmi.exceptions import WrongShardError
 
 
@@ -82,11 +83,17 @@ def test_all_shards_dead_reraises_the_raw_error():
             name = _bind_bank(world, 1, "bank-solo")[0]
             batch = cluster.create_batch()
             root = batch.on(cluster.lookup(name))
-            root.create_credit_account("ada")
+            line = root.create_credit_account("ada").get_credit_line()
             world.servers[1].close()
             with pytest.raises(Exception) as info:
                 batch.flush()
             assert not isinstance(info.value, ShardFailedError)
+            # Like a single server: the rows stay pending and the batch
+            # stays open, so a retry meets the transport error again.
+            with pytest.raises(FutureNotReadyError):
+                line.get()
+            with pytest.raises(CommunicationError):
+                batch.flush()
         finally:
             cluster.close()
     finally:

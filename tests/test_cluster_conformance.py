@@ -1,11 +1,14 @@
 """Cluster conformance: the sharded scatter-gather path is observably
 identical to the paper's single-server semantics.
 
-Three pins, mirroring the ISSUE acceptance criteria:
+Four pins:
 
 - a **1-shard cluster is the single-server path exactly** — same
   per-step outcomes, same cursor geometry, same post-state, and the
   same number of round trips, for the existing single-root corpus;
+- the **batch lifecycle is the single-server one** — any chain root's
+  ``flush()`` is the batch's flush, and a flush that failed with a
+  transport error can be retried;
 - **multi-shard runs match the sharded naive-RMI oracle** with zero
   divergences across seeds, shard counts, policies, sim and TCP
   transports, and both execution modes (one-shot batch and
@@ -19,11 +22,13 @@ import dataclasses
 
 import pytest
 
+from repro.core import BatchClosedError, FutureNotReadyError, create_batch
 from repro.core.policies import AbortPolicy, ContinuePolicy
 from repro.fuzz.execute import compare_runs, run_batched, run_oracle
 from repro.fuzz.generate import generate_program, policies_for
 from repro.fuzz.program import Program, Reg, Step, validate_program
 from repro.fuzz.runner import FuzzConfig, World, run_corpus
+from repro.rmi import CommunicationError
 
 PROGRAMS_PER_SEED = 4
 
@@ -68,6 +73,60 @@ def test_one_shard_cluster_is_single_server_exactly():
     finally:
         cluster_world.close()
         single.close()
+
+
+def test_chain_root_flush_is_the_batch_flush():
+    """``root.flush()`` on one chain flushes the whole batch, exactly as
+    ``batch.flush()`` would; it never ships that chain behind the
+    batch's back."""
+    world = World("lan", shards=2)
+    try:
+        cluster = world.fresh_client()
+        names, _ = world.bind_roots(_split_program())
+        batch = cluster.create_batch()
+        roots = [batch.on(cluster.lookup(name)) for name in names.values()]
+        lines = [root.create_credit_account("zoe").get_credit_line()
+                 for root in roots]
+        roots[0].flush()
+        assert [line.get() for line in lines] == [1000.0, 1000.0]
+        # Flushed for good, like a plain batch's second flush.
+        with pytest.raises(BatchClosedError):
+            batch.flush()
+        assert lines[0].get() == 1000.0
+    finally:
+        world.close()
+
+
+def test_failed_flush_retries_like_a_single_server():
+    """One injected fault, then a retry: the plain world and a 1-shard
+    cluster both keep the batch open and read the same value."""
+
+    def flush_twice(world):
+        client = world.fresh_client()
+        names, _ = world.bind_roots(Program(domain="bank", steps=()))
+        stub = client.lookup(names[0])
+        if world.clustered:
+            batch = client.create_batch()
+            root = batch.on(stub)
+        else:
+            batch = root = create_batch(stub)
+        line = root.create_credit_account("zoe").get_credit_line()
+        world.network.faults.fail_next(1)
+        with pytest.raises(CommunicationError):
+            batch.flush()
+        with pytest.raises(FutureNotReadyError):
+            line.get()
+        batch.flush()  # fault cleared; the retry ships the same rows
+        return line.get()
+
+    values = []
+    for shards in (None, 1):
+        world = World("lan", shards=shards)
+        try:
+            values.append(flush_twice(world))
+        finally:
+            world.close()
+    assert values == [1000.0, 1000.0]
 
 
 # -- multi-shard corpora: zero divergences ------------------------------------
