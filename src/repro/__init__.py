@@ -75,7 +75,6 @@ from repro.plan import (
     PlanError,
     PlanInvalidatedError,
     PlanNotFoundError,
-    PlanningBatchProxy,
     plan_hash,
 )
 from repro.rmi import (
@@ -127,7 +126,6 @@ __all__ = [
     "PlanCache",
     "PlanError",
     "PlanInvalidatedError",
-    "PlanningBatchProxy",
     "PlanNotFoundError",
     "register_exception",
     "RemoteError",

@@ -5,37 +5,48 @@ A :class:`ClusterBatch` is the multi-server analogue of
 root stub via :meth:`ClusterBatch.on` and records against them exactly
 as against a single-server batch.  Underneath, every root owns a
 *chain* — an ordinary :class:`~repro.core.proxy.BatchRecorder` bound to
-its shard's client — so each recorded call lands on the chain of its
-target, and remote results never leave their home shard (the wire
-protocol roots one ``__invoke_batch__`` at one object, and the §4.4
-identity rule keeps results server-local).
+its shard's client, opened by the same
+:func:`~repro.core.proxy.open_chain` as a single-server batch — so each
+recorded call lands on the chain of its target, and remote results
+never leave their home shard (the wire protocol roots one
+``__invoke_batch__`` at one object, and the §4.4 identity rule keeps
+results server-local).  Every chain's ``batch`` is this object: a
+proxy's ``flush()`` is the batch's flush, whichever chain it belongs
+to.
 
-Two cluster-specific mechanisms sit on top:
+The cluster adds routing and two mechanisms:
 
 - **Split points.**  Only *arguments* can cross chains (targets cannot:
   a result's chain is its target's chain).  When a recorded call on
-  chain A takes a batch proxy from chain B as an argument, the recorder
-  falls back to a split: chain B records the ``__export__`` pseudo-op
-  against that register, is flushed immediately (``flush_and_continue``,
-  so the chain stays open), and the resulting stub — the register's
-  :class:`~repro.wire.refs.RemoteRef` made live — is passed to A as a
-  plain marshalled argument.  Shard A's executor then reaches the object
-  through a real nested RMI call to shard B.  Slower than batching, but
-  never a wrong answer.  Exports are record-time: a failed register
-  raises its verdict from the recording call, and cursor state cannot be
-  exported (typed error) — cursors stay shard-local.
+  chain A takes a batch proxy from chain B as an argument, chain A asks
+  the batch to :meth:`~ClusterBatch.export` it: chain B records the
+  ``__export__`` pseudo-op against that register and is flushed on its
+  own (``keep_session=True``, so the chain stays open), and the
+  resulting stub — the register's :class:`~repro.wire.refs.RemoteRef`
+  made live — is passed to A as a plain marshalled argument.  Shard A's
+  executor then reaches the object through a real nested RMI call to
+  shard B.  Slower than batching, but never a wrong answer.  Exports
+  are record-time: a failed register raises its verdict from the
+  recording call, and cursor state cannot be exported (typed error) —
+  cursors stay shard-local.
 
 - **Scatter-gather flush.**  ``flush()``/``flush_and_continue()`` ship
-  every chain's pending segment, one thread per shard (chains sharing a
-  shard flush sequentially over their shared connection), and merge
-  outcomes back into the futures/proxies/cursors the caller already
-  holds — program order is preserved because each row resolves in
-  place.  A shard that dies mid-flush fails *that shard's rows only*
-  with the underlying transport error; surviving shards' rows stay
-  readable, and the flush itself raises a typed
-  :class:`~repro.cluster.errors.ShardFailedError` (single-shard clusters
-  re-raise the original error, keeping 1-shard behaviour identical to a
-  single server).
+  every open chain's pending segment, one thread per shard (chains
+  sharing a shard flush sequentially over their shared connection), and
+  merge outcomes back into the futures/proxies/cursors the caller
+  already holds — program order is preserved because each row resolves
+  in place.
+
+Failure follows one rule.  A flush that raises the *raw* transport
+error — a 1-shard cluster, or every shard failed — leaves each failed
+chain's rows pending and the batch open, exactly like a single server,
+so the batch can be flushed again; a retry re-ships only the chains
+that are still open.  A flush that raises a typed
+:class:`~repro.cluster.errors.ShardFailedError` (some shards answered)
+fails the dead shards' chains through
+:meth:`~repro.core.proxy.BatchRecorder.fail`: their rows raise the
+underlying error, surviving shards' rows stay readable, and the failed
+chains are closed, so later flushes skip them.
 """
 
 from __future__ import annotations
@@ -49,11 +60,8 @@ from repro.core.errors import (
     NotInBatchError,
     UnsupportedBatchOperationError,
 )
-from repro.core.policies import POLICY_TYPES, default_policy
-from repro.core.proxy import BatchProxy, BatchRecorder
-from repro.core.recording import EXPORT_OP, NONE_ID, ROOT_SEQ
-from repro.net.conditions import CHARGE_PROXY_CREATE
-from repro.plan.client import PlanningBatchProxy, PlanningBatchRecorder
+from repro.core.proxy import BatchProxy, open_chain
+from repro.core.recording import EXPORT_OP
 from repro.rmi.remote import MethodSpec
 from repro.rmi.stub import Stub
 
@@ -66,50 +74,19 @@ EXPORT_SPEC = MethodSpec(name=EXPORT_OP, returns_kind="value",
                          returns_interface=None, parallel_safe=True)
 
 
-class _Chain:
-    """One shard-local batch chain of a cluster batch."""
-
-    __slots__ = ("shard_index", "label", "recorder", "root", "failed")
-
-    def __init__(self, shard_index, label, recorder, root):
-        self.shard_index = shard_index
-        self.label = label
-        self.recorder = recorder
-        self.root = root
-        self.failed = False
-
-
 class ClusterBatch:
     """One scatter-gather batch over a :class:`~repro.cluster.client.
     ClusterClient`'s shards; see the module docstring for semantics."""
 
     def __init__(self, cluster, policy=None, reuse_plans: bool = False):
-        if policy is None:
-            policy = default_policy()
-        if not isinstance(policy, POLICY_TYPES):
-            raise TypeError(
-                f"policy must be one of "
-                f"{[cls.__name__ for cls in POLICY_TYPES]}"
-            )
         self._cluster = cluster
         self._policy = policy
         self._reuse_plans = reuse_plans
-        self._chains = []                  # creation order
-        self._chain_by_recorder = {}       # id(recorder) -> _Chain
-        self._chain_by_ref = {}            # (endpoint, object_id) -> _Chain
+        # (endpoint, object_id) -> (shard index, recorder), in creation order
+        self._chains = {}
         self._exports = {}                 # (id(recorder), seq) -> Stub
         self._closed = False
         self._lock = threading.RLock()
-
-    @property
-    def chains(self) -> int:
-        """How many root chains this batch spans (tests read this)."""
-        return len(self._chains)
-
-    @property
-    def flush_count(self) -> int:
-        """Flushes shipped by the busiest chain (splits included)."""
-        return max((c.recorder.flush_count for c in self._chains), default=0)
 
     def on(self, stub: Stub) -> BatchProxy:
         """The batch proxy recording against *stub*'s chain.
@@ -133,41 +110,24 @@ class ClusterBatch:
                     "this cluster batch was flushed; create a new one"
                 )
             key = (ref.endpoint, ref.object_id)
-            chain = self._chain_by_ref.get(key)
+            chain = self._chains.get(key)
             if chain is None:
-                chain = self._make_chain(stub)
-                self._chain_by_ref[key] = chain
-            return chain.root
-
-    def _make_chain(self, stub: Stub) -> _Chain:
-        shard_index = self._cluster.shard_index_of(stub)
-        client = self._cluster.client_for(shard_index)
-        specs = stub.method_specs()
-        if self._reuse_plans:
-            recorder = PlanningBatchRecorder(stub, self._policy, client)
-            root = PlanningBatchProxy(recorder, ROOT_SEQ, specs)
-        else:
-            recorder = BatchRecorder(stub, self._policy, client)
-            root = BatchProxy(recorder, ROOT_SEQ, specs)
-        recorder.root = root
-        # The one case a single-server recorder rejects: an argument
-        # owned by a sibling chain becomes a split point.
-        recorder._export_sibling = self._export_for
-        client.charge(CHARGE_PROXY_CREATE)
-        chain = _Chain(shard_index, self._cluster.label_for(shard_index),
-                       recorder, root)
-        self._chains.append(chain)
-        self._chain_by_recorder[id(recorder)] = chain
-        return chain
+                shard_index = self._cluster.shard_index_of(stub)
+                recorder = open_chain(
+                    stub, self._policy, self._cluster.client_for(shard_index),
+                    self._reuse_plans, batch=self,
+                )
+                chain = self._chains[key] = (shard_index, recorder)
+            return chain[1].root
 
     # -- split points ------------------------------------------------------
 
-    def _export_for(self, proxy: BatchProxy) -> Stub:
+    def export(self, proxy: BatchProxy) -> Stub:
         """Resolve a sibling chain's register to a live stub (split point)."""
         from repro.core.cursor import CursorProxy
 
-        chain = self._chain_by_recorder.get(id(proxy._recorder))
-        if chain is None:
+        recorder = proxy._recorder
+        if recorder.batch is not self:
             raise NotInBatchError(
                 "argument batch object belongs to a different batch chain"
             )
@@ -178,11 +138,13 @@ class ClusterBatch:
             )
         if proxy._failure is not None:
             raise proxy._failure
-        key = (id(proxy._recorder), proxy._seq)
+        key = (id(recorder), proxy._seq)
         stub = self._exports.get(key)
         if stub is None:
-            future = chain.recorder.record(proxy, EXPORT_SPEC, (), {})
-            chain.root.flush_and_continue()
+            future = recorder.record(proxy, EXPORT_SPEC, (), {})
+            # Only the producer chain: the batch's other chains wait for
+            # the batch's own flush.
+            recorder.flush(keep_session=True)
             stub = future.get()  # a failed register raises its verdict here
             self._exports[key] = stub
         return stub
@@ -191,76 +153,57 @@ class ClusterBatch:
 
     def flush(self) -> None:
         """Scatter-gather execute every chain; the batch ends."""
-        self._flush_all(keep_session=False)
+        self.flush_batch(keep_session=False)
 
     def flush_and_continue(self) -> None:
         """Scatter-gather execute, keeping every chain open for more."""
-        self._flush_all(keep_session=True)
+        self.flush_batch(keep_session=True)
 
     def ok(self) -> None:
         """Re-raise the first chain-level failure, if any."""
-        for chain in self._chains:
-            chain.root.ok()
+        for _shard_index, recorder in self._chains.values():
+            recorder.root.ok()
 
-    def _flush_all(self, keep_session: bool) -> None:
+    def flush_batch(self, keep_session: bool) -> None:
+        """Flush every open chain; see the module docstring for failures."""
         with self._lock:
             if self._closed:
                 raise BatchClosedError(
                     "this cluster batch was already flushed"
                 )
-            live = [c for c in self._chains if not c.failed]
             by_shard = {}
-            for chain in live:
-                by_shard.setdefault(chain.shard_index, []).append(chain)
-            groups = [by_shard[i] for i in sorted(by_shard)]
-            failures = {}
+            for shard_index, recorder in self._chains.values():
+                if not recorder.closed:
+                    by_shard.setdefault(shard_index, []).append(recorder)
+            failed = []    # (recorder, exc)
+            failures = {}  # shard label -> first exc
 
-            def flush_group(chains):
-                for chain in chains:
+            def flush_shard(shard_index):
+                for recorder in by_shard[shard_index]:
                     try:
-                        chain.recorder.flush(keep_session=keep_session)
+                        recorder.flush(keep_session=keep_session)
                     except Exception as exc:  # noqa: BLE001 - per-shard rows
-                        self._fail_chain(chain, exc)
-                        failures.setdefault(chain.label, exc)
+                        failed.append((recorder, exc))
+                        label = self._cluster.label_for(shard_index)
+                        failures.setdefault(label, exc)
 
-            if len(groups) <= 1 or not self._cluster.concurrent_flush:
-                for group in groups:
-                    flush_group(group)
+            shards = sorted(by_shard)
+            if len(shards) <= 1 or not self._cluster.concurrent_flush:
+                for shard_index in shards:
+                    flush_shard(shard_index)
             else:
-                with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                    list(pool.map(flush_group, groups))
+                with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+                    list(pool.map(flush_shard, shards))
+            if failures:
+                first = failures[min(failures)]
+                if len(failures) == len(shards):
+                    # Every shard flushed failed (a 1-shard cluster
+                    # included): like a single server, the raw error
+                    # with the rows left pending.
+                    raise first
+            for recorder, exc in failed:
+                recorder.fail(exc)
             if not keep_session:
                 self._closed = True
             if failures:
-                ordered = [failures[label] for label in sorted(failures)]
-                if len(failures) >= len(groups) or self._cluster.shards == 1:
-                    # Every shard (or the only shard) is gone: behave
-                    # like a single server and surface the raw error.
-                    raise ordered[0]
-                raise ShardFailedError(failures) from ordered[0]
-
-    @staticmethod
-    def _fail_chain(chain: _Chain, exc: BaseException) -> None:
-        """Resolve every pending row of *chain* with *exc* and close it.
-
-        The shard is gone: its futures raise *exc* from ``get()``, its
-        proxies and cursors from ``ok()``, and the chain accepts no
-        further recording — all without touching the other shards' rows.
-        """
-        recorder = chain.recorder
-        with recorder._lock:
-            for _seq, future in recorder._segment_futures:
-                future._fail(exc)
-            for proxy in recorder._segment_proxies:
-                proxy._resolved = True
-                proxy._failure = exc
-            for cursor in recorder._segment_cursors:
-                cursor._resolved = True
-                cursor._sub_closed = True
-                cursor._flushed = True
-                cursor._failure = exc
-            recorder._reset_segment()
-            recorder._session_id = NONE_ID
-            recorder._closed = True
-        chain.root._failure = exc
-        chain.failed = True
+                raise ShardFailedError(failures) from first

@@ -46,7 +46,7 @@ from repro.core.policies import (
 from repro.core.proxy import BRMI, BatchProxy, BatchRecorder, create_batch
 from repro.core.recording import ArgRef, BatchResponse, InvocationData
 from repro.core.session import SessionStore
-from repro.core.tracing import BatchSummary, batch_summary, describe_batch
+from repro.core.explain import BatchSummary, batch_summary, describe_batch
 
 __all__ = [
     "AbortPolicy",

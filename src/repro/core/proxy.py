@@ -61,17 +61,18 @@ class BatchProxy:
     # -- the Batch interface (paper §3.2/§3.3) --------------------------
 
     def flush(self) -> None:
-        """Execute the batch; results become available, the chain ends.
+        """Execute the batch this object belongs to; results become
+        available and the batch ends.
 
         Network and communication errors surface here — this is the only
         call that talks to the server.
         """
-        self._recorder.flush(keep_session=False)
+        self._recorder.batch.flush_batch(keep_session=False)
 
     def flush_and_continue(self) -> None:
         """Execute recorded calls but keep the server context so further
-        calls may use this chain's objects (chained batches)."""
-        self._recorder.flush(keep_session=True)
+        calls may use this batch's objects (chained batches)."""
+        self._recorder.batch.flush_batch(keep_session=True)
 
     def ok(self) -> None:
         """Re-raise any exception this batch object depends on (§3.3).
@@ -127,7 +128,7 @@ class BatchRecorder:
     guards the bookkeeping so misuse corrupts nothing.
     """
 
-    def __init__(self, stub: Stub, policy, client):
+    def __init__(self, stub: Stub, policy, client, batch=None):
         self._stub = stub
         self._policy = policy
         self._client = client
@@ -139,15 +140,16 @@ class BatchRecorder:
         self._deps = {ROOT_SEQ: frozenset()}
         self._failures = {}
         self._session_id = NONE_ID
-        self._closed = False
         self._open_cursor = None
         self._lock = threading.RLock()
+        #: Flushed for good, or failed: the chain records no more.
+        self.closed = False
         self.flush_count = 0
-        self.root = None  # assigned by create_batch
-        #: What to do with an argument proxy owned by another chain:
-        #: ``None`` rejects it; a cluster batch installs the function
-        #: that exports a sibling chain's register to a live stub.
-        self._export_sibling = None
+        self.root = None  # assigned by open_chain
+        #: The batch this chain belongs to, answering ``flush_batch`` and
+        #: ``export``.  A plain batch is its own one chain; a cluster
+        #: batch is shared by one chain per root.
+        self.batch = self if batch is None else batch
 
     @property
     def session_id(self) -> int:
@@ -166,7 +168,7 @@ class BatchRecorder:
         from repro.core.cursor import CursorProxy  # local: avoids cycle
 
         with self._lock:
-            if self._closed:
+            if self.closed:
                 raise BatchClosedError(
                     "this batch chain was flushed; create a new batch"
                 )
@@ -260,12 +262,7 @@ class BatchRecorder:
             )
         if isinstance(value, BatchProxy):
             if value._recorder is not self:
-                if self._export_sibling is None:
-                    raise NotInBatchError(
-                        "argument batch object belongs to a different "
-                        "batch chain"
-                    )
-                return marshal(self._export_sibling(value), self._client), owner
+                return marshal(self.batch.export(value), self._client), owner
             if value._failure is not None:
                 raise value._failure
             if isinstance(value, CursorProxy):
@@ -358,9 +355,13 @@ class BatchRecorder:
     # -- flushing -----------------------------------------------------------
 
     def flush(self, keep_session: bool) -> None:
-        """Ship the recorded segment; distribute results and exceptions."""
+        """Ship this chain's segment; distribute results and exceptions.
+
+        A flush that raises leaves the segment pending and the chain
+        open, so it can be flushed again.
+        """
         with self._lock:
-            if self._closed:
+            if self.closed:
                 raise BatchClosedError("this batch chain was already flushed")
             if self._open_cursor is not None:
                 self._open_cursor._sub_closed = True
@@ -368,7 +369,7 @@ class BatchRecorder:
             if not self._segment and keep_session:
                 return  # nothing to do yet; the chain stays open
             if not self._segment and self._session_id == NONE_ID:
-                self._closed = True
+                self.closed = True
                 return  # empty batch, no server state to release
             invocations = tuple(self._segment)
             with current_tracer().span(
@@ -388,7 +389,39 @@ class BatchRecorder:
                 self._reset_segment()
             else:
                 self._session_id = NONE_ID
-                self._closed = True
+                self.closed = True
+
+    #: A plain batch is its one chain: flushing the batch flushes it.
+    flush_batch = flush
+
+    def export(self, proxy):
+        """A plain batch has no sibling chain to take *proxy* from."""
+        raise NotInBatchError(
+            "argument batch object belongs to a different batch chain"
+        )
+
+    def fail(self, exc: BaseException) -> None:
+        """Resolve every pending row of this chain with *exc* and close it.
+
+        Its futures raise *exc* from ``get()``, its proxies (the root
+        included) and cursors from ``ok()``, and the chain records and
+        flushes no more.
+        """
+        with self._lock:
+            for _seq, future in self._segment_futures:
+                future._fail(exc)
+            for proxy in self._segment_proxies:
+                proxy._resolved = True
+                proxy._failure = exc
+            for cursor in self._segment_cursors:
+                cursor._resolved = True
+                cursor._sub_closed = True
+                cursor._flushed = True
+                cursor._failure = exc
+            self._reset_segment()
+            self._session_id = NONE_ID
+            self.closed = True
+            self.root._failure = exc
 
     def _ship(self, invocations, keep_session):
         """One network round trip carrying the recorded segment.
@@ -469,13 +502,11 @@ class BatchRecorder:
         return unmarshal(value, self._client)
 
 
-def create_batch(stub: Stub, policy=None, client=None,
+def create_batch(stub: Stub, policy=None,
                  reuse_plans: bool = False) -> BatchProxy:
     """Wrap an RMI stub in a batch-object proxy (``BRMI.create``, §3.2).
 
     *policy* defaults to :class:`~repro.core.policies.AbortPolicy`.
-    *client* is normally inferred from the stub; pass it explicitly only
-    for hand-built stubs.
 
     *reuse_plans* turns on compiled batch plans (:mod:`repro.plan`): the
     returned proxy records and flushes exactly like a plain batch, but
@@ -489,11 +520,21 @@ def create_batch(stub: Stub, policy=None, client=None,
         raise TypeError(
             f"create_batch needs an RMI stub, got {type(stub).__name__}"
         )
-    owner = client if client is not None else stub.owner_client
-    if owner is None:
-        raise BatchError(
-            "stub has no owning client; pass client= to create_batch"
-        )
+    client = stub.owner_client
+    if client is None:
+        raise BatchError("stub has no owning client to flush through")
+    return open_chain(stub, policy, client, reuse_plans).root
+
+
+def open_chain(stub: Stub, policy, client, reuse_plans: bool,
+               batch=None) -> BatchRecorder:
+    """Open one batch chain rooted at *stub*, flushing through *client*.
+
+    The one chain constructor: :func:`create_batch` opens a plain
+    batch's only chain, and a cluster batch opens one per root, passing
+    itself as *batch*.  Returns the recorder; its ``root`` is the proxy
+    the caller records against.
+    """
     if policy is None:
         policy = default_policy()
     if not isinstance(policy, POLICY_TYPES):
@@ -508,16 +549,14 @@ def create_batch(stub: Stub, policy=None, client=None,
         )
     if reuse_plans:
         # Local import: the plan layer builds on this module.
-        from repro.plan.client import PlanningBatchProxy, PlanningBatchRecorder
+        from repro.plan.client import PlanningBatchRecorder
 
-        recorder = PlanningBatchRecorder(stub, policy, owner)
-        root = PlanningBatchProxy(recorder, ROOT_SEQ, specs)
+        recorder = PlanningBatchRecorder(stub, policy, client, batch)
     else:
-        recorder = BatchRecorder(stub, policy, owner)
-        root = BatchProxy(recorder, ROOT_SEQ, specs)
-    recorder.root = root
-    owner.charge(CHARGE_PROXY_CREATE)
-    return root
+        recorder = BatchRecorder(stub, policy, client, batch)
+    recorder.root = BatchProxy(recorder, ROOT_SEQ, specs)
+    client.charge(CHARGE_PROXY_CREATE)
+    return recorder
 
 
 def _arg_refs(values):

@@ -26,10 +26,11 @@ re-resolved per invocation, and a root that was unexported raises the
 typed :class:`~repro.rmi.exceptions.PlanInvalidatedError`.
 
 Client adoption is transparent: ``create_batch(stub, reuse_plans=True)``
-returns a :class:`~repro.plan.client.PlanningBatchProxy` whose recorder
-memoizes flushed shapes and automatically switches a repeated batch to
-plan invocation, with results, exception-policy behavior and cursor
-geometry identical to the inline path.
+returns an ordinary batch proxy whose recorder, a
+:class:`~repro.plan.client.PlanningBatchRecorder`, memoizes flushed
+shapes and automatically switches a repeated batch to plan invocation,
+with results, exception-policy behavior and cursor geometry identical to
+the inline path.
 """
 
 from repro.plan.cache import (
@@ -38,7 +39,7 @@ from repro.plan.cache import (
     PlanCacheSnapshot,
     PlanCacheStats,
 )
-from repro.plan.client import PlanMemo, PlanningBatchProxy, PlanningBatchRecorder
+from repro.plan.client import PlanMemo, PlanningBatchRecorder
 from repro.plan.model import BatchPlan, compile_plan, plan_hash
 from repro.plan.runtime import PlanRuntime
 from repro.rmi.exceptions import PlanError, PlanInvalidatedError, PlanNotFoundError
@@ -56,7 +57,6 @@ __all__ = [
     "PlanError",
     "PlanInvalidatedError",
     "PlanMemo",
-    "PlanningBatchProxy",
     "PlanningBatchRecorder",
     "PlanNotFoundError",
     "PlanRuntime",

@@ -1,8 +1,8 @@
 """Client-side plan adoption: memoized shapes, transparent switching.
 
-``create_batch(stub, reuse_plans=True)`` returns a
-:class:`PlanningBatchProxy` — API-identical to a plain batch proxy.  The
-difference is the recorder underneath: at flush time it takes the
+``create_batch(stub, reuse_plans=True)`` returns an ordinary batch
+proxy.  The difference is the recorder underneath, a
+:class:`PlanningBatchRecorder`: at flush time it takes the
 recorded segment's shape key (:func:`~repro.plan.model.shape_key`),
 asks the owning client's :class:`PlanMemo` for a route, and picks the
 cheapest wire strategy:
@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.core.proxy import BatchProxy, BatchRecorder
+from repro.core.proxy import BatchRecorder
 from repro.core.recording import NONE_ID
 from repro.obs.tracer import current_tracer
 from repro.plan.model import compile_plan, plan_hash, shape_key
@@ -130,33 +130,19 @@ class PlanMemo:
         """Record how the server answered a routed flush: HIT, MISS, or
         INSTALL of the plan *digest*."""
         with self._lock:
-            self._settle(state, outcome, digest)
-
-    # -- single rules, for driving the memo by hand ---------------------
-
-    def repeat_sighting(self, key) -> bool:
-        """Count one sighting; True when the shape was seen before."""
-        with self._lock:
-            return self._sight(key).sightings > 1
-
-    def prefer_inline(self, key) -> bool:
-        """Whether this flush of a repeated shape should go inline
-        (ticks the retry clock of a demoted shape)."""
-        with self._lock:
-            state = self._seen.get(key)
-            return state is not None and self._held_inline(state)
-
-    def note_hit(self, key) -> None:
-        self._settle_known(key, HIT)
-
-    def note_miss(self, key) -> None:
-        """One plan-cache miss; demote the shape past the streak limit."""
-        self._settle_known(key, MISS)
-
-    def times_seen(self, key) -> int:
-        with self._lock:
-            state = self._seen.get(key)
-            return state.sightings if state is not None else 0
+            if outcome == HIT:
+                self.plan_invocations += 1
+                state.miss_streak = 0
+                state.confirmed = True
+            elif outcome == MISS:
+                state.miss_streak += 1
+                if state.miss_streak >= self._miss_limit:
+                    state.demoted = True
+                    state.inline_since_demotion = 0
+            else:
+                self.plan_installs += 1
+                state.digest = digest
+                state.confirmed = True
 
     def as_dict(self) -> dict:
         """How each flush went out, under the published metric names."""
@@ -197,37 +183,12 @@ class PlanMemo:
             return False
         return True
 
-    def _settle(self, state, outcome, digest) -> None:
-        if outcome == HIT:
-            self.plan_invocations += 1
-            state.miss_streak = 0
-            state.confirmed = True
-        elif outcome == MISS:
-            state.miss_streak += 1
-            if state.miss_streak >= self._miss_limit:
-                state.demoted = True
-                state.inline_since_demotion = 0
-        else:
-            self.plan_installs += 1
-            state.digest = digest
-            state.confirmed = True
-
-    def _settle_known(self, key, outcome) -> None:
-        with self._lock:
-            state = self._seen.get(key)
-            if state is not None:
-                self._settle(state, outcome, None)
-
-
-class PlanningBatchProxy(BatchProxy):
-    """Root proxy of a plan-reusing batch; the public API is unchanged."""
-
 
 class PlanningBatchRecorder(BatchRecorder):
     """A batch recorder that ships repeated shapes as plan invocations."""
 
-    def __init__(self, stub, policy, client):
-        super().__init__(stub, policy, client)
+    def __init__(self, stub, policy, client, batch=None):
+        super().__init__(stub, policy, client, batch)
         self._memo = client.plan_memo
 
     def _ship(self, invocations, keep_session):

@@ -5,6 +5,8 @@ The failure semantics the scatter-gather batch promises:
 - losing a shard mid-flush fails **that shard's rows only**, with the
   flush raising a typed :class:`ShardFailedError` naming the dead
   shards; surviving shards' rows stay readable;
+- losing every shard is a single server's failure: the raw error, the
+  rows still pending and the batch open for a retry;
 - retried requests stay exactly-once **per shard** — every shard keeps
   its own dedup table keyed by call id, so a fault-induced resend
   replays the cached reply instead of re-executing side effects;

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import batch_summary, create_batch, describe_batch
-from repro.core.tracing import BatchSummary
+from repro.core.explain import BatchSummary
 from repro.net.conditions import WIRELESS
 
 

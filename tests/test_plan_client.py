@@ -7,10 +7,10 @@ shipping repeated shapes as plan invocations.
 
 import pytest
 
-from repro.core import ContinuePolicy, create_batch
+from repro.core import BatchProxy, ContinuePolicy, create_batch
 from repro.core.cursor import cursor_length
-from repro.plan import PlanMemo, PlanningBatchProxy
-from repro.plan.client import MISS_LIMIT
+from repro.plan import PlanMemo, PlanningBatchRecorder
+from repro.plan.client import HIT, INLINE, INSTALL, INVOKE, MISS, MISS_LIMIT
 from repro.rmi import RMIClient, RMIServer
 from repro.net import LAN, SimNetwork
 
@@ -32,7 +32,8 @@ class TestAdoption:
     def test_planning_proxy_type_and_api(self, plan_env):
         _server, client = plan_env
         batch = create_batch(client.lookup("counter"), reuse_plans=True)
-        assert isinstance(batch, PlanningBatchProxy)
+        assert type(batch) is BatchProxy
+        assert isinstance(batch._recorder, PlanningBatchRecorder)
         future = batch.increment(2)
         batch.flush()
         assert future.get() == 2
@@ -137,14 +138,17 @@ class TestAdoption:
 
     def test_memo_is_bounded_lru(self):
         memo = PlanMemo(capacity=2)
-        assert not memo.repeat_sighting("a")
-        assert not memo.repeat_sighting("b")
-        assert memo.repeat_sighting("a")      # refresh a; b becomes LRU
-        assert not memo.repeat_sighting("c")  # evicts b
+        assert memo.route("a")[1] == INLINE
+        assert memo.route("b")[1] == INLINE
+        assert memo.route("a")[1] == INSTALL  # refresh a; b becomes LRU
+        assert memo.route("c")[1] == INLINE   # evicts b
         assert len(memo) == 2
-        assert not memo.repeat_sighting("b")  # forgotten: inline again
-        assert memo.times_seen("c") == 1      # c survived; a was evicted
-        assert memo.times_seen("a") == 0
+        assert memo.route("b")[1] == INLINE   # forgotten: inline again
+        # c survived (this is its second sighting); a was evicted.
+        state, route = memo.route("c")
+        assert (state.sightings, route) == (2, INSTALL)
+        state, route = memo.route("a")
+        assert (state.sightings, route) == (1, INLINE)
 
     def test_persistent_misses_demote_a_shape_to_inline(self, network):
         """Cache thrash must be a bounded cost, not a permanent 2-round-trip
@@ -184,19 +188,19 @@ class TestAdoption:
         inline flushes — transient cache pressure is a bounded detour,
         not a permanent loss of the optimization."""
         memo = PlanMemo(retry_interval=4)
-        memo.repeat_sighting("d")
+        state, _ = memo.route("d")
         for _ in range(MISS_LIMIT):
-            memo.note_miss("d")
-        assert memo.prefer_inline("d")
-        assert memo.prefer_inline("d")
-        assert memo.prefer_inline("d")
-        assert not memo.prefer_inline("d")   # 4th call: probe again
+            memo.settle(state, MISS)
+        assert memo.route("d")[1] == INLINE
+        assert memo.route("d")[1] == INLINE
+        assert memo.route("d")[1] == INLINE
+        assert memo.route("d")[1] == INSTALL  # 4th flush: probe again
         # A hit on the probe keeps the shape on the plan path for good.
-        memo.note_hit("d")
-        assert not memo.prefer_inline("d")
+        memo.settle(state, HIT)
+        assert memo.route("d")[1] == INVOKE
         # Another full miss streak is needed to re-demote.
-        memo.note_miss("d")
-        assert not memo.prefer_inline("d")
+        memo.settle(state, MISS)
+        assert memo.route("d")[1] == INVOKE
 
     def test_eviction_triggers_transparent_reinstall(self, plan_env):
         server, client = plan_env  # plan_capacity=2
