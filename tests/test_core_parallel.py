@@ -27,7 +27,7 @@ from repro.core.dag import (
     analyze_batch,
     split_units,
 )
-from repro.core.executor import BatchExecutor, _Outcome
+from repro.core.executor import BatchExecutor, _Deferred, _Outcome
 from repro.core.errors import UnsupportedBatchOperationError
 from repro.core.policies import (
     AbortPolicy,
@@ -213,6 +213,74 @@ class ProbeImpl(RemoteObject, Probe):
     def probe_mark(self):
         self.marks += 1
         return self.marks
+
+
+class Hand(RemoteInterface):
+    @remote_method(parallel_safe=True)
+    def hand_wait(self) -> int: ...
+
+    @remote_method(parallel_safe=True)
+    def hand_badge(self): ...
+
+
+class Relay(RemoteInterface):
+    @remote_method(parallel_safe=True)
+    def relay_hands(self) -> List["Hand"]: ...
+
+
+class HandImpl(RemoteObject, Hand):
+    def __init__(self, relay, index):
+        self.relay = relay
+        self.index = index
+
+    def hand_wait(self):
+        relay = self.relay
+        if threading.current_thread() is not relay.caller:
+            relay.helped.set()
+        elif self.index == relay.wait_at:
+            # Blocks the caller (releasing the GIL) until a helper runs.
+            relay.timed_out = not relay.helped.wait(10)
+        return self.index
+
+    def hand_badge(self):
+        # A value op whose result is a fresh remote object: marshalling
+        # exports it under the next id.
+        return WidgetImpl(f"badge{self.index}", self.index)
+
+
+class RelayImpl(RemoteObject, Relay):
+    HANDS = 12
+
+    def __init__(self, wait_at=None):
+        self.caller = threading.current_thread()
+        self.wait_at = wait_at
+        self.helped = threading.Event()
+        self.timed_out = False
+
+    def relay_hands(self):
+        return [HandImpl(self, index) for index in range(self.HANDS)]
+
+
+def count_fragments(monkeypatch):
+    """Patch ``_Outcome.fragment`` to log each fragment it builds."""
+    fragments = []
+    make_fragment = _Outcome.fragment
+    monkeypatch.setattr(
+        _Outcome, "fragment",
+        lambda self: fragments.append(1) or make_fragment(self),
+    )
+    return fragments
+
+
+def count_deferred(monkeypatch):
+    """Patch ``_Deferred`` to log each value result left for the merge."""
+    deferred = []
+    init = _Deferred.__init__
+    monkeypatch.setattr(
+        _Deferred, "__init__",
+        lambda self, value: deferred.append(1) or init(self, value),
+    )
+    return deferred
 
 
 def render_live(value):
@@ -690,12 +758,8 @@ class TestLazyFanOut:
             inv(2, "widget_tag", target=1, cursor_seq=1),
             inv(3, "widget_weight", target=1, cursor_seq=1),
         )
-        fragments = []
-        make_fragment = _Outcome.fragment
-        monkeypatch.setattr(
-            _Outcome, "fragment",
-            lambda self: fragments.append(1) or make_fragment(self),
-        )
+        fragments = count_fragments(monkeypatch)
+        deferred = count_deferred(monkeypatch)
         pool = NeverRunsPool()
         monkeypatch.setattr(parallel_executor, "_pool", lambda: pool)
         wide = parallel_executor.invoke_batch(
@@ -706,12 +770,46 @@ class TestLazyFanOut:
         assert len(pool.submitted) == 1
         assert (snap["parallel_batches"], snap["elements"]) == (1, 32)
         assert snap["helpers"] == 0
-        # The unit's fragment and the caller's one run of 32 elements.
-        assert len(fragments) <= 3
+        # Nobody took an element from the caller, so every element went
+        # straight into the batch outcome, marshalled at call time.
+        assert (len(fragments), len(deferred)) == (0, 0)
         (narrow,) = TestByteIdentity().run_modes(
             network, batch, make_root=lambda: RackImpl(widgets), widths=(0,))
         TestByteIdentity().assert_identical(narrow, wide)
         assert sorted(wide.cursor_exceptions[3]) == [0, 5, 10, 15, 20, 25, 30]
+
+    def test_helper_joins_mid_cursor(self, network, monkeypatch):
+        """Element 1 blocks until a helper has claimed an element: the
+        caller holds an in-place prefix, helper fragments follow it, and
+        the response — remote ids exported by a value sub-op included —
+        is byte-identical to width 1."""
+        batch = (
+            inv(1, "relay_hands", kind="cursor"),
+            inv(2, "hand_wait", target=1, cursor_seq=1),
+            inv(3, "hand_badge", target=1, cursor_seq=1),
+        )
+        (narrow,) = TestByteIdentity().run_modes(
+            network, batch, make_root=RelayImpl, widths=(0,))
+        fragments = count_fragments(monkeypatch)
+        relay = RelayImpl(wait_at=1)
+        server = RMIServer(network, "sim://ident:1").start()
+        executor = BatchExecutor(server, exec_workers=4)
+        try:
+            wide = executor.invoke_batch(relay, batch, ContinuePolicy())
+            snap = executor.scheduler.snapshot()
+        finally:
+            relay.helped.set()
+            executor.close()
+            server.close()
+        assert relay.helped.is_set() and not relay.timed_out
+        assert snap["helpers"] >= 1
+        assert fragments, "no run wrote into a fragment"
+        TestByteIdentity().assert_identical(narrow, wide)
+        assert wide.exceptions == {} and wide.cursor_exceptions == {}
+        assert wide.cursor_results[2] == list(range(RelayImpl.HANDS))
+        badges = wide.cursor_results[3]
+        assert [ref.object_id for ref in badges] == sorted(
+            ref.object_id for ref in badges)
 
     @pytest.mark.parametrize("parties", [2, 8])
     def test_blocking_keys_recruit_to_full_width(self, network, parties):

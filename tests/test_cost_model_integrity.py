@@ -4,17 +4,26 @@ If charges silently stopped being reported or priced, the figures would
 still *run* but measure the wrong thing; these tests pin the plumbing.
 """
 
+import contextlib
+
 import pytest
 
-from repro.core import create_batch
+from repro.apps import make_directory
+from repro.core import (
+    ContinuePolicy,
+    CustomPolicy,
+    ExceptionAction,
+    create_batch,
+)
 from repro.net.conditions import (
     CHARGE_BATCH_OP,
     CHARGE_BATCH_SETUP,
     CHARGE_REMOTE_EXPORT,
     CHARGE_STUB_CREATE,
 )
+from repro.rmi import RMIClient, RMIServer
 
-from tests.support import make_container
+from tests.support import BoomError, CounterImpl, make_container
 
 
 class TestServerCharges:
@@ -78,6 +87,131 @@ class TestChargesPriceVirtualTime:
         start = free_net.clock.now()
         free_net.charge_cpu(CHARGE_REMOTE_EXPORT, 100)
         assert free_net.clock.now() == start
+
+
+class ChargeLog:
+    """A server's charge sink that keeps every call it receives."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, kind, count=1):
+        self.calls.append((kind, count))
+
+    def total(self, kind):
+        return sum(count for k, count in self.calls if k == kind)
+
+
+@contextlib.contextmanager
+def logged_server(network, impl, exec_workers):
+    """A root stub on a fresh server whose charge sink is a
+    :class:`ChargeLog`, installed once the lookup has been charged."""
+    server = RMIServer(network, "sim://charges:1",
+                       exec_workers=exec_workers).start()
+    server.bind("root", impl)
+    client = RMIClient(network, server.address)
+    try:
+        stub = client.lookup("root")
+        log = ChargeLog()
+        server.set_charge_sink(log)
+        yield stub, log, server
+    finally:
+        client.close()
+        server.close()
+
+
+def record_cursor(root):
+    """The e2e ruler's DAG-path batch: 32 files × 2 sub-ops."""
+    cursor = root.list_files()
+    return cursor, cursor.get_name(), cursor.length()
+
+
+def record_two_chains(root):
+    for name in ("file00.dat", "file03.dat"):
+        root.get_file(name).length()
+
+
+def record_continue_failure(root):
+    root.increment(1)
+    root.boom("no")
+    root.increment(2)
+
+
+def record_repeat_then_success(root):
+    root.flaky(2)
+    root.current()
+
+
+def record_restart(root):
+    root.increment(1)
+    root.flaky(1)
+    root.current()
+
+
+def policy_on_boom(action):
+    policy = CustomPolicy()
+    policy.set_default_action(ExceptionAction.CONTINUE)
+    policy.set_action(BoomError, action)
+    return policy
+
+
+def directory():
+    # file03 and file10 deny ``length``: CONTINUE failures inside the
+    # cursor and at the end of a chain.
+    return make_directory(32, 4096,
+                          restricted_names=("file03.dat", "file10.dat"))
+
+
+#: (row, root impl, recorder, policy, ``batch_op`` per flush).  The
+#: totals are what per-op charging reports; charging once per unit or
+#: worker run must add up to exactly the same.
+BATCH_OP_ROWS = [
+    ("cursor 32x2", directory, record_cursor, ContinuePolicy, 65),
+    ("two chains", directory, record_two_chains, ContinuePolicy, 4),
+    ("continue failure", CounterImpl, record_continue_failure,
+     ContinuePolicy, 3),
+    ("repeat then success", CounterImpl, record_repeat_then_success,
+     lambda: policy_on_boom(ExceptionAction.REPEAT), 2),
+    ("restart", CounterImpl, record_restart,
+     lambda: policy_on_boom(ExceptionAction.RESTART), 4),
+]
+
+
+class TestBatchOpCharges:
+    @pytest.mark.parametrize("exec_workers", [0, 4])
+    @pytest.mark.parametrize(
+        "make_impl,record,make_policy,expected",
+        [row[1:] for row in BATCH_OP_ROWS],
+        ids=[row[0] for row in BATCH_OP_ROWS],
+    )
+    def test_batch_op_total_per_flush(self, network, exec_workers,
+                                      make_impl, record, make_policy,
+                                      expected):
+        with logged_server(network, make_impl(), exec_workers) as (
+                stub, log, _server):
+            batch = create_batch(stub, policy=make_policy())
+            record(batch)
+            batch.flush()
+        assert log.total(CHARGE_BATCH_OP) == expected
+        assert log.total(CHARGE_BATCH_SETUP) == (
+            2 if record is record_restart else 1)
+
+    @pytest.mark.parametrize("exec_workers", [0, 4])
+    def test_cursor_flush_charges_once_per_unit_and_run(
+            self, network, exec_workers):
+        """One sink call per unit and per worker run, plus the setup:
+        per-op charging made 66 calls for this flush."""
+        with logged_server(network, directory(), exec_workers) as (
+                stub, log, server):
+            batch = create_batch(stub, policy=ContinuePolicy())
+            cursor, names, _lengths = record_cursor(batch)
+            batch.flush()
+            snap = server._batch_executor.scheduler.snapshot()
+        assert cursor.next() and names.get() == "file00.dat"
+        units = 1
+        runs = 1 + snap["helpers"]
+        assert len(log.calls) <= units + runs + 1, log.calls
+        assert log.total(CHARGE_BATCH_OP) == 65
 
 
 class TestBandwidthClaims:
