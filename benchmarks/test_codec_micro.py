@@ -20,8 +20,9 @@ Results land in ``benchmarks/results/BENCH_codec.json``, a run artifact
 Besides timing, this module is the codec's **differential gate**: the
 optimized encoder must produce byte-for-byte the output of the frozen
 baseline, and both decoders must agree, over every family payload and
-over a seeded fuzz-shaped corpus covering every wire tag
-(``CODEC_DIFF_SEED``, default 0 — the CI check).
+over a seeded fuzz-shaped corpus covering every wire tag and the
+registered dataclasses a flush carries (``CODEC_DIFF_SEED``, default 0
+— the CI check).
 
 The default ``BENCH_SCALE=smoke`` takes fewer reps and records without
 a bar; the ≥2x speedup bar — meaningless on shared noisy hardware —
@@ -39,6 +40,8 @@ import pytest
 from conftest import SCALE, record_results
 
 from _codec_baseline import baseline_decode, baseline_encode
+from repro.core.recording import ArgRef, BatchResponse, InvocationData
+from repro.rmi.protocol import CallRequest
 from repro.wire import decode, encode
 from repro.wire.plans import ParamSlot
 from repro.wire.refs import RemoteRef
@@ -160,11 +163,42 @@ def random_wire_value(rng, depth=0):
     return frozenset(members) if kind == 3 else members
 
 
+def registered_wire_values(rng):
+    """One of each registered dataclass a batch flush carries, around
+    random leaves: the decoder's object path and the encoder's
+    per-class handlers."""
+    op = InvocationData(
+        seq=rng.randrange(1, 100),
+        target=ArgRef(rng.randrange(8), rng.randrange(-1, 8)),
+        method="get_name",
+        args=(random_wire_value(rng, 2), ArgRef(1)),
+        kwargs={"limit": random_wire_value(rng, 3)},
+        returns_kind=rng.choice(("value", "remote", "cursor")),
+        cursor_seq=rng.choice((-1, 1)),
+    )
+    return [
+        op.target,
+        op,
+        CallRequest(rng.randrange(100), "__invoke_batch__",
+                    args=((op,), -1, False), call_id="c" * 36),
+        BatchResponse(
+            results={op.seq: random_wire_value(rng, 2)},
+            cursor_lengths={1: 2},
+            cursor_results={2: [random_wire_value(rng, 3), None]},
+            not_executed=(rng.randrange(1, 100),),
+            session_id=rng.randrange(-1, 10),
+        ),
+    ]
+
+
 def differential_corpus(seed: int, count: int = 400):
     import random
 
     rng = random.Random(seed)
-    return [random_wire_value(rng) for _ in range(count)]
+    corpus = [random_wire_value(rng) for _ in range(count)]
+    for _ in range(max(1, count // 20)):
+        corpus.extend(registered_wire_values(rng))
+    return corpus
 
 
 # -- measurement ---------------------------------------------------------

@@ -55,6 +55,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.cluster.errors import ShardFailedError
+from repro.core.cursor import CursorProxy
 from repro.core.errors import (
     BatchClosedError,
     NotInBatchError,
@@ -124,8 +125,6 @@ class ClusterBatch:
 
     def export(self, proxy: BatchProxy) -> Stub:
         """Resolve a sibling chain's register to a live stub (split point)."""
-        from repro.core.cursor import CursorProxy
-
         recorder = proxy._recorder
         if recorder.batch is not self:
             raise NotInBatchError(

@@ -15,6 +15,7 @@ batch applies to exactly the element just inspected.
 
 from __future__ import annotations
 
+from repro.core import proxy as proxy_module
 from repro.core.errors import BatchAbortedError, BatchStateError, CursorStateError
 from repro.core.proxy import BatchProxy
 
@@ -130,6 +131,9 @@ class CursorProxy(BatchProxy):
                 f"{self._length}>"
             )
         return f"<CursorProxy #{self._seq} recording>"
+
+
+proxy_module.CursorProxy = CursorProxy
 
 
 def cursor_length(cursor: CursorProxy) -> int:

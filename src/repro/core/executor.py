@@ -29,19 +29,28 @@ through the same ``_run_unit`` / ``_run_cursor`` / ``_run_sub_op``:
 - **width N** (a worker pool): the chains found by
   :func:`~repro.core.dag.analyze_batch` — and each cursor's *elements* —
   are shared out lazily (``_fan_out``): the caller starts on them and
-  recruits helpers only while its ops block.  Units and worker runs
-  write private outcome fragments, merged in seq order so the response
-  is byte-identical to width 1.
+  recruits helpers only while its ops block.  Private outcome fragments
+  exist only where order can break: a dag of one chain runs straight
+  into the batch outcome, several chains give each unit a fragment, and
+  a cursor's elements go in place until another run takes one
+  (``_run_cursor``).  Fragments merge in seq order, so the response is
+  byte-identical to width 1.
 
 The one thing that differs is *when a value result is marshalled*, and
 it is a property of the fragment, not of the engine.  A fragment filled
 off-thread defers marshalling to the merge, because marshalling exports
 remote objects under ids drawn from a shared counter and must happen in
-seq order.  Width 1 marshals **at call time**: ``marshal`` copies
-lists, dicts and sets, and a method that is not ``parallel_safe`` may
-return live state that a later op mutates — deferring there would ship
-the post-mutation value.  (Width N needs no such care: every method in
-an eligible batch is declared order-insensitive.)
+seq order.  Anything written in place — all of width 1, and width N's
+in-place prefix — marshals **at call time**: ``marshal`` copies lists,
+dicts and sets, and a method that is not ``parallel_safe`` may return
+live state that a later op mutates — deferring there would ship the
+post-mutation value.  (Fragments need no such care: every method in an
+eligible batch is declared order-insensitive.)
+
+Two costs are paid less often than once per op: each unit and each
+worker run makes one ``CHARGE_BATCH_OP`` charge carrying the count of ops it
+settled (``charge_cost`` is linear), and whether a class exposes a
+method name is checked once per (class, name) per batch.
 
 ``exec_workers=0`` pins every batch to width 1.  It selects no other
 code — it is this engine with no pool — and it stays because the
@@ -156,10 +165,14 @@ class _Outcome:
 
     With a ``marshal_log`` (a fragment filled off-thread) value results
     are stored as :class:`_Deferred` and their locations appended to the
-    log as ``(container, key)`` pairs, in execution order.
+    log as ``(container, key)`` pairs, in execution order.  ``settled``
+    counts the ops called into this outcome since its last
+    ``CHARGE_BATCH_OP``; ``exposed`` caches ``(class, name) →`` whether
+    the name may be called, for the whole batch.
     """
 
     objects: dict
+    exposed: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
     exceptions: dict = field(default_factory=dict)
     cursor_lengths: dict = field(default_factory=dict)
@@ -169,11 +182,13 @@ class _Outcome:
     break_seq: int = NONE_ID
     broke: bool = False
     marshal_log: list = None
+    settled: int = 0
 
     def fragment(self) -> "_Outcome":
-        """A private outcome over the same object table, for one unit or
-        one worker's run of cursor elements off-thread."""
-        return _Outcome(objects=self.objects, marshal_log=[])
+        """A private outcome over the same object table and method
+        checks, for one unit or one worker's run of cursor elements."""
+        return _Outcome(objects=self.objects, exposed=self.exposed,
+                        marshal_log=[])
 
     def record_failure(self, seq: int, exc: BaseException,
                        action=None) -> None:
@@ -419,30 +434,41 @@ class BatchExecutor:
     def _run(self, invocations, units, dag, policy, outcome: _Outcome):
         """Replay every unit once, at the width ``_schedule`` picked.
 
-        Width 1 (*dag* None) is one chain of all units, written straight
-        into *outcome*.  Width N runs the dag's chains concurrently,
-        each unit into a private fragment — fragments share the batch's
-        object table (chains write disjoint seq keys; dict item writes
-        are atomic under the GIL) but keep private result/exception
-        dicts — and merges the fragments in seq order.
+        One chain of all units — width 1 (*dag* None), or a dag with a
+        single chain — is written straight into *outcome*.  Otherwise
+        the dag's chains run concurrently, each unit into a private
+        fragment — fragments share the batch's object table (chains
+        write disjoint seq keys; dict item writes are atomic under the
+        GIL) but keep private result/exception dicts — and the fragments
+        are merged in seq order.  Each unit charges the ops it settled.
         """
         self._server.charge(CHARGE_BATCH_SETUP)
-        if dag is None:
-            pool, fragments, chains = None, None, (range(len(units)),)
+        pool = None if dag is None else self._pool()
+        if dag is None or len(dag.chains) == 1:
+            fragments, chains = None, (range(len(units)),)
         else:
-            pool, chains = self._pool(), dag.chains
-            fragments = [outcome.fragment() for _ in units]
+            fragments, chains = [outcome.fragment() for _ in units], dag.chains
 
         def run_chains(claimed):
             for chain in claimed:
                 for u in chain:
                     into = outcome if fragments is None else fragments[u]
-                    self._run_unit(invocations, units[u], policy, into, pool)
+                    try:
+                        self._run_unit(invocations, units[u], policy, into,
+                                       pool)
+                    finally:
+                        self._charge_ops(into)
 
         self._fan_out(pool, run_chains, chains)
-        if fragments is not None:
-            for frag in fragments:
-                self._merge_fragment(outcome, frag)
+        for frag in fragments or ():
+            self._merge_fragment(outcome, frag)
+
+    def _charge_ops(self, outcome):
+        """Charge the ops *outcome* settled since its last charge, in one
+        call: ``charge_cost`` is linear in the count."""
+        if outcome.settled:
+            self._server.charge(CHARGE_BATCH_OP, outcome.settled)
+            outcome.settled = 0
 
     def _run_unit(self, invocations, unit, policy, outcome: _Outcome, pool):
         start, end = unit
@@ -493,11 +519,16 @@ class BatchExecutor:
                     pool) -> bool:
         """Run a cursor op plus its sub-batch; False if the op failed.
 
-        Given a pool the elements fan out like chains do.  A fragment
-        belongs to a worker *run*: every value sub-op files exactly one
-        entry per element (a result or a failure's ``None``), so an
-        element's entries sit at its position in the run, and the
-        index-major merge reproduces width 1's insertion order exactly.
+        Given a pool the elements fan out like chains do.  A run writes
+        the elements it claims straight into *outcome* while each is the
+        next index by its own count; that holds for the run that took
+        element 0 until another run takes one, and for no other run.
+        Past that prefix a run writes into its one fragment: every value
+        sub-op files exactly one entry per element (a result or a
+        failure's ``None``), so an element's entries sit at its position
+        in the run, and the index-major merge reproduces width 1's
+        insertion order exactly.  Each run charges the ops it settled
+        into its fragment; in-place ops are charged with the unit.
         """
         collection, exc, action = self._call_top_level(inv, policy, outcome)
         if exc is None:
@@ -527,34 +558,49 @@ class BatchExecutor:
         if not sub_ops:
             return True
 
-        # Width N: ``(run fragment, position)`` of each element.
+        # Width N: ``(run fragment, position)`` of each element not
+        # written in place.
         placed = None if pool is None else [None] * len(items)
         if placed is not None and len(items) > 1:
             self._scheduler.add("elements", len(items))
 
         def run_elements(claimed):
-            into = outcome
-            if placed is not None:
-                into = outcome.fragment()
-                for sub_seq in value_sub_seqs:
-                    into.cursor_results[sub_seq] = []
-            for position, index in enumerate(claimed):
-                if placed is not None:
-                    placed[index] = (into, position)
-                for sub in sub_ops:
-                    if into.broke:
-                        return
-                    self._run_sub_op(sub, index, element_scope, policy, into)
+            into, in_place, position = outcome, 0, 0
+            try:
+                for index in claimed:
+                    if index == in_place:
+                        in_place += 1
+                    else:
+                        if into is outcome:
+                            into = outcome.fragment()
+                            for sub_seq in value_sub_seqs:
+                                into.cursor_results[sub_seq] = []
+                        placed[index] = (into, position)
+                        position += 1
+                    for sub in sub_ops:
+                        if into.broke:
+                            return
+                        self._run_sub_op(sub, index, element_scope, policy,
+                                         into)
+            finally:
+                if into is not outcome:
+                    self._charge_ops(into)
 
         self._fan_out(pool, run_elements, range(len(items)))
-        for index, (run, position) in enumerate(placed or ()):
+        for index, spot in enumerate(placed or ()):
+            if spot is None:
+                continue  # filed in place
+            run, position = spot
             for sub in sub_ops:
                 if sub.returns_kind == "value":
                     entry = run.cursor_results[sub.seq][position]
                     bucket = outcome.cursor_results[sub.seq]
-                    bucket.append(entry)
                     if isinstance(entry, _Deferred):
-                        outcome.marshal_log.append((bucket, len(bucket) - 1))
+                        if outcome.marshal_log is None:
+                            entry = marshal(entry.value, self._server)
+                        else:
+                            outcome.marshal_log.append((bucket, len(bucket)))
+                    bucket.append(entry)
                 per_element = run.cursor_exceptions.get(sub.seq)
                 if per_element and index in per_element:
                     outcome.record_element_failure(
@@ -579,7 +625,7 @@ class BatchExecutor:
             pad(self._element_cause(sub, index, outcome))
             return
         result, exc, action = self._call_with_policy(
-            target, sub, args, kwargs, policy, index=index
+            target, sub, args, kwargs, policy, outcome, index=index
         )
         if exc is not None:
             pad(exc)
@@ -612,12 +658,13 @@ class BatchExecutor:
     # -- shared helpers ----------------------------------------------------
 
     def _call_with_policy(self, target, inv, args, kwargs, policy,
-                          index: int = None):
+                          outcome: _Outcome, index: int = None):
         """Invoke one method under the batch's exception policy.
 
         Returns ``(result, exception, action)`` where exactly one of
-        result/exception is meaningful.  REPEAT retries in place (bounded);
-        RESTART unwinds via :class:`_RestartSignal`.
+        result/exception is meaningful, and counts the op as settled in
+        *outcome*.  REPEAT retries in place (bounded); RESTART unwinds
+        via :class:`_RestartSignal`, uncounted.
         """
         policy_index = inv.seq if index is None else index
         span = current_tracer().span(
@@ -627,7 +674,8 @@ class BatchExecutor:
         try:
             while True:
                 try:
-                    method = self._method(target, inv.method)
+                    method = self._method(target, inv.method,
+                                          outcome.exposed)
                     result = method(*args, **kwargs)
                 except Exception as exc:  # noqa: BLE001 - the policy decides
                     action = policy.decide(exc, inv.method, policy_index)
@@ -638,13 +686,13 @@ class BatchExecutor:
                         action = ExceptionAction.BREAK
                     if action == ExceptionAction.RESTART:
                         raise _RestartSignal(exc)
-                    self._server.charge(CHARGE_BATCH_OP)
+                    outcome.settled += 1
                     span.set(
                         error=repr(exc),
                         action=getattr(action, "name", str(action)),
                     ).end()
                     return None, exc, action
-                self._server.charge(CHARGE_BATCH_OP)
+                outcome.settled += 1
                 span.end()
                 return result, None, None
         except _RestartSignal:
@@ -654,16 +702,23 @@ class BatchExecutor:
             span.set(error=repr(exc)).end()
             raise
 
-    def _method(self, target, name):
+    def _method(self, target, name, exposed):
+        """*target*'s bound method *name*.  Whether its class exposes the
+        name is decided once per batch, into *exposed*: a batch after an
+        interface registers sees it."""
         if name == EXPORT_OP:
             return lambda: target
-        if isinstance(target, Stub):
-            # A loopback/foreign stub: the stub enforces its own interface.
+        key = (type(target), name)
+        ok = exposed.get(key)
+        if ok is None:
+            # A loopback/foreign stub enforces its own interface.
+            ok = exposed[key] = isinstance(target, Stub) or (
+                isinstance(target, RemoteObject)
+                and name in methods_of(target))
+        if ok:
             return getattr(target, name)
         if isinstance(target, RemoteObject):
-            if name not in methods_of(target):
-                raise NoSuchMethodError(name, interface_names(target))
-            return getattr(target, name)
+            raise NoSuchMethodError(name, interface_names(target))
         raise NoSuchMethodError(name, (type(target).__name__,))
 
     def _call_top_level(self, inv, policy, outcome):
@@ -676,7 +731,8 @@ class BatchExecutor:
                 f"operation #{inv.seq} ({inv.method}) depends on "
                 f"result {exc.args[0]!r} which is unavailable"
             ), None
-        return self._call_with_policy(target, inv, args, kwargs, policy)
+        return self._call_with_policy(target, inv, args, kwargs, policy,
+                                      outcome)
 
     def _resolve(self, inv, objects, element_scope=None, index=None):
         """Live target, args and kwargs of one op; KeyError carries the

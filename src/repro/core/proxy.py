@@ -41,6 +41,12 @@ from repro.rmi.protocol import INVOKE_BATCH
 from repro.rmi.remote import lookup_interface, remote_methods
 from repro.rmi.stub import Stub
 
+#: :class:`~repro.core.cursor.CursorProxy` subclasses :class:`BatchProxy`,
+#: so its module hands the class over here once it is defined (importing
+#: ``repro.core`` always loads both); the recorder then needs no import
+#: per recorded op.
+CursorProxy = None
+
 
 class BatchProxy:
     """Records method calls for one object participating in a batch.
@@ -165,8 +171,6 @@ class BatchRecorder:
 
     def record(self, proxy: BatchProxy, spec, args, kwargs):
         """Append one invocation; returns its Future/proxy/cursor."""
-        from repro.core.cursor import CursorProxy  # local: avoids cycle
-
         with self._lock:
             if self.closed:
                 raise BatchClosedError(
@@ -252,8 +256,6 @@ class BatchRecorder:
         widen when a cursor (or cursor-derived proxy) appears among the
         arguments, since such an op repeats per element (§3.4).
         """
-        from repro.core.cursor import CursorProxy
-
         if isinstance(value, Future):
             raise UnsupportedBatchOperationError(
                 "futures cannot be passed as batched arguments; pass the "
@@ -319,8 +321,6 @@ class BatchRecorder:
         self._open_cursor = owner
 
     def _make_result(self, seq, spec, owner):
-        from repro.core.cursor import CursorProxy
-
         if spec.returns_kind == "value":
             future = Future(seq)
             if owner is not None:

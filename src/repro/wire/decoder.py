@@ -401,7 +401,16 @@ def _decode_object(dec, depth):
         fields = dec._decode(depth + 1)
         if not isinstance(fields, dict):
             raise DecodeError("object payload must be a dict of fields")
-    return registry.object_from_wire(class_name, fields)
+    try:
+        return registry.object_from_wire(class_name, fields)
+    except DecodeError:
+        raise
+    except Exception as exc:
+        # Well-formed bytes whose fields the class rejects (an unknown
+        # key, a value its checks refuse) are malformed input too.
+        raise DecodeError(
+            f"cannot rebuild {class_name!r} from its wire fields: {exc}"
+        ) from exc
 
 
 def _decode_exception(dec, depth):
@@ -418,7 +427,7 @@ def _decode_remote_ref(dec, depth):
     interfaces = dec._decode(depth + 1)
     if not isinstance(object_id, int) or not isinstance(interfaces, tuple):
         raise DecodeError("malformed remote reference payload")
-    return RemoteRef(endpoint, object_id, interfaces)
+    return _remote_ref(endpoint, object_id, interfaces)
 
 
 def _decode_sharded_ref(dec, depth):
@@ -429,7 +438,14 @@ def _decode_sharded_ref(dec, depth):
     if (not isinstance(object_id, int) or not isinstance(interfaces, tuple)
             or not isinstance(shard, str)):
         raise DecodeError("malformed sharded remote reference payload")
-    return RemoteRef(endpoint, object_id, interfaces, shard=shard)
+    return _remote_ref(endpoint, object_id, interfaces, shard)
+
+
+def _remote_ref(endpoint, object_id, interfaces, shard=""):
+    try:
+        return RemoteRef(endpoint, object_id, interfaces, shard=shard)
+    except ValueError as exc:  # a negative id, an empty endpoint
+        raise DecodeError(f"malformed remote reference: {exc}") from exc
 
 
 _INT64_TAG = TAG_INT64[0]

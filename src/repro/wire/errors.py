@@ -41,7 +41,7 @@ class UnknownTagError(DecodeError):
         super().__init__(f"unknown wire tag {tag!r} at offset {offset}")
 
 
-class UnregisteredClassError(WireError):
+class UnregisteredClassError(DecodeError):
     """A class name on the wire has no registered Python class.
 
     Raised when decoding a registered-object or exception payload whose

@@ -149,7 +149,7 @@ def exception_from_wire(class_name, args):
     if cls is not None:
         try:
             return cls(*args)
-        except TypeError:
+        except Exception:  # noqa: BLE001 - an __init__ that rejects its args
             exc = cls.__new__(cls)
             exc.args = args
             return exc

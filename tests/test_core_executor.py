@@ -9,11 +9,36 @@ from repro.rmi import MarshalError, NoSuchMethodError, RMIServer
 from repro.rmi.protocol import INVOKE_BATCH
 from repro.rmi.remote import interface_names
 
+from repro.rmi import RemoteInterface, RemoteObject
+
 from tests.support import (
+    Counter,
     CounterImpl,
     IdentityServiceImpl,
+    Item,
+    make_container,
     make_sneaky_counter,
 )
+
+
+class Pair(RemoteInterface):
+    def pair_item(self) -> Item: ...
+
+    def pair_counter(self) -> Counter: ...
+
+
+class PairImpl(RemoteObject, Pair):
+    """Hands out an item and a counter, to be called in one batch."""
+
+    def __init__(self, counter):
+        self.item = make_container().items[0]
+        self.counter = counter
+
+    def pair_item(self):
+        return self.item
+
+    def pair_counter(self):
+        return self.counter
 
 
 @pytest.fixture
@@ -99,6 +124,28 @@ class TestExecution:
             assert isinstance(response.exceptions[1], NoSuchMethodError)
             assert response.exceptions[1].interfaces == interface_names(target)
             assert response.results[2] > 0
+        assert reached == []
+
+    @pytest.mark.parametrize("sneaky_first", [False, True])
+    def test_method_checks_are_per_class(self, executor, sneaky_first):
+        """A batch checks each (class, name) once: ``name`` declared on
+        an item does not open ``name`` on a counter in the same batch,
+        whichever of the two is called first."""
+        target, reached = make_sneaky_counter()
+        ops = [("pair_item", "remote"), ("pair_counter", "remote")]
+        if sneaky_first:
+            ops.reverse()
+        batch = []
+        for method, kind in ops:
+            seq = len(batch) + 1
+            batch += [inv(seq, method, kind=kind),
+                      inv(seq + 1, "name", target=seq)]
+        response = executor.invoke_batch(
+            PairImpl(target), tuple(batch), ContinuePolicy())
+        item_seq = 2 if not sneaky_first else 4
+        counter_seq = 6 - item_seq
+        assert response.results == {item_seq: "item0"}
+        assert isinstance(response.exceptions[counter_seq], NoSuchMethodError)
         assert reached == []
 
     def test_instance_level_override_is_the_one_replayed(self, executor):

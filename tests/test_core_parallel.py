@@ -11,6 +11,7 @@ width 1 with its reason visible in the scheduler counters and as a
 
 import contextlib
 import gc
+import sys
 import threading
 from concurrent.futures import Future
 from typing import List
@@ -37,6 +38,7 @@ from repro.core.policies import (
     is_continue_kind,
 )
 from repro.core.recording import NONE_ID, ArgRef, InvocationData
+from repro.net.conditions import CHARGE_BATCH_OP
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.rmi import RemoteInterface, RemoteObject, RMIServer, remote_method
 from repro.rmi.stub import Stub
@@ -251,14 +253,15 @@ class HandImpl(RemoteObject, Hand):
 class RelayImpl(RemoteObject, Relay):
     HANDS = 12
 
-    def __init__(self, wait_at=None):
+    def __init__(self, wait_at=None, hands=HANDS):
         self.caller = threading.current_thread()
         self.wait_at = wait_at
+        self.hands = hands
         self.helped = threading.Event()
         self.timed_out = False
 
     def relay_hands(self):
-        return [HandImpl(self, index) for index in range(self.HANDS)]
+        return [HandImpl(self, index) for index in range(self.hands)]
 
 
 def count_fragments(monkeypatch):
@@ -810,6 +813,45 @@ class TestLazyFanOut:
         badges = wide.cursor_results[3]
         assert [ref.object_id for ref in badges] == sorted(
             ref.object_id for ref in badges)
+
+    def test_preempted_fan_out_matches_width_one(self, network):
+        """Eight pool threads and a 10 µs switch interval, so runs
+        preempt each other mid-element: every flush is still
+        byte-identical to width 1 (the in-place prefix and the fragments
+        never overlap) and charges exactly one op per call (no settled
+        count is lost between runs)."""
+        batch = (
+            inv(1, "relay_hands", kind="cursor"),
+            inv(2, "hand_wait", target=1, cursor_seq=1),
+            inv(3, "hand_badge", target=1, cursor_seq=1),
+        )
+        hands = 64
+        (narrow,) = TestByteIdentity().run_modes(
+            network, batch, make_root=lambda: RelayImpl(hands=hands),
+            widths=(0,))
+        helpers = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                charged = []
+                server = RMIServer(network, "sim://ident:1").start()
+                server.set_charge_sink(
+                    lambda kind, count=1: charged.append((kind, count)))
+                executor = BatchExecutor(server, exec_workers=8)
+                try:
+                    wide = executor.invoke_batch(
+                        RelayImpl(hands=hands), batch, ContinuePolicy())
+                    helpers += executor.scheduler.snapshot()["helpers"]
+                finally:
+                    executor.close()
+                    server.close()
+                TestByteIdentity().assert_identical(narrow, wide)
+                assert sum(count for kind, count in charged
+                           if kind == CHARGE_BATCH_OP) == 1 + 2 * hands
+        finally:
+            sys.setswitchinterval(interval)
+        assert helpers > 0, "no helper ever ran: nothing was preempted"
 
     @pytest.mark.parametrize("parties", [2, 8])
     def test_blocking_keys_recruit_to_full_width(self, network, parties):

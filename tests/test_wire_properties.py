@@ -5,9 +5,13 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.recording import ArgRef, BatchResponse, InvocationData
+from repro.rmi.protocol import CallRequest
 from repro.wire import canonical_set_order, decode, decode_many, encode, encode_many
+from repro.wire.encoder import TAG_OBJECT
 from repro.wire.plans import ParamSlot
 from repro.wire.refs import RemoteRef
+from repro.wire.registry import object_to_wire
 
 from tests.support import Point
 
@@ -144,3 +148,69 @@ def test_decoder_never_crashes_on_garbage(data):
         pass
     except RecursionError:
         raise AssertionError("decoder recursed unboundedly")
+
+
+small_ints = st.integers(min_value=0, max_value=2**20)
+argrefs = st.builds(ArgRef, seq=small_ints,
+                    cursor_index=st.integers(min_value=-1, max_value=64))
+method_names = st.text(min_size=1, max_size=12)
+wire_objects = st.one_of(
+    argrefs,
+    st.builds(
+        InvocationData,
+        seq=st.integers(min_value=1, max_value=2**20),
+        target=argrefs,
+        method=method_names,
+        args=st.tuples(scalars, argrefs),
+        kwargs=st.dictionaries(st.text(max_size=6), scalars, max_size=2),
+        returns_kind=st.sampled_from(("value", "remote", "cursor")),
+        cursor_seq=st.sampled_from((-1, 1, 7)),
+    ),
+    st.builds(CallRequest, object_id=small_ints, method=method_names,
+              args=st.tuples(scalars), call_id=st.text(max_size=36)),
+    st.builds(
+        BatchResponse,
+        results=st.dictionaries(small_ints, scalars, max_size=3),
+        not_executed=st.tuples(small_ints),
+        break_seq=st.integers(min_value=-1, max_value=99),
+        restarts=st.integers(min_value=0, max_value=3),
+    ),
+)
+#: The class names a mutation may swap in: the four wire classes and
+#: one that no process registers.
+WIRE_CLASS_NAMES = sorted(
+    object_to_wire(value)[0]
+    for value in (ArgRef(1), InvocationData(1, ArgRef(0), "m"),
+                  CallRequest(0, "m"), BatchResponse())
+) + ["no.such.Class"]
+
+
+@given(wire_objects, st.sampled_from(("rename", "negative", "reclass")),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_registered_objects_raise_only_decode_errors(
+        value, mutation, data):
+    """Well-formed bytes whose fields the class rejects — a key renamed,
+    an int field made negative, the class name swapped — decode to
+    something or raise DecodeError, never the constructor's TypeError
+    or ValueError."""
+    from repro.wire import DecodeError
+
+    name, fields = object_to_wire(value)
+    fields = dict(fields)
+    if mutation == "rename":
+        key = data.draw(st.sampled_from(sorted(fields)))
+        suffix = data.draw(st.text(min_size=1, max_size=3))
+        fields[key + suffix] = fields.pop(key)
+    elif mutation == "negative":
+        key = data.draw(st.sampled_from(sorted(
+            key for key, field in fields.items()
+            if type(field) is int)))
+        fields[key] = -data.draw(st.integers(min_value=2, max_value=2**40))
+    else:
+        name = data.draw(st.sampled_from(
+            [other for other in WIRE_CLASS_NAMES if other != name]))
+    try:
+        decode(TAG_OBJECT + encode(name) + encode(fields))
+    except DecodeError:
+        pass
