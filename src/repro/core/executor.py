@@ -47,10 +47,11 @@ live state that a later op mutates — deferring there would ship the
 post-mutation value.  (Fragments need no such care: every method in an
 eligible batch is declared order-insensitive.)
 
-Two costs are paid less often than once per op: each unit and each
-worker run makes one ``CHARGE_BATCH_OP`` charge carrying the count of ops it
-settled (``charge_cost`` is linear), and whether a class exposes a
-method name is checked once per (class, name) per batch.
+Two costs are paid less often than once per op: a worker run makes one
+``CHARGE_BATCH_OP`` charge per outcome it writes into (the batch
+outcome, a unit's or a cursor run's fragment), carrying the count of
+ops it settled there (``charge_cost`` is linear), and whether a class
+exposes a method name is checked once per (class, name) per batch.
 
 ``exec_workers=0`` pins every batch to width 1.  It selects no other
 code — it is this engine with no pool — and it stays because the
@@ -440,7 +441,8 @@ class BatchExecutor:
         fragment — fragments share the batch's object table (chains
         write disjoint seq keys; dict item writes are atomic under the
         GIL) but keep private result/exception dicts — and the fragments
-        are merged in seq order.  Each unit charges the ops it settled.
+        are merged in seq order.  A run charges the ops it settled once
+        per outcome it wrote into: the batch outcome, or each fragment.
         """
         self._server.charge(CHARGE_BATCH_SETUP)
         pool = None if dag is None else self._pool()
@@ -450,14 +452,17 @@ class BatchExecutor:
             fragments, chains = [outcome.fragment() for _ in units], dag.chains
 
         def run_chains(claimed):
-            for chain in claimed:
-                for u in chain:
-                    into = outcome if fragments is None else fragments[u]
-                    try:
+            into = outcome
+            try:
+                for chain in claimed:
+                    for u in chain:
+                        if fragments is not None:
+                            self._charge_ops(into)
+                            into = fragments[u]
                         self._run_unit(invocations, units[u], policy, into,
                                        pool)
-                    finally:
-                        self._charge_ops(into)
+            finally:
+                self._charge_ops(into)
 
         self._fan_out(pool, run_chains, chains)
         for frag in fragments or ():
@@ -528,7 +533,7 @@ class BatchExecutor:
         failure's ``None``), so an element's entries sit at its position
         in the run, and the index-major merge reproduces width 1's
         insertion order exactly.  Each run charges the ops it settled
-        into its fragment; in-place ops are charged with the unit.
+        into its fragment; in-place ops are charged with *outcome*.
         """
         collection, exc, action = self._call_top_level(inv, policy, outcome)
         if exc is None:
@@ -610,11 +615,6 @@ class BatchExecutor:
 
     def _run_sub_op(self, sub, index, element_scope, policy,
                     outcome: _Outcome):
-        def pad(exc):
-            if sub.returns_kind == "value":
-                outcome.cursor_results[sub.seq].append(None)
-            outcome.record_element_failure(sub.seq, index, exc)
-
         try:
             target, args, kwargs = self._resolve(
                 sub, outcome.objects, element_scope, index
@@ -622,19 +622,22 @@ class BatchExecutor:
         except KeyError:
             # Target/argument depends on a sub-op that failed for this
             # element; propagate that element's original failure.
-            pad(self._element_cause(sub, index, outcome))
-            return
-        result, exc, action = self._call_with_policy(
-            target, sub, args, kwargs, policy, outcome, index=index
-        )
-        if exc is not None:
-            pad(exc)
+            exc = self._element_cause(sub, index, outcome)
+        else:
+            result, exc, action = self._call_with_policy(
+                target, sub, args, kwargs, policy, outcome, index=index
+            )
+            if exc is None:
+                self._store(sub, result, outcome, index)
+                return
             if action == ExceptionAction.BREAK:
                 # Mirror into top-level exceptions so the client can find
                 # the break cause without digging through matrices.
                 outcome.record_failure(sub.seq, exc, action)
-            return
-        self._store(sub, result, outcome, index)
+        # The failed element's slot: a None in a value sub-op's results.
+        if sub.returns_kind == "value":
+            outcome.cursor_results[sub.seq].append(None)
+        outcome.record_element_failure(sub.seq, index, exc)
 
     def _element_cause(self, sub, index, outcome):
         """The failure that made *sub*'s dependency unavailable.

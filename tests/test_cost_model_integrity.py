@@ -196,11 +196,27 @@ class TestBatchOpCharges:
         assert log.total(CHARGE_BATCH_SETUP) == (
             2 if record is record_restart else 1)
 
+    @pytest.mark.parametrize(
+        "make_impl,record,make_policy",
+        [row[1:4] for row in BATCH_OP_ROWS],
+        ids=[row[0] for row in BATCH_OP_ROWS],
+    )
+    def test_width_one_charges_ops_once_per_run(self, network, make_impl,
+                                                record, make_policy):
+        """Width 1 is one run into the batch outcome: one op charge per
+        run of the batch (a RESTART runs it twice)."""
+        with logged_server(network, make_impl(), 0) as (stub, log, _server):
+            batch = create_batch(stub, policy=make_policy())
+            record(batch)
+            batch.flush()
+        op_charges = [kind for kind, _ in log.calls].count(CHARGE_BATCH_OP)
+        assert op_charges == log.total(CHARGE_BATCH_SETUP)
+
     @pytest.mark.parametrize("exec_workers", [0, 4])
     def test_cursor_flush_charges_once_per_unit_and_run(
             self, network, exec_workers):
-        """One sink call per unit and per worker run, plus the setup:
-        per-op charging made 66 calls for this flush."""
+        """At most one sink call per unit and per worker run, plus the
+        setup: per-op charging made 66 calls for this flush."""
         with logged_server(network, directory(), exec_workers) as (
                 stub, log, server):
             batch = create_batch(stub, policy=ContinuePolicy())
