@@ -339,6 +339,31 @@ def mixed_batch():
     )
 
 
+#: A cursor over a relay's hands: one op that can wait for a helper,
+#: one value op whose result exports a fresh remote object.
+RELAY_BATCH = (
+    inv(1, "relay_hands", kind="cursor"),
+    inv(2, "hand_wait", target=1, cursor_seq=1),
+    inv(3, "hand_badge", target=1, cursor_seq=1),
+)
+
+
+def run_wide(network, root, batch, workers, charge_sink=None):
+    """*batch* on a fresh width-*workers* universe at the address
+    ``run_modes`` uses; returns the response and the scheduler
+    counters."""
+    server = RMIServer(network, "sim://ident:1").start()
+    if charge_sink is not None:
+        server.set_charge_sink(charge_sink)
+    executor = BatchExecutor(server, exec_workers=workers)
+    try:
+        response = executor.invoke_batch(root, batch, ContinuePolicy())
+        return response, executor.scheduler.snapshot()
+    finally:
+        executor.close()
+        server.close()
+
+
 @pytest.fixture
 def serial_executor(network):
     server = RMIServer(network, "sim://serial-exec:1").start()
@@ -786,24 +811,11 @@ class TestLazyFanOut:
         caller holds an in-place prefix, helper fragments follow it, and
         the response — remote ids exported by a value sub-op included —
         is byte-identical to width 1."""
-        batch = (
-            inv(1, "relay_hands", kind="cursor"),
-            inv(2, "hand_wait", target=1, cursor_seq=1),
-            inv(3, "hand_badge", target=1, cursor_seq=1),
-        )
         (narrow,) = TestByteIdentity().run_modes(
-            network, batch, make_root=RelayImpl, widths=(0,))
+            network, RELAY_BATCH, make_root=RelayImpl, widths=(0,))
         fragments = count_fragments(monkeypatch)
         relay = RelayImpl(wait_at=1)
-        server = RMIServer(network, "sim://ident:1").start()
-        executor = BatchExecutor(server, exec_workers=4)
-        try:
-            wide = executor.invoke_batch(relay, batch, ContinuePolicy())
-            snap = executor.scheduler.snapshot()
-        finally:
-            relay.helped.set()
-            executor.close()
-            server.close()
+        wide, snap = run_wide(network, relay, RELAY_BATCH, 4)
         assert relay.helped.is_set() and not relay.timed_out
         assert snap["helpers"] >= 1
         assert fragments, "no run wrote into a fragment"
@@ -820,14 +832,9 @@ class TestLazyFanOut:
         byte-identical to width 1 (the in-place prefix and the fragments
         never overlap) and charges exactly one op per call (no settled
         count is lost between runs)."""
-        batch = (
-            inv(1, "relay_hands", kind="cursor"),
-            inv(2, "hand_wait", target=1, cursor_seq=1),
-            inv(3, "hand_badge", target=1, cursor_seq=1),
-        )
         hands = 64
         (narrow,) = TestByteIdentity().run_modes(
-            network, batch, make_root=lambda: RelayImpl(hands=hands),
+            network, RELAY_BATCH, make_root=lambda: RelayImpl(hands=hands),
             widths=(0,))
         helpers = 0
         interval = sys.getswitchinterval()
@@ -835,17 +842,10 @@ class TestLazyFanOut:
         try:
             for _ in range(20):
                 charged = []
-                server = RMIServer(network, "sim://ident:1").start()
-                server.set_charge_sink(
+                wide, snap = run_wide(
+                    network, RelayImpl(hands=hands), RELAY_BATCH, 8,
                     lambda kind, count=1: charged.append((kind, count)))
-                executor = BatchExecutor(server, exec_workers=8)
-                try:
-                    wide = executor.invoke_batch(
-                        RelayImpl(hands=hands), batch, ContinuePolicy())
-                    helpers += executor.scheduler.snapshot()["helpers"]
-                finally:
-                    executor.close()
-                    server.close()
+                helpers += snap["helpers"]
                 TestByteIdentity().assert_identical(narrow, wide)
                 assert sum(count for kind, count in charged
                            if kind == CHARGE_BATCH_OP) == 1 + 2 * hands

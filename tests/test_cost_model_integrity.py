@@ -4,8 +4,6 @@ If charges silently stopped being reported or priced, the figures would
 still *run* but measure the wrong thing; these tests pin the plumbing.
 """
 
-import contextlib
-
 import pytest
 
 from repro.apps import make_directory
@@ -102,10 +100,11 @@ class ChargeLog:
         return sum(count for k, count in self.calls if k == kind)
 
 
-@contextlib.contextmanager
-def logged_server(network, impl, exec_workers):
-    """A root stub on a fresh server whose charge sink is a
-    :class:`ChargeLog`, installed once the lookup has been charged."""
+def flush_logged(network, impl, record, policy, exec_workers):
+    """Record a batch on *impl* with *record* and flush it on a fresh
+    server whose charge sink, installed once the lookup has been
+    charged, is a :class:`ChargeLog`.  Returns the log, what *record*
+    returned and the scheduler counters."""
     server = RMIServer(network, "sim://charges:1",
                        exec_workers=exec_workers).start()
     server.bind("root", impl)
@@ -114,7 +113,10 @@ def logged_server(network, impl, exec_workers):
         stub = client.lookup("root")
         log = ChargeLog()
         server.set_charge_sink(log)
-        yield stub, log, server
+        batch = create_batch(stub, policy=policy)
+        handles = record(batch)
+        batch.flush()
+        return log, handles, server._batch_executor.scheduler.snapshot()
     finally:
         client.close()
         server.close()
@@ -187,11 +189,8 @@ class TestBatchOpCharges:
     def test_batch_op_total_per_flush(self, network, exec_workers,
                                       make_impl, record, make_policy,
                                       expected):
-        with logged_server(network, make_impl(), exec_workers) as (
-                stub, log, _server):
-            batch = create_batch(stub, policy=make_policy())
-            record(batch)
-            batch.flush()
+        log, _, _ = flush_logged(network, make_impl(), record,
+                                 make_policy(), exec_workers)
         assert log.total(CHARGE_BATCH_OP) == expected
         assert log.total(CHARGE_BATCH_SETUP) == (
             2 if record is record_restart else 1)
@@ -205,10 +204,8 @@ class TestBatchOpCharges:
                                                 record, make_policy):
         """Width 1 is one run into the batch outcome: one op charge per
         run of the batch (a RESTART runs it twice)."""
-        with logged_server(network, make_impl(), 0) as (stub, log, _server):
-            batch = create_batch(stub, policy=make_policy())
-            record(batch)
-            batch.flush()
+        log, _, _ = flush_logged(network, make_impl(), record,
+                                 make_policy(), 0)
         op_charges = [kind for kind, _ in log.calls].count(CHARGE_BATCH_OP)
         assert op_charges == log.total(CHARGE_BATCH_SETUP)
 
@@ -217,12 +214,9 @@ class TestBatchOpCharges:
             self, network, exec_workers):
         """At most one sink call per unit and per worker run, plus the
         setup: per-op charging made 66 calls for this flush."""
-        with logged_server(network, directory(), exec_workers) as (
-                stub, log, server):
-            batch = create_batch(stub, policy=ContinuePolicy())
-            cursor, names, _lengths = record_cursor(batch)
-            batch.flush()
-            snap = server._batch_executor.scheduler.snapshot()
+        log, (cursor, names, _lengths), snap = flush_logged(
+            network, directory(), record_cursor, ContinuePolicy(),
+            exec_workers)
         assert cursor.next() and names.get() == "file00.dat"
         units = 1
         runs = 1 + snap["helpers"]
