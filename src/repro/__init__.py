@@ -58,7 +58,6 @@ from repro.net import (
     LAN,
     LOCALHOST,
     WIRELESS,
-    FaultInjector,
     FaultSchedule,
     FaultyNetwork,
     HostCosts,
@@ -111,7 +110,6 @@ __all__ = [
     "default_policy",
     "derive_batch_interfaces",
     "ExceptionAction",
-    "FaultInjector",
     "FaultSchedule",
     "FaultyNetwork",
     "Future",

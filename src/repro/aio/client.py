@@ -33,7 +33,6 @@ through :meth:`call` with the stub's ref for the awaitable path.
 
 from __future__ import annotations
 
-from repro.aio.channel import AioChannel
 from repro.aio.network import AioNetwork
 from repro.net.transport import awaiting, drive_async
 from repro.rmi.client import RMIClient
@@ -58,9 +57,7 @@ class AioRMIClient:
         # the channel it wraps, so a wrapped sync-only transport is
         # still rejected here with a typed error instead of failing on
         # the first awaited call.
-        if not isinstance(channel, AioChannel) and not getattr(
-            channel, "supports_async", False
-        ):
+        if not getattr(channel, "supports_async", False):
             self._facade.close()
             raise TypeError(
                 "AioRMIClient requires an AioNetwork transport (or a "

@@ -84,7 +84,6 @@ CLEAN_FAULT_ERRORS = frozenset({
     "repro.net.transport.TransportError",
     "repro.net.transport.ConnectionClosedError",
     "repro.net.transport.ConnectError",
-    "repro.net.transport.FaultInjectedError",
 })
 
 #: What a cluster world adds to that contract: a scatter-gather flush

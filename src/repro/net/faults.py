@@ -1,19 +1,23 @@
-"""Fault injection: simulated-network hooks and real-transport chaos.
+"""Fault injection: one chaos wrapper around any transport.
 
 The paper's model routes all communication failures through ``flush()``
 (§3.3: "network and communication errors are raised by flush, since it is
-the only call that performs remote communication").  Two layers of tooling
-let tests prove exactly that — and prove the *retry* layer built on top:
+the only call that performs remote communication").  This module lets
+tests prove exactly that — and prove the *retry* layer built on top — on
+every transport alike, the simulator included:
 
-- :class:`FaultInjector` — the original simulated-network hook: decide,
-  per request, whether :class:`~repro.net.sim.SimNetwork` fails it.
-- :class:`FaultyNetwork` / :class:`FaultyChannel` — a chaos wrapper
-  around *any* transport (threaded TCP, asyncio, or the simulator),
-  injecting seeded drop/delay/corrupt/truncate/disconnect events at
-  frame boundaries, driven by a :class:`FaultSchedule`.  Server-side
+- :class:`FaultSchedule` — a seeded (or scripted) stream of fault
+  events, one decision per connect or request exchange;
+- :class:`FaultyNetwork` / :class:`FaultyChannel` — the wrapper around
+  *any* :class:`~repro.net.transport.Network` (simulated, threaded TCP
+  or asyncio) that turns those decisions into drop/delay/corrupt/
+  truncate/connect-fail events at frame boundaries.  Server-side
   events fire inside the wrapped handler: a drop raises
   :class:`~repro.net.transport.FaultInjectedError` into the listener's
   request step, which drops the connection on every transport.
+
+Every injected fault — client or server side, connect or request —
+records a forced ``fault.injected`` trace marker naming its kind.
 
 The wrapper's event vocabulary distinguishes the two failure moments that
 matter for exactly-once semantics: a fault *before* delivery (the server
@@ -52,88 +56,6 @@ def _trace_fault(event: str, address: str) -> None:
     current_tracer().event("fault.injected", force=True,
                            kind=event, address=address)
 
-
-class FaultInjector:
-    """Decides, per request, whether the simulated network fails it.
-
-    Three mechanisms compose (any one triggering fails the request):
-
-    - :meth:`fail_next` — fail the next *n* requests, then recover;
-    - :meth:`set_drop_rate` — fail each request with probability *p*
-      (seeded RNG, so runs stay deterministic);
-    - :meth:`fail_when` — arbitrary predicate over ``(address, payload)``.
-
-    Thread-safe: one injector may be shared by any number of concurrent
-    connections.  Each :meth:`check` consults the shared seeded RNG under
-    the injector's lock, so ``fail_next(n)`` fails *exactly* n requests
-    however threads interleave, and with a drop rate the total number of
-    injected failures over N checks is the same for every interleaving
-    (each check atomically consumes exactly one Bernoulli draw).
-    Predicates run outside the lock (they may be slow); keep them pure.
-    """
-
-    def __init__(self, seed: int = 0):
-        self._lock = threading.Lock()
-        self._fail_remaining = 0
-        self._drop_rate = 0.0
-        self._rng = random.Random(seed)
-        self._predicate = None
-        self._injected = 0
-
-    @property
-    def injected(self) -> int:
-        """Total requests failed so far (consistent under concurrency)."""
-        with self._lock:
-            return self._injected
-
-    def fail_next(self, count: int = 1) -> None:
-        """Fail the next *count* requests unconditionally."""
-        if count < 0:
-            raise ValueError(f"count cannot be negative: {count}")
-        with self._lock:
-            self._fail_remaining += count
-
-    def set_drop_rate(self, probability: float) -> None:
-        """Fail each request independently with the given probability."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1]: {probability}")
-        with self._lock:
-            self._drop_rate = probability
-
-    def fail_when(self, predicate) -> None:
-        """Fail any request for which ``predicate(address, payload)`` is true."""
-        with self._lock:
-            self._predicate = predicate
-
-    def clear(self) -> None:
-        """Remove all injected fault sources."""
-        with self._lock:
-            self._fail_remaining = 0
-            self._drop_rate = 0.0
-            self._predicate = None
-
-    def check(self, address: str, payload: bytes) -> None:
-        """Raise :class:`FaultInjectedError` if this request should fail."""
-        with self._lock:
-            if self._fail_remaining > 0:
-                self._fail_remaining -= 1
-                self._injected += 1
-                raise FaultInjectedError(
-                    f"injected failure on request to {address!r}"
-                )
-            if self._drop_rate and self._rng.random() < self._drop_rate:
-                self._injected += 1
-                raise FaultInjectedError(
-                    f"request to {address!r} dropped (rate {self._drop_rate})"
-                )
-            predicate = self._predicate
-        if predicate is not None and predicate(address, payload):
-            with self._lock:
-                self._injected += 1
-            raise FaultInjectedError(f"predicate failed request to {address!r}")
-
-
-# -- transport-level chaos ---------------------------------------------------
 
 #: Request-boundary events a schedule may emit.
 #:
@@ -204,16 +126,11 @@ class FaultSchedule:
     @classmethod
     def scripted(cls, events, delay_s: float = 0.001) -> "FaultSchedule":
         """A schedule replaying *events* for successive request exchanges."""
-        schedule = cls(delay_s=delay_s)
-        unknown = sorted(
-            {e for e in events if e is not None} - set(FAULT_KINDS)
-        )
-        if unknown:
-            raise ValueError(
-                f"unknown fault kind(s) {', '.join(unknown)}; "
-                f"choose from {', '.join(FAULT_KINDS)}"
-            )
-        schedule._script = list(events)
+        events = list(events)
+        # The constructor's kinds check vets the script's events.
+        schedule = cls(kinds=[e for e in events if e is not None],
+                       delay_s=delay_s)
+        schedule._script = events
         return schedule
 
     @property
@@ -329,16 +246,12 @@ class FaultyChannel(Channel):
     def supports_async(self) -> bool:
         """Whether an awaitable request path exists under the wrapper.
 
-        Recurses through nested wrappers; a sync-only channel (e.g.
-        TcpChannel) answers False even though this wrapper class always
-        defines :meth:`request_async` — callers must probe this, not
-        ``hasattr``.
+        Answered by the wrapped channel (a nested wrapper answers through
+        this same property); a sync-only channel (e.g. TcpChannel)
+        answers False even though this wrapper class always defines
+        :meth:`request_async` — callers must probe this, not ``hasattr``.
         """
-        inner = self._inner
-        probe = getattr(inner, "supports_async", None)
-        if probe is not None:
-            return bool(probe)
-        return hasattr(inner, "request_async")
+        return getattr(self._inner, "supports_async", False)
 
     def request_async(self, payload: bytes):
         """Awaitable faulty round trip (wrapping an aio channel).
@@ -420,7 +333,10 @@ class FaultyNetwork(Network):
 
     def connect(self, address: str, from_host: str = "client") -> FaultyChannel:
         if self._schedule.decide("connect") is not None:
-            raise ConnectError(address)
+            _trace_fault(CONNECT_FAIL, address)
+            raise ConnectError(address) from FaultInjectedError(
+                f"injected connect failure to {address!r}"
+            )
         channel = FaultyChannel(
             self._inner.connect(address, from_host), self._schedule
         )

@@ -26,7 +26,6 @@ import threading
 
 from repro.net.clock import SimClock
 from repro.net.conditions import DEFAULT_HOSTS, LOCALHOST, HostCosts, NetworkConditions
-from repro.net.faults import FaultInjector
 from repro.net.transport import (
     Channel,
     ConnectError,
@@ -38,19 +37,22 @@ from repro.net.transport import (
 
 
 class SimNetwork(Network):
-    """One simulated address space: listeners, channels, clock, faults."""
+    """One simulated address space: listeners, channels and a clock.
+
+    It injects no faults of its own: wrap it in a ``FaultyNetwork``
+    driven by a ``FaultSchedule`` (``net/faults.py``), exactly like the
+    real transports.
+    """
 
     def __init__(
         self,
         conditions: NetworkConditions = LOCALHOST,
         hosts: HostCosts = DEFAULT_HOSTS,
         clock: SimClock = None,
-        faults: FaultInjector = None,
     ):
         self.conditions = conditions
         self.hosts = hosts
         self.clock = clock if clock is not None else SimClock()
-        self.faults = faults if faults is not None else FaultInjector()
         self._listeners = {}
         self._channels = []
         self._lock = threading.Lock()
@@ -148,7 +150,6 @@ class SimChannel(Channel):
             raise ConnectionClosedError(f"channel to {self._address!r} is closed")
         network = self._network
         listener = network._lookup(self._address)
-        network.faults.check(self._address, payload)
 
         conditions = network.conditions
         hosts = network.hosts

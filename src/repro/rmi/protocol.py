@@ -56,10 +56,12 @@ class CallRequest:
     context of :mod:`repro.obs`: a client whose trace is sampled stamps
     its send span's identity here so the server parents its own spans
     under it.  Presence on the wire *is* the sampling decision.  The
-    triple is wire-optional — :meth:`to_wire` omits all three fields
-    when ``trace_id`` is empty, so untraced requests encode to exactly
-    the bytes they did before tracing existed (golden tests pin this),
-    and either side may run an older peer.
+    triple is the class's wire-optional tail (see
+    :func:`~repro.wire.registry.serializable`): an untraced request
+    encodes to exactly the bytes it did before tracing existed (golden
+    tests pin this), so a peer that predates tracing decodes it.  A
+    traced request does not decode there: that peer's ``CallRequest``
+    rejects the three fields it does not know.
     """
 
     object_id: int
@@ -67,9 +69,9 @@ class CallRequest:
     args: Tuple = ()
     kwargs: Dict = field(default_factory=dict)
     call_id: str = ""
-    trace_id: str = ""
-    span_id: str = ""
-    parent_id: str = ""
+    trace_id: str = field(default="", metadata={"wire_optional": True})
+    span_id: str = field(default="", metadata={"wire_optional": True})
+    parent_id: str = field(default="", metadata={"wire_optional": True})
 
     def __post_init__(self):
         if not isinstance(self.object_id, int) or self.object_id < 0:
@@ -79,26 +81,6 @@ class CallRequest:
         if not isinstance(self.call_id, str):
             raise ValueError(f"bad call id: {self.call_id!r}")
         object.__setattr__(self, "args", tuple(self.args))
-
-    def to_wire(self) -> Dict:
-        """Wire dict; trace fields appear only when a context is set,
-        keeping untraced requests byte-identical to the frozen format."""
-        fields = {
-            "object_id": self.object_id,
-            "method": self.method,
-            "args": self.args,
-            "kwargs": self.kwargs,
-            "call_id": self.call_id,
-        }
-        if self.trace_id:
-            fields["trace_id"] = self.trace_id
-            fields["span_id"] = self.span_id
-            fields["parent_id"] = self.parent_id
-        return fields
-
-    @classmethod
-    def from_wire(cls, fields: Dict) -> "CallRequest":
-        return cls(**fields)
 
 
 @serializable

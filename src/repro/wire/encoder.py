@@ -298,28 +298,31 @@ def _pre_encode_str(value: str) -> bytes:
 def _make_object_handler(cls):
     """Build a dispatch-table handler for one registered class.
 
-    The wire name (and, for dataclasses, the field-name keys and dict
-    header) never change for a given class, so they are encoded once
-    here and appended as pre-baked byte strings per instance.  Byte
-    layout is identical to the generic :func:`_encode_object` path.
+    The wire name, field-name keys and dict header never change for a
+    given class, so they are encoded once here and appended as
+    pre-baked byte strings per instance.  Byte layout is identical to
+    encoding :func:`~repro.wire.registry.object_to_wire`'s dict.  Only
+    a class with a wire-optional tail pays for checking it.
     """
-    class_name = registry.qualified_name(cls)
-    name_pre = _pre_encode_str(class_name)
-    field_names = registry.wire_fields_of(cls)
-    if field_names is None:
-        # to_wire/from_wire hook class: field dict is dynamic.
-        prefix = bytes(TAG_OBJECT + name_pre)
+    name_pre = _pre_encode_str(registry.qualified_name(cls))
+    field_names, tail = registry.wire_fields_of(cls)
+    with_tail = _fields_handler(name_pre, field_names)
+    if not tail:
+        return with_tail
+    without_tail = _fields_handler(name_pre, field_names[:-len(tail)])
 
-        def handler(buf, value, depth):
-            depth += 1
-            if depth > _MAX_DEPTH:
-                raise EncodeError(value, f"nesting deeper than {_MAX_DEPTH}")
-            _, fields = registry.object_to_wire(value)
-            buf += prefix
-            _encode_value(buf, dict(fields), depth)
+    def handler(buf, value, depth):
+        for name, default in tail:
+            if getattr(value, name) != default:
+                with_tail(buf, value, depth)
+                return
+        without_tail(buf, value, depth)
 
-        return handler
+    return handler
 
+
+def _fields_handler(name_pre, field_names):
+    """The handler writing *field_names* of an instance, pre-baked."""
     prefix = bytes(TAG_OBJECT + name_pre + _pack_u32(TAG_DICT, len(field_names)))
     pre_keys = tuple((_pre_encode_str(name), name) for name in field_names)
 

@@ -27,7 +27,7 @@ from repro.wire.errors import EncodeError, UnregisteredClassError
 _lock = threading.Lock()
 _classes: dict = {}
 _class_names: dict = {}
-_class_fields: dict = {}  # cls -> tuple of dataclass field names (or None)
+_class_fields: dict = {}  # cls -> (field names, wire-optional tail)
 _exceptions: dict = {}
 _exception_names: dict = {}
 
@@ -38,34 +38,46 @@ def qualified_name(cls):
 
 
 def serializable(cls):
-    """Class decorator registering *cls* for pass-by-copy transfer.
-
-    The class must either be a :func:`dataclasses.dataclass` or expose
-    ``to_wire() -> dict`` and a ``from_wire(dict)`` classmethod.  Returns
-    the class unchanged so it can be used as a plain decorator::
+    """Class decorator registering dataclass *cls* for pass-by-copy
+    transfer.  Returns the class unchanged so it can be used as a plain
+    decorator::
 
         @serializable
         @dataclass
         class Word:
             text: str
             language: str
+            dialect: str = field(default="", metadata={"wire_optional": True})
+
+    Fields marked ``wire_optional`` form the class's *wire-optional
+    tail*: while every tail field equals its default, an instance
+    encodes without the tail — byte-identical to the class before the
+    tail was declared — and otherwise the whole tail is written.  The
+    tail must be the last fields, each with a plain default.
     """
-    if not (dataclasses.is_dataclass(cls) or _has_wire_hooks(cls)):
+    if not dataclasses.is_dataclass(cls):
         raise TypeError(
-            f"{cls.__name__} must be a dataclass or define to_wire/from_wire "
-            "to be registered as serializable"
+            f"{cls.__name__} must be a dataclass to be registered as "
+            "serializable"
+        )
+    fields = dataclasses.fields(cls)
+    optional = [bool(f.metadata.get("wire_optional")) for f in fields]
+    start = optional.index(True) if True in optional else len(fields)
+    tail = tuple((f.name, f.default) for f in fields[start:])
+    if not all(optional[start:]) or any(
+        default is dataclasses.MISSING for _, default in tail
+    ):
+        raise TypeError(
+            f"{cls.__name__}: wire-optional fields must be the last fields "
+            "and have plain defaults"
         )
     name = qualified_name(cls)
-    # Field names are immutable per class: resolve them once here so the
+    # Fields are immutable per class: resolve them once here so the
     # encoder never walks dataclasses.fields() on the per-message path.
-    if _has_wire_hooks(cls):
-        field_names = None
-    else:
-        field_names = tuple(f.name for f in dataclasses.fields(cls))
     with _lock:
         _classes[name] = cls
         _class_names[cls] = name
-        _class_fields[cls] = field_names
+        _class_fields[cls] = (tuple(f.name for f in fields), tail)
     return cls
 
 
@@ -86,47 +98,39 @@ def register_exception(cls):
     return cls
 
 
-def _has_wire_hooks(cls):
-    return callable(getattr(cls, "to_wire", None)) and callable(
-        getattr(cls, "from_wire", None)
-    )
-
-
 def is_serializable(value):
     """Whether *value* is an instance of a registered copy-by-value class."""
     return type(value) in _class_names
 
 
 def object_to_wire(value):
-    """Break a registered object into ``(class_name, field_dict)``."""
+    """Break a registered object into ``(class_name, field_dict)``,
+    leaving out a wire-optional tail that is all defaults."""
     cls = type(value)
     name = _class_names.get(cls)
     if name is None:
         raise EncodeError(value, "class not registered as serializable")
-    field_names = _class_fields.get(cls)
-    if field_names is None:
-        fields = value.to_wire()
-    else:
-        fields = {f: getattr(value, f) for f in field_names}
+    field_names, tail = _class_fields[cls]
+    fields = {f: getattr(value, f) for f in field_names}
+    if tail and all(fields[f] == default for f, default in tail):
+        for f, _ in tail:
+            del fields[f]
     return name, fields
 
 
 def wire_fields_of(cls):
-    """The registered field-name tuple for a dataclass, or ``None`` for
-    classes using ``to_wire``/``from_wire`` hooks (and for unregistered
-    classes).  The encoder uses this to pre-bake per-class handlers."""
-    return _class_fields.get(cls)
+    """``(field names, wire-optional tail)`` of a registered class, the
+    tail as ``((name, default), ...)``.  The encoder uses this to
+    pre-bake per-class handlers."""
+    return _class_fields[cls]
 
 
 def object_from_wire(class_name, fields):
-    """Rebuild a registered object from its wire fields."""
+    """Rebuild a registered object from its wire fields (an omitted
+    wire-optional tail takes its defaults)."""
     cls = _classes.get(class_name)
     if cls is None:
         raise UnregisteredClassError(class_name)
-    # _class_fields discriminates hook classes (None) from dataclasses
-    # without re-probing to_wire/from_wire attributes per message.
-    if _class_fields.get(cls) is None:
-        return cls.from_wire(fields)
     return cls(**fields)
 
 

@@ -10,8 +10,25 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-from repro.rmi import RemoteInterface, RemoteObject
+from repro.net import FaultSchedule, FaultyNetwork
+from repro.rmi import RemoteInterface, RemoteObject, RetryPolicy, RMIClient
 from repro.wire.registry import register_exception, serializable
+
+#: One attempt per call, and a redial on the next call.  A scripted
+#: ``drop-request`` severs the connection as a real socket would, and a
+#: client without a retry policy never reconnects, so a test that calls
+#: again after an injected fault takes this policy.
+ONE_ATTEMPT = RetryPolicy(max_attempts=1)
+
+
+def chaos_client(network, address, events, retry=None):
+    """An RMI client on *network* whose request exchanges meet the
+    scripted fault *events* in order (``None`` delivers cleanly; the
+    lookup is usually the first exchange)."""
+    return RMIClient(
+        FaultyNetwork(network, FaultSchedule.scripted(events)), address,
+        retry=retry,
+    )
 
 
 def wait_until(predicate, timeout=10.0):

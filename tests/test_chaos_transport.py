@@ -15,10 +15,15 @@ from repro.net import (
     TcpNetwork,
 )
 from repro.net.conditions import FREE_CPU, LOCALHOST
-from repro.net.transport import ConnectError, ConnectionClosedError
+from repro.net.transport import (
+    ConnectError,
+    ConnectionClosedError,
+    FaultInjectedError,
+)
+from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.rmi import CommunicationError, RMIClient, RMIServer
 
-from tests.support import CounterImpl
+from tests.support import CounterImpl, chaos_client
 
 
 class TestFaultSchedule:
@@ -68,12 +73,6 @@ def sim_world():
     yield network, server, impl
     server.close()
     network.close()
-
-
-def chaos_client(network, address, events):
-    return RMIClient(
-        FaultyNetwork(network, FaultSchedule.scripted(events)), address
-    )
 
 
 class TestFaultyChannelSim:
@@ -139,6 +138,27 @@ class TestFaultyChannelSim:
         )
         with pytest.raises(ConnectError):
             chaos.connect(server.address)
+
+    def test_connect_fault_is_marked_and_chained_to_the_injection(
+        self, sim_world
+    ):
+        """Like every request-boundary event: a forced trace marker, and
+        an error that says it was injected (a listener is there)."""
+        network, server, _ = sim_world
+        chaos = FaultyNetwork(
+            network, FaultSchedule(seed=0, connect_rate=1.0)
+        )
+        tracer = install_tracer(Tracer(sample_rate=0.0))
+        try:
+            with pytest.raises(ConnectError) as info:
+                chaos.connect(server.address)
+        finally:
+            uninstall_tracer()
+        assert isinstance(info.value.__cause__, FaultInjectedError)
+        assert "injected connect failure" in str(info.value.__cause__)
+        markers = [(s.attrs["kind"], s.attrs["address"])
+                   for s in tracer.spans() if s.name == "fault.injected"]
+        assert markers == [("connect-fail", server.address)]
 
     def test_closing_the_wrapper_leaves_the_inner_network_alive(
         self, sim_world

@@ -22,6 +22,7 @@ import dataclasses
 
 import pytest
 
+from repro.cluster import ClusterClient
 from repro.core import BatchClosedError, FutureNotReadyError, create_batch
 from repro.core.policies import AbortPolicy, ContinuePolicy
 from repro.fuzz.execute import compare_runs, run_batched, run_oracle
@@ -29,6 +30,8 @@ from repro.fuzz.generate import generate_program, policies_for
 from repro.fuzz.program import Program, Reg, Step, validate_program
 from repro.fuzz.runner import FuzzConfig, World, run_corpus
 from repro.rmi import CommunicationError
+
+from tests.support import ONE_ATTEMPT, chaos_client
 
 PROGRAMS_PER_SEED = 4
 
@@ -102,7 +105,11 @@ def test_failed_flush_retries_like_a_single_server():
     cluster both keep the batch open and read the same value."""
 
     def flush_twice(world):
-        client = world.fresh_client()
+        client = chaos_client(world.network, world.addresses[0],
+                              [None, "drop-request"], retry=ONE_ATTEMPT)
+        if world.clustered:
+            client = ClusterClient(addresses=world.addresses,
+                                   clients=[client], concurrent_flush=False)
         names, _ = world.bind_roots(Program(domain="bank", steps=()))
         stub = client.lookup(names[0])
         if world.clustered:
@@ -111,7 +118,6 @@ def test_failed_flush_retries_like_a_single_server():
         else:
             batch = root = create_batch(stub)
         line = root.create_credit_account("zoe").get_credit_line()
-        world.network.faults.fail_next(1)
         with pytest.raises(CommunicationError):
             batch.flush()
         with pytest.raises(FutureNotReadyError):

@@ -10,7 +10,7 @@ from repro.core import (
     create_batch,
 )
 
-from tests.support import BoomError, CounterImpl
+from tests.support import ONE_ATTEMPT, BoomError, CounterImpl, chaos_client
 
 
 class TestAbortPolicy:
@@ -195,18 +195,20 @@ class TestCommunicationErrors:
         performs remote communication."""
         from repro.rmi import CommunicationError
 
-        batch = create_batch(env.client.lookup("counter"))
+        client = chaos_client(env.network, env.server.address,
+                              [None, "drop-request"], retry=ONE_ATTEMPT)
+        batch = create_batch(client.lookup("counter"))
         batch.increment(1)  # recording: no network, no error
-        env.network.faults.fail_next(1)
         with pytest.raises(CommunicationError):
             batch.flush()
 
     def test_flush_can_be_retried_after_transport_error(self, env):
         from repro.rmi import CommunicationError
 
-        batch = create_batch(env.client.lookup("counter"))
+        client = chaos_client(env.network, env.server.address,
+                              [None, "drop-request"], retry=ONE_ATTEMPT)
+        batch = create_batch(client.lookup("counter"))
         future = batch.increment(2)
-        env.network.faults.fail_next(1)
         with pytest.raises(CommunicationError):
             batch.flush()
         batch.flush()  # fault cleared; retry succeeds

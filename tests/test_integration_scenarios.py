@@ -6,9 +6,11 @@ from repro.core import ContinuePolicy, CustomPolicy, ExceptionAction, create_bat
 from repro.rmi import RMIClient, RMIServer, Stub
 
 from tests.support import (
+    ONE_ATTEMPT,
     BoomError,
     CounterImpl,
     ItemImpl,
+    chaos_client,
     make_container,
 )
 
@@ -162,11 +164,14 @@ class TestFaultsDuringChains:
     def test_fault_mid_chain_preserves_session_for_retry(self, env):
         from repro.rmi import CommunicationError
 
-        batch = create_batch(env.client.lookup("counter"))
+        # Lookup and the first flush deliver; the second flush drops.
+        client = chaos_client(env.network, env.server.address,
+                              [None, None, "drop-request"],
+                              retry=ONE_ATTEMPT)
+        batch = create_batch(client.lookup("counter"))
         batch.increment(1)
         batch.flush_and_continue()
         batch.increment(2)
-        env.network.faults.fail_next(1)
         with pytest.raises(CommunicationError):
             batch.flush()
         final = batch.current()  # can keep recording after the fault...
@@ -176,11 +181,12 @@ class TestFaultsDuringChains:
     def test_everything_still_consistent_after_faults(self, env):
         impl = CounterImpl()
         env.server.bind("fault-counter", impl)
-        batch = create_batch(env.client.lookup("fault-counter"),
+        client = chaos_client(env.network, env.server.address,
+                              [None, "drop-request"], retry=ONE_ATTEMPT)
+        batch = create_batch(client.lookup("fault-counter"),
                              policy=ContinuePolicy())
         for i in range(5):
             batch.increment(1)
-        env.network.faults.fail_next(1)
         with pytest.raises(Exception):
             batch.flush()
         batch.flush()

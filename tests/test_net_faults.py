@@ -1,151 +1,129 @@
-"""Unit tests for fault injection."""
+"""Unit tests for fault schedules, driving the simulator through the
+chaos wrapper (the simulator injects no faults of its own)."""
+
+import sys
+import threading
 
 import pytest
 
+from repro.net import FaultSchedule, FaultyNetwork
 from repro.net.conditions import FREE_CPU, LOCALHOST
-from repro.net.faults import FaultInjector
 from repro.net.sim import SimNetwork
-from repro.net.transport import FaultInjectedError
+from repro.net.transport import ConnectionClosedError
+
+ADDRESS = "sim://s:1"
+DROPS = ("drop-request",)
 
 
 @pytest.fixture
 def net():
     network = SimNetwork(LOCALHOST, FREE_CPU)
-    network.listen("sim://s:1", lambda p: p)
-    return network
+    network.listen(ADDRESS, lambda p: p)
+    yield network
+    network.close()
+
+
+def echoes(network, schedule, payloads):
+    """Send each payload through a wrapper driven by *schedule*: the echo,
+    or None where a drop severed the channel (the next payload dials a
+    fresh one)."""
+    chaos = FaultyNetwork(network, schedule)
+    channel = chaos.connect(ADDRESS)
+    got = []
+    for payload in payloads:
+        try:
+            got.append(channel.request(payload))
+        except ConnectionClosedError:
+            got.append(None)
+            channel = chaos.connect(ADDRESS)
+    return got
 
 
 class TestFailNext:
+    """Failing the next n requests is a script of n drops."""
+
     def test_fails_exactly_n_requests(self, net):
-        channel = net.connect("sim://s:1")
-        net.faults.fail_next(2)
-        with pytest.raises(FaultInjectedError):
-            channel.request(b"1")
-        with pytest.raises(FaultInjectedError):
-            channel.request(b"2")
-        assert channel.request(b"3") == b"3"
+        schedule = FaultSchedule.scripted(["drop-request"] * 2)
+        assert echoes(net, schedule, [b"1", b"2", b"3"]) == [None, None, b"3"]
 
     def test_counts_injections(self, net):
-        net.faults.fail_next(1)
-        with pytest.raises(FaultInjectedError):
-            net.connect("sim://s:1").request(b"")
-        assert net.faults.injected == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            FaultInjector().fail_next(-1)
+        schedule = FaultSchedule.scripted(["drop-request"])
+        echoes(net, schedule, [b""])
+        assert schedule.injected == 1
 
 
 class TestDropRate:
     def test_zero_rate_never_fails(self, net):
-        net.faults.set_drop_rate(0.0)
-        channel = net.connect("sim://s:1")
-        for _ in range(20):
-            channel.request(b"x")
+        payloads = [b"x"] * 20
+        assert echoes(net, FaultSchedule(rate=0.0), payloads) == payloads
 
     def test_full_rate_always_fails(self, net):
-        net.faults.set_drop_rate(1.0)
-        with pytest.raises(FaultInjectedError):
-            net.connect("sim://s:1").request(b"x")
+        schedule = FaultSchedule(rate=1.0, kinds=DROPS)
+        assert echoes(net, schedule, [b"x"] * 5) == [None] * 5
 
-    def test_seeded_determinism(self):
+    def test_seeded_determinism(self, net):
         def run(seed):
-            injector = FaultInjector(seed=seed)
-            injector.set_drop_rate(0.5)
-            outcomes = []
-            for i in range(50):
-                try:
-                    injector.check("a", b"")
-                    outcomes.append(True)
-                except FaultInjectedError:
-                    outcomes.append(False)
-            return outcomes
+            schedule = FaultSchedule(seed=seed, rate=0.5, kinds=DROPS)
+            return echoes(net, schedule, [b"x"] * 50)
 
         assert run(1) == run(1)
         assert run(1) != run(2)
 
     def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            FaultInjector().set_drop_rate(1.5)
-
-
-class TestPredicate:
-    def test_predicate_matches_address(self, net):
-        net.faults.fail_when(lambda addr, payload: "s:1" in addr)
-        with pytest.raises(FaultInjectedError):
-            net.connect("sim://s:1").request(b"")
-
-    def test_predicate_sees_payload(self, net):
-        net.faults.fail_when(lambda addr, payload: b"poison" in payload)
-        channel = net.connect("sim://s:1")
-        assert channel.request(b"fine") == b"fine"
-        with pytest.raises(FaultInjectedError):
-            channel.request(b"poison pill")
-
-    def test_clear_removes_everything(self, net):
-        net.faults.fail_next(5)
-        net.faults.set_drop_rate(1.0)
-        net.faults.fail_when(lambda a, p: True)
-        net.faults.clear()
-        assert net.connect("sim://s:1").request(b"ok") == b"ok"
+        for bad in ({"rate": 1.5}, {"rate": -0.1}, {"connect_rate": 2.0}):
+            with pytest.raises(ValueError):
+                FaultSchedule(**bad)
 
 
 class TestConcurrency:
-    """One injector shared by many connections must stay deterministic.
-
-    The seeded RNG and every counter are consulted atomically under the
-    injector's lock, so the *totals* are interleaving-independent: each
-    check consumes exactly one Bernoulli draw, and fail_next(n) fails
-    exactly n requests however threads race.
-    """
+    """One schedule drives every channel of a network, so its totals
+    must not depend on how threads interleave: each decision takes one
+    script entry, or one rate draw (plus a kind draw when it injects),
+    atomically under the schedule's lock."""
 
     @staticmethod
-    def _hammer(injector, threads, checks_per_thread):
-        import threading
-
-        failures = []
+    def _hammer(schedule, threads, decisions_per_thread):
+        start = threading.Barrier(threads)
+        injected = []
         lock = threading.Lock()
 
         def worker():
-            mine = 0
-            for _ in range(checks_per_thread):
-                try:
-                    injector.check("sim://s:1", b"")
-                except FaultInjectedError:
-                    mine += 1
+            start.wait()
+            mine = sum(
+                schedule.decide("request") is not None
+                for _ in range(decisions_per_thread)
+            )
             with lock:
-                failures.append(mine)
+                injected.append(mine)
 
         pool = [threading.Thread(target=worker) for _ in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join(10.0)
-        return sum(failures)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt inside decide() often
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(injected) == threads
+        return sum(injected)
 
     def test_fail_next_fails_exactly_n_across_threads(self):
-        injector = FaultInjector()
-        injector.fail_next(37)
-        total = self._hammer(injector, threads=8, checks_per_thread=50)
+        schedule = FaultSchedule.scripted(["drop-request"] * 37)
+        total = self._hammer(schedule, threads=8, decisions_per_thread=50)
         assert total == 37
-        assert injector.injected == 37
+        assert schedule.injected == 37
 
     def test_drop_rate_totals_are_interleaving_independent(self):
-        import random
-
-        seed, rate, draws = 42, 0.5, 8 * 100
-        reference = random.Random(seed)
-        expected = sum(1 for _ in range(draws) if reference.random() < rate)
-
-        injector = FaultInjector(seed=seed)
-        injector.set_drop_rate(rate)
-        total = self._hammer(injector, threads=8, checks_per_thread=100)
+        # A serial schedule is the reference, not random.Random: an
+        # injecting decision draws its kind too.
+        serial = FaultSchedule(seed=42, rate=0.5)
+        expected = sum(
+            serial.decide("request") is not None for _ in range(8 * 100)
+        )
+        schedule = FaultSchedule(seed=42, rate=0.5)
+        total = self._hammer(schedule, threads=8, decisions_per_thread=100)
         assert total == expected
-        assert injector.injected == expected
-
-    def test_predicate_counts_are_exact_under_threads(self):
-        injector = FaultInjector()
-        injector.fail_when(lambda addr, payload: True)
-        total = self._hammer(injector, threads=4, checks_per_thread=25)
-        assert total == 100
-        assert injector.injected == 100
+        assert schedule.injected == expected
+        assert schedule.history == serial.history

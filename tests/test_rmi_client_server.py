@@ -19,8 +19,10 @@ from repro.rmi.naming import split_url
 from tests.support import (
     BoomError,
     Counter,
+    ONE_ATTEMPT,
     CounterImpl,
     Point,
+    chaos_client,
     make_container,
     make_sneaky_counter,
 )
@@ -155,8 +157,9 @@ class TestNaming:
 
 class TestTransportFailures:
     def test_fault_becomes_communication_error(self, env):
-        stub = env.client.lookup("counter")
-        env.network.faults.fail_next(1)
+        client = chaos_client(env.network, env.server.address,
+                              [None, "drop-request"], retry=ONE_ATTEMPT)
+        stub = client.lookup("counter")
         with pytest.raises(CommunicationError):
             stub.current()
         assert stub.current() == 0  # recovers afterwards

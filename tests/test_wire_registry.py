@@ -1,6 +1,6 @@
 """Unit tests for the serializable-class and exception registries."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -27,21 +27,13 @@ class Payload:
 
 
 @serializable
-class Hooked:
-    """Non-dataclass using explicit wire hooks."""
+@dataclass
+class Tailed:
+    """A dataclass with a two-field wire-optional tail."""
 
-    def __init__(self, total):
-        self.total = total
-
-    def to_wire(self):
-        return {"total": self.total}
-
-    @classmethod
-    def from_wire(cls, fields):
-        return cls(fields["total"])
-
-    def __eq__(self, other):
-        return isinstance(other, Hooked) and other.total == self.total
+    total: int
+    note: str = field(default="", metadata={"wire_optional": True})
+    tag: int = field(default=0, metadata={"wire_optional": True})
 
 
 @register_exception
@@ -58,8 +50,31 @@ class TestSerializable:
         value = Payload("x", [1, 2])
         assert decode(encode(value)) == value
 
-    def test_wire_hooks_roundtrip(self):
-        assert decode(encode(Hooked(9))) == Hooked(9)
+    def test_wire_optional_tail_roundtrip(self):
+        for value in (Tailed(9), Tailed(9, "n"), Tailed(9, tag=2)):
+            assert decode(encode(value)) == value
+
+    def test_tail_left_out_at_defaults_and_written_whole_otherwise(self):
+        assert object_to_wire(Tailed(9))[1] == {"total": 9}
+        assert object_to_wire(Tailed(9, tag=2))[1] == {
+            "total": 9, "note": "", "tag": 2,
+        }
+        assert len(encode(Tailed(9, tag=2))) > len(encode(Tailed(9)))
+
+    def test_wire_optional_fields_must_trail_with_plain_defaults(self):
+        with pytest.raises(TypeError, match="wire-optional"):
+            @serializable
+            @dataclass
+            class NotLast:
+                note: str = field(default="", metadata={"wire_optional": True})
+                tag: int = 0
+
+        with pytest.raises(TypeError, match="wire-optional"):
+            @serializable
+            @dataclass
+            class NoPlainDefault:
+                items: list = field(default_factory=list,
+                                    metadata={"wire_optional": True})
 
     def test_plain_class_rejected(self):
         with pytest.raises(TypeError):
