@@ -288,14 +288,6 @@ class TestDifferential:
             f"(seed {seed})"
         )
 
-    def test_framed_path_matches_frame_of_encode(self):
-        from repro.wire import encode_framed, frame_views
-
-        for value in differential_corpus(1, count=50):
-            assert encode_framed(value) == b"".join(
-                frame_views(encode(value))
-            )
-
 
 @pytest.mark.slow
 class TestCodecMicro:

@@ -244,9 +244,9 @@ class RMIClient(MarshalContext):
                         call_id: str, trace) -> bytes:
         """Marshal and encode one request to wire bytes.
 
-        ``encode`` draws from the wire layer's buffer pool, and the
-        transport frames these bytes with scatter-gather writes — the
-        request is copied exactly once (into the immutable payload).
+        The transport frames these bytes with scatter-gather writes, so
+        the request is copied exactly once (into the immutable payload
+        ``encode`` returns).
 
         *trace* is the client-side span for this call; a sampled span
         stamps its context into the request so the server parents under

@@ -437,8 +437,6 @@ class RMICore(MarshalContext):
         return digest if isinstance(digest, str) else "?"
 
     def _encode_response(self, response: CallResponse) -> bytes:
-        # encode() draws from the wire buffer pool: across requests the
-        # response path reuses the same per-thread scratch buffers.
         try:
             data = encode(response)
             if len(data) > framing.MAX_FRAME_SIZE:

@@ -1,12 +1,15 @@
 """Decoder for the tagged binary wire format.
 
-Mirror of :mod:`repro.wire.encoder`.  The decoder is defensive: it bounds
-nesting depth, validates lengths against the remaining buffer before
-allocating, and raises :class:`~repro.wire.errors.DecodeError` subclasses
-rather than arbitrary exceptions on malformed input.
+Mirror of :mod:`repro.wire.encoder`; :func:`decode` is the one entry
+point.  The decoder is defensive: it bounds nesting depth, validates
+lengths against the remaining buffer before allocating, and raises
+:class:`~repro.wire.errors.DecodeError` subclasses rather than arbitrary
+exceptions on malformed input — including well-framed bytes that build
+an unhashable set member or dict key, or a remote reference whose
+interface names are not strings.
 
-**Zero-copy pipeline.**  The decoder normalizes its input to a
-``memoryview`` and never slices ``bytes`` out of it while scanning:
+The decoder normalizes its input to a ``memoryview`` and never slices
+``bytes`` out of it while scanning:
 
 - fixed-width payloads are read with ``struct.unpack_from`` straight at
   an offset — no per-token slice, no intermediate allocation;
@@ -61,8 +64,8 @@ _unpack_i64 = _i64.unpack_from
 _unpack_f64 = _f64.unpack_from
 
 
-class Decoder:
-    """Pulls values off a bytes-like buffer, tracking an offset.
+class _Cursor:
+    """:func:`decode`'s read position over a bytes-like buffer.
 
     Accepts ``bytes``, ``bytearray``, or any contiguous ``memoryview``
     (e.g. a window of a transport's receive buffer) without copying it.
@@ -86,21 +89,6 @@ class Decoder:
         self._data = view
         self._len = len(view)
         self._pos = 0
-
-    @property
-    def remaining(self) -> int:
-        """Bytes not yet consumed."""
-        return self._len - self._pos
-
-    def at_end(self) -> bool:
-        """Whether the whole buffer has been consumed."""
-        return self._pos >= self._len
-
-    def decode(self):
-        """Decode and return the next value from the buffer."""
-        return self._decode(0)
-
-    # -- internals ---------------------------------------------------
 
     def _decode(self, depth):
         if depth > _MAX_DEPTH:
@@ -293,13 +281,20 @@ def _decode_tuple(dec, depth):
 
 
 def _decode_set(dec, depth):
-    out = _decode_counted(dec, depth + 1)
-    return set(out) if out is not None else set()
+    return _hashed(set, _decode_counted(dec, depth + 1))
 
 
 def _decode_frozenset(dec, depth):
-    out = _decode_counted(dec, depth + 1)
-    return frozenset(out) if out is not None else frozenset()
+    return _hashed(frozenset, _decode_counted(dec, depth + 1))
+
+
+def _hashed(kind, items):
+    if items is None:
+        return kind()
+    try:
+        return kind(items)
+    except TypeError as exc:  # a decoded list, dict or dict-holding object
+        raise DecodeError(f"unhashable set member: {exc}") from exc
 
 
 def _decode_dict(dec, depth):
@@ -322,61 +317,68 @@ def _decode_dict(dec, depth):
         raise DecodeError(f"nesting deeper than {_MAX_DEPTH}")
     lookup = _JUMP.get
     result = {}
-    for _ in range(count):
-        pos = dec._pos
-        if pos >= size:
-            raise TruncatedError(1, 0)
-        tag = data[pos]
-        pos += 1
-        if tag == _STR_TAG:
-            if size - pos < 4:
-                raise TruncatedError(4, size - pos)
-            (length,) = _unpack_u32(data, pos)
-            pos += 4
-            end = pos + length
-            if end > size:
-                raise TruncatedError(length, size - pos)
-            dec._pos = end
-            try:
-                key = str(data[pos:end], "utf-8")
-            except UnicodeDecodeError as exc:
-                raise DecodeError(f"invalid utf-8 in string payload: {exc}")
-        else:
+    # The try costs nothing per entry; only a non-str key can be
+    # unhashable (a decoded list, dict or dict-holding object).
+    try:
+        for _ in range(count):
+            pos = dec._pos
+            if pos >= size:
+                raise TruncatedError(1, 0)
+            tag = data[pos]
+            pos += 1
+            if tag == _STR_TAG:
+                if size - pos < 4:
+                    raise TruncatedError(4, size - pos)
+                (length,) = _unpack_u32(data, pos)
+                pos += 4
+                end = pos + length
+                if end > size:
+                    raise TruncatedError(length, size - pos)
+                dec._pos = end
+                try:
+                    key = str(data[pos:end], "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DecodeError(
+                        f"invalid utf-8 in string payload: {exc}")
+            else:
+                dec._pos = pos
+                handler = lookup(tag)
+                if handler is None:
+                    raise UnknownTagError(bytes(data[pos - 1 : pos]), pos - 1)
+                key = handler(dec, depth)
+            pos = dec._pos
+            if pos >= size:
+                raise TruncatedError(1, 0)
+            tag = data[pos]
+            pos += 1
+            if tag == _INT64_TAG:
+                if size - pos < 8:
+                    raise TruncatedError(8, size - pos)
+                dec._pos = pos + 8
+                result[key] = _unpack_i64(data, pos)[0]
+                continue
+            if tag == _STR_TAG:
+                if size - pos < 4:
+                    raise TruncatedError(4, size - pos)
+                (length,) = _unpack_u32(data, pos)
+                pos += 4
+                end = pos + length
+                if end > size:
+                    raise TruncatedError(length, size - pos)
+                dec._pos = end
+                try:
+                    result[key] = str(data[pos:end], "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DecodeError(
+                        f"invalid utf-8 in string payload: {exc}")
+                continue
             dec._pos = pos
             handler = lookup(tag)
             if handler is None:
                 raise UnknownTagError(bytes(data[pos - 1 : pos]), pos - 1)
-            key = handler(dec, depth)
-        pos = dec._pos
-        if pos >= size:
-            raise TruncatedError(1, 0)
-        tag = data[pos]
-        pos += 1
-        if tag == _INT64_TAG:
-            if size - pos < 8:
-                raise TruncatedError(8, size - pos)
-            dec._pos = pos + 8
-            result[key] = _unpack_i64(data, pos)[0]
-            continue
-        if tag == _STR_TAG:
-            if size - pos < 4:
-                raise TruncatedError(4, size - pos)
-            (length,) = _unpack_u32(data, pos)
-            pos += 4
-            end = pos + length
-            if end > size:
-                raise TruncatedError(length, size - pos)
-            dec._pos = end
-            try:
-                result[key] = str(data[pos:end], "utf-8")
-            except UnicodeDecodeError as exc:
-                raise DecodeError(f"invalid utf-8 in string payload: {exc}")
-            continue
-        dec._pos = pos
-        handler = lookup(tag)
-        if handler is None:
-            raise UnknownTagError(bytes(data[pos - 1 : pos]), pos - 1)
-        result[key] = handler(dec, depth)
+            result[key] = handler(dec, depth)
+    except TypeError as exc:
+        raise DecodeError(f"unhashable dict key: {exc}") from exc
     return result
 
 
@@ -442,6 +444,12 @@ def _decode_sharded_ref(dec, depth):
 
 
 def _remote_ref(endpoint, object_id, interfaces, shard=""):
+    # Checked here, on outside input, so in-process refs pay nothing.
+    for name in interfaces:
+        if type(name) is not str:
+            raise DecodeError(
+                f"remote reference interface name is a {type(name).__name__}"
+            )
     try:
         return RemoteRef(endpoint, object_id, interfaces, shard=shard)
     except ValueError as exc:  # a negative id, an empty endpoint
@@ -475,17 +483,9 @@ _JUMP = {
 
 def decode(data):
     """Decode exactly one value; trailing bytes are an error."""
-    dec = Decoder(data)
+    dec = _Cursor(data)
     value = dec._decode(0)
     if dec._pos < dec._len:
         raise DecodeError(f"{dec._len - dec._pos} trailing bytes after value")
     return value
 
-
-def decode_many(data):
-    """Decode all values packed back-to-back in *data*."""
-    dec = Decoder(data)
-    values = []
-    while not dec.at_end():
-        values.append(dec.decode())
-    return values

@@ -13,8 +13,9 @@ Supported values: ``None``, ``bool``, ``int`` (arbitrary precision),
 
 All multi-byte integers are big-endian.  Container lengths are u32.
 
-**Zero-copy pipeline.**  The byte layout is frozen (golden-bytes tests
-pin it), but the implementation is built for throughput:
+:func:`encode` is the one entry point.  The byte layout is frozen
+(golden-bytes tests pin it), but the implementation is built for
+throughput:
 
 - type dispatch is a ``dict[type, handler]`` lookup with an
   ``isinstance`` fallback for subclasses (exceptions, IntEnums,
@@ -26,12 +27,9 @@ pin it), but the implementation is built for throughput:
   pre-packed cache;
 - ``bytes``/``bytearray``/``memoryview`` payloads append straight into
   the message buffer — no intermediate ``bytes(value)`` staging copy;
-- the module-level helpers draw their ``bytearray`` from a shared
-  :class:`~repro.wire.buffers.BufferPool` so steady-state encoding
-  churns no buffer objects;
-- :func:`encode_framed` reserves the 4-byte frame length up front and
-  patches it in place — one buffer, zero concatenation — for callers
-  that want wire-ready framed messages.
+- each message is built in a fresh ``bytearray`` and copied once, into
+  the immutable ``bytes`` the caller gets.  Transports frame those bytes
+  by scatter-gather (:mod:`repro.wire.framing`), never by concatenation.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from __future__ import annotations
 import struct
 
 from repro.wire import registry
-from repro.wire.buffers import GLOBAL_POOL
 from repro.wire.errors import EncodeError
 from repro.wire.refs import RemoteRef
 
@@ -67,7 +64,6 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 _MAX_DEPTH = 100
 
-_u32 = struct.Struct(">I")
 # Combined tag+payload headers: one C pack call instead of two appends.
 _tag_i64 = struct.Struct(">cq")
 _tag_f64 = struct.Struct(">cd")
@@ -385,70 +381,6 @@ _DISPATCH = {
 }
 
 
-class Encoder:
-    """Streams values into an internal buffer.
-
-    One encoder instance per message; call :meth:`encode` for each root
-    value and :meth:`getvalue` (a detached ``bytes`` copy) or
-    :meth:`getbuffer` (a zero-copy ``memoryview``) for the result.
-
-    Pass a ``bytearray`` to reuse a caller-owned buffer (typically from
-    a :class:`~repro.wire.buffers.BufferPool`); the encoder appends to
-    whatever the buffer already holds.
-    """
-
-    __slots__ = ("_buf",)
-
-    def __init__(self, buffer: bytearray = None):
-        self._buf = bytearray() if buffer is None else buffer
-
-    def getvalue(self) -> bytes:
-        """The bytes encoded so far (a detached, immutable copy)."""
-        return bytes(self._buf)
-
-    def getbuffer(self) -> memoryview:
-        """A zero-copy view of the bytes encoded so far.
-
-        The view is only valid until the underlying buffer changes: a
-        further :meth:`encode` (or the pool reclaiming the buffer) needs
-        to resize it, which Python forbids while a view is exported.
-        Release the view (``view.release()``) before encoding more.
-        """
-        return memoryview(self._buf)
-
-    def __len__(self):
-        return len(self._buf)
-
-    def encode(self, value) -> "Encoder":
-        """Append one value to the buffer; returns self for chaining."""
-        _encode_value(self._buf, value, 0)
-        return self
-
-    # -- framing support ----------------------------------------------
-
-    def reserve_frame_header(self) -> int:
-        """Append a 4-byte length placeholder; returns its offset."""
-        buf = self._buf
-        offset = len(buf)
-        buf += b"\x00\x00\x00\x00"
-        return offset
-
-    def patch_frame_header(self, offset: int) -> None:
-        """Fill the placeholder at *offset* with the length of everything
-        encoded after it — the in-place alternative to concatenating a
-        header in front of a finished payload."""
-        from repro.wire.framing import MAX_FRAME_SIZE, FrameTooLargeError
-
-        length = len(self._buf) - offset - 4
-        if length < 0:
-            raise ValueError(f"no frame header reserved at offset {offset}")
-        if length > MAX_FRAME_SIZE:
-            # Fail on the sending side like every other framing entry
-            # point, not as a peer-side connection drop.
-            raise FrameTooLargeError(length)
-        _u32.pack_into(self._buf, offset, length)
-
-
 def _set_sort_key(item):
     # Deterministic encoding of sets regardless of hash seed.  Mixed-type
     # sets sort by (type name, repr) which is stable enough for the wire.
@@ -466,53 +398,7 @@ def canonical_set_order(values) -> list:
 
 
 def encode(value) -> bytes:
-    """Encode a single value to bytes (pooled buffer under the hood)."""
-    pool = GLOBAL_POOL
-    buf = pool.acquire()
-    try:
-        _encode_value(buf, value, 0)
-        return bytes(buf)
-    finally:
-        pool.release(buf)
-
-
-def encode_many(values) -> bytes:
-    """Encode several values back-to-back into one byte string."""
-    pool = GLOBAL_POOL
-    buf = pool.acquire()
-    try:
-        for value in values:
-            _encode_value(buf, value, 0)
-        return bytes(buf)
-    finally:
-        pool.release(buf)
-
-
-def encode_framed(value) -> bytes:
-    """Encode *value* with its u32 frame length prefix, in one buffer.
-
-    The header is reserved before encoding and patched in place after —
-    no header+payload concatenation anywhere.  The result is exactly
-    ``b"".join(frame_views(encode(value)))`` byte-for-byte, ready for a
-    stream socket.
-
-    The RMI stack itself encodes (client/dispatch) and frames
-    (transport) in different layers, so its hot paths use
-    ``write_frame``/``writelines`` scatter-gather instead; this is the
-    one-shot path for callers that own both steps — tools, tests, and
-    the codec benchmark lane keep it honest.
-    """
-    from repro.wire.framing import MAX_FRAME_SIZE, FrameTooLargeError
-
-    pool = GLOBAL_POOL
-    buf = pool.acquire()
-    try:
-        buf += b"\x00\x00\x00\x00"
-        _encode_value(buf, value, 0)
-        length = len(buf) - 4
-        if length > MAX_FRAME_SIZE:
-            raise FrameTooLargeError(length)
-        _u32.pack_into(buf, 0, length)
-        return bytes(buf)
-    finally:
-        pool.release(buf)
+    """Encode a single value to bytes."""
+    buf = bytearray()
+    _encode_value(buf, value, 0)
+    return bytes(buf)

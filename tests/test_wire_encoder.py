@@ -1,6 +1,8 @@
 """Unit tests for the wire encoder/decoder: every type tag, both ways."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -11,11 +13,8 @@ from repro.wire import (
     TruncatedError,
     UnknownTagError,
     decode,
-    decode_many,
     encode,
-    encode_many,
 )
-from repro.wire.encoder import Encoder
 
 from tests.support import Point
 
@@ -200,23 +199,107 @@ class TestDecoderRobustness:
             decode(data)
 
 
-class TestMany:
-    def test_encode_decode_many(self):
-        values = [1, "two", [3], Point(4, 5)]
-        assert decode_many(encode_many(values)) == values
+#: An encoded ``InvocationData(1, ArgRef(0), "m")``: a registered object
+#: whose ``kwargs`` field is a dict, so the object is unhashable.
+_INVOCATION_HEX = (
+    "4f5300000023726570726f2e636f72652e7265636f7264696e672e496e766f63"
+    "6174696f6e446174614d00000007530000000373657149000000000000000153"
+    "000000067461726765744f530000001b726570726f2e636f72652e7265636f72"
+    "64696e672e4172675265664d0000000253000000037365714900000000000000"
+    "00530000000c637572736f725f696e64657849ffffffffffffffff5300000006"
+    "6d6574686f6453000000016d530000000461726773550000000053000000066b"
+    "77617267734d00000000530000000c72657475726e735f6b696e645300000005"
+    "76616c7565530000000a637572736f725f73657149ffffffffffffffff"
+)
 
-    def test_decode_many_empty(self):
-        assert decode_many(b"") == []
 
-    def test_encoder_chaining(self):
-        enc = Encoder().encode(1).encode("x")
-        assert decode_many(enc.getvalue()) == [1, "x"]
+class TestDecoderContract:
+    """Well-framed bytes that build a value the codec cannot hold raise
+    DecodeError, like every other malformed input."""
 
-    def test_encoder_len_tracks_buffer(self):
-        enc = Encoder()
-        assert len(enc) == 0
-        enc.encode("abcd")
-        assert len(enc) == len(enc.getvalue())
+    @pytest.mark.parametrize("wire", [
+        # E 00000001 L 00000000: a set holding []
+        "45000000014c00000000",
+        # G 00000001 L 00000000: a frozenset holding []
+        "47000000014c00000000",
+        # M 00000001 L 00000000 N: a dict keyed by []
+        "4d000000014c000000004e",
+        # M 00000001 M 00000000 N: a dict keyed by {}
+        "4d000000014d000000004e",
+        # M 00000001 E 00000000 N: a dict keyed by set()
+        "4d0000000145000000004e",
+        # E 00000001 O...: a set holding an InvocationData
+        "4500000001" + _INVOCATION_HEX,
+        # R S"a" I1 U[I1]: a ref whose interface name is an int
+        "525300000001614900000000000000015500000001490000000000000001",
+        # r S"a" I1 U[I1] S"0/2": the same, sharded
+        "725300000001614900000000000000015500000001490000000000000001"
+        "5300000003302f32",
+    ], ids=["set-of-list", "frozenset-of-list", "dict-keyed-by-list",
+            "dict-keyed-by-dict", "dict-keyed-by-set",
+            "set-of-invocation", "ref-int-interface",
+            "sharded-ref-int-interface"])
+    def test_raises_decode_error(self, wire):
+        with pytest.raises(DecodeError):
+            decode(bytes.fromhex(wire))
+
+
+class TestEncodeHygiene:
+    """Each message is built in its own buffer: nothing of one message
+    reaches another."""
+
+    def test_encode_error_mid_message_leaves_no_stale_bytes(self):
+        class Unencodable:
+            pass
+
+        # Fails after "prefix" and 1 were already encoded.
+        with pytest.raises(EncodeError):
+            encode(["prefix", 1, Unencodable()])
+        clean = encode(["clean"])
+        assert decode(clean) == ["clean"]
+        # Byte-exact: nothing from the failed message leaked in front.
+        assert clean == encode(["clean"])
+        assert b"prefix" not in clean
+
+    def test_interleaved_messages_are_independent(self):
+        blobs = [encode({"k": i, "payload": b"x" * i}) for i in range(50)]
+        for i, blob in enumerate(blobs):
+            assert decode(blob) == {"k": i, "payload": b"x" * i}
+
+    def test_concurrent_encodes_match_serial_bytes(self):
+        from repro.core.recording import ArgRef, BatchResponse, InvocationData
+
+        values = []
+        for i in range(8):
+            values.append(InvocationData(
+                i + 1, ArgRef(i), f"op{i}", (i, "x" * i), {"k": i}))
+            values.append(BatchResponse(
+                results={i: "r" * i, i + 1: [i] * i}, not_executed=(i,)))
+        serial = [encode(value) for value in values]
+        start = threading.Barrier(8)
+        mismatches = []
+
+        def worker(index):
+            mine = values[2 * index : 2 * index + 2]
+            start.wait()
+            for _ in range(500):
+                for value, expected in zip(mine, serial[2 * index :]):
+                    if encode(value) != expected:
+                        mismatches.append((index, value))
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
 
 
 class TestZeroCopyEdgeCases:
@@ -282,38 +365,6 @@ class TestZeroCopyEdgeCases:
         decoded = decode(memoryview(source))
         source[:] = b"\x00" * len(source)
         assert decoded == "hello"
-
-    def test_encode_framed_matches_frame_of_encode(self):
-        from repro.wire import encode_framed, frame_views
-
-        for value in (None, [1, "x"], {"k": b"v" * 100}, Point(1, 2)):
-            assert encode_framed(value) == b"".join(
-                frame_views(encode(value))
-            )
-
-    def test_getbuffer_is_live_view(self):
-        enc = Encoder()
-        enc.encode(7)
-        view = enc.getbuffer()
-        assert bytes(view) == enc.getvalue()
-        view.release()  # must release before encoding more
-        enc.encode(8)
-        assert decode_many(enc.getvalue()) == [7, 8]
-
-    def test_caller_supplied_buffer(self):
-        buf = bytearray()
-        Encoder(buf).encode([1, 2])
-        assert decode(bytes(buf)) == [1, 2]
-
-    def test_frame_header_reserve_and_patch(self):
-        enc = Encoder()
-        offset = enc.reserve_frame_header()
-        enc.encode("payload")
-        enc.patch_frame_header(offset)
-        framed = enc.getvalue()
-        length = int.from_bytes(framed[:4], "big")
-        assert length == len(framed) - 4
-        assert decode(framed[4:]) == "payload"
 
     def test_int_enum_still_encodes_as_int(self):
         import enum

@@ -9,7 +9,7 @@ a wire-format break, not an optimization.
 import pytest
 
 from repro.rmi.protocol import CallRequest, CallResponse
-from repro.wire import decode, encode, encode_framed, frame_views
+from repro.wire import decode, encode, frame_views
 from repro.wire.plans import ParamSlot
 from repro.wire.refs import RemoteRef
 
@@ -112,7 +112,6 @@ class TestGoldenBytes:
 
     def test_framed_golden(self):
         assert b"".join(frame_views(encode([1, "x"]))).hex() == GOLDEN_FRAMED
-        assert encode_framed([1, "x"]).hex() == GOLDEN_FRAMED
 
 
 class TestProtocolGoldenBytes:
