@@ -121,8 +121,8 @@ class Supervisor:
                  workers: int = DEFAULT_MAX_WORKERS,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  exec_workers: int = None,
-                 metrics_dir=None, start_timeout: float = DEFAULT_START_TIMEOUT,
-                 force_single_acceptor: bool = False, admin: bool = False):
+                 metrics_dir=None, force_single_acceptor: bool = False,
+                 admin: bool = False):
         if (procs is None) == (shards is None):
             raise ValueError("pass exactly one of procs= (reuseport group) "
                              "or shards= (shard cluster)")
@@ -152,7 +152,6 @@ class Supervisor:
         self._workers = workers
         self._queue_depth = queue_depth
         self._exec_workers = exec_workers
-        self._start_timeout = start_timeout
         self._metrics_dir = metrics_dir
         self._own_metrics_dir = metrics_dir is None
         self._placeholder = None
@@ -312,7 +311,7 @@ class Supervisor:
     def _read_line(self, child: subprocess.Popen, tag: str) -> str:
         """Read one ``TAG value`` stdout line from a starting child
         (``ADDRESS`` first; ``ADMIN`` next when the admin plane is on)."""
-        timer = threading.Timer(self._start_timeout, child.kill)
+        timer = threading.Timer(DEFAULT_START_TIMEOUT, child.kill)
         timer.start()
         try:
             line = child.stdout.readline().strip()

@@ -212,13 +212,9 @@ class BatchExecutor:
     private pool of that size (shut down via :meth:`close`).
     """
 
-    def __init__(self, server, session_capacity: int = None,
-                 exec_workers: int = None):
+    def __init__(self, server, exec_workers: int = None):
         self._server = server
-        if session_capacity is None:
-            self._sessions = SessionStore()
-        else:
-            self._sessions = SessionStore(session_capacity)
+        self._sessions = SessionStore()
         if exec_workers is not None and exec_workers < 0:
             raise ValueError(f"exec_workers cannot be negative: {exec_workers}")
         self._exec_workers = exec_workers

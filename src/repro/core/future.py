@@ -77,11 +77,6 @@ class Future:
         self._value = None
         self._exception = exception
 
-    def _reset(self) -> None:
-        self._state = _PENDING
-        self._value = None
-        self._exception = None
-
     def __repr__(self):
         if self._state == _READY:
             return f"<Future #{self._seq} = {self._value!r}>"

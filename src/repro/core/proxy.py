@@ -176,23 +176,9 @@ class BatchRecorder:
                 raise BatchClosedError(
                     "this batch chain was flushed; create a new batch"
                 )
-            if proxy._failure is not None:
-                raise proxy._failure
-
-            owner = None
-            if isinstance(proxy, CursorProxy) and not proxy._flushed:
-                owner = proxy
-                target = ArgRef(proxy._seq)
-            elif isinstance(proxy, CursorProxy):
-                target = ArgRef(proxy._seq, proxy._require_index())
-            else:
-                target, owner = self._target_for(proxy)
-
-            converted_args, owner = self._convert_args(args, owner)
-            converted_kwargs = {}
-            for key, value in (kwargs or {}).items():
-                converted, owner = self._convert_one(value, owner)
-                converted_kwargs[key] = converted
+            target, owner = self._ref_of(proxy, None)
+            args, owner = self._convert_one(args, owner)
+            kwargs, owner = self._convert_one(kwargs, owner)
 
             self._enforce_contiguity(owner)
             if owner is not None and spec.returns_kind == "cursor":
@@ -207,47 +193,45 @@ class BatchRecorder:
                 seq=seq,
                 target=target,
                 method=spec.name,
-                args=converted_args,
-                kwargs=converted_kwargs,
+                args=args,
+                kwargs=kwargs,
                 returns_kind=spec.returns_kind,
                 cursor_seq=owner._seq if owner is not None else NONE_ID,
             )
-            deps = set(self._deps[target.seq])
-            if target.seq > ROOT_SEQ:
-                deps.add(target.seq)
-            for ref in _arg_refs(converted_args) + _arg_refs(
-                tuple(converted_kwargs.values())
-            ):
-                deps.update(self._deps.get(ref.seq, frozenset()))
-                if ref.seq > ROOT_SEQ:
-                    deps.add(ref.seq)
+            deps = set()
+            for ref_seq in invocation.referenced_seqs():
+                deps.update(self._deps.get(ref_seq, ()))
+                if ref_seq > ROOT_SEQ:
+                    deps.add(ref_seq)
             self._deps[seq] = frozenset(deps)
             self._segment.append(invocation)
             self._client.charge(CHARGE_BATCH_RECORD)
             return self._make_result(seq, spec, owner)
 
-    def _target_for(self, proxy):
-        if proxy._recorder is not self:
-            raise NotInBatchError(
-                "batch object belongs to a different batch chain"
-            )
-        co = proxy._cursor_owner
-        if co is None or not co._flushed:
-            return ArgRef(proxy._seq), (co if co is not None else None)
-        # A proxy derived from a flushed cursor addresses the element the
-        # cursor currently points at (chained batches, §3.5).
-        index = co._require_index()
-        element_exc = co._element_exception(proxy._seq, index)
+    def _ref_of(self, proxy, owner):
+        """``(ArgRef, owner)`` for a proxy of this chain, as a call's
+        target or as an argument.
+
+        A proxy of an unflushed cursor (the cursor itself included)
+        stands for every element: the op joins that cursor's sub-batch
+        (§3.4), so *owner* widens to it.  A proxy of a flushed cursor
+        addresses the element the cursor currently points at (chained
+        batches, §3.5).
+        """
+        if proxy._failure is not None:
+            raise proxy._failure
+        cursor = proxy._cursor_owner
+        if isinstance(proxy, CursorProxy):
+            cursor = proxy
+        if cursor is None:
+            return ArgRef(proxy._seq), owner
+        if not cursor._flushed:
+            return ArgRef(proxy._seq), self._merge_owner(owner, cursor)
+        index = cursor._require_index()
+        element_exc = cursor._element_exception(proxy._seq, index)
         if element_exc is not None:
             raise element_exc
-        return ArgRef(proxy._seq, index), None
-
-    def _convert_args(self, args, owner):
-        converted = []
-        for arg in args:
-            value, owner = self._convert_one(arg, owner)
-            converted.append(value)
-        return tuple(converted), owner
+        return ArgRef(proxy._seq, index), owner
 
     def _convert_one(self, value, owner):
         """Wire-safe form of one argument; batch refs become ArgRef.
@@ -256,32 +240,6 @@ class BatchRecorder:
         widen when a cursor (or cursor-derived proxy) appears among the
         arguments, since such an op repeats per element (§3.4).
         """
-        if isinstance(value, Future):
-            raise UnsupportedBatchOperationError(
-                "futures cannot be passed as batched arguments; pass the "
-                "batch object itself for remote results, or flush first "
-                "for values"
-            )
-        if isinstance(value, BatchProxy):
-            if value._recorder is not self:
-                return marshal(self.batch.export(value), self._client), owner
-            if value._failure is not None:
-                raise value._failure
-            if isinstance(value, CursorProxy):
-                if value._flushed:
-                    return ArgRef(value._seq, value._require_index()), owner
-                owner = self._merge_owner(owner, value)
-                return ArgRef(value._seq), owner
-            co = value._cursor_owner
-            if co is not None and co._flushed:
-                index = co._require_index()
-                element_exc = co._element_exception(value._seq, index)
-                if element_exc is not None:
-                    raise element_exc
-                return ArgRef(value._seq, index), owner
-            if co is not None:
-                owner = self._merge_owner(owner, co)
-            return ArgRef(value._seq), owner
         if isinstance(value, (list, tuple)):
             items = []
             for item in value:
@@ -294,6 +252,16 @@ class BatchRecorder:
                 converted, owner = self._convert_one(item, owner)
                 result[key] = converted
             return result, owner
+        if isinstance(value, Future):
+            raise UnsupportedBatchOperationError(
+                "futures cannot be passed as batched arguments; pass the "
+                "batch object itself for remote results, or flush first "
+                "for values"
+            )
+        if isinstance(value, BatchProxy):
+            if value._recorder is not self:
+                return marshal(self.batch.export(value), self._client), owner
+            return self._ref_of(value, owner)
         return marshal(value, self._client), owner
 
     def _merge_owner(self, owner, cursor):
@@ -449,46 +417,36 @@ class BatchRecorder:
         for seq, future in self._segment_futures:
             if seq in response.results:
                 future._assign(unmarshal(response.results[seq], self._client))
-            else:
-                future._fail(
-                    self._verdict_for(seq, not_executed, first_error)
-                )
+                continue
+            failure = self._failure_of(seq, not_executed, first_error)
+            future._fail(failure if failure is not None else BatchError(
+                f"server returned no outcome for operation #{seq}"
+            ))
         for proxy in self._segment_proxies:
             proxy._resolved = True
-            if (
-                proxy._seq in self._failures
-                or self._dependency_failure(proxy._seq) is not None
-                or proxy._seq in not_executed
-            ):
-                proxy._failure = self._verdict_for(
-                    proxy._seq, not_executed, first_error
-                )
+            proxy._failure = self._failure_of(
+                proxy._seq, not_executed, first_error
+            )
         for cursor in self._segment_cursors:
             cursor._resolved = True
             cursor._sub_closed = True
-            failure = None
-            if (
-                cursor._seq in self._failures
-                or self._dependency_failure(cursor._seq) is not None
-                or cursor._seq in not_executed
-            ):
-                failure = self._verdict_for(
-                    cursor._seq, not_executed, first_error
-                )
-            cursor._apply_response(response, first_error, failure)
+            cursor._apply_response(response, first_error, self._failure_of(
+                cursor._seq, not_executed, first_error
+            ))
 
-    def _verdict_for(self, seq, not_executed, first_error):
+    def _failure_of(self, seq, not_executed, first_error):
+        """What op *seq* failed with, or ``None`` if it succeeded: the
+        first failed op it depends on, else its own exception, else an
+        abort if the server skipped it."""
         dependency = self._dependency_failure(seq)
         if dependency is not None:
             return dependency
         own = self._failures.get(seq)
-        if own is not None:
+        if own is not None or seq not in not_executed:
             return own
-        if seq in not_executed:
-            aborted = BatchAbortedError()
-            aborted.__cause__ = first_error
-            return aborted
-        return BatchError(f"server returned no outcome for operation #{seq}")
+        aborted = BatchAbortedError()
+        aborted.__cause__ = first_error
+        return aborted
 
     def _dependency_failure(self, seq):
         """The first (batch-order) failed op this op depends on, if any."""
@@ -557,22 +515,6 @@ def open_chain(stub: Stub, policy, client, reuse_plans: bool,
     recorder.root = BatchProxy(recorder, ROOT_SEQ, specs)
     client.charge(CHARGE_PROXY_CREATE)
     return recorder
-
-
-def _arg_refs(values):
-    """All ArgRef instances reachable in an argument structure."""
-    refs = []
-    stack = list(values)
-    while stack:
-        value = stack.pop()
-        if isinstance(value, ArgRef):
-            refs.append(value)
-        elif isinstance(value, (list, tuple, set, frozenset)):
-            stack.extend(value)
-        elif isinstance(value, dict):
-            stack.extend(value.keys())
-            stack.extend(value.values())
-    return refs
 
 
 class BRMI:

@@ -13,7 +13,7 @@ exactly:
   never records (the proxy raises its stored verdict at record time, in
   target-then-arguments order);
 - a recorded step whose same-segment dependency failed reports the
-  first failed dependency in sequence order (``_verdict_for``);
+  first failed dependency in sequence order (``_failure_of``);
 - after a BREAK, the rest of the segment is aborted
   (:class:`~repro.core.errors.BatchAbortedError`);
 - cursor sub-batches run element-major, stop at a BREAK, and pad the

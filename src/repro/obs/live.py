@@ -15,14 +15,13 @@ one response frame containing ``{"ok": true, ...}`` or ``{"ok": false,
 pairs.  Commands every endpoint serves:
 
 - ``health``   — cheap liveness/readiness (no registry evaluation);
-- ``metrics``  — a live :class:`~repro.obs.metrics.MetricsRegistry`
-  dump (mergeable, same shape as the shutdown files);
-- ``flight``   — the tracer's :class:`~repro.obs.tracer.FlightRecorder`
-  snapshot: recently completed spans, the currently in-flight set with
-  elapsed times, and the slow log;
-- ``slow``     — just the slow log (trace-id exemplars included);
-- ``snapshot`` — all of the above in one frame (what pollers use, so a
-  poll is one round trip per process).
+- ``snapshot`` — the health section, a live
+  :class:`~repro.obs.metrics.MetricsRegistry` dump (mergeable, same
+  shape as the shutdown files) and the tracer's
+  :class:`~repro.obs.tracer.FlightRecorder` snapshot (recently
+  completed spans, the in-flight set with elapsed times, and the slow
+  log with trace-id exemplars), all in one frame, so a poll is one
+  round trip per process.
 
 A worker builds its endpoint with :func:`worker_commands`; the
 supervisor aggregates its shards with :func:`cluster_commands` (per
@@ -121,10 +120,11 @@ class AdminServer:
 def worker_commands(*, registry=None, tracer=None, health=None) -> dict:
     """The standard command set for one serving process.
 
-    *registry* feeds ``metrics`` (an empty registry is served when
-    ``None``); *tracer* feeds ``flight``/``slow`` through its flight
-    recorder; *health* is a zero-argument callable returning extra
-    health fields (``ready`` most importantly — default ``True``).
+    *registry* feeds the snapshot's ``metrics`` (an empty registry is
+    served when ``None``); *tracer* feeds its ``flight`` through the
+    tracer's flight recorder; *health* is a zero-argument callable
+    returning extra health fields (``ready`` most importantly — default
+    ``True``).
     """
     started = time.monotonic()
 
@@ -139,11 +139,6 @@ def worker_commands(*, registry=None, tracer=None, health=None) -> dict:
             payload.update(health())
         return payload
 
-    def cmd_metrics(params) -> dict:
-        if registry is None:
-            return {"metrics": MetricsRegistry().to_dict()}
-        return {"metrics": registry.to_dict()}
-
     def _flight_snapshot() -> dict:
         flight = tracer.flight if tracer is not None else None
         if flight is None:
@@ -151,26 +146,15 @@ def worker_commands(*, registry=None, tracer=None, health=None) -> dict:
                     "completed": [], "inflight": [], "slow": []}
         return flight.snapshot(tracer.now())
 
-    def cmd_flight(params) -> dict:
-        return {"flight": _flight_snapshot()}
-
-    def cmd_slow(params) -> dict:
-        return {"slow": _flight_snapshot()["slow"]}
-
     def cmd_snapshot(params) -> dict:
+        live = MetricsRegistry() if registry is None else registry
         return {
             "health": cmd_health(params),
-            "metrics": cmd_metrics(params)["metrics"],
+            "metrics": live.to_dict(),
             "flight": _flight_snapshot(),
         }
 
-    return {
-        "health": cmd_health,
-        "metrics": cmd_metrics,
-        "flight": cmd_flight,
-        "slow": cmd_slow,
-        "snapshot": cmd_snapshot,
-    }
+    return {"health": cmd_health, "snapshot": cmd_snapshot}
 
 
 def cluster_commands(shard_addresses, *, health=None,
@@ -240,34 +224,7 @@ def cluster_commands(shard_addresses, *, health=None,
             "merged": _merge(shards, errors),
         }
 
-    def cmd_metrics(params) -> dict:
-        shards, errors = _poll_all()
-        return {"metrics": _merge(shards, errors),
-                "shard_errors": errors}
-
-    def cmd_flight(params) -> dict:
-        shards, errors = _poll_all()
-        return {
-            "flight": {shard["address"]: shard.get("flight", {})
-                       for shard in shards},
-            "shard_errors": errors,
-        }
-
-    def cmd_slow(params) -> dict:
-        shards, errors = _poll_all()
-        slow = []
-        for shard in shards:
-            for entry in shard.get("flight", {}).get("slow", ()):
-                slow.append(dict(entry, address=shard["address"]))
-        return {"slow": slow, "shard_errors": errors}
-
-    return {
-        "health": cmd_health,
-        "metrics": cmd_metrics,
-        "flight": cmd_flight,
-        "slow": cmd_slow,
-        "snapshot": cmd_snapshot,
-    }
+    return {"health": cmd_health, "snapshot": cmd_snapshot}
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,8 @@ digest share one cache entry, and re-installing is harmless), and a
 stale memo costs one tiny extra round trip, never a wrong answer.
 A confirmed flush costs what its parameters cost: the key walk gathers
 them, the memo holds the digest the install computed, and no plan is
-compiled or hashed.  Only the install paths compile.  A recording the
-key walk does not recognise (a container subclass, a float dict key)
-takes the slow path instead — compiled and hashed on every flush, and
-keyed by its digest.
+compiled or hashed.  Every recording has a key, so only the install
+paths compile.
 
 Two guards keep the optimism bounded: the memo itself is a capped LRU
 (a client cannot leak memory by flushing endlessly varying shapes), and
@@ -88,8 +86,8 @@ class PlanMemo:
 
     Shared by every planning batch the client creates, so a shape seen
     in one batch object is immediately "hot" for the next.  Keys are
-    shape keys, or plan digests for recordings on the slow path; each
-    shape's state carries the digest once an install has computed it.
+    shape keys; each shape's state carries the digest once an install
+    has computed it.
     Bounded LRU: the least recently flushed shapes are forgotten past
     *capacity* (they simply go inline once more when they reappear).
     Also counts how each flush went out, for examples and tests.
@@ -98,14 +96,10 @@ class PlanMemo:
     :meth:`settle` after the response.
     """
 
-    def __init__(self, capacity: int = DEFAULT_MEMO_CAPACITY,
-                 miss_limit: int = MISS_LIMIT,
-                 retry_interval: int = RETRY_INTERVAL):
+    def __init__(self, capacity: int = DEFAULT_MEMO_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity}")
         self._capacity = capacity
-        self._miss_limit = miss_limit
-        self._retry_interval = retry_interval
         self._lock = threading.Lock()
         self._seen = OrderedDict()
         self.inline_flushes = 0
@@ -136,7 +130,7 @@ class PlanMemo:
                 state.confirmed = True
             elif outcome == MISS:
                 state.miss_streak += 1
-                if state.miss_streak >= self._miss_limit:
+                if state.miss_streak >= MISS_LIMIT:
                     state.demoted = True
                     state.inline_since_demotion = 0
             else:
@@ -170,13 +164,13 @@ class PlanMemo:
 
     def _held_inline(self, state) -> bool:
         """Whether a repeated shape stays inline.  Also the retry clock:
-        after ``retry_interval`` inline flushes a demoted shape is given
+        after ``RETRY_INTERVAL`` inline flushes a demoted shape is given
         a fresh chance on the plan path (and will only be re-demoted by
         another full miss streak)."""
         if not state.demoted:
             return False
         state.inline_since_demotion += 1
-        if state.inline_since_demotion >= self._retry_interval:
+        if state.inline_since_demotion >= RETRY_INTERVAL:
             state.demoted = False
             state.miss_streak = 0
             state.inline_since_demotion = 0
@@ -198,22 +192,16 @@ class PlanningBatchRecorder(BatchRecorder):
             return super()._ship(invocations, keep_session)
         with current_tracer().span("client.plan_lift") as span:
             memo = self._memo
-            plan = None
-            shape = shape_key(invocations, self._policy)
-            if shape is None:
-                plan, params, key = self._compile(invocations)
-            else:
-                key, params = shape
+            key, params = shape_key(invocations, self._policy)
             state, route = memo.route(key)
-            digest = key if plan is not None else state.digest
-            span.set(digest=digest, strategy=route)
+            span.set(digest=state.digest, strategy=route)
             if route == INLINE:
                 return super()._ship(invocations, keep_session)
             object_id = self._stub.remote_ref.object_id
             if route == INVOKE:
                 try:
                     response = self._client.call(
-                        object_id, INVOKE_PLAN, (digest, params)
+                        object_id, INVOKE_PLAN, (state.digest, params)
                     )
                 except PlanNotFoundError:
                     memo.settle(state, MISS)
@@ -222,19 +210,13 @@ class PlanningBatchRecorder(BatchRecorder):
                     memo.settle(state, HIT)
                     return response
             # First repeat, or a miss: the server lacks the plan — skip
-            # the guaranteed-miss probe and install in one trip.
-            if plan is None:
-                plan, params, digest = self._compile(invocations)
-                span.set(digest=digest)
+            # the guaranteed-miss probe and install in one trip.  The one
+            # place a plan is compiled and hashed.
+            plan, params = compile_plan(invocations, self._policy)
+            digest = plan_hash(plan)
+            span.set(digest=digest)
             response = self._client.call(
                 object_id, INSTALL_PLAN, (plan, params)
             )
             memo.settle(state, INSTALL, digest)
             return response
-
-    def _compile(self, invocations):
-        """``(plan, params, digest)`` — the one place a plan is compiled:
-        on the install paths, and on every flush of a recording the key
-        walk does not recognise."""
-        plan, params = compile_plan(invocations, self._policy)
-        return plan, params, plan_hash(plan)

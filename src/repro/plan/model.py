@@ -17,9 +17,10 @@ shape, and the server can verify an upload by re-hashing it.
 
 ``shape_key`` is the client's cheap stand-in for both: one walk over the
 recording that elides the leaves and gathers them as parameters, without
-building a plan or encoding one.  Equal keys mean equal plan hashes — the
-key may be finer than the plan, never coarser — so a client that has
-learnt a key's digest once can invoke the plan from the key alone.
+building a plan or encoding one (only a dict key of an unusual type is
+encoded).  Every recording has a key.  Equal keys mean equal plan hashes
+— the key may be finer than the plan, never coarser — so a client that
+has learnt a key's digest once can invoke the plan from the key alone.
 
 ``BatchPlan.bind`` is the inverse of compilation: substitute a parameter
 tuple back into the slots, yielding plain ``InvocationData`` records the
@@ -48,9 +49,13 @@ _STRUCTURE = (ArgRef, list, tuple, dict, set, frozenset)
 
 #: Dict-key types the shape key carries literally, tagged with the type:
 #: for these, equal ``(type, key)`` pairs always encode to equal bytes.
-#: Floats (``0.0 == -0.0``), tuples (``(1,) == (True,)``) and every other
-#: key type send the flush down the slow path.
+#: Any other key (a float: ``0.0 == -0.0``; a tuple: ``(1,) == (True,)``)
+#: goes in as its wire encoding, tagged ``_ENCODED``.
 _LITERAL_KEY_TYPES = frozenset({str, int, bool, bytes, type(None)})
+
+#: The tag of a key token that is a value's encoding: unequal to every
+#: type in ``_LITERAL_KEY_TYPES``, so no literal key can collide with it.
+_ENCODED = "encoded"
 
 
 @serializable
@@ -175,38 +180,32 @@ def plan_hash(plan: BatchPlan) -> str:
 
 
 def shape_key(invocations, policy):
-    """``(key, params)`` for a recording, or ``None`` to take the slow path.
+    """``(key, params)`` for a recording.
 
     *params* equals what ``compile_plan`` returns.  The key is a flat
     token tuple: the policy's encoding, then per op its fields and its
-    argument geometry in prefix form — a container's exact type and
-    length before its items, ``ParamSlot`` where compilation puts a slot,
-    an ``ArgRef``'s fields, a dict key's type before the key.  Equal keys
+    argument geometry in prefix form — a container's kind and length
+    before its items, ``ParamSlot`` where compilation puts a slot, an
+    ``ArgRef``'s fields, a dict key's type before the key.  Equal keys
     therefore compile to plans with equal ``plan_hash``.  The policy goes
     in as bytes because a ``CustomPolicy`` is mutable and unhashable.
 
-    ``None`` means the walk met something it does not recognise: a
-    subclass of a structural type, or a dict key outside
-    ``_LITERAL_KEY_TYPES``.  It never guesses about those.
+    The walk is total.  A container subclass walks as the plain kind
+    ``_lift`` turns it into; a dict key outside ``_LITERAL_KEY_TYPES``,
+    and an ``ArgRef`` subclass (which ``_lift`` keeps as it is), go in
+    as their wire encoding.
     """
     tokens = [encode(policy)]
     params = []
-    try:
-        for inv in invocations:
-            tokens += (inv.seq, inv.method, inv.returns_kind, inv.cursor_seq)
-            _walk((inv.target, inv.args, inv.kwargs), tokens, params)
-    except _Unkeyable:
-        return None
+    for inv in invocations:
+        tokens += (inv.seq, inv.method, inv.returns_kind, inv.cursor_seq)
+        _walk((inv.target, inv.args, inv.kwargs), tokens, params)
     return tuple(tokens), tuple(params)
-
-
-class _Unkeyable(Exception):
-    """The shape-key walk met a value it does not recognise."""
 
 
 def _walk(values, tokens, params):
     """Append the shape of each of *values* to *tokens* and its leaves
-    to *params*, in ``_lift``'s order.  A dict writes its typed keys
+    to *params*, in ``_lift``'s order.  A dict writes its tagged keys
     before its values."""
     for value in values:
         if not isinstance(value, _STRUCTURE):
@@ -224,15 +223,26 @@ def _walk(values, tokens, params):
             if value:
                 for key in value:
                     key_type = type(key)
-                    if key_type not in _LITERAL_KEY_TYPES:
-                        raise _Unkeyable
-                    tokens += (key_type, key)
+                    if key_type in _LITERAL_KEY_TYPES:
+                        tokens += (key_type, key)
+                    else:
+                        tokens += (_ENCODED, encode(key))
                 _walk(value.values(), tokens, params)
         elif kind is set or kind is frozenset:
             tokens += (kind, len(value))
             _walk(canonical_set_order(value), tokens, params)
+        elif isinstance(value, ArgRef):
+            tokens += (_ENCODED, encode(value))
         else:
-            raise _Unkeyable
+            _walk((_plain(value),), tokens, params)
+
+
+def _plain(container):
+    """The exact-type copy ``_lift`` makes of a container subclass."""
+    for kind in (list, tuple, dict, frozenset):
+        if isinstance(container, kind):
+            return dict(container.items()) if kind is dict else kind(container)
+    return set(container)
 
 
 def _lift(value, params):

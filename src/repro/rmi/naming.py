@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.rmi.client import RMIClient
+from repro.rmi.protocol import REGISTRY_OBJECT_ID
 
 
 def split_url(url: str) -> Tuple[str, str]:
@@ -45,6 +46,6 @@ def bind(network, url: str, stub, from_host: str = "client") -> None:
     address, name = split_url(url)
     client = RMIClient(network, address, from_host=from_host)
     try:
-        client.call(0, "rebind", (name, stub))
+        client.call(REGISTRY_OBJECT_ID, "rebind", (name, stub))
     finally:
-        pass  # the stub handed out by lookup() may share this channel
+        client.close()

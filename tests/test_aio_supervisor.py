@@ -367,7 +367,7 @@ class TestAdminPlane:
                 time.sleep(0.4)  # the work() call now sleeps server-side
                 inflight = []
                 for address in supervisor.admin_addresses:
-                    reply = admin_request(address, "flight")
+                    reply = admin_request(address, "snapshot")
                     inflight.extend(reply["flight"]["inflight"])
                 handles = [entry for entry in inflight
                            if entry["name"] == "server.handle"]
@@ -382,7 +382,8 @@ class TestAdminPlane:
             assert results == [1]
             slow = []
             for address in supervisor.admin_addresses:
-                slow.extend(admin_request(address, "slow")["slow"])
+                reply = admin_request(address, "snapshot")
+                slow.extend(reply["flight"]["slow"])
             exemplars = [entry for entry in slow
                          if entry["name"] == "server.handle"]
             assert len(exemplars) == 1, slow

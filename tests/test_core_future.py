@@ -62,13 +62,6 @@ class TestIntrospection:
     def test_seq(self):
         assert Future(7).seq == 7
 
-    def test_reset_returns_to_pending(self):
-        future = Future(1)
-        future._assign(5)
-        future._reset()
-        with pytest.raises(FutureNotReadyError):
-            future.get()
-
     def test_reassignment_for_cursor_iteration(self):
         """Cursor futures change value on every next() (§4.3)."""
         future = Future(1)

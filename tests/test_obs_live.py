@@ -163,9 +163,9 @@ class TestAdminServer:
         serving process is mutating right now."""
         server, registry, _ = world
         registry.counter("server.requests").inc(3)
-        first = admin_request(server.address, "metrics")
+        first = admin_request(server.address, "snapshot")
         registry.counter("server.requests").inc(2)
-        second = admin_request(server.address, "metrics")
+        second = admin_request(server.address, "snapshot")
         assert first["metrics"]["counters"]["server.requests"] == 3
         assert second["metrics"]["counters"]["server.requests"] == 5
 
@@ -176,15 +176,15 @@ class TestAdminServer:
             clock.t = 0.3
         hung = tracer.span("server.handle", method="work")
         clock.t = 0.4
-        reply = admin_request(server.address, "flight")
+        reply = admin_request(server.address, "snapshot")
         flight = reply["flight"]
         assert [e["name"] for e in flight["inflight"]] == ["server.handle"]
         assert flight["inflight"][0]["elapsed_ms"] == pytest.approx(100.0)
         assert len(flight["slow"]) == 1
         assert flight["slow"][0]["trace_id"]
         hung.end()
-        slow_only = admin_request(server.address, "slow")
-        assert len(slow_only["slow"]) == 1
+        after = admin_request(server.address, "snapshot")
+        assert len(after["flight"]["slow"]) == 1
 
     def test_snapshot_is_one_round_trip(self, world):
         server, registry, _ = world
@@ -207,7 +207,7 @@ class TestAdminServer:
         with AdminClient(server.address) as client:
             for expected in (1, 2, 3):
                 registry.counter("polls").inc()
-                reply = client.request("metrics")
+                reply = client.request("snapshot")
                 assert reply["metrics"]["counters"]["polls"] == expected
         assert server.requests == 3
 
@@ -291,9 +291,10 @@ class TestClusterCommands:
         )) as worker:
             addresses = [worker.address]
             with AdminServer(cluster_commands(lambda: addresses)) as sup:
-                reply = admin_request(sup.address, "slow")
-        assert len(reply["slow"]) == 1
-        assert reply["slow"][0]["address"] == worker.address
+                reply = admin_request(sup.address, "snapshot")
+        shard, = reply["shards"]
+        assert len(shard["flight"]["slow"]) == 1
+        assert shard["address"] == worker.address
 
 
 class TestObsCliLive:

@@ -10,7 +10,9 @@ import pytest
 from repro.core import BatchProxy, ContinuePolicy, create_batch
 from repro.core.cursor import cursor_length
 from repro.plan import PlanMemo, PlanningBatchRecorder
-from repro.plan.client import HIT, INLINE, INSTALL, INVOKE, MISS, MISS_LIMIT
+from repro.plan.client import (
+    HIT, INLINE, INSTALL, INVOKE, MISS, MISS_LIMIT, RETRY_INTERVAL,
+)
 from repro.rmi import RMIClient, RMIServer
 from repro.net import LAN, SimNetwork
 
@@ -187,14 +189,14 @@ class TestAdoption:
         """A demoted shape retries the plan path after RETRY_INTERVAL
         inline flushes — transient cache pressure is a bounded detour,
         not a permanent loss of the optimization."""
-        memo = PlanMemo(retry_interval=4)
+        memo = PlanMemo()
         state, _ = memo.route("d")
         for _ in range(MISS_LIMIT):
             memo.settle(state, MISS)
-        assert memo.route("d")[1] == INLINE
-        assert memo.route("d")[1] == INLINE
-        assert memo.route("d")[1] == INLINE
-        assert memo.route("d")[1] == INSTALL  # 4th flush: probe again
+        for _ in range(RETRY_INTERVAL - 1):
+            assert memo.route("d")[1] == INLINE
+        # The RETRY_INTERVAL-th inline flush probes again.
+        assert memo.route("d")[1] == INSTALL
         # A hit on the probe keeps the shape on the plan path for good.
         memo.settle(state, HIT)
         assert memo.route("d")[1] == INVOKE

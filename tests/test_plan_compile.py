@@ -164,11 +164,9 @@ Pair = namedtuple("Pair", "left right")
 
 def _derive(invocations, policy):
     """``(memo key, digest)`` of one flush: the key the client memo files
-    it under, next to the digest the slow path derives."""
+    it under, next to the digest its install derives."""
     digest = plan_hash(compile_plan(invocations, policy)[0])
-    shape = shape_key(invocations, policy)
-    # The client keys a recording the walk declines by its digest.
-    return (digest if shape is None else shape[0]), digest
+    return shape_key(invocations, policy)[0], digest
 
 
 def _arg_pair(left, right, **extra):
@@ -248,8 +246,18 @@ KEY_ORACLE = [
         ((inv(1, kwargs={"a": 1, "b": 2}),), AbortPolicy()),
         ((inv(1, kwargs={"b": 2, "a": 1}),), AbortPolicy()),
     ]), False),
+    ("dict keys 0.0 / -0.0",
+     lambda: _arg_pair(({0.0: "x"},), ({-0.0: "x"},)), False),
+    ("dict keys (1,) / (True,)",
+     lambda: _arg_pair(({(1,): "x"},), ({(True,): "x"},)), False),
+    ("dict keys b'a' / 'a'",
+     lambda: _arg_pair(({b"a": "x"},), ({"a": "x"},)), False),
+    ("float dict key, values differ",
+     lambda: _arg_pair(({1.0: "x"},), ({1.0: "y"},)), True),
     ("namedtuple argument",
      lambda: _arg_pair((Pair(1, 2),), (Pair(3, 4),)), True),
+    ("namedtuple / plain tuple",
+     lambda: _arg_pair((Pair(1, 2),), ((1, 2),)), True),
     ("OrderedDict argument", lambda: _arg_pair(
         (OrderedDict(a=1, b=2),), (OrderedDict(b=1, a=2),)), False),
     ("CustomPolicy mutated between flushes", _mutated_policy, False),
@@ -272,14 +280,18 @@ class TestShapeKeyOracle:
                              ids=[row for row, _, _ in KEY_ORACLE])
     def test_gathered_params_are_compile_plans(self, row, recordings, _same):
         for invocations, policy in recordings():
-            shape = shape_key(invocations, policy)
-            if shape is not None:
-                assert shape[1] == compile_plan(invocations, policy)[1], row
+            _key, params = shape_key(invocations, policy)
+            assert params == compile_plan(invocations, policy)[1], row
 
     @pytest.mark.parametrize("args", [
         (Pair(1, 2),), (OrderedDict(a=1),), ({1.0: "x"},), ({(1,): "x"},),
         ([Pair(1, 2)],),
     ], ids=["namedtuple", "OrderedDict", "float key", "tuple key",
             "nested namedtuple"])
-    def test_the_walk_declines_what_it_does_not_recognise(self, args):
-        assert shape_key((inv(1, args=args),), AbortPolicy()) is None
+    def test_every_recording_gets_a_key(self, args):
+        """Whatever the recording holds, the walk keys it and gathers
+        compile_plan's params."""
+        recording = (inv(1, args=args),)
+        key, params = shape_key(recording, AbortPolicy())
+        hash(key)  # the client memo files it in a dict
+        assert params == compile_plan(recording, AbortPolicy())[1]

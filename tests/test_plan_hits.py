@@ -4,8 +4,8 @@ A confirmed flush is keyed by :func:`~repro.plan.model.shape_key` and
 goes out as ``__invoke_plan__(digest, params)`` without compiling or
 hashing a plan; the server's hit binds through the plan's template
 without ``_fill``.  A key coarser than the plan would be a silent wrong
-answer, so the pinned fuzz corpus re-derives every fast-path digest by
-the slow path.
+answer, so the pinned fuzz corpus re-derives every key's digest by
+compiling and hashing its plan.
 """
 
 import sys
@@ -39,9 +39,9 @@ class MirrorImpl(RemoteObject, Mirror):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count calls of the slow-path functions at every site that calls
-    them: the client's compile and hash, the server's install hash, and
-    the binder's ``_fill``."""
+    """Count calls of the compile-and-hash functions at every site that
+    calls them: the client's compile and hash, the server's install
+    hash, and the binder's ``_fill``."""
     calls = {"compile_plan": 0, "plan_hash": 0, "_fill": 0}
 
     def count(module, name):
@@ -149,11 +149,11 @@ class TestZeroCompileGuard:
         flush_purchases(client)
         assert counted["compile_plan"] == 0
 
-    def test_an_unkeyable_recording_takes_the_slow_path_every_flush(
+    def test_a_float_keyed_recording_compiles_once_at_install(
             self, bank, counted):
-        """A float dict key is outside what the key carries literally:
-        such a shape compiles and hashes on every flush, keyed by digest,
-        and still walks inline -> install -> invoke."""
+        """A float dict key goes into the shape key as its encoding: the
+        shape walks inline -> install -> invoke like any other, and only
+        the install compiles."""
         _server, client = bank
         mirror = client.lookup("mirror")
         for word in ("half", "one", "two"):
@@ -164,28 +164,26 @@ class TestZeroCompileGuard:
         memo = client.plan_memo
         assert (memo.inline_flushes, memo.plan_installs,
                 memo.plan_invocations) == (1, 1, 1)
-        assert counted["compile_plan"] == 3
+        assert counted["compile_plan"] == 1
 
 
 def test_the_pinned_corpus_rederives_every_fast_path_digest(monkeypatch):
-    """Every fast-path flush of the pinned corpus in plan mode also runs
-    the slow path: the gathered params must be compile_plan's, one key
-    must never name two digests anywhere in the corpus, and every plan
-    invocation must carry the digest the slow path derives."""
-    digests = {}   # shape key -> slow-path digest, across every client
+    """Every planning flush of the pinned corpus also compiles and hashes
+    its plan: the gathered params must be compile_plan's, one key must
+    never name two digests anywhere in the corpus, and every plan
+    invocation must carry the digest its recording compiles to."""
+    digests = {}   # shape key -> compiled digest, across every client
     checked = {"flushes": 0, "invocations": 0}
     shape_key, route = plan_client.shape_key, PlanMemo.route
 
     def rederiving_shape_key(invocations, policy):
-        shape = shape_key(invocations, policy)
-        if shape is not None:
-            key, params = shape
-            plan, slow_params = plan_model.compile_plan(invocations, policy)
-            assert params == slow_params
-            digest = plan_model.plan_hash(plan)
-            assert digests.setdefault(key, digest) == digest
-            checked["flushes"] += 1
-        return shape
+        key, params = shape_key(invocations, policy)
+        plan, compiled_params = plan_model.compile_plan(invocations, policy)
+        assert params == compiled_params
+        digest = plan_model.plan_hash(plan)
+        assert digests.setdefault(key, digest) == digest
+        checked["flushes"] += 1
+        return key, params
 
     def checked_route(memo, key):
         state, path = route(memo, key)
@@ -199,8 +197,8 @@ def test_the_pinned_corpus_rederives_every_fast_path_digest(monkeypatch):
     report = run_corpus(FuzzConfig(seed=0, programs=25, modes=("plan",)))
     assert report.ok, "\n".join(d.describe() for d in report.divergences)
     coverage = report.coverage
-    # Every planning flush of the corpus was keyable and re-derived, and
-    # every plan invocation was checked: 396 flushes, 132 invocations.
+    # Every planning flush of the corpus was re-derived, and every plan
+    # invocation was checked: 396 flushes, 132 invocations.
     assert checked["flushes"] == (coverage["plan_inline"]
                                   + coverage["plan_installs"]
                                   + coverage["plan_invocations"]) > 0

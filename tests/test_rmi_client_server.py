@@ -13,6 +13,8 @@ from repro.rmi import (
     RMIServer,
     Stub,
 )
+from repro.net.transport import ConnectionClosedError
+from repro.rmi.naming import bind as naming_bind
 from repro.rmi.naming import lookup as naming_lookup
 from repro.rmi.naming import split_url
 
@@ -153,6 +155,30 @@ class TestNaming:
     def test_lookup_by_url(self, env):
         stub = naming_lookup(env.network, "sim://server:1099/counter")
         assert stub.current() == 0
+
+    def test_bind_by_url_closes_every_channel_it_opened(self, env,
+                                                        monkeypatch):
+        """Only the binder's own dials count: the server's loopback
+        client for the bound stub is the server's to keep."""
+        opened = []
+        connect = env.network.connect
+
+        def recording_connect(address, from_host="client"):
+            channel = connect(address, from_host)
+            if from_host == "binder":
+                opened.append(channel)
+            return channel
+
+        stub = env.client.lookup("counter")
+        monkeypatch.setattr(env.network, "connect", recording_connect)
+        naming_bind(env.network, "sim://server:1099/again", stub,
+                    from_host="binder")
+        assert opened
+        for channel in opened:
+            with pytest.raises(ConnectionClosedError):
+                channel.request(b"")
+        assert env.client.lookup("again").increment(3) == 3
+        assert stub.current() == 3
 
 
 class TestTransportFailures:
