@@ -16,7 +16,7 @@ cluster layer adds over a single server:
    with a typed ``WrongShardError`` before any traffic goes astray.
 
 For a real multi-process deployment of the same thing, see
-``python -m repro.cluster serve --shards 3`` (and ``repro.obs top``
+``python -m repro.aio serve --shards 3`` (and ``repro.obs top``
 against its admin address).
 
 Run:  python examples/cluster_tour.py

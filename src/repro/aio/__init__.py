@@ -20,7 +20,7 @@ Entry points:
 - :class:`Supervisor` — the one process-group supervisor, in two
   layouts: ``procs=N`` / ``python -m repro.aio serve --procs N`` (N
   worker processes sharing one listening port via ``SO_REUSEPORT``) and
-  ``shards=N`` / ``python -m repro.cluster serve --shards N`` (one
+  ``shards=N`` / ``python -m repro.aio serve --shards N`` (one
   ``--shard i/N`` process per shard, a port each); either way per-child
   metrics merge into one report.
 """

@@ -12,14 +12,15 @@ share a GIL:
   it drains gracefully (in-flight requests finish) before printing a
   final ``METRICS <snapshot>`` line for the aio transport.
 
-  ``--procs N`` (N > 1) switches to multi-core serving: a supervisor
-  spawns N worker processes sharing the port via ``SO_REUSEPORT`` (one
-  ``PROCS`` line reports the effective mode — platforms without the
-  option fall back to a single acceptor).  On shutdown the supervisor
-  forwards SIGTERM to the workers, reaps them, and merges their per-pid
-  metrics dumps into ``--metrics-json``.  That foreground loop is
-  :func:`serve_group`, which ``python -m repro.cluster serve`` runs too
-  (over the supervisor's other layout, with its own announce lines).
+  ``--procs N`` (N > 1) or ``--shards N`` runs a process group in the
+  foreground (:class:`~repro.aio.supervisor.Supervisor`): N workers
+  sharing the port via ``SO_REUSEPORT`` (``ADDRESS``, then ``PROCS n
+  mode=... pids=...``; platforms without the option fall back to a
+  single acceptor), or one ``--shard i/N`` server per shard, a port each
+  (``SHARDS n``, then ``ADDRESSES a,...`` in shard order).  On shutdown
+  the children drain and their metrics dumps (kept in ``--metrics-dir``)
+  merge into ``--metrics-json``; a child that dies first ends the group
+  with ``WORKER_DIED`` or ``SHARD_DIED`` and exit status 1.
 
 ``load`` — drive an address with the multi-client harness::
 
@@ -36,8 +37,8 @@ share a GIL:
   ``--admin-port PORT|auto`` (serve only) turns on the live
   introspection plane: a side-port admin endpoint
   (:mod:`repro.obs.live`) announced as a second stdout line ``ADMIN
-  tcp://...``.  With ``--procs`` the supervisor aggregates every
-  worker's endpoint behind one cluster address.  Poll either with
+  tcp://...``.  In a group the supervisor aggregates every child's
+  endpoint behind one address.  Poll either with
   ``python -m repro.obs top|health|snapshot``.
 
 Observability (both subcommands): ``--trace FILE`` installs a tracer and
@@ -186,28 +187,6 @@ def _wait(stop_event: threading.Event, alive=None) -> bool:
     return True
 
 
-def serve_group(supervisor, args, announce, died: str) -> int:
-    """Run a started process group in the foreground.
-
-    Prints the *announce* lines, serves until a stop is requested
-    (SIGTERM/SIGINT, stdin EOF) or a child dies, then drains the group,
-    writes its merged registry to ``--metrics-json`` and — if a child
-    died first — prints *died* and returns 1.  The one serve loop of
-    ``serve --procs`` and ``python -m repro.cluster serve``.
-    """
-    stop_event = threading.Event()
-    _install_shutdown_signals(stop_event)
-    _watch_stdin(stop_event)
-    for line in announce:
-        print(line, flush=True)
-    clean = _wait(stop_event, alive=supervisor.alive)
-    _dump_metrics(supervisor.stop(), args)
-    if not clean:
-        print(died, flush=True)
-        return 1
-    return 0
-
-
 def _shard_identity(args):
     """``--shard i/N`` resolved to (label, shard_home) or (\"\", None).
 
@@ -229,14 +208,8 @@ def _shard_identity(args):
 
 
 def _serve(args) -> int:
-    if args.procs > 1:
-        if getattr(args, "shard", None):
-            raise SystemExit(
-                "--shard and --procs are different planes: shards are "
-                "spawned by python -m repro.cluster serve; --procs "
-                "multiplies one shard's acceptors"
-            )
-        return _serve_procs(args)
+    if args.procs > 1 or args.shards:
+        return _serve_group(args)
     shard, shard_home = _shard_identity(args)
     admin_port = args.admin_port
     tracer = _tracer_for(args)
@@ -317,28 +290,55 @@ def _serve(args) -> int:
     return 0
 
 
-def _serve_procs(args) -> int:
-    if args.trace:
-        raise SystemExit(
-            "--trace is per-process; with --procs run workers directly "
-            "(serve --reuseport --port N --trace FILE) to trace one"
-        )
+def _serve_group(args) -> int:
+    """Run a ``--procs N`` or ``--shards N`` group in the foreground
+    until a stop is requested (SIGTERM/SIGINT, stdin EOF) or a child
+    dies, then drain it and write its merged ``--metrics-json``."""
+    group = "--shards" if args.shards else "--procs"
+    for clash, why in (
+        (args.shards and args.procs > 1, "--procs: pick one layout"),
+        (args.shard, "--shard i/N: it serves one member of a cluster"),
+        (args.shards and args.port,
+         "--port: each shard takes an ephemeral port"),
+        (args.trace, "--trace: tracing is per-process; serve one child "
+                     "directly (--reuseport --port N or --shard i/N)"),
+    ):
+        if clash:
+            raise SystemExit(f"{group} N cannot take {why}")
     from repro.aio.supervisor import Supervisor
 
+    layout = ({"shards": args.shards} if args.shards
+              else {"procs": args.procs, "port": args.port})
     supervisor = Supervisor(
-        procs=args.procs, transport=args.transport, port=args.port,
+        **layout, transport=args.transport,
         workers=args.workers, queue_depth=args.queue_depth,
         exec_workers=args.exec_workers,
-        metrics_dir=args.procs_metrics_dir or None,
+        metrics_dir=args.metrics_dir or None,
         admin=args.admin_port,
     ).start()
-    announce = [f"ADDRESS {supervisor.address}"]
-    if args.admin_port is not None:
-        announce.append(f"ADMIN {supervisor.admin_address}")
-    mode = "reuseport" if supervisor.reuseport else "single-acceptor"
-    pids = ",".join(str(pid) for pid in supervisor.pids)
-    announce.append(f"PROCS {supervisor.procs} mode={mode} pids={pids}")
-    return serve_group(supervisor, args, announce, "WORKER_DIED")
+    admin = ([] if args.admin_port is None
+             else [f"ADMIN {supervisor.admin_address}"])
+    if args.shards:
+        announce = [f"SHARDS {supervisor.procs}",
+                    f"ADDRESSES {','.join(supervisor.addresses)}", *admin]
+        died = "SHARD_DIED"
+    else:
+        mode = "reuseport" if supervisor.reuseport else "single-acceptor"
+        pids = ",".join(str(pid) for pid in supervisor.pids)
+        announce = [f"ADDRESS {supervisor.address}", *admin,
+                    f"PROCS {supervisor.procs} mode={mode} pids={pids}"]
+        died = "WORKER_DIED"
+    stop_event = threading.Event()
+    _install_shutdown_signals(stop_event)
+    _watch_stdin(stop_event)
+    for line in announce:
+        print(line, flush=True)
+    clean = _wait(stop_event, alive=supervisor.alive)
+    _dump_metrics(supervisor.stop(), args)
+    if not clean:
+        print(died, flush=True)
+        return 1
+    return 0
 
 
 def _load(args) -> int:
@@ -418,6 +418,10 @@ def main(argv=None) -> int:
     serve.add_argument("--procs", type=group_size, default=1,
                        help="worker processes sharing the port via "
                             "SO_REUSEPORT (default 1: serve in-process)")
+    serve.add_argument("--shards", type=group_size, default=None,
+                       metavar="N",
+                       help="serve a shard cluster: one serve --shard i/N "
+                            "process per shard, each on its own port")
     serve.add_argument("--shard", default=None, metavar="i/N",
                        help="serve as shard i of an N-shard cluster: mint "
                             "shard-stamped refs, guard the registry with "
@@ -426,8 +430,8 @@ def main(argv=None) -> int:
     serve.add_argument("--reuseport", action="store_true",
                        help="join the port's reuseport listener group "
                             "(what supervised workers do)")
-    serve.add_argument("--procs-metrics-dir", default=None, metavar="DIR",
-                       help="keep per-pid worker metrics dumps in DIR "
+    serve.add_argument("--metrics-dir", default=None, metavar="DIR",
+                       help="keep every group child's metrics dump in DIR "
                             "(default: a temp dir removed after the merge)")
     serve.add_argument("--admin-port", type=port_or_auto, default=None,
                        metavar="PORT",

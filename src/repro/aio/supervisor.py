@@ -102,14 +102,13 @@ class Supervisor:
     effective count (1 in single-acceptor fallback).  *transport*,
     *workers* (pool size **per process**), *queue_depth* (per process)
     and *exec_workers* mirror ``python -m repro.aio serve``.
-    *metrics_dir* is where per-child registry dumps land (a temp dir by
-    default, removed after the merge).  *host*/*port* pick the shared
-    address of a reuseport group (port 0 reserves an ephemeral one;
-    shards always take an ephemeral port each) and
-    *force_single_acceptor* opts it into the no-reuseport fallback even
-    where the option exists (tests).  *admin* turns on the live
-    introspection plane (:mod:`repro.obs.live`): each child serves its
-    own admin endpoint, the supervisor learns the addresses
+    *metrics_dir* is where per-child registry dumps land (created if
+    missing; a temp dir by default, removed after the merge).
+    *host*/*port* pick the shared address of a reuseport group (port 0
+    reserves an ephemeral one; shards always take an ephemeral port
+    each).  *admin* turns on the live introspection plane
+    (:mod:`repro.obs.live`): each child serves its own admin endpoint,
+    the supervisor learns the addresses
     (:attr:`admin_addresses`) and serves the group aggregation at
     :attr:`admin_address` — ``True`` for an ephemeral port, an int for a
     fixed one.
@@ -121,18 +120,16 @@ class Supervisor:
                  workers: int = DEFAULT_MAX_WORKERS,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  exec_workers: int = None,
-                 metrics_dir=None, force_single_acceptor: bool = False,
-                 admin: bool = False):
+                 metrics_dir=None, admin: bool = False):
         if (procs is None) == (shards is None):
             raise ValueError("pass exactly one of procs= (reuseport group) "
                              "or shards= (shard cluster)")
         #: The cluster's name -> shard placement (``None`` for ``procs``).
         self.shard_map = None
         if shards is not None:
-            if port or force_single_acceptor:
-                raise ValueError("port and force_single_acceptor belong to "
-                                 "the procs layout; shards take an "
-                                 "ephemeral port each")
+            if port:
+                raise ValueError("port belongs to the procs layout; shards "
+                                 "take an ephemeral port each")
             from repro.cluster.shardmap import ShardMap
 
             self.shard_map = ShardMap(shards)
@@ -140,7 +137,7 @@ class Supervisor:
             self._procs = shards
         elif procs < 1:
             raise ValueError(f"procs must be >= 1: {procs}")
-        elif HAS_REUSEPORT and not force_single_acceptor:
+        elif HAS_REUSEPORT:
             self._layout = _PROCS
             self._procs = procs
         else:
@@ -233,15 +230,16 @@ class Supervisor:
         each to report the address it listens on."""
         if self._children:
             raise RuntimeError("supervisor already started")
+        if self._metrics_dir is None:
+            self._metrics_dir = tempfile.mkdtemp(prefix="repro-procs-")
+        self._metrics_dir = str(self._metrics_dir)
+        os.makedirs(self._metrics_dir, exist_ok=True)
         port = self._port
         if self._layout.reuseport:
             # The placeholder stays bound (not listening) for the whole
             # run: it pins the port for late (re)joiners without ever
             # receiving a connection itself.
             self._placeholder, port = reserve_reuseport(self._host, port)
-        if self._metrics_dir is None:
-            self._metrics_dir = tempfile.mkdtemp(prefix="repro-procs-")
-        self._metrics_dir = str(self._metrics_dir)
         try:
             for index in range(self._procs):
                 self._children.append(self._spawn(port, index))

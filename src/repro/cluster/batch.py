@@ -68,11 +68,8 @@ from repro.rmi.stub import Stub
 
 #: Synthetic spec for the executor's export pseudo-op: a value result
 #: whose payload is the target itself (marshalled to its RemoteRef).
-#: ``parallel_safe``: the export only reads the batch-local object
-#: table, so a split point never forces a shard's sub-batch serial —
-#: intra-shard chains still parallelize under scatter-gather.
 EXPORT_SPEC = MethodSpec(name=EXPORT_OP, returns_kind="value",
-                         returns_interface=None, parallel_safe=True)
+                         returns_interface=None)
 
 
 class ClusterBatch:

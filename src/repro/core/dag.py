@@ -115,6 +115,9 @@ def analyze_batch(invocations, policy) -> BatchDag:
     if not is_continue_kind(policy):
         return ineligible(REASON_POLICY)
     for inv in invocations:
+        # The export pseudo-op only reads the batch-local object table,
+        # so a cluster split point never forces a shard's sub-batch
+        # serial: intra-shard chains still parallelize.
         if inv.method != EXPORT_OP and not method_parallel_safe(inv.method):
             return ineligible(REASON_UNSAFE)
     if any(invocations[start].in_cursor for start, _end in units):

@@ -279,8 +279,10 @@ class FaultyChannel(Channel):
         )
 
     def charge(self, kind: str, count: int = 1) -> None:
-        # Delegate so the simulator still prices middleware CPU into
-        # virtual time when it is the wrapped transport.
+        # Book on this wrapper (the channel whose stats the client
+        # reads), then delegate so the simulator still prices middleware
+        # CPU into virtual time when it is the wrapped transport.
+        super().charge(kind, count)
         self._inner.charge(kind, count)
 
     def close(self) -> None:

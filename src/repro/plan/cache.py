@@ -87,7 +87,6 @@ class PlanEntry:
     digest: str
     inline_cost: int
     invoke_cost: int
-    hits: int = 0
     dag: object = None
 
     @property
@@ -148,7 +147,6 @@ class PlanCache:
                 self.stats.add("misses")
                 return None
             self._entries.move_to_end(digest)
-            entry.hits += 1
             self.stats.record_hit(entry.saving_per_hit)
             return entry
 

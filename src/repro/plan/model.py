@@ -317,33 +317,29 @@ def _sources(items, param_count, constants):
     return tuple(sources)
 
 
-def _is_constant(value) -> bool:
-    """Whether *value* holds neither a slot nor a mutable set."""
+def _nodes(value):
+    """*value* and everything inside it, depth first: the items of
+    lists, tuples, sets and frozensets, and a dict's values (never its
+    keys, which compilation keeps literal)."""
     stack = [value]
     while stack:
         item = stack.pop()
-        if isinstance(item, (ParamSlot, set)):
-            return False
-        if isinstance(item, (list, tuple, frozenset)):
+        yield item
+        if isinstance(item, (list, tuple, set, frozenset)):
             stack.extend(item)
         elif isinstance(item, dict):
             stack.extend(item.values())
-    return True
+
+
+def _is_constant(value) -> bool:
+    """Whether *value* holds neither a slot nor a mutable set."""
+    return not any(isinstance(item, (ParamSlot, set))
+                   for item in _nodes(value))
 
 
 def _slots_in(value):
     """All ParamSlot markers reachable in an argument structure."""
-    slots = []
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, ParamSlot):
-            slots.append(item)
-        elif isinstance(item, (list, tuple, set, frozenset)):
-            stack.extend(item)
-        elif isinstance(item, dict):
-            stack.extend(item.values())
-    return slots
+    return [item for item in _nodes(value) if isinstance(item, ParamSlot)]
 
 
 def params_carry_refs(params) -> bool:
@@ -355,13 +351,4 @@ def params_carry_refs(params) -> bool:
     cached DAG has never seen.  The runtime re-analyzes (or serializes)
     such invocations instead of trusting the cached schedule.
     """
-    stack = [params]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, ArgRef):
-            return True
-        if isinstance(item, (list, tuple, set, frozenset)):
-            stack.extend(item)
-        elif isinstance(item, dict):
-            stack.extend(item.values())
-    return False
+    return any(isinstance(item, ArgRef) for item in _nodes(params))

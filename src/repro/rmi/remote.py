@@ -188,9 +188,6 @@ class MethodSpec:
     returns_kind: str
     returns_interface: Optional[str]  # qualified name when remote/cursor
     doc: str = ""
-    #: Declared via ``@remote_method(parallel_safe=True)``; lets the DAG
-    #: scheduler run the method concurrently with others (default: no).
-    parallel_safe: bool = False
 
     def __post_init__(self):
         if self.returns_kind not in ("value", "remote", "cursor"):
@@ -265,7 +262,6 @@ def _interface_table(iface) -> "Mapping[str, MethodSpec]":
             returns_kind=kind,
             returns_interface=target,
             doc=inspect.getdoc(member) or "",
-            parallel_safe=bool(getattr(member, "__parallel_safe__", False)),
         )
     return MappingProxyType(specs)
 

@@ -1,4 +1,4 @@
-"""Process groups: the one supervisor, its two layouts, and their CLIs.
+"""Process groups: the one supervisor, its two layouts, and its CLI.
 
 Covers a reuseport worker group behind one address (``procs=N``) and a
 shard cluster with one address per shard (``shards=N``) end to end:
@@ -175,12 +175,11 @@ class TestSupervisor:
         assert supervisor.labels == ("0/2", "1/2")
 
     @pytest.mark.slow
-    def test_single_acceptor_fallback_still_serves(self):
+    def test_single_acceptor_fallback_still_serves(self, monkeypatch):
         """Where SO_REUSEPORT is unavailable the group degrades to one
         acceptor — same CLI, same merge plumbing, procs forced to 1."""
-        supervisor = Supervisor(
-            procs=3, workers=8, queue_depth=64, force_single_acceptor=True
-        )
+        monkeypatch.setattr("repro.aio.supervisor.HAS_REUSEPORT", False)
+        supervisor = Supervisor(procs=3, workers=8, queue_depth=64)
         with supervisor:
             assert not supervisor.reuseport
             assert supervisor.procs == 1
@@ -190,6 +189,18 @@ class TestSupervisor:
         snapshot = merged.snapshot()
         assert snapshot["procs.up"] == 1
         assert snapshot["server.requests"] == expected
+
+    @pytest.mark.slow
+    def test_a_missing_metrics_dir_is_created(self, tmp_path):
+        """Children dump into a directory that did not exist yet; none
+        of their books is lost."""
+        metrics_dir = tmp_path / "not" / "yet"
+        supervisor = Supervisor(shards=2, workers=8, queue_depth=64,
+                                metrics_dir=metrics_dir)
+        with supervisor:
+            merged = supervisor.stop()
+        assert merged.snapshot()["procs.up"] == 2
+        assert len(list(metrics_dir.glob("metrics-*.json"))) == 2
 
     def test_stop_before_start_is_a_clean_empty_merge(self):
         _check_stop_before_start(PROCS)
@@ -403,14 +414,13 @@ class TestAdminPlane:
 
 
 class TestServeCLIDrain:
-    def _spawn_serve(self, tmp_path, *extra, module="repro.aio",
-                     tag="ADDRESS"):
-        """Start ``python -m <module> serve``; returns the process, the
+    def _spawn_serve(self, tmp_path, *extra, tag="ADDRESS"):
+        """Start ``python -m repro.aio serve``; returns the process, the
         value of its first stdout line (a *tag* line) and the path its
         merged ``--metrics-json`` will land at."""
         metrics = tmp_path / "metrics.json"
         proc = subprocess.Popen(
-            [sys.executable, "-m", module, "serve",
+            [sys.executable, "-m", "repro.aio", "serve",
              "--workers", "8", "--queue-depth", "64",
              "--metrics-json", str(metrics), *extra],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -466,7 +476,7 @@ class TestServeCLIDrain:
     def test_procs_cli_merges_per_pid_dumps_on_sigterm(self, tmp_path):
         proc, address, metrics = self._spawn_serve(
             tmp_path, "--procs", "2",
-            "--procs-metrics-dir", str(tmp_path),
+            "--metrics-dir", str(tmp_path),
         )
         procs_line = proc.stdout.readline().strip()
         assert procs_line.startswith("PROCS 2 mode=reuseport "), procs_line
@@ -497,10 +507,10 @@ class TestServeCLIDrain:
 
     @pytest.mark.slow
     def test_cluster_cli_merges_per_shard_dumps_on_sigterm(self, tmp_path):
-        """The same drain through ``python -m repro.cluster serve``."""
+        """The same drain through ``serve --shards``."""
         proc, shards, metrics = self._spawn_serve(
             tmp_path, "--shards", "2", "--metrics-dir", str(tmp_path),
-            module="repro.cluster", tag="SHARDS",
+            tag="SHARDS",
         )
         assert shards == "2"
         addresses_line = proc.stdout.readline().strip()
@@ -528,15 +538,15 @@ class TestServeCLIDrain:
 
 
 class TestCLIUsageErrors:
-    """A bad group size or admin port is a usage error on every CLI —
-    not a traceback, and not a silent in-process serve."""
+    """A bad group size or admin port is a usage error — not a
+    traceback, and not a silent in-process serve — and flags that do
+    not make one group layout exit naming the conflict."""
 
     @pytest.mark.parametrize("module, argv", [
         ("repro.aio.__main__", ["serve", "--procs", "0"]),
         ("repro.aio.__main__", ["load", "--procs", "-1"]),
         ("repro.aio.__main__", ["serve", "--admin-port", "foo"]),
-        ("repro.cluster.__main__", ["serve", "--shards", "0"]),
-        ("repro.cluster.__main__", ["serve", "--admin-port", "foo"]),
+        ("repro.aio.__main__", ["serve", "--shards", "0"]),
     ])
     def test_bad_value_exits_with_the_usage_message(self, module, argv,
                                                     capsys):
@@ -549,3 +559,18 @@ class TestCLIUsageErrors:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"argument {argv[1]}: wants" in err
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--procs", "2"], "--procs"),
+        (["--shard", "0/2"], "--shard"),
+        (["--port", "5000"], "--port"),
+        (["--trace", "f"], "--trace"),
+    ])
+    def test_a_conflicting_layout_exits_naming_the_conflict(self, extra,
+                                                             named):
+        from repro.aio.__main__ import main
+
+        with pytest.raises(SystemExit) as caught:
+            main(["serve", "--shards", "2", *extra])
+        message = str(caught.value.code)
+        assert message.startswith(f"--shards N cannot take {named}"), message

@@ -6,10 +6,13 @@ import threading
 
 import pytest
 
+from repro.apps.noop import NoOpImpl
+from repro.core import create_batch
 from repro.net import FaultSchedule, FaultyNetwork
 from repro.net.conditions import FREE_CPU, LOCALHOST
 from repro.net.sim import SimNetwork
 from repro.net.transport import ConnectionClosedError
+from repro.rmi import RMIClient, RMIServer
 
 ADDRESS = "sim://s:1"
 DROPS = ("drop-request",)
@@ -127,3 +130,28 @@ class TestConcurrency:
         assert total == expected
         assert schedule.injected == expected
         assert schedule.history == serial.history
+
+
+class TestChargeBooks:
+    def test_a_client_behind_the_wrapper_books_what_a_plain_one_does(self):
+        """Charges land on the channel the client holds, the wrapper."""
+        def one_batch(wrap):
+            network = SimNetwork(LOCALHOST)
+            try:
+                RMIServer(network, ADDRESS).start().bind("noop", NoOpImpl())
+                client = RMIClient(wrap(network), ADDRESS)
+                batch = create_batch(client.lookup("noop"))
+                for _ in range(3):
+                    batch.noop()
+                batch.flush()
+                client.close()
+                return client.stats.snapshot()
+            finally:
+                network.close()
+
+        plain = one_batch(lambda network: network)
+        wrapped = one_batch(
+            lambda network: FaultyNetwork(network, FaultSchedule()))
+        assert plain.charges == {
+            "stub_create": 1, "proxy_create": 1, "batch_record": 3}
+        assert wrapped == plain
