@@ -21,6 +21,7 @@ from repro import (
 from repro.apps.fileserver import make_directory
 from repro.bench.harness import Experiment, Series
 from repro.net.clock import Stopwatch
+from repro.plan.runtime import plan_runtime_of
 
 FLUSHES = 100
 FILE_CALLS = 24          # get_file + get_name per file
@@ -75,7 +76,7 @@ def run_workload(conditions, reuse):
         watch = Stopwatch(network.clock)
         per_flush = [flush_once(stub, client, reuse) for _ in range(FLUSHES)]
         elapsed_ms = watch.elapsed_ms()
-        plan_stats = server.plan_cache.stats.snapshot()
+        plan_stats = plan_runtime_of(server).cache.stats.snapshot()
         return per_flush, elapsed_ms, plan_stats
     finally:
         network.close()

@@ -22,6 +22,7 @@ from repro.bench import (
     run_model_comparison,
     summarize_speedups,
 )
+from repro.plan.runtime import plan_runtime_of
 
 
 def main(argv):
@@ -67,7 +68,7 @@ def render_plan_cache_demo(flushes: int = 50) -> str:
         for future in sizes:
             future.get()
         per_flush.append(client.stats.bytes_sent - before)
-    snap = server.plan_cache.stats.snapshot()
+    snap = plan_runtime_of(server).cache.stats.snapshot()
     memo = client.plan_memo
     network.close()
     return (

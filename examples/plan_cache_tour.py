@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.apps.fileserver import make_directory
 from repro.net.clock import Stopwatch
+from repro.plan.runtime import plan_runtime_of
 
 FLUSHES = 100
 FILES = 25  # get_file + length per file -> a 50-invocation batch
@@ -44,7 +45,7 @@ def run(conditions, reuse):
         per_flush.append(client.stats.bytes_sent - before)
     elapsed_ms = watch.elapsed_ms()
 
-    cache_snapshot = server.plan_cache.stats.snapshot()
+    cache_snapshot = plan_runtime_of(server).cache.stats.snapshot()
     memo = client.plan_memo
     network.close()
     return per_flush, elapsed_ms, cache_snapshot, memo, total

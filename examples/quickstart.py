@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 
 from repro import LAN, ContinuePolicy, RMIClient, RMIServer, SimNetwork, create_batch
 from repro.apps.fileserver import AccessDeniedError, make_directory
+from repro.plan.runtime import plan_runtime_of
 
 
 def main():
@@ -68,7 +69,7 @@ def main():
         batch.flush()
         size.get()
         per_flush.append(client.stats.bytes_sent - before)
-    cache = server.plan_cache.stats.snapshot()
+    cache = plan_runtime_of(server).cache.stats.snapshot()
     print(
         f"plans: flush bytes {per_flush} "
         f"(cache: {cache.hits} hits, {cache.installs} install)"

@@ -1,4 +1,6 @@
-"""Server-side batch execution: the ``invokeBatch`` replay engine.
+"""Server-side batch execution: the ``invokeBatch`` replay engine, the
+``__invoke_batch__`` pseudo-method it registers with the RMI dispatcher
+when imported, and :func:`executor_of`, a core's executor.
 
 Implements the pseudocode of the paper's Figure 2, extended with the full
 feature set of §3–§4:
@@ -91,8 +93,10 @@ from repro.core.session import SessionStore
 from repro.net.conditions import CHARGE_BATCH_OP, CHARGE_BATCH_SETUP
 from repro.obs.context import _activate, _deactivate, current_span
 from repro.obs.tracer import current_tracer
+from repro.rmi.dispatch import register_pseudo_method
 from repro.rmi.exceptions import NoSuchMethodError
 from repro.rmi.marshal import marshal, unmarshal
+from repro.rmi.protocol import INVOKE_BATCH
 from repro.rmi.remote import RemoteObject, interface_names, methods_of
 from repro.rmi.stub import Stub
 from repro.wire.refs import RemoteRef
@@ -835,3 +839,22 @@ class _NoRestart:
         if action == ExceptionAction.RESTART:
             return ExceptionAction.BREAK
         return action
+
+
+def executor_of(core) -> BatchExecutor:
+    """*core*'s batch executor, built on first use with its
+    ``exec_workers`` (racing first uses keep the first one stored)."""
+    executor = core.layers.get("executor")
+    if executor is None:
+        executor = core.layers.setdefault(
+            "executor", BatchExecutor(core, core.exec_workers))
+    return executor
+
+
+def _serve_batch(core, request):
+    """``__invoke_batch__``: replay a recorded batch on its root object."""
+    target = core.objects.lookup(request.object_id)
+    return executor_of(core).invoke_batch(target, *request.args)
+
+
+register_pseudo_method(INVOKE_BATCH, 4, _serve_batch)

@@ -66,8 +66,8 @@ def bind_server(registry: MetricsRegistry, server,
     """Publish everything one :class:`~repro.rmi.server.RMIServer` knows:
     traffic, dedup, runtime metrics (aio), and — once they exist — the
     plan cache and the scheduler.  The listener, the plan runtime and
-    the batch executor are created lazily, so they are read from their
-    private slots, never through the properties that would force them.
+    the batch executor are created lazily, so they are read where they
+    are kept (the last two in ``server.layers``), never built here.
     """
     sources = {
         prefix: lambda: getattr(
@@ -75,9 +75,9 @@ def bind_server(registry: MetricsRegistry, server,
         f"{prefix}.dedup": lambda: server.dedup,
         f"{prefix}.runtime": lambda: server.metrics,
         f"{prefix}.plan_cache": lambda: (
-            server._plan_runtime and server._plan_runtime.cache.stats),
+            (plan := server.layers.get("plan")) and plan.cache.stats),
         f"{prefix}.scheduler": lambda: (
-            server._batch_executor and server._batch_executor.scheduler),
+            (ex := server.layers.get("executor")) and ex.scheduler),
     }
     for name, source in sources.items():
         bind(registry, name, source)

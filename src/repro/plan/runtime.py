@@ -1,5 +1,6 @@
 """Server-side plan execution: the ``__invoke_plan__`` / ``__install_plan__``
-pseudo-methods.
+pseudo-methods, registered with the RMI dispatcher when this module is
+imported; :func:`plan_runtime_of` is a core's runtime.
 
 The runtime sits between the RMI dispatcher and the ordinary
 :class:`~repro.core.executor.BatchExecutor`.  A hit binds the cached
@@ -21,10 +22,15 @@ captured at install time.
 from __future__ import annotations
 
 from repro.core.dag import analyze_batch
+from repro.core.executor import executor_of
 from repro.core.recording import validate_batch
 from repro.obs.tracer import current_tracer
+from repro.plan.cache import DEFAULT_PLAN_CAPACITY, PlanCache
 from repro.plan.model import BatchPlan, params_carry_refs, plan_hash
-from repro.rmi.exceptions import MarshalError, PlanNotFoundError
+from repro.rmi.dispatch import register_pseudo_method
+from repro.rmi.exceptions import MarshalError, NoSuchObjectError
+from repro.rmi.exceptions import PlanInvalidatedError, PlanNotFoundError
+from repro.rmi.protocol import INSTALL_PLAN, INVOKE_PLAN
 from repro.wire import encode
 
 
@@ -97,3 +103,47 @@ class PlanRuntime:
     def _mark_plan(digest: str, outcome: str) -> None:
         """Zero-duration trace marker: how this request met the cache."""
         current_tracer().event("server.plan", digest=digest, outcome=outcome)
+
+
+def plan_runtime_of(core) -> PlanRuntime:
+    """*core*'s plan runtime, built on first use over its batch executor
+    and a cache of the core's ``plan_capacity``."""
+    runtime = core.layers.get("plan")
+    if runtime is None:
+        capacity = core.plan_capacity
+        cache = PlanCache(
+            DEFAULT_PLAN_CAPACITY if capacity is None else capacity)
+        runtime = core.layers.setdefault(
+            "plan", PlanRuntime(executor_of(core), cache))
+    return runtime
+
+
+def _serve_invoke(core, request):
+    """``__invoke_plan__``: run a cached plan on its root object.
+
+    A missing root becomes the typed :class:`PlanInvalidatedError`
+    rather than a bare ``NoSuchObjectError``: the client's cached plan
+    (and memo entry) point at an object that no longer exists, and the
+    typed error is what lets it tell "re-record against a fresh root"
+    from transient middleware failures.  Only this method converts: an
+    install (and the inline path) carries the full script, so nothing
+    cached went stale and ``NoSuchObjectError`` keeps its meaning.
+    """
+    runtime = plan_runtime_of(core)
+    digest, params = request.args
+    try:
+        target = core.objects.lookup(request.object_id)
+    except NoSuchObjectError:
+        raise PlanInvalidatedError(
+            digest if isinstance(digest, str) else "?") from None
+    return runtime.invoke(target, digest, params)
+
+
+def _serve_install(core, request):
+    """``__install_plan__``: cache an uploaded plan and run it."""
+    return plan_runtime_of(core).install(
+        core.objects.lookup(request.object_id), *request.args)
+
+
+register_pseudo_method(INVOKE_PLAN, 2, _serve_invoke)
+register_pseudo_method(INSTALL_PLAN, 2, _serve_install)

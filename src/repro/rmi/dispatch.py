@@ -3,7 +3,8 @@
 :class:`RMICore` owns everything a server needs *except* a listener: the
 exported-object table, the naming registry at object id 0, the marshalling
 context, and the request dispatcher that routes ordinary calls and the
-batching pseudo-methods (``__invoke_batch__``, ``__invoke_plan__``,
+pseudo-methods the layers above register (the batch layer's
+``__invoke_batch__``, the plan layer's ``__invoke_plan__`` and
 ``__install_plan__``).
 
 The single entry point is :meth:`RMICore.handle` — bytes in, bytes out,
@@ -13,12 +14,12 @@ a test calling it directly) may invoke it concurrently.  All shared state
 behind it is individually locked: the object table, the plan cache, the
 session store, and the loopback-client map.
 
+The core knows nothing of batching: each layer registers its
+pseudo-methods when imported and keeps what it builds in ``layers``.
+
 Both server front-ends build on this core: :class:`~repro.rmi.server.
 RMIServer` adds a synchronous listener lifecycle, and the asyncio runtime
 (:mod:`repro.aio`) drives the same core from its bounded worker pool.
-
-The executor is imported lazily so the RMI substrate stays usable without
-the batching layer (and to keep the package dependency graph acyclic).
 """
 
 from __future__ import annotations
@@ -35,19 +36,10 @@ from repro.rmi.exceptions import (
     CommunicationError,
     MarshalError,
     NoSuchMethodError,
-    NoSuchObjectError,
-    PlanInvalidatedError,
 )
 from repro.rmi.marshal import MarshalContext, marshal, unmarshal
 from repro.rmi.objects import ObjectTable
-from repro.rmi.protocol import (
-    INVOKE_BATCH,
-    INVOKE_PLAN,
-    PSEUDO_METHODS,
-    REGISTRY_OBJECT_ID,
-    CallRequest,
-    CallResponse,
-)
+from repro.rmi.protocol import REGISTRY_OBJECT_ID, CallRequest, CallResponse
 from repro.rmi.registry import RegistryImpl
 from repro.rmi.remote import interface_names, methods_of
 from repro.rmi.stub import Stub
@@ -60,6 +52,21 @@ DEFAULT_DEDUP_CAPACITY = 4096
 
 #: Seconds a duplicate waits for the original execution to finish.
 DEFAULT_DEDUP_WAIT = 30.0
+
+#: Pseudo-method name -> ``(arity, serve)``, filled by the layers above.
+_pseudo_methods = {}
+
+
+def register_pseudo_method(name: str, arity: int, serve) -> None:
+    """Make *name* callable on every exported object of every core.
+
+    A request for it is answered by ``serve(core, request)``, but only
+    with exactly *arity* positional arguments: only the protocol's own
+    fields reach *serve*, so a hostile extra positional (e.g. the
+    executor's internal ``validated`` flag) cannot be injected from the
+    wire.
+    """
+    _pseudo_methods[name] = (arity, serve)
 
 
 class _DedupEntry:
@@ -200,20 +207,24 @@ class RMICore(MarshalContext):
                  exec_workers: int = None):
         self._network = network
         self._address = address
-        self._plan_capacity = plan_capacity
-        self._exec_workers = exec_workers
+        #: Configuration of the layers built on first use.
+        self.plan_capacity = plan_capacity
+        self.exec_workers = exec_workers
         self._shard = shard
         self.host = host_of(address)
-        self._objects = ObjectTable(address, shard=shard)
+        #: The exported-object table.
+        self.objects = ObjectTable(address, shard=shard)
         self._registry = RegistryImpl(shard=shard, home_of=shard_home)
         self._loopback_clients = {}
-        self._batch_executor = None
-        self._plan_runtime = None
+        #: What the layers above keep per core, by the layer's key, each
+        #: built by that layer's accessor on first use (``get`` never
+        #: builds); :meth:`RMIServer.stop` closes them.
+        self.layers = {}
         self._charge_sink = None
         self._dedup = DedupWindow()
         self._lock = threading.Lock()
         # The registry must land at the well-known id before anything else.
-        ref = self._objects.export(self._registry)
+        ref = self.objects.export(self._registry)
         assert ref.object_id == REGISTRY_OBJECT_ID
 
     # -- identity --------------------------------------------------------
@@ -232,23 +243,18 @@ class RMICore(MarshalContext):
         """Direct (local) access to the naming registry."""
         return self._registry
 
-    @property
-    def objects(self) -> ObjectTable:
-        """The exported-object table (tests and the executor use this)."""
-        return self._objects
-
     def _adopt_address(self, address: str) -> None:
         """Adopt the transport-resolved address (ephemeral-port support),
         so refs minted afterwards carry the reachable endpoint."""
         self._address = address
         self.host = host_of(address)
-        self._objects._endpoint = address
+        self.objects._endpoint = address
 
     # -- exporting and binding -------------------------------------------
 
     def export(self, obj) -> RemoteRef:
         """Make *obj* remotely reachable; idempotent per object."""
-        return self._objects.export(obj)
+        return self.objects.export(obj)
 
     def bind(self, name: str, obj) -> RemoteRef:
         """Export *obj* and register it in the naming service."""
@@ -378,9 +384,15 @@ class RMICore(MarshalContext):
         return self._encode_response(response)
 
     def _dispatch(self, request: CallRequest):
-        if request.method in PSEUDO_METHODS:
-            return self._dispatch_pseudo(request)
-        target = self._objects.lookup(request.object_id)
+        pseudo = _pseudo_methods.get(request.method)
+        if pseudo is not None:
+            arity, serve = pseudo
+            if len(request.args) != arity:
+                raise MarshalError(
+                    f"{request.method} received {len(request.args)} arguments"
+                )
+            return serve(self, request)
+        target = self.objects.lookup(request.object_id)
         if request.method not in methods_of(target):
             raise NoSuchMethodError(request.method, interface_names(target))
         args = unmarshal(request.args, self)
@@ -388,53 +400,6 @@ class RMICore(MarshalContext):
         method = getattr(target, request.method)
         result = method(*args, **kwargs)
         return marshal(result, self)
-
-    def _dispatch_pseudo(self, request: CallRequest):
-        """Route the batching pseudo-methods to their runtimes.
-
-        For the plan methods, a missing root object becomes the typed
-        :class:`~repro.rmi.exceptions.PlanInvalidatedError` here rather
-        than a bare ``NoSuchObjectError``: the client's cached plan (and
-        memo entry) are pointed at an object that no longer exists, and
-        the typed error is what lets it distinguish "re-record against a
-        fresh root" from transient middleware failures.  Only
-        ``__invoke_plan__`` gets that conversion: an install (and the
-        inline path) carries the full script, so nothing cached went
-        stale and the ordinary ``NoSuchObjectError`` keeps its meaning.
-
-        Argument arity is pinned here so only the protocol's own fields
-        can reach the runtimes — a hostile extra positional (e.g. the
-        executor's internal ``validated`` flag) must not be injectable
-        from the wire.
-        """
-        args = request.args
-        if request.method == INVOKE_BATCH:
-            self._require_arity(request, len(args) == 4)
-            target = self._objects.lookup(request.object_id)
-            executor = self._batch_executor_instance()
-            return executor.invoke_batch(target, *args)
-        self._require_arity(request, len(args) == 2)
-        runtime = self._plan_runtime_instance()
-        if request.method == INVOKE_PLAN:
-            try:
-                target = self._objects.lookup(request.object_id)
-            except NoSuchObjectError:
-                raise PlanInvalidatedError(self._plan_digest_of(request)) from None
-            return runtime.invoke(target, *args)
-        target = self._objects.lookup(request.object_id)
-        return runtime.install(target, *args)
-
-    @staticmethod
-    def _require_arity(request: CallRequest, ok: bool) -> None:
-        if not ok:
-            raise MarshalError(
-                f"{request.method} received {len(request.args)} arguments"
-            )
-
-    @staticmethod
-    def _plan_digest_of(request: CallRequest) -> str:
-        digest = request.args[0] if request.args else None
-        return digest if isinstance(digest, str) else "?"
 
     def _encode_response(self, response: CallResponse) -> bytes:
         try:
@@ -452,43 +417,6 @@ class RMICore(MarshalContext):
             return encode(fallback)
 
     # -- internals --------------------------------------------------------
-
-    def _batch_executor_instance(self):
-        # Double-checked: the hot dispatch path must not serialize on the
-        # core lock just to re-read an already-initialized field.
-        executor = self._batch_executor
-        if executor is not None:
-            return executor
-        from repro.core.executor import BatchExecutor
-
-        with self._lock:
-            if self._batch_executor is None:
-                self._batch_executor = BatchExecutor(
-                    self, exec_workers=self._exec_workers
-                )
-            return self._batch_executor
-
-    @property
-    def plan_cache(self):
-        """The server's compiled-plan cache (created on first use)."""
-        return self._plan_runtime_instance().cache
-
-    def _plan_runtime_instance(self):
-        runtime = self._plan_runtime
-        if runtime is not None:
-            return runtime
-        from repro.plan.cache import PlanCache
-        from repro.plan.runtime import PlanRuntime
-
-        executor = self._batch_executor_instance()
-        with self._lock:
-            if self._plan_runtime is None:
-                if self._plan_capacity is None:
-                    cache = PlanCache()
-                else:
-                    cache = PlanCache(self._plan_capacity)
-                self._plan_runtime = PlanRuntime(executor, cache)
-            return self._plan_runtime
 
     def _loopback_client(self, endpoint: str):
         from repro.rmi.client import RMIClient
@@ -519,12 +447,6 @@ class RMICore(MarshalContext):
             self._loopback_clients.clear()
         for client in clients:
             client.close()
-
-    def _close_executor(self) -> None:
-        """Release the batch executor's private worker pool, if any."""
-        executor = self._batch_executor
-        if executor is not None:
-            executor.close()
 
 
 class _DirectChannel(Channel):

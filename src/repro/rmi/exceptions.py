@@ -9,7 +9,7 @@ the caller as themselves (when registered for the wire) or as a
 
 from __future__ import annotations
 
-from repro.wire.registry import register_exception
+from repro.wire.registry import register_exception, register_fallback_exception
 
 
 @register_exception
@@ -117,7 +117,7 @@ class NotExportedError(RemoteError):
     """A remote object was used before being exported by a server."""
 
 
-@register_exception
+@register_fallback_exception
 class RemoteApplicationError(RemoteError):
     """Carrier for a server-side exception whose class is not registered.
 

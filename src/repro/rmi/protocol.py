@@ -28,9 +28,6 @@ INVOKE_PLAN = "__invoke_plan__"
 #: plan inline, installs it in the server's plan cache, and executes it.
 INSTALL_PLAN = "__install_plan__"
 
-#: All pseudo-methods available on every exported object.
-PSEUDO_METHODS = frozenset({INVOKE_BATCH, INVOKE_PLAN, INSTALL_PLAN})
-
 #: Object id at which every server exports its naming registry.
 REGISTRY_OBJECT_ID = 0
 

@@ -102,7 +102,9 @@ class RMIServer(RMICore):
         if listener is not None:
             listener.close()
         self._close_loopback_clients()
-        self._close_executor()
+        for layer in list(self.layers.values()):
+            if hasattr(layer, "close"):
+                layer.close()
 
     def close(self) -> None:
         """Alias of :meth:`stop` (context-manager friendly)."""

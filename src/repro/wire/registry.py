@@ -30,6 +30,7 @@ _class_names: dict = {}
 _class_fields: dict = {}  # cls -> (field names, wire-optional tail)
 _exceptions: dict = {}
 _exception_names: dict = {}
+_fallback_exception = None  # carrier for an unregistered exception
 
 
 def qualified_name(cls):
@@ -85,9 +86,8 @@ def register_exception(cls):
     """Class decorator registering an exception type for the wire.
 
     Registered exceptions are reconstructed as their own class on the
-    receiving side; unregistered ones decode as
-    :class:`repro.rmi.exceptions.RemoteApplicationError` carrying the
-    original class name and message.
+    receiving side; unregistered ones decode as the
+    :func:`register_fallback_exception` carrier.
     """
     if not issubclass(cls, BaseException):
         raise TypeError(f"{cls.__name__} is not an exception type")
@@ -95,6 +95,14 @@ def register_exception(cls):
     with _lock:
         _exceptions[name] = cls
         _exception_names[cls] = name
+    return cls
+
+
+def register_fallback_exception(cls):
+    """:func:`register_exception`, and make *cls* the carrier an
+    unregistered exception decodes as: ``cls(class_name, args)``."""
+    global _fallback_exception
+    _fallback_exception = register_exception(cls)
     return cls
 
 
@@ -157,10 +165,7 @@ def exception_from_wire(class_name, args):
             exc = cls.__new__(cls)
             exc.args = args
             return exc
-    # Local import: exceptions module registers itself with us.
-    from repro.rmi.exceptions import RemoteApplicationError
-
-    return RemoteApplicationError(class_name, args)
+    return _fallback_exception(class_name, args)
 
 
 def registered_classes():

@@ -26,6 +26,7 @@ from repro.apps.fileserver import make_directory
 from repro.core import ContinuePolicy, create_batch
 from repro.net import LAN, SimNetwork, TcpNetwork
 from repro.obs import Tracer, install_tracer, uninstall_tracer
+from repro.plan.runtime import plan_runtime_of
 from repro.rmi import (
     MarshalError,
     RetryPolicy,
@@ -124,7 +125,7 @@ class TestConcurrentConformance:
             # The shared cache's books must balance: every client's shape
             # is distinct (different call count), installed exactly once
             # on first repeat, then hit on every later flush.
-            cache = server.plan_cache.stats.snapshot()
+            cache = plan_runtime_of(server).cache.stats.snapshot()
             assert cache.installs == CLIENTS
             assert cache.hits == CLIENTS * (ROUNDS - 2)
             assert cache.misses == 0

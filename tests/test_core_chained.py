@@ -8,6 +8,7 @@ from repro.core import (
     SessionExpiredError,
     create_batch,
 )
+from repro.core.executor import executor_of
 from repro.core.session import SessionStore
 
 from tests.support import make_container
@@ -70,7 +71,7 @@ class TestChaining:
         assert future.get() == 1
 
     def test_session_discarded_after_final_flush(self, env):
-        executor = env.server._batch_executor_instance()
+        executor = executor_of(env.server)
         batch = create_batch(env.client.lookup("counter"))
         batch.increment(1)
         batch.flush_and_continue()
@@ -80,7 +81,7 @@ class TestChaining:
         assert len(executor.sessions) == 0
 
     def test_final_flush_with_no_new_ops_still_discards_session(self, env):
-        executor = env.server._batch_executor_instance()
+        executor = executor_of(env.server)
         batch = create_batch(env.client.lookup("counter"))
         batch.increment(1)
         batch.flush_and_continue()
@@ -186,7 +187,7 @@ class TestSessionStore:
             SessionStore(capacity=0)
 
     def test_expired_session_error_reaches_client(self, env):
-        executor = env.server._batch_executor_instance()
+        executor = executor_of(env.server)
         batch = create_batch(env.client.lookup("counter"))
         batch.increment(1)
         batch.flush_and_continue()

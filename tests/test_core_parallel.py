@@ -28,7 +28,12 @@ from repro.core.dag import (
     analyze_batch,
     split_units,
 )
-from repro.core.executor import BatchExecutor, _Deferred, _Outcome
+from repro.core.executor import (
+    BatchExecutor,
+    _Deferred,
+    _Outcome,
+    executor_of,
+)
 from repro.core.errors import UnsupportedBatchOperationError
 from repro.core.policies import (
     AbortPolicy,
@@ -40,6 +45,7 @@ from repro.core.policies import (
 from repro.core.recording import NONE_ID, ArgRef, InvocationData
 from repro.net.conditions import CHARGE_BATCH_OP
 from repro.obs import Tracer, install_tracer, uninstall_tracer
+from repro.plan.runtime import plan_runtime_of
 from repro.rmi import RemoteInterface, RemoteObject, RMIServer, remote_method
 from repro.rmi.stub import Stub
 from repro.wire import encode
@@ -991,11 +997,11 @@ class TestResolveFastPath:
                 grabbed = batch.probe_grab()
                 batch.flush()
                 assert grabbed.get() == expected
-            assert server.plan_cache.stats.snapshot().hits == 1
+            assert plan_runtime_of(server).cache.stats.snapshot().hits == 1
             # The callee writes into what it was handed; it saw nothing
             # left behind by an earlier call, and the plan is untouched.
             assert root.grabbed == [{}, {}, {}]
-            (entry,) = server.plan_cache._entries.values()
+            (entry,) = plan_runtime_of(server).cache._entries.values()
             assert [op.kwargs for op in entry.plan.ops] == [{}]
         finally:
             client.close()
@@ -1110,7 +1116,7 @@ class TestPlanDag:
             # inline -> install -> invoke: three runs of the same shape.
             for _ in range(3):
                 assert self.run_shape(stub) == ("w0", "w2")
-            entries = list(server.plan_cache._entries.values())
+            entries = list(plan_runtime_of(server).cache._entries.values())
             assert entries, "shape never installed"
             for entry in entries:
                 assert entry.dag is not None
@@ -1118,7 +1124,7 @@ class TestPlanDag:
                 assert len(entry.dag.chains) == 2
             # Every run — inline, install, and the cached invoke (which
             # pays zero re-analysis) — took the parallel path.
-            snap = server._batch_executor.scheduler.snapshot()
+            snap = executor_of(server).scheduler.snapshot()
             assert snap["parallel_batches"] == 3
             assert snap["serial_batches"] == 0
         finally:
@@ -1139,7 +1145,7 @@ class TestPlanDag:
             stub = client.lookup("rack")
             for _ in range(2):  # inline, then install
                 assert self.run_shape(stub, AbortPolicy) == ("w0", "w2")
-            (entry,) = server.plan_cache._entries.values()
+            (entry,) = plan_runtime_of(server).cache._entries.values()
             assert not entry.dag.eligible
             assert entry.dag.reason == REASON_POLICY
             assert entry.dag.units == split_units(entry.plan.ops)
@@ -1151,8 +1157,8 @@ class TestPlanDag:
             monkeypatch.setattr(executor_module, "split_units", rescan)
             monkeypatch.setattr(executor_module, "analyze_batch", rescan)
             assert self.run_shape(stub, AbortPolicy) == ("w0", "w2")
-            assert server.plan_cache.stats.snapshot().hits == 1
-            snap = server._batch_executor.scheduler.snapshot()
+            assert plan_runtime_of(server).cache.stats.snapshot().hits == 1
+            snap = executor_of(server).scheduler.snapshot()
             assert snap["fallback.policy"] == 3
         finally:
             client.close()

@@ -13,6 +13,7 @@ from repro.core import (
     ExceptionAction,
     create_batch,
 )
+from repro.core.executor import executor_of
 from repro.net.conditions import (
     CHARGE_BATCH_OP,
     CHARGE_BATCH_SETUP,
@@ -116,7 +117,7 @@ def flush_logged(network, impl, record, policy, exec_workers):
         batch = create_batch(stub, policy=policy)
         handles = record(batch)
         batch.flush()
-        return log, handles, server._batch_executor.scheduler.snapshot()
+        return log, handles, executor_of(server).scheduler.snapshot()
     finally:
         client.close()
         server.close()

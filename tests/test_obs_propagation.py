@@ -17,6 +17,7 @@ import pytest
 
 from repro.apps import make_directory
 from repro.core import create_batch
+from repro.core.executor import executor_of
 from repro.core.policies import ContinuePolicy, CustomPolicy, ExceptionAction
 from repro.net import LAN, FaultSchedule, FaultyNetwork, SimNetwork
 from repro.net.tcp import TcpNetwork
@@ -389,7 +390,7 @@ def scenario_parallel_cursor(world):
     cursor.get_name()
     cursor.length()
     batch.flush()
-    assert world.server._batch_executor.scheduler.snapshot()[
+    assert executor_of(world.server).scheduler.snapshot()[
         "parallel_batches"] == 1
 
 
@@ -401,7 +402,7 @@ def scenario_serial_fallback(world):
     cursor = batch.list_files()
     cursor.get_name()
     batch.flush()
-    assert world.server._batch_executor.scheduler.snapshot()[
+    assert executor_of(world.server).scheduler.snapshot()[
         "serial_batches"] == 1
 
 

@@ -8,6 +8,7 @@ from repro.core import create_batch
 from repro.core.policies import AbortPolicy
 from repro.core.recording import ArgRef, InvocationData
 from repro.plan import PlanCache, compile_plan, plan_hash
+from repro.plan.runtime import plan_runtime_of
 from repro.rmi import RMIClient, RMIServer
 from repro.net import LAN, SimNetwork
 
@@ -120,7 +121,7 @@ class TestConcurrency:
         assert not errors
         assert impl.value == rounds * workers
         assert sorted(totals)[-1] == rounds * workers
-        snap = server.plan_cache.stats.snapshot()
+        snap = plan_runtime_of(server).cache.stats.snapshot()
         # Each client's second sighting installs directly (no lookup);
         # every later flush is a plan invocation that hits, because the
         # client's own install already populated the shared cache.
@@ -194,7 +195,7 @@ class TestByteAccounting:
             assert hit_bytes < inline_bytes / 2
             assert hit_bytes2 == hit_bytes
 
-            snap = server.plan_cache.stats.snapshot()
+            snap = plan_runtime_of(server).cache.stats.snapshot()
             assert (snap.hits, snap.misses, snap.installs) == (2, 0, 1)
             assert snap.bytes_saved > 0
         finally:

@@ -13,6 +13,7 @@ from repro.plan import PlanMemo, PlanningBatchRecorder
 from repro.plan.client import (
     HIT, INLINE, INSTALL, INVOKE, MISS, MISS_LIMIT, RETRY_INTERVAL,
 )
+from repro.plan.runtime import plan_runtime_of
 from repro.rmi import RMIClient, RMIServer
 from repro.net import LAN, SimNetwork
 
@@ -54,7 +55,7 @@ class TestAdoption:
         assert memo.inline_flushes == 1
         assert memo.plan_installs == 1
         assert memo.plan_invocations == 2
-        snap = server.plan_cache.stats.snapshot()
+        snap = plan_runtime_of(server).cache.stats.snapshot()
         # The first repeat installs directly — no guaranteed-miss probe.
         assert (snap.hits, snap.misses, snap.installs) == (2, 0, 1)
 
@@ -67,7 +68,7 @@ class TestAdoption:
                 batch.increment(amount)
                 batch.flush()
         # Same shape regardless of the amount value: one plan total.
-        assert len(server.plan_cache) == 1
+        assert len(plan_runtime_of(server).cache) == 1
         assert client.plan_memo.inline_flushes == 1
 
         batch = create_batch(stub, reuse_plans=True)
@@ -135,7 +136,7 @@ class TestAdoption:
         final = batch.increment(1)
         batch.flush()
         assert final.get() == 4
-        assert len(server.plan_cache) == 0
+        assert len(plan_runtime_of(server).cache) == 0
         assert client.plan_memo.plan_invocations == 0
 
     def test_memo_is_bounded_lru(self):
@@ -222,7 +223,7 @@ class TestAdoption:
                 for _ in range(calls):
                     batch.increment(1)
                 batch.flush()
-        assert server.plan_cache.stats.snapshot().evictions >= 1
+        assert plan_runtime_of(server).cache.stats.snapshot().evictions >= 1
 
         # The evicted shape still works: miss -> reinstall -> hit.
         batch = create_batch(stub, reuse_plans=True)

@@ -22,6 +22,7 @@ from repro.plan import client as plan_client
 from repro.plan import model as plan_model
 from repro.plan import runtime as plan_runtime
 from repro.plan.client import INVOKE, PlanMemo
+from repro.plan.runtime import plan_runtime_of
 from repro.rmi import RemoteInterface, RemoteObject, RMIClient, RMIServer
 from repro.wire import decode, encode
 
@@ -104,12 +105,12 @@ class TestZeroCompileGuard:
         for _ in range(3):  # inline, install, first hit: confirmed
             assert flush_purchases(client) == expected()
         reset(counted)
-        hits = server.plan_cache.stats.snapshot().hits
+        hits = plan_runtime_of(server).cache.stats.snapshot().hits
         for amounts in ((1.0, 2.0, 3.0), (9.5, 0.5, 4.0)):
             assert flush_purchases(client, amounts=amounts) == expected(
                 amounts)
         assert counted == {"compile_plan": 0, "plan_hash": 0, "_fill": 0}
-        assert server.plan_cache.stats.snapshot().hits == hits + 2
+        assert plan_runtime_of(server).cache.stats.snapshot().hits == hits + 2
 
     def test_an_eviction_compiles_once_and_reinstalls(self, bank, counted):
         server, client = bank  # plan_capacity=1
@@ -120,12 +121,12 @@ class TestZeroCompileGuard:
             batch = create_batch(mirror, reuse_plans=True)
             batch.reflect({"k": 1})
             batch.flush()
-        assert server.plan_cache.stats.snapshot().evictions == 1
+        assert plan_runtime_of(server).cache.stats.snapshot().evictions == 1
         installs = client.plan_memo.plan_installs
-        before = server.plan_cache.stats.snapshot()
+        before = plan_runtime_of(server).cache.stats.snapshot()
         reset(counted)
         assert flush_purchases(client) == expected()
-        after = server.plan_cache.stats.snapshot()
+        after = plan_runtime_of(server).cache.stats.snapshot()
         # PlanNotFoundError -> install: one compile, one hash per end.
         assert counted["compile_plan"] == 1
         assert counted["plan_hash"] == 2
@@ -141,7 +142,7 @@ class TestZeroCompileGuard:
         server, client = bank
         for _ in range(3):
             flush_purchases(client)
-        server.plan_cache.clear()
+        plan_runtime_of(server).cache.clear()
         reset(counted)
         assert flush_purchases(client) == expected()
         assert counted["compile_plan"] == 1

@@ -10,6 +10,7 @@ exactly as it would inline.
 import pytest
 
 from repro.core import ContinuePolicy, create_batch
+from repro.plan.runtime import plan_runtime_of
 from repro.rmi.exceptions import NoSuchObjectError, PlanInvalidatedError
 
 from tests.support import CounterImpl, IdentityServiceImpl
@@ -35,7 +36,7 @@ class TestRootInvalidation:
         client = RMIClient(network, "sim://server:1099")
         stub = client.lookup("doomed")
         warm_plan(stub)
-        assert len(server.plan_cache) == 1
+        assert len(plan_runtime_of(server).cache) == 1
 
         server.objects.unexport(impl)
 
@@ -46,7 +47,7 @@ class TestRootInvalidation:
         assert excinfo.value.plan_hash != "?"
         # The plan itself stays cached — it is a script, not a binding —
         # so a fresh export of the same shape can reuse it.
-        assert len(server.plan_cache) == 1
+        assert len(plan_runtime_of(server).cache) == 1
         client.close()
 
     def test_install_with_stale_root_keeps_ordinary_error(self, network, server):
@@ -81,7 +82,7 @@ class TestRootInvalidation:
         server.bind("rotating", old)
         client = RMIClient(network, "sim://server:1099")
         warm_plan(client.lookup("rotating"))
-        hits_before = server.plan_cache.stats.snapshot().hits
+        hits_before = plan_runtime_of(server).cache.stats.snapshot().hits
 
         server.objects.unexport(old)
         replacement = CounterImpl()
@@ -92,7 +93,7 @@ class TestRootInvalidation:
         batch.flush()
         assert future.get() == 1
         assert replacement.value == 1
-        assert server.plan_cache.stats.snapshot().hits == hits_before + 1
+        assert plan_runtime_of(server).cache.stats.snapshot().hits == hits_before + 1
         client.close()
 
 
@@ -117,7 +118,7 @@ class TestRestartRetryPaths:
             # Simulated process restart: listener bounced, volatile plan
             # cache gone, durable app state (the counter) intact.
             if not restarted:
-                server.plan_cache.clear()
+                plan_runtime_of(server).cache.clear()
                 server.start()
                 restarted.append(True)
 
@@ -132,7 +133,7 @@ class TestRestartRetryPaths:
         warm_plan(stub)
         assert impl.value == 2
         installs_before = client.plan_memo.plan_installs
-        assert len(server.plan_cache) == 1
+        assert len(plan_runtime_of(server).cache) == 1
 
         server.stop()
 
@@ -144,7 +145,7 @@ class TestRestartRetryPaths:
         assert future.get() == 3
         assert impl.value == 3  # exactly once, across retry + reinstall
         assert client.plan_memo.plan_installs == installs_before + 1
-        assert len(server.plan_cache) == 1  # the re-install repopulated it
+        assert len(plan_runtime_of(server).cache) == 1  # the re-install repopulated it
         client.close()
 
     def test_hot_plan_after_reinstall_hits_again(self, network, server):
@@ -162,17 +163,17 @@ class TestRestartRetryPaths:
         server.bind("rewarmed", impl)
         stub = client.lookup("rewarmed")
         warm_plan(stub)
-        server.plan_cache.clear()  # restart-shaped cache loss, server up
+        plan_runtime_of(server).cache.clear()  # restart-shaped cache loss, server up
 
         batch = create_batch(stub, reuse_plans=True)
         batch.increment(1)
         batch.flush()  # PlanNotFoundError -> reinstall
-        hits_before = server.plan_cache.stats.snapshot().hits
+        hits_before = plan_runtime_of(server).cache.stats.snapshot().hits
 
         batch = create_batch(stub, reuse_plans=True)
         batch.increment(1)
         batch.flush()
-        assert server.plan_cache.stats.snapshot().hits == hits_before + 1
+        assert plan_runtime_of(server).cache.stats.snapshot().hits == hits_before + 1
         assert impl.value == 4
         client.close()
 

@@ -20,6 +20,7 @@ import pytest
 from repro.apps.bank import CreditManagerImpl
 from repro.core import create_batch
 from repro.net import LOCALHOST, SimNetwork, TcpNetwork
+from repro.plan.runtime import plan_runtime_of
 from repro.rmi import RMIClient, RMIServer
 
 from tests.support import CounterImpl
@@ -95,7 +96,7 @@ class TestTcpConcurrencyStress:
 
             # Server-side: every successful plan invocation is a cache hit;
             # hits + misses account for every __invoke_plan__ that arrived.
-            snapshot = server.plan_cache.stats.snapshot()
+            snapshot = plan_runtime_of(server).cache.stats.snapshot()
             assert snapshot.hits == total_invocations
             assert snapshot.misses == 0
             assert 1 <= snapshot.installs <= THREADS
@@ -150,18 +151,18 @@ class TestEvictionRace:
                 _flush_counter_shape(stub_b, (5,))
             for _ in range(3):
                 _flush_counter_shape(stub_b, (7, 7, 7))
-            assert server.plan_cache.stats.snapshot().evictions >= 1
+            assert plan_runtime_of(server).cache.stats.snapshot().evictions >= 1
 
             # A's memo still says "confirmed", so the next flush goes out
             # as __invoke_plan__, takes the typed miss, reinstalls, and
             # the results are exactly what naive execution would produce.
-            before = server.plan_cache.stats.snapshot()
+            before = plan_runtime_of(server).cache.stats.snapshot()
             values = _flush_counter_shape(stub_a, (1, 2))
             model += 1
             first = model
             model += 2
             assert values == [first, model]
-            after = server.plan_cache.stats.snapshot()
+            after = plan_runtime_of(server).cache.stats.snapshot()
             assert after.misses == before.misses + 1
             assert client_a.plan_memo.plan_installs == 2
         finally:
@@ -211,7 +212,7 @@ class TestEvictionRace:
             # Every __invoke_plan__ was either a hit or a typed miss, and
             # every miss was healed by an install; the flush accounting
             # still balances per client.
-            snapshot = server.plan_cache.stats.snapshot()
+            snapshot = plan_runtime_of(server).cache.stats.snapshot()
             total_invocations = 0
             for client in clients:
                 memo = client.plan_memo
