@@ -31,7 +31,12 @@ through the same ``_run_unit`` / ``_run_cursor`` / ``_run_sub_op``:
 - **width N** (a worker pool): the chains found by
   :func:`~repro.core.dag.analyze_batch` — and each cursor's *elements* —
   are shared out lazily (``_fan_out``): the caller starts on them and
-  recruits helpers only while its ops block.  Private outcome fragments
+  recruits helpers only while its ops block.  The rule: a fan-out
+  recruits one helper on the first run of its *shape* (a server-defined
+  ``(class, method)`` pair) and on any run after one that blocked — a
+  helper claimed a key, or the caller's thread CPU time was under half
+  its wall time.  A shape nothing blocks in runs its keys in order, as
+  width 1 does, and wakes no pool thread.  Private outcome fragments
   exist only where order can break: a dag of one chain runs straight
   into the batch outcome, several chains give each unit a fragment, and
   a cursor's elements go in place until another run takes one
@@ -49,11 +54,14 @@ live state that a later op mutates — deferring there would ship the
 post-mutation value.  (Fragments need no such care: every method in an
 eligible batch is declared order-insensitive.)
 
-Two costs are paid less often than once per op: a worker run makes one
-``CHARGE_BATCH_OP`` charge per outcome it writes into (the batch
+Three costs are paid less often than once per op: a worker run makes
+one ``CHARGE_BATCH_OP`` charge per outcome it writes into (the batch
 outcome, a unit's or a cursor run's fragment), carrying the count of
-ops it settled there (``charge_cost`` is linear), and whether a class
-exposes a method name is checked once per (class, name) per batch.
+ops it settled there (``charge_cost`` is linear); whether a class
+exposes a method name is checked once per (class, name) per batch; and
+the tracer is read once per batch, an op building its ``server.op``
+span only while tracing is on.  Top-level ops and sub-ops share one
+per-op path, ``_call``.
 
 ``exec_workers=0`` pins every batch to width 1.  It selects no other
 code — it is this engine with no pool — and it stays because the
@@ -67,6 +75,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from time import perf_counter, thread_time
 
 from repro.core.dag import (
     REASON_DISABLED,
@@ -86,13 +95,12 @@ from repro.core.recording import (
     ROOT_SEQ,
     ArgRef,
     BatchResponse,
-    InvocationData,
     validate_batch,
 )
 from repro.core.session import SessionStore
 from repro.net.conditions import CHARGE_BATCH_OP, CHARGE_BATCH_SETUP
 from repro.obs.context import _activate, _deactivate, current_span
-from repro.obs.tracer import current_tracer
+from repro.obs.tracer import NULL_TRACER, current_tracer
 from repro.rmi.dispatch import register_pseudo_method
 from repro.rmi.exceptions import NoSuchMethodError
 from repro.rmi.marshal import marshal, unmarshal
@@ -164,6 +172,23 @@ class _Deferred:
         self.value = value
 
 
+class _FanOut:
+    """What the workers of one recruiting fan-out share: the keys not
+    yet claimed, the work each runs, the span they parent under and
+    whether a helper (any worker but the caller) claimed a key."""
+
+    __slots__ = ("queue", "work", "parent", "helped")
+
+    def __init__(self, work, keys):
+        self.queue = deque(keys)
+        self.work = work
+        # The ambient span is a contextvar, so worker threads start
+        # blank; re-activating the caller's span keeps ``server.op``
+        # spans parented under this batch's ``server.execute``.
+        self.parent = current_span()
+        self.helped = False
+
+
 @dataclass
 class _Outcome:
     """Mutable state of one batch run.
@@ -173,10 +198,13 @@ class _Outcome:
     log as ``(container, key)`` pairs, in execution order.  ``settled``
     counts the ops called into this outcome since its last
     ``CHARGE_BATCH_OP``; ``exposed`` caches ``(class, name) →`` whether
-    the name may be called, for the whole batch.
+    the name may be called, and ``tracer`` is the tracer read once at
+    the batch's start (None while tracing is off), both for the whole
+    batch.
     """
 
     objects: dict
+    tracer: object = None
     exposed: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
     exceptions: dict = field(default_factory=dict)
@@ -192,8 +220,8 @@ class _Outcome:
     def fragment(self) -> "_Outcome":
         """A private outcome over the same object table and method
         checks, for one unit or one worker's run of cursor elements."""
-        return _Outcome(objects=self.objects, exposed=self.exposed,
-                        marshal_log=[])
+        return _Outcome(objects=self.objects, tracer=self.tracer,
+                        exposed=self.exposed, marshal_log=[])
 
     def record_failure(self, seq: int, exc: BaseException,
                        action=None) -> None:
@@ -226,6 +254,9 @@ class BatchExecutor:
         self._private_pool = None
         self._pool_lock = threading.Lock()
         self._scheduler = SchedulerStats()
+        # Fan-out shape → whether it blocked on its last run (see
+        # ``_fan_out``); shapes are server-defined (class, method) pairs.
+        self._blocked = {}
 
     @property
     def sessions(self) -> SessionStore:
@@ -274,7 +305,8 @@ class BatchExecutor:
         analysis runs per batch.  Neither is reachable from the wire —
         the dispatcher pins the pseudo-method arity below them.
         """
-        with current_tracer().span(
+        tracer = current_tracer()
+        with tracer.span(
             "server.execute", ops=len(invocations), validated=validated,
         ) as span:
             if validated:
@@ -287,19 +319,23 @@ class BatchExecutor:
             else:
                 base_objects = {ROOT_SEQ: root_obj}
 
-            units, dag = self._schedule(invocations, policy, dag, session_id)
+            units, dag = self._schedule(invocations, policy, dag, session_id,
+                                        tracer)
+            # Tracing off, ops skip their ``server.op`` span altogether.
+            op_tracer = None if tracer is NULL_TRACER else tracer
             if dag is None:
                 outcome, restarts = self._replay(
-                    invocations, units, None, policy, base_objects
+                    invocations, units, None, policy, base_objects, op_tracer
                 )
             else:
                 self._scheduler.record_parallel(chains=len(dag.chains))
-                with current_tracer().span(
+                with tracer.span(
                     "server.parallel", chains=len(dag.chains),
                     cursors=len(dag.cursor_units), ops=len(invocations),
                 ):
                     outcome, restarts = self._replay(
-                        invocations, units, dag, policy, base_objects
+                        invocations, units, dag, policy, base_objects,
+                        op_tracer,
                     )
             if restarts:
                 span.set(restarts=restarts)
@@ -326,13 +362,14 @@ class BatchExecutor:
                 restarts=restarts,
             )
 
-    def _replay(self, invocations, units, dag, policy, base_objects):
+    def _replay(self, invocations, units, dag, policy, base_objects,
+                tracer):
         """Run the batch to an outcome, re-running it from a fresh object
         table each time an op's policy answers RESTART; returns
         ``(outcome, restarts)``."""
         restarts = 0
         while True:
-            outcome = _Outcome(objects=dict(base_objects))
+            outcome = _Outcome(objects=dict(base_objects), tracer=tracer)
             try:
                 self._run(invocations, units, dag, policy, outcome)
                 return outcome, restarts
@@ -347,7 +384,7 @@ class BatchExecutor:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _schedule(self, invocations, policy, dag, session_id):
+    def _schedule(self, invocations, policy, dag, session_id, tracer):
         """Pick the width: returns ``(units, dag)``, *dag* None for width 1.
 
         A width-1 fallback records its reason in the scheduler counters
@@ -366,13 +403,13 @@ class BatchExecutor:
                 return dag.units, dag
             reason = dag.reason
         self._scheduler.record_serial(reason)
-        current_tracer().event(
+        tracer.event(
             "server.parallel", serial=True, reason=reason, instant=True,
         )
         units = split_units(invocations) if dag is None else dag.units
         return units, None
 
-    def _fan_out(self, pool, work, keys):
+    def _fan_out(self, pool, work, keys, shape):
         """Share *keys* out to workers: each calls ``work(claimed)``
         once, *claimed* iterating over the keys that worker takes.
 
@@ -381,9 +418,18 @@ class BatchExecutor:
         work sharing: the keys go in one deque, the caller recruits one
         helper from the pool and starts draining; a helper that gets to
         run recruits the next (while keys remain) before it drains.  So
-        width grows only while earlier workers have let go of the GIL:
-        a batch nothing blocks in pays one submit and one cancel, ops
-        that block reach full width within as many thread starts.
+        width grows only while earlier workers have let go of the GIL,
+        and ops that block reach full width within as many thread
+        starts.
+
+        The caller recruits only for a *shape* — a server-defined
+        ``(class, method)`` pair naming what the fan-out runs — that it
+        has not seen, or that blocked on its last run: a helper claimed
+        a key, or the caller's thread CPU time over the fan-out was
+        under half its wall time.  A shape nothing blocks in runs its
+        keys in order at width 1 cost: a recruit it does not need wakes
+        a pool thread whose wait for the GIL the caller pays at its next
+        block.  One run that blocks makes the next recruit again.
 
         Every recruiter settles its own recruit on the way out, so the
         caller waits on one future transitively and nobody waits on
@@ -394,22 +440,28 @@ class BatchExecutor:
         """
         if pool is None or len(keys) < 2:
             work(iter(keys))
+            return
+        cpu, wall = thread_time(), perf_counter()
+        if self._blocked.get(shape, True):
+            fan = _FanOut(work, keys)
+            self._drain(pool, fan, False)
+            helped = fan.helped
         else:
-            # The ambient span is a contextvar, so worker threads start
-            # blank; re-activating the caller's span keeps ``server.op``
-            # spans parented under this batch's ``server.execute``.
-            self._drain(pool, work, deque(keys), current_span(), False)
+            work(iter(keys))
+            helped = False
+        self._blocked[shape] = helped or (
+            2 * (thread_time() - cpu) < perf_counter() - wall)
 
-    def _drain(self, pool, work, queue, parent, helping):
+    def _drain(self, pool, fan, helping):
         """One worker of a fan-out: recruit, drain, settle.  A method:
         a closure that submits itself is a reference cycle per flush."""
-        recruit = pool.submit(self._drain, pool, work, queue, parent,
-                              True) if queue else None
-        token = _activate(parent)
+        recruit = (pool.submit(self._drain, pool, fan, True)
+                   if fan.queue else None)
+        token = _activate(fan.parent)
         try:
-            work(self._claim(queue, helping))
+            fan.work(self._claim(fan, helping))
         except BaseException:
-            queue.clear()
+            fan.queue.clear()
             _settle(recruit)  # the first error wins
             raise
         finally:
@@ -418,8 +470,9 @@ class BatchExecutor:
         if error is not None:
             raise error
 
-    def _claim(self, queue, helping):
+    def _claim(self, fan, helping):
         """Keys off the shared deque; a helper that gets one is counted."""
+        queue = fan.queue
         while True:
             try:
                 key = queue.popleft()
@@ -427,6 +480,7 @@ class BatchExecutor:
                 return
             if helping:
                 self._scheduler.add("helpers")
+                fan.helped = True
                 helping = False
             yield key
 
@@ -447,9 +501,11 @@ class BatchExecutor:
         self._server.charge(CHARGE_BATCH_SETUP)
         pool = None if dag is None else self._pool()
         if dag is None or len(dag.chains) == 1:
-            fragments, chains = None, (range(len(units)),)
+            fragments, chains, shape = None, (range(len(units)),), None
         else:
             fragments, chains = [outcome.fragment() for _ in units], dag.chains
+            # The fan-out's shape: the first chain's head, on the root.
+            shape = (type(outcome.objects[ROOT_SEQ]), invocations[0].method)
 
         def run_chains(claimed):
             into = outcome
@@ -464,7 +520,7 @@ class BatchExecutor:
             finally:
                 self._charge_ops(into)
 
-        self._fan_out(pool, run_chains, chains)
+        self._fan_out(pool, run_chains, chains, shape)
         for frag in fragments or ():
             self._merge_fragment(outcome, frag)
 
@@ -488,7 +544,11 @@ class BatchExecutor:
                 # The cursor op failed: its elements never materialized.
                 outcome.not_executed.extend(sub.seq for sub in sub_ops)
         else:
-            self._run_single(inv, policy, outcome)
+            result, exc, action = self._call(inv, policy, outcome)
+            if exc is None:
+                self._store(inv, result, outcome)
+            else:
+                outcome.record_failure(inv.seq, exc, action)
 
     def _merge_fragment(self, outcome, frag):
         """Fold one unit fragment into the batch outcome.
@@ -509,15 +569,6 @@ class BatchExecutor:
             )
         outcome.not_executed.extend(frag.not_executed)
 
-    # -- single ops ---------------------------------------------------------
-
-    def _run_single(self, inv: InvocationData, policy, outcome: _Outcome):
-        result, exc, action = self._call_top_level(inv, policy, outcome)
-        if exc is not None:
-            outcome.record_failure(inv.seq, exc, action)
-            return
-        self._store(inv, result, outcome)
-
     # -- cursors ---------------------------------------------------------
 
     def _run_cursor(self, inv, sub_ops, policy, outcome: _Outcome,
@@ -535,7 +586,7 @@ class BatchExecutor:
         insertion order exactly.  Each run charges the ops it settled
         into its fragment; in-place ops are charged with *outcome*.
         """
-        collection, exc, action = self._call_top_level(inv, policy, outcome)
+        collection, exc, action = self._call(inv, policy, outcome)
         if exc is None:
             try:
                 items = list(collection)
@@ -591,7 +642,9 @@ class BatchExecutor:
                 if into is not outcome:
                     self._charge_ops(into)
 
-        self._fan_out(pool, run_elements, range(len(items)))
+        # The fan-out's shape: the sub-batch's first op, on element 0.
+        shape = (type(items[0]), sub_ops[0].method) if items else None
+        self._fan_out(pool, run_elements, range(len(items)), shape)
         for index, spot in enumerate(placed or ()):
             if spot is None:
                 continue  # filed in place
@@ -615,25 +668,15 @@ class BatchExecutor:
 
     def _run_sub_op(self, sub, index, element_scope, policy,
                     outcome: _Outcome):
-        try:
-            target, args, kwargs = self._resolve(
-                sub, outcome.objects, element_scope, index
-            )
-        except KeyError:
-            # Target/argument depends on a sub-op that failed for this
-            # element; propagate that element's original failure.
-            exc = self._element_cause(sub, index, outcome)
-        else:
-            result, exc, action = self._call_with_policy(
-                target, sub, args, kwargs, policy, outcome, index=index
-            )
-            if exc is None:
-                self._store(sub, result, outcome, index)
-                return
-            if action == ExceptionAction.BREAK:
-                # Mirror into top-level exceptions so the client can find
-                # the break cause without digging through matrices.
-                outcome.record_failure(sub.seq, exc, action)
+        result, exc, action = self._call(sub, policy, outcome,
+                                         element_scope, index)
+        if exc is None:
+            self._store(sub, result, outcome, index)
+            return
+        if action == ExceptionAction.BREAK:
+            # Mirror into top-level exceptions so the client can find
+            # the break cause without digging through matrices.
+            outcome.record_failure(sub.seq, exc, action)
         # The failed element's slot: a None in a value sub-op's results.
         if sub.returns_kind == "value":
             outcome.cursor_results[sub.seq].append(None)
@@ -660,28 +703,63 @@ class BatchExecutor:
 
     # -- shared helpers ----------------------------------------------------
 
-    def _call_with_policy(self, target, inv, args, kwargs, policy,
-                          outcome: _Outcome, index: int = None):
-        """Invoke one method under the batch's exception policy.
+    def _call(self, inv, policy, outcome: _Outcome, element_scope=None,
+              index: int = None):
+        """Resolve and invoke one op under the batch's exception policy:
+        a top-level op, or with *index* a cursor sub-op for that element.
 
         Returns ``(result, exception, action)`` where exactly one of
-        result/exception is meaningful, and counts the op as settled in
-        *outcome*.  REPEAT retries in place (bounded); RESTART unwinds
+        result/exception is meaningful.  A dependency that never
+        materialized is returned as the exception before any call: a
+        :class:`BatchDependencyError` at top level, the element's own
+        failure for a sub-op.  A called op is counted as settled in
+        *outcome*; REPEAT retries in place (bounded); RESTART unwinds
         via :class:`_RestartSignal`, uncounted.
         """
+        objects = outcome.objects
+        try:
+            ref = inv.target  # ``_resolve_ref``, inlined
+            if ref.cursor_index != NONE_ID:  # ``ref.is_element``
+                target = objects[(ref.seq, ref.cursor_index)]
+            elif element_scope is not None and ref.seq in element_scope:
+                target = objects[(ref.seq, index)]
+            else:
+                target = objects[ref.seq]
+            # Most ops carry no arguments.  The recorded empty containers
+            # go through as they are: the call unpacks them, so a callee
+            # never holds (or mutates) a plan's stored dict.
+            args, kwargs = inv.args, inv.kwargs
+            if args:
+                args = self._substitute(args, objects, element_scope, index)
+            if kwargs:
+                kwargs = self._substitute(kwargs, objects, element_scope,
+                                          index)
+        except KeyError as exc:
+            if index is None:
+                return None, BatchDependencyError(
+                    f"operation #{inv.seq} ({inv.method}) depends on "
+                    f"result {exc.args[0]!r} which is unavailable"
+                ), None
+            # Target/argument depends on a sub-op that failed for this
+            # element; propagate that element's original failure.
+            return None, self._element_cause(inv, index, outcome), None
+        name = inv.method
         policy_index = inv.seq if index is None else index
-        span = current_tracer().span(
-            "server.op", method=inv.method, seq=policy_index
-        )
+        tracer = outcome.tracer
+        span = None if tracer is None else tracer.span(
+            "server.op", method=name, seq=policy_index)
+        exposed = outcome.exposed
         attempts = 0
         try:
             while True:
                 try:
-                    method = self._method(target, inv.method,
-                                          outcome.exposed)
+                    if exposed.get((type(target), name)):
+                        method = getattr(target, name)
+                    else:
+                        method = self._method(target, name, exposed)
                     result = method(*args, **kwargs)
                 except Exception as exc:  # noqa: BLE001 - the policy decides
-                    action = policy.decide(exc, inv.method, policy_index)
+                    action = policy.decide(exc, name, policy_index)
                     if action == ExceptionAction.REPEAT:
                         attempts += 1
                         if attempts <= MAX_REPEATS:
@@ -690,25 +768,29 @@ class BatchExecutor:
                     if action == ExceptionAction.RESTART:
                         raise _RestartSignal(exc)
                     outcome.settled += 1
-                    span.set(
-                        error=repr(exc),
-                        action=getattr(action, "name", str(action)),
-                    ).end()
+                    if span is not None:
+                        span.set(
+                            error=repr(exc),
+                            action=getattr(action, "name", str(action)),
+                        ).end()
                     return None, exc, action
                 outcome.settled += 1
-                span.end()
+                if span is not None:
+                    span.end()
                 return result, None, None
         except _RestartSignal:
-            span.set(action="RESTART").end()
+            if span is not None:
+                span.set(action="RESTART").end()
             raise
         except BaseException as exc:
-            span.set(error=repr(exc)).end()
+            if span is not None:
+                span.set(error=repr(exc)).end()
             raise
 
     def _method(self, target, name, exposed):
-        """*target*'s bound method *name*.  Whether its class exposes the
-        name is decided once per batch, into *exposed*: a batch after an
-        interface registers sees it."""
+        """*target*'s bound method *name*, past ``_call``'s cache hit.
+        Whether its class exposes the name is decided once per batch,
+        into *exposed*: a batch after an interface registers sees it."""
         if name == EXPORT_OP:
             return lambda: target
         key = (type(target), name)
@@ -724,35 +806,11 @@ class BatchExecutor:
             raise NoSuchMethodError(name, interface_names(target))
         raise NoSuchMethodError(name, (type(target).__name__,))
 
-    def _call_top_level(self, inv, policy, outcome):
-        """Resolve and invoke a top-level op; ``_call_with_policy``'s
-        triple, with a dead dependency reported as the exception."""
-        try:
-            target, args, kwargs = self._resolve(inv, outcome.objects)
-        except KeyError as exc:
-            return None, BatchDependencyError(
-                f"operation #{inv.seq} ({inv.method}) depends on "
-                f"result {exc.args[0]!r} which is unavailable"
-            ), None
-        return self._call_with_policy(target, inv, args, kwargs, policy,
-                                      outcome)
-
-    def _resolve(self, inv, objects, element_scope=None, index=None):
-        """Live target, args and kwargs of one op; KeyError carries the
-        table key of a dependency that never materialized."""
-        target = self._resolve_ref(inv.target, objects, element_scope, index)
-        # Most ops carry no arguments.  The recorded empty containers
-        # go through as they are: the call unpacks them, so a callee
-        # never holds (or mutates) a plan's stored dict.
-        args, kwargs = inv.args, inv.kwargs
-        if args:
-            args = self._substitute(args, objects, element_scope, index)
-        if kwargs:
-            kwargs = self._substitute(kwargs, objects, element_scope, index)
-        return target, args, kwargs
-
     def _resolve_ref(self, ref: ArgRef, objects, element_scope=None,
                      index=None):
+        """The live object *ref* names (``_call`` inlines this for an
+        op's target); KeyError carries the table key of a dependency
+        that never materialized."""
         if ref.is_element:
             return objects[(ref.seq, ref.cursor_index)]
         if element_scope is not None and ref.seq in element_scope:

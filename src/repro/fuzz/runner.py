@@ -35,9 +35,7 @@ from repro.apps.fileserver import make_directory
 from repro.apps.linkedlist import build_list
 from repro.apps.noop import NoOpImpl
 from repro.cluster import ClusterClient, ShardMap, shard_label
-from repro.core.executor import executor_of
 from repro.net import FaultSchedule, FaultyNetwork, SimNetwork, TcpNetwork, preset
-from repro.plan.runtime import plan_runtime_of
 from repro.rmi import RETRYABLE_ERRORS, RMIClient, RMIServer, RetryPolicy
 
 from repro.fuzz.execute import (
@@ -468,13 +466,19 @@ def run_corpus(config: FuzzConfig, log=None) -> FuzzReport:
         # report honest plan-path coverage in the failure summary.
         for world in worlds.values():
             for server in world.servers:
-                cache_stats = plan_runtime_of(server).cache.stats.snapshot()
-                coverage["plan_cache_hits"] += cache_stats.hits
                 coverage["dedup_replays"] += server.dedup.hits
-                snap = executor_of(server).scheduler.snapshot()
-                coverage["parallel_batches"] += snap["parallel_batches"]
-                coverage["parallel_elements"] += snap["elements"]
-                coverage["parallel_fallbacks"] += snap["serial_batches"]
+                # Read only the layers a server built: an idle server
+                # has nothing to count.
+                runtime = server.layers.get("plan")
+                if runtime is not None:
+                    stats = runtime.cache.stats.snapshot()
+                    coverage["plan_cache_hits"] += stats.hits
+                executor = server.layers.get("executor")
+                if executor is not None:
+                    snap = executor.scheduler.snapshot()
+                    coverage["parallel_batches"] += snap["parallel_batches"]
+                    coverage["parallel_elements"] += snap["elements"]
+                    coverage["parallel_fallbacks"] += snap["serial_batches"]
         if oracle_client is not None:
             oracle_client.close()
         for world in (oracle_world, *worlds.values(),

@@ -27,6 +27,10 @@ from repro.rmi.stub import Stub
 from repro.wire.refs import RemoteRef
 
 
+#: Wire-native scalars: passed by copy as they are, after one type check.
+_WIRE_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
+
+
 class MarshalContext:
     """What the marshaller needs from its host (client or server)."""
 
@@ -45,6 +49,8 @@ class MarshalContext:
 
 def marshal(value, ctx: MarshalContext):
     """Convert a live value into its wire-safe form."""
+    if type(value) in _WIRE_SCALARS:
+        return value
     if isinstance(value, Stub):
         # RMI quirk: a stub is marshalled as itself (its ref), never
         # resolved back to the object it points at.

@@ -28,6 +28,7 @@ from repro.core.dag import (
     analyze_batch,
     split_units,
 )
+from repro.core import executor as executor_module
 from repro.core.executor import (
     BatchExecutor,
     _Deferred,
@@ -932,6 +933,141 @@ class TestLazyFanOut:
                 root.release.set()
         # Not even once the pool has been drained and shut down.
         assert root.marks == 0
+
+
+#: A cursor with two value sub-ops per element, as ``cursor_fanout_aio``.
+CURSOR_BATCH = (
+    inv(1, "rack_widgets", kind="cursor"),
+    inv(2, "widget_tag", target=1, cursor_seq=1),
+    inv(3, "widget_weight", target=1, cursor_seq=1),
+)
+
+
+def rack_of(count):
+    return RackImpl([WidgetImpl(f"w{i:02d}", i) for i in range(count)])
+
+
+class FakeClocks:
+    """The executor's two clocks, stepped: every read advances thread
+    CPU time by ``cpu`` and wall time by ``wall``, so a fan-out that
+    recruited no helper reads as blocked exactly when 2 × cpu < wall."""
+
+    def __init__(self, monkeypatch, cpu=1.0, wall=1.0):
+        self.cpu, self.wall = cpu, wall
+        self._cpu_now = self._wall_now = 0.0
+        monkeypatch.setattr(executor_module, "thread_time", self._thread)
+        monkeypatch.setattr(executor_module, "perf_counter", self._perf)
+
+    def _thread(self):
+        self._cpu_now += self.cpu
+        return self._cpu_now
+
+    def _perf(self):
+        self._wall_now += self.wall
+        return self._wall_now
+
+
+class TestRecruitWhereBlocked:
+    """A fan-out recruits a helper on first sight of its shape and after
+    a run that blocked; a shape nothing blocks in runs at width 1 cost.
+    The clocks are injected, so no row reads the host's timing."""
+
+    def test_non_blocking_shape_submits_nothing_the_second_time(
+            self, network, parallel_executor, monkeypatch):
+        FakeClocks(monkeypatch)
+        pool = NeverRunsPool()
+        monkeypatch.setattr(parallel_executor, "_pool", lambda: pool)
+        responses = [
+            parallel_executor.invoke_batch(
+                rack_of(32), CURSOR_BATCH, ContinuePolicy())
+            for _ in range(2)
+        ]
+        assert len(pool.submitted) == 1
+        snap = parallel_executor.scheduler.snapshot()
+        assert (snap["parallel_batches"], snap["elements"]) == (2, 64)
+        assert snap["helpers"] == 0
+        (narrow,) = TestByteIdentity().run_modes(
+            network, CURSOR_BATCH, make_root=lambda: rack_of(32),
+            widths=(0,))
+        for wide in responses:
+            TestByteIdentity().assert_identical(narrow, wide)
+
+    def test_event_gated_shape_recruits_on_every_flush(
+            self, network, monkeypatch):
+        """Element 1 waits until a helper has claimed an element: had a
+        flush not recruited, the caller would wait out the timeout."""
+        FakeClocks(monkeypatch)  # the clocks never read as blocked
+        (narrow,) = TestByteIdentity().run_modes(
+            network, RELAY_BATCH, make_root=RelayImpl, widths=(0,))
+        with executor_of_width(network, 4) as executor:
+            for flush in range(1, 4):
+                relay = RelayImpl(wait_at=1)
+                wide = executor.invoke_batch(
+                    relay, RELAY_BATCH, ContinuePolicy())
+                assert relay.helped.is_set() and not relay.timed_out
+                assert executor.scheduler.snapshot()["helpers"] >= flush
+                assert wide.cursor_results[2] == list(range(RelayImpl.HANDS))
+                assert encode(wide.cursor_results[2]) == encode(
+                    narrow.cursor_results[2])
+
+    def test_a_blocked_run_recruits_again(
+            self, parallel_executor, monkeypatch):
+        clocks = FakeClocks(monkeypatch)
+        pool = NeverRunsPool()
+        monkeypatch.setattr(parallel_executor, "_pool", lambda: pool)
+
+        def flush():
+            parallel_executor.invoke_batch(
+                rack_of(8), CURSOR_BATCH, ContinuePolicy())
+            return len(pool.submitted)
+
+        assert flush() == 1  # first sight recruits; learned: no block
+        clocks.cpu = 0.0
+        assert flush() == 1  # no recruit; this run blocked
+        clocks.cpu = 1.0
+        assert flush() == 2  # recruits again; learned: no block
+        assert flush() == 2
+
+
+class TestCountedCost:
+    """Python calls the executor makes per cursor element, counted with
+    ``sys.setprofile`` (call events of this thread) — a count, not a
+    time, so it holds on any host.  The slope between a 16- and a
+    32-element cursor is what each element costs, the batch's fixed
+    cost cancelled out."""
+
+    #: Two sub-ops per element: each one body, ``_run_sub_op``,
+    #: ``_call``, ``_store`` and ``marshal``.
+    CALLS_PER_ELEMENT = 10
+
+    def count_calls(self, executor, elements):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        root = rack_of(elements)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            executor.invoke_batch(root, CURSOR_BATCH, ContinuePolicy())
+        finally:
+            sys.setprofile(previous)
+        return calls
+
+    def test_calls_per_element(self, parallel_executor, monkeypatch):
+        FakeClocks(monkeypatch)
+        pool = NeverRunsPool()
+        monkeypatch.setattr(parallel_executor, "_pool", lambda: pool)
+        # First sight of the shape recruits; count once it is learned.
+        parallel_executor.invoke_batch(
+            rack_of(2), CURSOR_BATCH, ContinuePolicy())
+        small = self.count_calls(parallel_executor, 16)
+        large = self.count_calls(parallel_executor, 32)
+        assert len(pool.submitted) == 1
+        assert (large - small) / 16 <= self.CALLS_PER_ELEMENT, (small, large)
 
 
 class TestResolveFastPath:
