@@ -997,8 +997,6 @@ class TestRecruitWhereBlocked:
         """Element 1 waits until a helper has claimed an element: had a
         flush not recruited, the caller would wait out the timeout."""
         FakeClocks(monkeypatch)  # the clocks never read as blocked
-        (narrow,) = TestByteIdentity().run_modes(
-            network, RELAY_BATCH, make_root=RelayImpl, widths=(0,))
         with executor_of_width(network, 4) as executor:
             for flush in range(1, 4):
                 relay = RelayImpl(wait_at=1)
@@ -1007,8 +1005,6 @@ class TestRecruitWhereBlocked:
                 assert relay.helped.is_set() and not relay.timed_out
                 assert executor.scheduler.snapshot()["helpers"] >= flush
                 assert wide.cursor_results[2] == list(range(RelayImpl.HANDS))
-                assert encode(wide.cursor_results[2]) == encode(
-                    narrow.cursor_results[2])
 
     def test_a_blocked_run_recruits_again(
             self, parallel_executor, monkeypatch):
