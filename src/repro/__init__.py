@@ -5,38 +5,50 @@ Distributed Objects* (2009): an RMI-like distributed-object middleware
 plus the BRMI layer — explicit batches, futures, array cursors, exception
 policies, and chained batches.
 
-Quickstart::
+Quickstart (README's "Thirty seconds of API")::
 
-    from repro import (SimNetwork, LAN, RMIServer, RMIClient, create_batch)
+    from repro import LAN, RMIClient, RMIServer, SimNetwork, create_batch
+    from repro.apps.fileserver import make_directory
 
-    net = SimNetwork(conditions=LAN)
-    server = RMIServer(net, "sim://server:1099").start()
-    server.bind("root", DirectoryImpl())
+    network = SimNetwork(conditions=LAN)
+    server = RMIServer(network, "sim://fs:1099").start()
+    server.bind("root", make_directory(10, 100_000))
 
-    client = RMIClient(net, "sim://server:1099")
-    root = create_batch(client.lookup("root"))
-    index = root.get_file("index.html")
-    name = index.get_name()
-    size = index.get_size()
-    root.flush()                       # one round trip for all three calls
-    print(name.get(), size.get())
+    client = RMIClient(network, "sim://fs:1099")
+    root = client.lookup("root")
+
+    batch = create_batch(root)          # record calls instead of sending them
+    index = batch.get_file("file03.dat")
+    name, size = index.get_name(), index.length()
+    batch.flush()                       # ONE round trip replays the whole batch
+    print(name.get(), size.get())       # futures now hold the results
 
 Hot batches can go further with compiled plans: pass
 ``reuse_plans=True`` and a repeated batch shape is shipped once, cached
 server-side under its content hash, and re-invoked afterwards with just
 ``(hash, argument values)`` — a fraction of the wire bytes per flush::
 
-    for name in many_names:
-        root = create_batch(client.lookup("root"), reuse_plans=True)
-        size = root.get_file(name).get_size()
-        root.flush()                   # inline once, then plan invocations
-        print(name, size.get())
+    for i in range(10):
+        batch = create_batch(root, reuse_plans=True)
+        size = batch.get_file(f"file{i:02d}.dat").length()
+        batch.flush()                   # inline once, then plan invocations
+        print(size.get())
+
+This package exports what that programmer writes (paper §3): batches,
+futures and cursors, the exception policies, the RMI client and server,
+and the networks they talk over.  Everything else comes from its
+subpackage or from the module that defines it.
 
 See DESIGN.md for the system inventory (including the plan layer) and
 EXPERIMENTS.md for the paper-figure reproductions.
 """
 
-from repro.aio import AioNetwork, AioRMIClient, ServerMetrics
+# Importing these two modules registers the batch and plan
+# pseudo-methods with the RMI dispatcher; any ``repro`` import runs
+# this file, so even a bare ``repro.rmi.dispatch.RMICore`` serves them.
+from repro.core import executor as _executor  # noqa: F401
+from repro.plan import runtime as _plan_runtime  # noqa: F401
+from repro.aio import AioNetwork
 from repro.core import (
     AbortPolicy,
     BatchAbortedError,
@@ -50,97 +62,42 @@ from repro.core import (
     Future,
     FutureNotReadyError,
     create_batch,
-    default_policy,
-    derive_batch_interfaces,
-    generate_batch_interface_source,
 )
-from repro.net import (
-    LAN,
-    LOCALHOST,
-    WIRELESS,
-    FaultSchedule,
-    FaultyNetwork,
-    HostCosts,
-    NetworkConditions,
-    SimClock,
-    SimNetwork,
-    Stopwatch,
-    TcpNetwork,
-)
-from repro.plan import (
-    BatchPlan,
-    compile_plan,
-    PlanCache,
-    PlanError,
-    PlanInvalidatedError,
-    PlanNotFoundError,
-    plan_hash,
-)
+from repro.net import LAN, LOCALHOST, WIRELESS, SimNetwork, TcpNetwork
 from repro.rmi import (
-    CommunicationError,
     RemoteError,
-    RetryPolicy,
     RemoteInterface,
     RemoteObject,
     RMIClient,
-    RMICore,
     RMIServer,
     ServerBusyError,
-    Stub,
 )
-from repro.wire import ParamSlot, RemoteRef, register_exception, serializable
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AbortPolicy",
     "AioNetwork",
-    "AioRMIClient",
     "BatchAbortedError",
     "BatchError",
-    "BatchPlan",
     "BatchProxy",
     "BRMI",
-    "compile_plan",
-    "CommunicationError",
     "ContinuePolicy",
     "create_batch",
     "CursorProxy",
     "CustomPolicy",
-    "default_policy",
-    "derive_batch_interfaces",
     "ExceptionAction",
-    "FaultSchedule",
-    "FaultyNetwork",
     "Future",
     "FutureNotReadyError",
-    "generate_batch_interface_source",
-    "HostCosts",
     "LAN",
     "LOCALHOST",
-    "NetworkConditions",
-    "ParamSlot",
-    "plan_hash",
-    "PlanCache",
-    "PlanError",
-    "PlanInvalidatedError",
-    "PlanNotFoundError",
-    "register_exception",
     "RemoteError",
     "RemoteInterface",
     "RemoteObject",
-    "RemoteRef",
-    "RetryPolicy",
     "RMIClient",
-    "RMICore",
     "RMIServer",
-    "serializable",
     "ServerBusyError",
-    "ServerMetrics",
-    "SimClock",
     "SimNetwork",
-    "Stopwatch",
-    "Stub",
     "TcpNetwork",
     "WIRELESS",
 ]

@@ -25,47 +25,20 @@ Entry points:
   metrics merge into one report.
 """
 
-from repro.aio.channel import AioChannel, AioConnection
+from repro.aio.channel import AioConnection
 from repro.aio.client import AioRMIClient
-from repro.aio.frames import MAGIC, MAGIC_ACK, split_envelope
-from repro.aio.listener import (
-    DEFAULT_DRAIN_TIMEOUT,
-    DEFAULT_MAX_WORKERS,
-    DEFAULT_QUEUE_DEPTH,
-    AioListener,
-)
-from repro.aio.loadgen import (
-    SERVICE_NAME,
-    LoadReport,
-    LoadTarget,
-    LoadTargetImpl,
-    run_load,
-)
-from repro.aio.metrics import MetricsRecorder, ServerMetrics
+from repro.aio.loadgen import SERVICE_NAME, LoadTargetImpl, run_load
 from repro.aio.network import AioNetwork
 from repro.aio.runtime import EventLoopThread
-from repro.aio.supervisor import Supervisor, SupervisorError
+from repro.aio.supervisor import Supervisor
 
 __all__ = [
-    "AioChannel",
     "AioConnection",
-    "AioListener",
     "AioNetwork",
     "AioRMIClient",
-    "DEFAULT_DRAIN_TIMEOUT",
-    "DEFAULT_MAX_WORKERS",
-    "DEFAULT_QUEUE_DEPTH",
     "EventLoopThread",
-    "LoadReport",
-    "LoadTarget",
     "LoadTargetImpl",
-    "MAGIC",
-    "MAGIC_ACK",
-    "MetricsRecorder",
     "SERVICE_NAME",
-    "ServerMetrics",
     "Supervisor",
-    "SupervisorError",
     "run_load",
-    "split_envelope",
 ]

@@ -1,22 +1,12 @@
 """Case-study applications from the paper's evaluation (§5)."""
 
 from repro.apps.bank import (
-    AccountNotFoundException,
-    CreditCard,
-    CreditCardImpl,
-    CreditManager,
     CreditManagerImpl,
-    DuplicateAccountException,
-    InsufficientCreditError,
     bank_policy,
     purchase_session_brmi,
     purchase_session_rmi,
 )
 from repro.apps.fileserver import (
-    AccessDeniedError,
-    FileNode,
-    RemoteFile,
-    RemoteFileImpl,
     fetch_files_brmi,
     fetch_files_rmi,
     list_directory_brmi,
@@ -27,25 +17,19 @@ from repro.apps.fileserver import (
     walk_tree_rmi,
 )
 from repro.apps.linkedlist import (
-    RemoteList,
-    RemoteListImpl,
     build_list,
     traverse_brmi,
     traverse_brmi_unbatched,
     traverse_rmi,
 )
-from repro.apps.noop import NoOpImpl, NoOpService, run_noop_brmi, run_noop_rmi
+from repro.apps.noop import NoOpImpl, run_noop_brmi, run_noop_rmi
 from repro.apps.simulation import (
-    Balancer,
     BalancerImpl,
-    Simulation,
     SimulationImpl,
     run_simulation_brmi,
     run_simulation_rmi,
 )
 from repro.apps.translator import (
-    DEFAULT_DICTIONARY,
-    Translator,
     TranslatorImpl,
     UnknownWordError,
     Word,
@@ -54,22 +38,12 @@ from repro.apps.translator import (
 )
 
 __all__ = [
-    "AccessDeniedError",
-    "AccountNotFoundException",
-    "Balancer",
     "BalancerImpl",
     "bank_policy",
     "build_list",
-    "CreditCard",
-    "CreditCardImpl",
-    "CreditManager",
     "CreditManagerImpl",
-    "DEFAULT_DICTIONARY",
-    "DuplicateAccountException",
     "fetch_files_brmi",
     "fetch_files_rmi",
-    "FileNode",
-    "InsufficientCreditError",
     "list_directory_brmi",
     "list_directory_rmi",
     "make_directory",
@@ -77,22 +51,15 @@ __all__ = [
     "walk_tree_brmi",
     "walk_tree_rmi",
     "NoOpImpl",
-    "NoOpService",
     "purchase_session_brmi",
     "purchase_session_rmi",
-    "RemoteFile",
-    "RemoteFileImpl",
-    "RemoteList",
-    "RemoteListImpl",
     "run_noop_brmi",
     "run_noop_rmi",
     "run_simulation_brmi",
     "run_simulation_rmi",
-    "Simulation",
     "SimulationImpl",
     "translate_brmi",
     "translate_rmi",
-    "Translator",
     "TranslatorImpl",
     "traverse_brmi",
     "traverse_brmi_unbatched",

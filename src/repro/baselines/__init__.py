@@ -2,7 +2,6 @@
 
 from repro.baselines.naive import (
     NaiveBatch,
-    NaiveFuture,
     list_directory_naive,
     naive_wrap,
     run_noop_naive,
@@ -12,7 +11,6 @@ from repro.baselines.naive import (
 __all__ = [
     "list_directory_naive",
     "NaiveBatch",
-    "NaiveFuture",
     "naive_wrap",
     "run_noop_naive",
     "traverse_naive",

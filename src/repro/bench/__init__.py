@@ -1,19 +1,13 @@
 """Benchmark harness and per-figure experiment generators."""
 
-from repro.bench.harness import BenchEnv, Experiment, Series, sweep
 from repro.bench.experiments import (
-    FIGURES,
     run_ablation_identity,
     run_ablation_latency,
     run_baseline_comparison,
     run_all_figures,
     run_applicability,
     run_figure,
-    run_file_server,
-    run_linked_list,
     run_model_comparison,
-    run_noop,
-    run_simulation,
 )
 from repro.bench.reporting import (
     render_applicability,
@@ -24,9 +18,6 @@ from repro.bench.reporting import (
 )
 
 __all__ = [
-    "BenchEnv",
-    "Experiment",
-    "FIGURES",
     "render_applicability",
     "render_chart",
     "render_experiment",
@@ -37,12 +28,6 @@ __all__ = [
     "run_baseline_comparison",
     "run_applicability",
     "run_figure",
-    "run_file_server",
-    "run_linked_list",
     "run_model_comparison",
-    "run_noop",
-    "run_simulation",
-    "Series",
     "summarize_speedups",
-    "sweep",
 ]

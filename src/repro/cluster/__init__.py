@@ -7,13 +7,11 @@ data dependencies.  See DESIGN.md's "cluster/" section for the
 placement, split/merge, and failure semantics.
 """
 
-from repro.cluster.batch import ClusterBatch
 from repro.cluster.client import ClusterClient
 from repro.cluster.errors import ShardFailedError
 from repro.cluster.shardmap import ShardMap, parse_shard_label, shard_label
 
 __all__ = [
-    "ClusterBatch",
     "ClusterClient",
     "ShardFailedError",
     "ShardMap",

@@ -26,43 +26,26 @@ from repro.core.errors import (
 )
 from repro.core.executor import BatchExecutor
 from repro.core.future import Future
-from repro.core.interfaces import (
-    BatchInterfaceSpec,
-    BatchMethodSpec,
-    derive_batch_interfaces,
-    derive_batch_spec,
-    generate_batch_interface_source,
-    method_translation_table,
-)
+from repro.core.interfaces import generate_batch_interface_source
 from repro.core.policies import (
     MAX_REPEATS,
-    MAX_RESTARTS,
     AbortPolicy,
     ContinuePolicy,
     CustomPolicy,
     ExceptionAction,
-    default_policy,
 )
-from repro.core.proxy import BRMI, BatchProxy, BatchRecorder, create_batch
-from repro.core.recording import ArgRef, BatchResponse, InvocationData
-from repro.core.session import SessionStore
-from repro.core.explain import BatchSummary, batch_summary, describe_batch
+from repro.core.proxy import BRMI, BatchProxy, create_batch
+from repro.core.explain import batch_summary, describe_batch
 
 __all__ = [
     "AbortPolicy",
-    "ArgRef",
     "BatchAbortedError",
     "BatchClosedError",
     "BatchDependencyError",
     "BatchError",
     "BatchExecutor",
-    "BatchInterfaceSpec",
-    "BatchMethodSpec",
     "BatchProxy",
-    "BatchRecorder",
-    "BatchResponse",
     "BatchStateError",
-    "BatchSummary",
     "batch_summary",
     "describe_batch",
     "BRMI",
@@ -73,20 +56,13 @@ __all__ = [
     "cursor_index",
     "cursor_length",
     "CustomPolicy",
-    "default_policy",
-    "derive_batch_interfaces",
-    "derive_batch_spec",
     "ExceptionAction",
     "Future",
     "FutureNotReadyError",
     "generate_batch_interface_source",
-    "InvocationData",
     "MAX_REPEATS",
-    "MAX_RESTARTS",
-    "method_translation_table",
     "NotInBatchError",
     "SessionExpiredError",
-    "SessionStore",
     "UnsupportedBatchOperationError",
     "create_batch",
 ]

@@ -1,81 +1,27 @@
 """Network substrate: clocks, conditions, simulated and TCP transports."""
 
-from repro.net.clock import Clock, SimClock, Stopwatch, WallClock
-from repro.net.conditions import (
-    CHARGE_BATCH_OP,
-    CHARGE_BATCH_RECORD,
-    CHARGE_BATCH_SETUP,
-    CHARGE_PROXY_CREATE,
-    CHARGE_REMOTE_EXPORT,
-    CHARGE_STUB_CREATE,
-    DEFAULT_HOSTS,
-    FREE_CPU,
-    LAN,
-    LOCALHOST,
-    WIRELESS,
-    HostCosts,
-    NetworkConditions,
-    preset,
-    scaled,
-)
+from repro.net.conditions import LAN, LOCALHOST, WIRELESS, preset
 from repro.net.faults import (
     FAULT_KINDS,
     FaultSchedule,
     FaultyChannel,
     FaultyNetwork,
 )
-from repro.net.sim import SimChannel, SimListener, SimNetwork
-from repro.net.stats import TrafficSnapshot, TrafficStats
-from repro.net.tcp import TcpChannel, TcpListener, TcpNetwork
-from repro.net.transport import (
-    Channel,
-    ConnectError,
-    ConnectionClosedError,
-    FaultInjectedError,
-    Listener,
-    Network,
-    TransportError,
-    host_of,
-)
+from repro.net.sim import SimNetwork
+from repro.net.tcp import TcpNetwork
+from repro.net.transport import Channel, Network
 
 __all__ = [
-    "CHARGE_BATCH_OP",
-    "CHARGE_BATCH_RECORD",
-    "CHARGE_BATCH_SETUP",
-    "CHARGE_PROXY_CREATE",
-    "CHARGE_REMOTE_EXPORT",
-    "CHARGE_STUB_CREATE",
     "Channel",
-    "Clock",
-    "ConnectError",
-    "ConnectionClosedError",
-    "DEFAULT_HOSTS",
     "FAULT_KINDS",
-    "FREE_CPU",
-    "FaultInjectedError",
     "FaultSchedule",
     "FaultyChannel",
     "FaultyNetwork",
-    "HostCosts",
     "LAN",
     "LOCALHOST",
-    "Listener",
     "Network",
-    "NetworkConditions",
-    "SimChannel",
-    "SimClock",
-    "SimListener",
     "SimNetwork",
-    "Stopwatch",
-    "TcpChannel",
-    "TcpListener",
     "TcpNetwork",
-    "TrafficSnapshot",
-    "TrafficStats",
-    "TransportError",
-    "WallClock",
     "WIRELESS",
-    "host_of",
     "preset",
-    "scaled",
 ]

@@ -34,27 +34,8 @@ statements that run traced are the statements that run in production.
 """
 
 from repro.obs.context import TraceContext, current_span
-from repro.obs.export import (
-    build_trace_trees,
-    check_spans,
-    read_jsonl,
-    render_message_chart,
-    render_span_tree,
-)
-from repro.obs.live import (
-    AdminClient,
-    AdminError,
-    AdminServer,
-    admin_request,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsKindError,
-    MetricsRegistry,
-    percentile,
-)
+from repro.obs.export import read_jsonl, render_message_chart, render_span_tree
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import (
     NULL_TRACER,
     FlightRecorder,
@@ -66,26 +47,15 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "AdminClient",
-    "AdminError",
-    "AdminServer",
-    "Counter",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsKindError",
     "MetricsRegistry",
     "NULL_TRACER",
     "Span",
     "TraceContext",
     "Tracer",
-    "admin_request",
-    "build_trace_trees",
-    "check_spans",
     "current_span",
     "current_tracer",
     "install_tracer",
-    "percentile",
     "read_jsonl",
     "render_message_chart",
     "render_span_tree",

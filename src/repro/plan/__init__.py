@@ -33,31 +33,17 @@ with results, exception-policy behavior and cursor geometry identical to
 the inline path.
 """
 
-from repro.plan.cache import (
-    DEFAULT_PLAN_CAPACITY,
-    PlanCache,
-    PlanCacheSnapshot,
-    PlanCacheStats,
-)
+from repro.plan.cache import PlanCache
 from repro.plan.client import PlanMemo, PlanningBatchRecorder
 from repro.plan.model import BatchPlan, compile_plan, plan_hash
 from repro.plan.runtime import PlanRuntime
-from repro.rmi.exceptions import PlanError, PlanInvalidatedError, PlanNotFoundError
-from repro.wire.plans import ParamSlot
 
 __all__ = [
     "BatchPlan",
     "compile_plan",
-    "DEFAULT_PLAN_CAPACITY",
-    "ParamSlot",
     "plan_hash",
     "PlanCache",
-    "PlanCacheSnapshot",
-    "PlanCacheStats",
-    "PlanError",
-    "PlanInvalidatedError",
     "PlanMemo",
     "PlanningBatchRecorder",
-    "PlanNotFoundError",
     "PlanRuntime",
 ]

@@ -9,27 +9,12 @@ from repro.rmi.exceptions import (
     NoSuchMethodError,
     NoSuchObjectError,
     NotBoundError,
-    NotExportedError,
-    RegistryError,
-    RemoteApplicationError,
     RemoteError,
     ServerBusyError,
 )
-from repro.rmi.objects import ObjectTable
-from repro.rmi.protocol import INVOKE_BATCH, REGISTRY_OBJECT_ID, CallRequest, CallResponse
-from repro.rmi.registry import NamingRegistry, RegistryImpl
+from repro.rmi.protocol import INVOKE_BATCH, CallRequest, CallResponse
 from repro.rmi.retry import RETRYABLE_ERRORS, RetryPolicy
-from repro.rmi.remote import (
-    MethodSpec,
-    RemoteInterface,
-    RemoteObject,
-    interface_names,
-    lookup_interface,
-    method_parallel_safe,
-    remote_interfaces,
-    remote_method,
-    remote_methods,
-)
+from repro.rmi.remote import RemoteInterface, RemoteObject, remote_method
 from repro.rmi.server import RMIServer
 from repro.rmi.stub import Stub
 
@@ -41,19 +26,11 @@ __all__ = [
     "DedupWindow",
     "INVOKE_BATCH",
     "MarshalError",
-    "MethodSpec",
-    "NamingRegistry",
     "NoSuchMethodError",
     "NoSuchObjectError",
     "NotBoundError",
-    "NotExportedError",
-    "ObjectTable",
-    "REGISTRY_OBJECT_ID",
     "RETRYABLE_ERRORS",
-    "RegistryError",
-    "RegistryImpl",
     "RetryPolicy",
-    "RemoteApplicationError",
     "RemoteError",
     "RemoteInterface",
     "RemoteObject",
@@ -62,10 +39,5 @@ __all__ = [
     "RMIServer",
     "ServerBusyError",
     "Stub",
-    "interface_names",
-    "lookup_interface",
-    "method_parallel_safe",
-    "remote_interfaces",
     "remote_method",
-    "remote_methods",
 ]

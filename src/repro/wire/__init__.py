@@ -4,8 +4,8 @@ Public surface:
 
 - :func:`encode` / :func:`decode` — one value to/from bytes, the codec's
   only entry points
-- :func:`serializable` — register a class for pass-by-copy
-- :func:`register_exception` — register an exception for faithful transfer
+- :mod:`repro.wire.registry`'s ``serializable`` (a class passes by copy)
+  and ``register_exception`` (an exception transfers faithfully)
 - :class:`RemoteRef` — the wire-native remote reference
 - :class:`ParamSlot` — the wire-native plan parameter placeholder
 - :func:`frame_views` / :func:`write_frame` / :class:`FrameReceiver` /
@@ -20,7 +20,6 @@ from repro.wire.errors import (
     TruncatedError,
     UnknownTagError,
     UnregisteredClassError,
-    WireError,
 )
 from repro.wire.framing import (
     FrameBuffer,
@@ -31,12 +30,6 @@ from repro.wire.framing import (
 )
 from repro.wire.plans import ParamSlot
 from repro.wire.refs import RemoteRef
-from repro.wire.registry import (
-    register_exception,
-    registered_classes,
-    registered_exceptions,
-    serializable,
-)
 
 __all__ = [
     "DecodeError",
@@ -49,14 +42,9 @@ __all__ = [
     "TruncatedError",
     "UnknownTagError",
     "UnregisteredClassError",
-    "WireError",
     "canonical_set_order",
     "decode",
     "encode",
     "frame_views",
-    "register_exception",
-    "registered_classes",
-    "registered_exceptions",
-    "serializable",
     "write_frame",
 ]

@@ -20,6 +20,7 @@ shrinks.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -162,6 +163,32 @@ class TestLayerOrder:
         assert layer_violations("plan/synthetic.py", source) == []
         assert layer_violations("fuzz/synthetic.py",
                                 "from repro.aio import AioNetwork\n") == []
+
+
+def shared_exports(alls):
+    """``{name: [subpackage, ...]}`` of every name that more than one
+    subpackage's ``__all__`` exports (*alls* maps a subpackage to its
+    ``__all__``).  The top-level ``repro`` is not a subpackage."""
+    owners = {}
+    for package, names in sorted(alls.items()):
+        for name in names:
+            owners.setdefault(name, []).append(package)
+    return {name: packages for name, packages in owners.items()
+            if len(packages) > 1}
+
+
+class TestOneNameOneSubpackage:
+    def test_no_name_is_exported_by_two_subpackages(self):
+        alls = {path.parent.name: importlib.import_module(
+                    f"repro.{path.parent.name}").__all__
+                for path in PACKAGE.glob("*/__init__.py")}
+        assert len(alls) == 13
+        assert shared_exports(alls) == {}
+
+    def test_a_name_in_two_subpackages_is_a_hit(self):
+        alls = {"plan": ["BatchPlan", "ParamSlot"],
+                "wire": ["ParamSlot", "encode"], "core": ["create_batch"]}
+        assert shared_exports(alls) == {"ParamSlot": ["plan", "wire"]}
 
 
 #: Serves requests (hex, one a line) on a bare core; imports nothing

@@ -11,10 +11,10 @@ from repro.core.policies import (
     ExceptionAction,
 )
 from repro.core.recording import ArgRef, InvocationData
-from repro.plan import BatchPlan, ParamSlot, compile_plan, plan_hash
+from repro.plan import BatchPlan, compile_plan, plan_hash
 from repro.plan.model import shape_key
 from repro.rmi.exceptions import PlanError
-from repro.wire import decode, encode
+from repro.wire import ParamSlot, decode, encode
 from repro.wire.refs import RemoteRef
 
 from tests.support import Point
