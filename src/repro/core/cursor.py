@@ -24,7 +24,8 @@ class CursorProxy(BatchProxy):
     """Batch proxy over every element of a server-side array."""
 
     def __init__(self, recorder, seq, specs):
-        super().__init__(recorder, seq, specs, cursor_owner=None)
+        # A cursor owns its own sub-batch: ops on it repeat per element.
+        super().__init__(recorder, seq, specs, cursor_owner=self)
         self._sub_seqs = []
         self._sub_futures = {}
         self._sub_proxies = {}
@@ -85,19 +86,28 @@ class CursorProxy(BatchProxy):
         self._sub_proxies[seq] = proxy
 
     def _apply_response(self, response, first_error, failure):
+        """Take in the flush's outcome for this cursor.
+
+        A cursor that failed fails everything recorded on it with the
+        same exception (§3.3: re-raise what this object depends on):
+        its sub-batch's futures from ``get()`` and proxies from ``ok()``.
+        """
         self._flushed = True
         self._index = -1
         self._abort_error = first_error
         if failure is not None:
             self._failure = failure
             self._length = 0
+            for future in self._sub_futures.values():
+                future._fail(failure)
+            for proxy in self._sub_proxies.values():
+                proxy._resolved = True
+                proxy._failure = failure
             return
         self._length = response.cursor_lengths.get(self._seq, 0)
         for seq in self._sub_futures:
-            raw = response.cursor_results.get(seq, ())
-            self._values[seq] = [
-                self._recorder.unmarshal_value(value) for value in raw
-            ]
+            self._values[seq] = self._recorder.unmarshal_values(
+                response.cursor_results.get(seq, ()))
         for seq in self._sub_seqs:
             per_element = response.cursor_exceptions.get(seq)
             if per_element:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.policies import is_continue_kind
-from repro.core.recording import EXPORT_OP, ROOT_SEQ
+from repro.core.recording import EXPORT_OP, NONE_ID, ROOT_SEQ
 from repro.net.stats import CounterSet
 from repro.rmi.remote import method_parallel_safe
 
@@ -92,7 +92,7 @@ def split_units(invocations) -> tuple:
     while index < ops:
         inv = invocations[index]
         end = index + 1
-        if inv.returns_kind == "cursor" and not inv.in_cursor:
+        if inv.returns_kind == "cursor" and inv.cursor_seq == NONE_ID:
             while end < ops and invocations[end].cursor_seq == inv.seq:
                 end += 1
         units.append((index, end))
@@ -105,6 +105,10 @@ def analyze_batch(invocations, policy) -> BatchDag:
 
     Pure function of the batch *shape* (ops + policy); argument values
     are never inspected, so the result may be cached alongside a plan.
+    An op costs one call, ``referenced_seqs``: whether a method is
+    ``parallel_safe`` is asked once per name, and the chains are joined
+    without a call where an edge stays inside its unit or reaches the
+    root.
     """
     invocations = tuple(invocations)
     units = split_units(invocations)
@@ -114,24 +118,28 @@ def analyze_batch(invocations, policy) -> BatchDag:
 
     if not is_continue_kind(policy):
         return ineligible(REASON_POLICY)
+    # The export pseudo-op only reads the batch-local object table, so a
+    # cluster split point never forces a shard's sub-batch serial:
+    # intra-shard chains still parallelize.
+    safe = {EXPORT_OP: True}
     for inv in invocations:
-        # The export pseudo-op only reads the batch-local object table,
-        # so a cluster split point never forces a shard's sub-batch
-        # serial: intra-shard chains still parallelize.
-        if inv.method != EXPORT_OP and not method_parallel_safe(inv.method):
+        name = inv.method
+        if name not in safe:
+            safe[name] = method_parallel_safe(name)
+        if not safe[name]:
             return ineligible(REASON_UNSAFE)
-    if any(invocations[start].in_cursor for start, _end in units):
-        # A sub-op not contiguous with its cursor: no recorder emits
-        # one, so the shape stays at width 1 rather than being reasoned
-        # about here.
-        return ineligible(REASON_SHAPE)
-    cursor_units = frozenset(
-        u for u, (start, _end) in enumerate(units)
-        if invocations[start].returns_kind == "cursor"
-    )
 
+    cursor_units = []
     unit_of_seq = {}
     for u, (start, end) in enumerate(units):
+        head = invocations[start]
+        if head.cursor_seq != NONE_ID:
+            # A sub-op not contiguous with its cursor: no recorder emits
+            # one, so the shape stays at width 1 rather than being
+            # reasoned about here.
+            return ineligible(REASON_SHAPE)
+        if head.returns_kind == "cursor":
+            cursor_units.append(u)
         for i in range(start, end):
             unit_of_seq[invocations[i].seq] = u
 
@@ -160,12 +168,12 @@ def analyze_batch(invocations, policy) -> BatchDag:
 
     chain_map = {}
     for u in range(len(units)):
-        chain_map.setdefault(find(u), []).append(u)
+        chain_map.setdefault(u if parent[u] == u else find(u), []).append(u)
     chains = tuple(tuple(members) for members in chain_map.values())
 
     if len(chains) < 2 and not cursor_units:
         return ineligible(REASON_SINGLE_CHAIN)
-    return BatchDag(True, "", units, chains, cursor_units)
+    return BatchDag(True, "", units, chains, frozenset(cursor_units))
 
 
 class SchedulerStats(CounterSet):

@@ -38,10 +38,13 @@ through the same ``_run_unit`` / ``_run_cursor`` / ``_run_sub_op``:
   its wall time.  A shape nothing blocks in runs its keys in order, as
   width 1 does, and wakes no pool thread.  Private outcome fragments
   exist only where order can break: a dag of one chain runs straight
-  into the batch outcome, several chains give each unit a fragment, and
-  a cursor's elements go in place until another run takes one
-  (``_run_cursor``).  Fragments merge in seq order, so the response is
-  byte-identical to width 1.
+  into the batch outcome, and so does a dag of several chains whose
+  shape has been learned quiet — its units in seq order, with no
+  fragment and one op charge, exactly as at width 1; several chains in
+  a run that recruits give each unit a fragment, and a cursor's
+  elements go in place until another run takes one (``_run_cursor``).
+  Fragments merge in seq order, so the response is byte-identical to
+  width 1.
 
 The one thing that differs is *when a value result is marshalled*, and
 it is a property of the fragment, not of the engine.  A fragment filled
@@ -61,7 +64,9 @@ ops it settled there (``charge_cost`` is linear); whether a class
 exposes a method name is checked once per (class, name) per batch; and
 the tracer is read once per batch, an op building its ``server.op``
 span only while tracing is on.  Top-level ops and sub-ops share one
-per-op path, ``_call``.
+per-op path, ``_call``; it walks an op's arguments to substitute refs
+only when one of them is not a wire scalar, and a wire-scalar result
+is filed without a call to ``marshal``.
 
 ``exec_workers=0`` pins every batch to width 1.  It selects no other
 code — it is this engine with no pool — and it stays because the
@@ -75,6 +80,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter, thread_time
 
 from repro.core.dag import (
@@ -103,7 +109,7 @@ from repro.obs.context import _activate, _deactivate, current_span
 from repro.obs.tracer import NULL_TRACER, current_tracer
 from repro.rmi.dispatch import register_pseudo_method
 from repro.rmi.exceptions import NoSuchMethodError
-from repro.rmi.marshal import marshal, unmarshal
+from repro.rmi.marshal import WIRE_SCALARS, marshal, unmarshal
 from repro.rmi.protocol import INVOKE_BATCH
 from repro.rmi.remote import RemoteObject, interface_names, methods_of
 from repro.rmi.stub import Stub
@@ -409,12 +415,13 @@ class BatchExecutor:
         units = split_units(invocations) if dag is None else dag.units
         return units, None
 
-    def _fan_out(self, pool, work, keys, shape):
+    def _fan_out(self, pool, work, keys, shape, in_order):
         """Share *keys* out to workers: each calls ``work(claimed)``
-        once, *claimed* iterating over the keys that worker takes.
+        once, *claimed* iterating over the keys that worker takes; or
+        call ``in_order()``, the caller's run of everything in order.
 
         No pool, or a single key: the caller is the only worker and
-        takes the keys in order, which *is* width 1.  Otherwise lazy
+        runs ``in_order()``, which *is* width 1.  Otherwise lazy
         work sharing: the keys go in one deque, the caller recruits one
         helper from the pool and starts draining; a helper that gets to
         run recruits the next (while keys remain) before it drains.  So
@@ -426,10 +433,12 @@ class BatchExecutor:
         ``(class, method)`` pair naming what the fan-out runs — that it
         has not seen, or that blocked on its last run: a helper claimed
         a key, or the caller's thread CPU time over the fan-out was
-        under half its wall time.  A shape nothing blocks in runs its
-        keys in order at width 1 cost: a recruit it does not need wakes
+        under half its wall time.  A shape nothing blocks in runs
+        ``in_order()`` at width 1 cost: a recruit it does not need wakes
         a pool thread whose wait for the GIL the caller pays at its next
-        block.  One run that blocks makes the next recruit again.
+        block.  One run that blocks makes the next recruit again.  This
+        is the one place the rule lives, for chains and cursor elements
+        alike.
 
         Every recruiter settles its own recruit on the way out, so the
         caller waits on one future transitively and nobody waits on
@@ -439,7 +448,7 @@ class BatchExecutor:
         waits out the recruits still running before its error leaves.
         """
         if pool is None or len(keys) < 2:
-            work(iter(keys))
+            in_order()
             return
         cpu, wall = thread_time(), perf_counter()
         if self._blocked.get(shape, True):
@@ -447,7 +456,7 @@ class BatchExecutor:
             self._drain(pool, fan, False)
             helped = fan.helped
         else:
-            work(iter(keys))
+            in_order()
             helped = False
         self._blocked[shape] = helped or (
             2 * (thread_time() - cpu) < perf_counter() - wall)
@@ -489,40 +498,45 @@ class BatchExecutor:
     def _run(self, invocations, units, dag, policy, outcome: _Outcome):
         """Replay every unit once, at the width ``_schedule`` picked.
 
-        One chain of all units — width 1 (*dag* None), or a dag with a
-        single chain — is written straight into *outcome*.  Otherwise
-        the dag's chains run concurrently, each unit into a private
-        fragment — fragments share the batch's object table (chains
-        write disjoint seq keys; dict item writes are atomic under the
-        GIL) but keep private result/exception dicts — and the fragments
-        are merged in seq order.  A run charges the ops it settled once
-        per outcome it wrote into: the batch outcome, or each fragment.
+        Width 1 (*dag* None), a dag with a single chain, and a dag of
+        several chains whose shape ``_fan_out`` has learned is quiet
+        all run every unit in seq order straight into *outcome*, with
+        one op charge.  Otherwise the dag's chains run concurrently,
+        each unit into a private fragment — fragments share the batch's
+        object table (chains write disjoint seq keys; dict item writes
+        are atomic under the GIL) but keep private result/exception
+        dicts — and the fragments are merged in seq order.  A run
+        charges the ops it settled once per outcome it wrote into: the
+        batch outcome, or each fragment.
         """
         self._server.charge(CHARGE_BATCH_SETUP)
         pool = None if dag is None else self._pool()
-        if dag is None or len(dag.chains) == 1:
-            fragments, chains, shape = None, (range(len(units)),), None
-        else:
-            fragments, chains = [outcome.fragment() for _ in units], dag.chains
-            # The fan-out's shape: the first chain's head, on the root.
-            shape = (type(outcome.objects[ROOT_SEQ]), invocations[0].method)
+        fragments = {}  # unit → its fragment, in a run that recruits
 
-        def run_chains(claimed):
+        def run_units(order, wide):
             into = outcome
             try:
-                for chain in claimed:
-                    for u in chain:
-                        if fragments is not None:
-                            self._charge_ops(into)
-                            into = fragments[u]
-                        self._run_unit(invocations, units[u], policy, into,
-                                       pool)
+                for u in order:
+                    if wide:
+                        self._charge_ops(into)
+                        into = fragments[u] = outcome.fragment()
+                    self._run_unit(invocations, units[u], policy, into, pool)
             finally:
                 self._charge_ops(into)
 
-        self._fan_out(pool, run_chains, chains, shape)
-        for frag in fragments or ():
-            self._merge_fragment(outcome, frag)
+        def run_chains(claimed):
+            for chain in claimed:
+                run_units(chain, True)
+
+        in_order = partial(run_units, range(len(units)), False)
+        if dag is None:
+            in_order()
+        else:
+            # The fan-out's shape: the first chain's head, on the root.
+            shape = (type(outcome.objects[ROOT_SEQ]), invocations[0].method)
+            self._fan_out(pool, run_chains, dag.chains, shape, in_order)
+        for u in sorted(fragments):
+            self._merge_fragment(outcome, fragments[u])
 
     def _charge_ops(self, outcome):
         """Charge the ops *outcome* settled since its last charge, in one
@@ -534,7 +548,7 @@ class BatchExecutor:
     def _run_unit(self, invocations, unit, policy, outcome: _Outcome, pool):
         start, end = unit
         inv = invocations[start]
-        if outcome.broke or inv.in_cursor:
+        if outcome.broke or inv.cursor_seq != NONE_ID:  # ``in_cursor``
             # After a BREAK nothing more runs.  An orphan sub-op never
             # does: no cursor unit heads it, so it has no elements.
             outcome.not_executed.extend(i.seq for i in invocations[start:end])
@@ -644,7 +658,9 @@ class BatchExecutor:
 
         # The fan-out's shape: the sub-batch's first op, on element 0.
         shape = (type(items[0]), sub_ops[0].method) if items else None
-        self._fan_out(pool, run_elements, range(len(items)), shape)
+        keys = range(len(items))
+        self._fan_out(pool, run_elements, keys, shape,
+                      partial(run_elements, keys))
         for index, spot in enumerate(placed or ()):
             if spot is None:
                 continue  # filed in place
@@ -725,15 +741,21 @@ class BatchExecutor:
                 target = objects[(ref.seq, index)]
             else:
                 target = objects[ref.seq]
-            # Most ops carry no arguments.  The recorded empty containers
-            # go through as they are: the call unpacks them, so a callee
-            # never holds (or mutates) a plan's stored dict.
+            # Only an argument that is not a wire scalar can hold a ref;
+            # arguments without one go through as recorded.  The call
+            # unpacks them, so a callee never holds (or mutates) a
+            # plan's stored containers.
             args, kwargs = inv.args, inv.kwargs
-            if args:
-                args = self._substitute(args, objects, element_scope, index)
-            if kwargs:
-                kwargs = self._substitute(kwargs, objects, element_scope,
-                                          index)
+            for item in args:
+                if type(item) not in WIRE_SCALARS:
+                    args = self._substitute(args, objects, element_scope,
+                                            index)
+                    break
+            for item in kwargs.values():
+                if type(item) not in WIRE_SCALARS:
+                    kwargs = self._substitute(kwargs, objects, element_scope,
+                                              index)
+                    break
         except KeyError as exc:
             if index is None:
                 return None, BatchDependencyError(
@@ -827,19 +849,17 @@ class BatchExecutor:
             # RMI quirk preserved for plain remote args: always a stub,
             # even pointing back into this server (§4.4).
             return unmarshal(value, self._server)
-        if isinstance(value, list):
-            return [
-                self._substitute(v, objects, element_scope, index)
+        if isinstance(value, (list, tuple)):
+            items = [
+                v if type(v) in WIRE_SCALARS
+                else self._substitute(v, objects, element_scope, index)
                 for v in value
             ]
-        if isinstance(value, tuple):
-            return tuple(
-                self._substitute(v, objects, element_scope, index)
-                for v in value
-            )
+            return items if isinstance(value, list) else tuple(items)
         if isinstance(value, dict):
             return {
-                k: self._substitute(v, objects, element_scope, index)
+                k: v if type(v) in WIRE_SCALARS
+                else self._substitute(v, objects, element_scope, index)
                 for k, v in value.items()
             }
         return value
@@ -861,7 +881,8 @@ class BatchExecutor:
                 key = len(container)
                 container.append(None)
             if outcome.marshal_log is None:
-                container[key] = marshal(result, self._server)
+                container[key] = (result if type(result) in WIRE_SCALARS
+                                  else marshal(result, self._server))
             else:
                 container[key] = _Deferred(result)
                 outcome.marshal_log.append((container, key))

@@ -36,7 +36,7 @@ from repro.net.conditions import (
 )
 from repro.obs.tracer import current_tracer
 from repro.rmi.exceptions import NoSuchMethodError
-from repro.rmi.marshal import marshal, unmarshal
+from repro.rmi.marshal import WIRE_SCALARS, marshal, unmarshal
 from repro.rmi.protocol import INVOKE_BATCH
 from repro.rmi.remote import lookup_interface, remote_methods
 from repro.rmi.stub import Stub
@@ -61,6 +61,10 @@ class BatchProxy:
         self._seq = seq
         self._specs = specs
         self._cursor_owner = cursor_owner
+        #: The ref this proxy stands for, built once; None for a cursor
+        #: (its own owner) and its sub-batch, whose ref depends on the
+        #: cursor's state.
+        self._ref = ArgRef(seq) if cursor_owner is None else None
         self._failure = None
         self._resolved = seq == ROOT_SEQ
 
@@ -170,17 +174,32 @@ class BatchRecorder:
     # -- recording ---------------------------------------------------------
 
     def record(self, proxy: BatchProxy, spec, args, kwargs):
-        """Append one invocation; returns its Future/proxy/cursor."""
+        """Append one invocation; returns its Future/proxy/cursor.
+
+        One pass over the arguments converts them and collects the seqs
+        of the :class:`ArgRef` values in them, in ``referenced_seqs()``
+        order: the op's dependency edges.  An argument tuple (or kwargs
+        dict) of wire-native scalars is kept as it is, after one type
+        check per item.
+        """
         with self._lock:
             if self.closed:
                 raise BatchClosedError(
                     "this batch chain was flushed; create a new batch"
                 )
             target, owner = self._ref_of(proxy, None)
-            args, owner = self._convert_one(args, owner)
-            kwargs, owner = self._convert_one(kwargs, owner)
+            seqs = [target.seq]
+            for item in args:
+                if type(item) not in WIRE_SCALARS:
+                    args, owner = self._convert_one(args, owner, seqs)
+                    break
+            for item in kwargs.values():
+                if type(item) not in WIRE_SCALARS:
+                    kwargs, owner = self._convert_one(kwargs, owner, seqs)
+                    break
 
-            self._enforce_contiguity(owner)
+            if owner is not None or self._open_cursor is not None:
+                self._enforce_contiguity(owner)
             if owner is not None and spec.returns_kind == "cursor":
                 raise UnsupportedBatchOperationError(
                     "nested cursors: a cursor operation cannot itself "
@@ -189,22 +208,16 @@ class BatchRecorder:
 
             self._seq_counter += 1
             seq = self._seq_counter
-            invocation = InvocationData(
-                seq=seq,
-                target=target,
-                method=spec.name,
-                args=args,
-                kwargs=kwargs,
-                returns_kind=spec.returns_kind,
-                cursor_seq=owner._seq if owner is not None else NONE_ID,
-            )
+            self._segment.append(InvocationData.recorded(
+                seq, target, spec.name, args, kwargs, spec.returns_kind,
+                NONE_ID if owner is None else owner._seq,
+            ))
             deps = set()
-            for ref_seq in invocation.referenced_seqs():
+            for ref_seq in seqs:
                 deps.update(self._deps.get(ref_seq, ()))
                 if ref_seq > ROOT_SEQ:
                     deps.add(ref_seq)
             self._deps[seq] = frozenset(deps)
-            self._segment.append(invocation)
             self._client.charge(CHARGE_BATCH_RECORD)
             return self._make_result(seq, spec, owner)
 
@@ -212,19 +225,17 @@ class BatchRecorder:
         """``(ArgRef, owner)`` for a proxy of this chain, as a call's
         target or as an argument.
 
-        A proxy of an unflushed cursor (the cursor itself included)
-        stands for every element: the op joins that cursor's sub-batch
-        (§3.4), so *owner* widens to it.  A proxy of a flushed cursor
-        addresses the element the cursor currently points at (chained
-        batches, §3.5).
+        A plain proxy built its ref when it was created.  A proxy of an
+        unflushed cursor (the cursor itself included) stands for every
+        element: the op joins that cursor's sub-batch (§3.4), so *owner*
+        widens to it.  A proxy of a flushed cursor addresses the element
+        the cursor currently points at (chained batches, §3.5).
         """
         if proxy._failure is not None:
             raise proxy._failure
+        if proxy._ref is not None:
+            return proxy._ref, owner
         cursor = proxy._cursor_owner
-        if isinstance(proxy, CursorProxy):
-            cursor = proxy
-        if cursor is None:
-            return ArgRef(proxy._seq), owner
         if not cursor._flushed:
             return ArgRef(proxy._seq), self._merge_owner(owner, cursor)
         index = cursor._require_index()
@@ -233,24 +244,28 @@ class BatchRecorder:
             raise element_exc
         return ArgRef(proxy._seq, index), owner
 
-    def _convert_one(self, value, owner):
+    def _convert_one(self, value, owner, seqs):
         """Wire-safe form of one argument; batch refs become ArgRef.
 
         Returns ``(converted, owner)`` — the cursor sub-batch owner may
         widen when a cursor (or cursor-derived proxy) appears among the
-        arguments, since such an op repeats per element (§3.4).
+        arguments, since such an op repeats per element (§3.4).  The seq
+        of every ArgRef in the result is appended to *seqs*, in the
+        depth-first order ``referenced_seqs()`` walks.
         """
         if isinstance(value, (list, tuple)):
             items = []
             for item in value:
-                converted, owner = self._convert_one(item, owner)
-                items.append(converted)
+                if type(item) not in WIRE_SCALARS:
+                    item, owner = self._convert_one(item, owner, seqs)
+                items.append(item)
             return (tuple(items) if isinstance(value, tuple) else items), owner
         if isinstance(value, dict):
             result = {}
             for key, item in value.items():
-                converted, owner = self._convert_one(item, owner)
-                result[key] = converted
+                if type(item) not in WIRE_SCALARS:
+                    item, owner = self._convert_one(item, owner, seqs)
+                result[key] = item
             return result, owner
         if isinstance(value, Future):
             raise UnsupportedBatchOperationError(
@@ -261,8 +276,13 @@ class BatchRecorder:
         if isinstance(value, BatchProxy):
             if value._recorder is not self:
                 return marshal(self.batch.export(value), self._client), owner
-            return self._ref_of(value, owner)
-        return marshal(value, self._client), owner
+            ref, owner = self._ref_of(value, owner)
+        else:
+            ref = marshal(value, self._client)
+            if not isinstance(ref, ArgRef):
+                return ref, owner
+        seqs.append(ref.seq)
+        return ref, owner
 
     def _merge_owner(self, owner, cursor):
         if owner is not None and owner is not cursor:
@@ -372,8 +392,8 @@ class BatchRecorder:
         """Resolve every pending row of this chain with *exc* and close it.
 
         Its futures raise *exc* from ``get()``, its proxies (the root
-        included) and cursors from ``ok()``, and the chain records and
-        flushes no more.
+        included) and cursors from ``ok()`` — a cursor's sub-batch rows
+        too — and the chain records and flushes no more.
         """
         with self._lock:
             for _seq, future in self._segment_futures:
@@ -384,8 +404,7 @@ class BatchRecorder:
             for cursor in self._segment_cursors:
                 cursor._resolved = True
                 cursor._sub_closed = True
-                cursor._flushed = True
-                cursor._failure = exc
+                cursor._apply_response(None, None, exc)
             self._reset_segment()
             self._session_id = NONE_ID
             self.closed = True
@@ -414,9 +433,12 @@ class BatchRecorder:
         self._failures.update(response.exceptions)
         first_error = response.break_exception()
         not_executed = set(response.not_executed)
+        results = response.results
         for seq, future in self._segment_futures:
-            if seq in response.results:
-                future._assign(unmarshal(response.results[seq], self._client))
+            if seq in results:
+                value = results[seq]
+                future._assign(value if type(value) in WIRE_SCALARS
+                               else unmarshal(value, self._client))
                 continue
             failure = self._failure_of(seq, not_executed, first_error)
             future._fail(failure if failure is not None else BatchError(
@@ -455,9 +477,11 @@ class BatchRecorder:
                 return self._failures[dep]
         return None
 
-    def unmarshal_value(self, value):
-        """Unmarshal a cursor element value via the owning client."""
-        return unmarshal(value, self._client)
+    def unmarshal_values(self, values) -> list:
+        """Unmarshal a cursor's element values via the owning client."""
+        client = self._client
+        return [value if type(value) in WIRE_SCALARS
+                else unmarshal(value, client) for value in values]
 
 
 def create_batch(stub: Stub, policy=None,

@@ -110,6 +110,27 @@ class InvocationData:
         fields["kwargs"] = kwargs
         return copy
 
+    @staticmethod
+    def recorded(seq, target, method, args, kwargs, returns_kind,
+                 cursor_seq) -> "InvocationData":
+        """The recorder's constructor: the fields in declaration order,
+        without ``__post_init__``.
+
+        Every field comes from a source that was checked already: *seq*
+        from the recorder's counter, *target* an :class:`ArgRef` the
+        recorder built, *method* and *returns_kind* from a
+        :class:`~repro.rmi.remote.MethodSpec` (which checks both when it
+        is constructed), *cursor_seq* from the owning cursor's own seq;
+        *args* is a tuple and *kwargs* a dict of the recorder's making.
+        An op decoded from the wire is outside input and is built by
+        the checked constructor.
+        """
+        op = object.__new__(InvocationData)
+        op.__dict__.update(seq=seq, target=target, method=method, args=args,
+                           kwargs=kwargs, returns_kind=returns_kind,
+                           cursor_seq=cursor_seq)
+        return op
+
     @property
     def in_cursor(self) -> bool:
         """Whether this op belongs to a cursor's sub-batch."""
@@ -119,25 +140,22 @@ class InvocationData:
         """Seqs this op depends on, in recording order, duplicates kept.
 
         The target ref comes first, then every :class:`ArgRef` found in
-        ``args``/``kwargs`` (depth-first through containers).  This is
-        the edge list both the DAG scheduler and the executor's
-        element-failure attribution walk.
+        ``args``/``kwargs`` (depth-first through lists, tuples and dict
+        values).  This is the edge list the DAG scheduler and the
+        executor's element-failure attribution walk, and the one the
+        recorder collects while it converts the arguments.
         """
         seqs = [self.target.seq]
-        _collect_ref_seqs(self.args, seqs)
-        _collect_ref_seqs(self.kwargs, seqs)
+        pending = [self.kwargs, self.args]  # a stack: args come off first
+        while pending:
+            value = pending.pop()
+            if isinstance(value, ArgRef):
+                seqs.append(value.seq)
+            elif isinstance(value, (list, tuple)):
+                pending.extend(reversed(value))
+            elif isinstance(value, dict):
+                pending.extend(reversed(value.values()))
         return tuple(seqs)
-
-
-def _collect_ref_seqs(value, seqs: list) -> None:
-    if isinstance(value, ArgRef):
-        seqs.append(value.seq)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _collect_ref_seqs(item, seqs)
-    elif isinstance(value, dict):
-        for item in value.values():
-            _collect_ref_seqs(item, seqs)
 
 
 def validate_batch(invocations, policy) -> "tuple[InvocationData, ...]":

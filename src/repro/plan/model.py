@@ -157,20 +157,11 @@ def compile_plan(invocations, policy):
     same client code produces the same plan every time.
     """
     params = []
-    ops = []
-    for inv in invocations:
-        ops.append(
-            InvocationData(
-                seq=inv.seq,
-                target=inv.target,
-                method=inv.method,
-                args=_lift(inv.args, params),
-                kwargs=_lift(inv.kwargs, params),
-                returns_kind=inv.returns_kind,
-                cursor_seq=inv.cursor_seq,
-            )
-        )
-    plan = BatchPlan(ops=tuple(ops), policy=policy, param_count=len(params))
+    ops = tuple(
+        inv.with_arguments(_lift(inv.args, params), _lift(inv.kwargs, params))
+        for inv in invocations
+    )
+    plan = BatchPlan(ops=ops, policy=policy, param_count=len(params))
     return plan, tuple(params)
 
 
@@ -206,35 +197,47 @@ def shape_key(invocations, policy):
 def _walk(values, tokens, params):
     """Append the shape of each of *values* to *tokens* and its leaves
     to *params*, in ``_lift``'s order.  A dict writes its tagged keys
-    before its values."""
-    for value in values:
-        if not isinstance(value, _STRUCTURE):
-            tokens.append(ParamSlot)
-            params.append(value)
-            continue
-        kind = type(value)
-        if kind is ArgRef:
-            tokens += (ArgRef, value.seq, value.cursor_index)
-        elif kind is tuple or kind is list:
-            tokens += (kind, len(value))
-            _walk(value, tokens, params)
-        elif kind is dict:
-            tokens += (dict, len(value))
-            if value:
+    before its values.
+
+    One frame however deep the arguments nest: a container pushes an
+    iterator over its items and the walk goes on from there, popping it
+    once it is spent.
+    """
+    stack = [iter(values)]
+    while stack:
+        for value in stack[-1]:
+            if not isinstance(value, _STRUCTURE):
+                tokens.append(ParamSlot)
+                params.append(value)
+                continue
+            kind = type(value)
+            if kind is ArgRef:
+                tokens += (ArgRef, value.seq, value.cursor_index)
+                continue
+            if kind is tuple or kind is list:
+                tokens += (kind, len(value))
+                items = value
+            elif kind is dict:
+                tokens += (dict, len(value))
                 for key in value:
                     key_type = type(key)
                     if key_type in _LITERAL_KEY_TYPES:
                         tokens += (key_type, key)
                     else:
                         tokens += (_ENCODED, encode(key))
-                _walk(value.values(), tokens, params)
-        elif kind is set or kind is frozenset:
-            tokens += (kind, len(value))
-            _walk(canonical_set_order(value), tokens, params)
-        elif isinstance(value, ArgRef):
-            tokens += (_ENCODED, encode(value))
+                items = value.values()
+            elif kind is set or kind is frozenset:
+                tokens += (kind, len(value))
+                items = canonical_set_order(value)
+            elif isinstance(value, ArgRef):
+                tokens += (_ENCODED, encode(value))
+                continue
+            else:
+                items = (_plain(value),)
+            stack.append(iter(items))
+            break
         else:
-            _walk((_plain(value),), tokens, params)
+            stack.pop()
 
 
 def _plain(container):

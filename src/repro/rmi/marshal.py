@@ -28,7 +28,9 @@ from repro.wire.refs import RemoteRef
 
 
 #: Wire-native scalars: passed by copy as they are, after one type check.
-_WIRE_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
+#: ``marshal`` and ``unmarshal`` return them unchanged, so a caller that
+#: checks first (``type(v) in WIRE_SCALARS``) skips the call.
+WIRE_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
 
 
 class MarshalContext:
@@ -49,7 +51,7 @@ class MarshalContext:
 
 def marshal(value, ctx: MarshalContext):
     """Convert a live value into its wire-safe form."""
-    if type(value) in _WIRE_SCALARS:
+    if type(value) in WIRE_SCALARS:
         return value
     if isinstance(value, Stub):
         # RMI quirk: a stub is marshalled as itself (its ref), never
@@ -58,10 +60,10 @@ def marshal(value, ctx: MarshalContext):
     if isinstance(value, RemoteObject):
         ctx.charge(CHARGE_REMOTE_EXPORT)
         return ctx.export(value)
-    if isinstance(value, list):
-        return [marshal(item, ctx) for item in value]
-    if isinstance(value, tuple):
-        return tuple(marshal(item, ctx) for item in value)
+    if isinstance(value, (list, tuple)):
+        items = [item if type(item) in WIRE_SCALARS else marshal(item, ctx)
+                 for item in value]
+        return items if isinstance(value, list) else tuple(items)
     if isinstance(value, dict):
         return {marshal(k, ctx): marshal(v, ctx) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
@@ -90,7 +92,7 @@ def unmarshal(value, ctx: MarshalContext):
 def marshal_args(args, kwargs, ctx: MarshalContext):
     """Marshal a full argument list, wrapping failures as MarshalError."""
     try:
-        wire_args = tuple(marshal(arg, ctx) for arg in args)
+        wire_args = marshal(tuple(args), ctx)
         wire_kwargs = {name: marshal(val, ctx) for name, val in (kwargs or {}).items()}
     except MarshalError:
         raise

@@ -182,6 +182,10 @@ class MethodSpec:
     - ``"value"``  — plain data, becomes ``Future[T]`` in a batch;
     - ``"remote"`` — a remote interface, becomes a nested batch proxy;
     - ``"cursor"`` — a sequence of a remote interface, becomes a cursor.
+
+    The checks here are the ones a recorded op's ``method`` and
+    ``returns_kind`` rely on: the batch recorder copies both into each
+    op without checking them again.
     """
 
     name: str
@@ -190,6 +194,8 @@ class MethodSpec:
     doc: str = ""
 
     def __post_init__(self):
+        if not self.name or not isinstance(self.name, str):
+            raise ValueError(f"bad method name {self.name!r}")
         if self.returns_kind not in ("value", "remote", "cursor"):
             raise ValueError(f"bad returns_kind {self.returns_kind!r}")
         if self.returns_kind != "value" and not self.returns_interface:

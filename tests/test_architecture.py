@@ -62,7 +62,7 @@ LAYER_EXCEPTIONS = {
         "obs -> net: the admin plane serves over net.tcp; taking its "
         "transport as an argument would remove this"),
     "obs/live.py:41": "obs -> net: as above, for the Channel type",
-    "core/proxy.py:510": (
+    "core/proxy.py:534": (
         "core -> plan: create_batch(reuse_plans=True) builds the plan "
         "layer's recorder, and benchmarks/e2e/run.py pins that keyword"),
     "rmi/client.py:122": (
@@ -189,6 +189,46 @@ class TestOneNameOneSubpackage:
         alls = {"plan": ["BatchPlan", "ParamSlot"],
                 "wire": ["ParamSlot", "encode"], "core": ["create_batch"]}
         assert shared_exports(alls) == {"ParamSlot": ["plan", "wire"]}
+
+
+def unchecked_constructions(path: str, source: str):
+    """``"<path>:<line>"`` of every ``__new__`` call in *source* that
+    names ``InvocationData``: an op built around its ``__post_init__``.
+    Only ``core/recording.py`` may hold one (the recorder's and the plan
+    binder's constructors), so an op decoded from the wire is always
+    built by the checked one."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"):
+            continue
+        named = [node.func.value] + list(node.args[:1])
+        if any(isinstance(name, ast.Name) and name.id == "InvocationData"
+               for name in named):
+            hits.append(f"{path}:{node.lineno}")
+    return hits
+
+
+class TestOneUncheckedConstructor:
+    def test_only_recording_builds_an_op_unchecked(self):
+        hits = []
+        for file in sorted(PACKAGE.rglob("*.py")):
+            path = file.relative_to(PACKAGE).as_posix()
+            hits.extend(unchecked_constructions(path, file.read_text()))
+        assert hits and all(hit.startswith("core/recording.py:")
+                            for hit in hits), hits
+
+    def test_an_unchecked_op_elsewhere_is_a_hit(self):
+        source = ("from repro.core.recording import InvocationData\n"
+                  "def rebuild(fields):\n"
+                  "    op = object.__new__(InvocationData)\n"
+                  "    op.__dict__.update(fields)\n"
+                  "    return InvocationData.__new__(InvocationData)\n")
+        assert unchecked_constructions("wire/synthetic.py", source) == [
+            "wire/synthetic.py:3", "wire/synthetic.py:5"]
+        assert unchecked_constructions(
+            "wire/synthetic.py", "op = cls(**fields)\n") == []
 
 
 #: Serves requests (hex, one a line) on a bare core; imports nothing

@@ -76,6 +76,39 @@ def test_shard_death_fails_only_that_shards_rows_tcp():
         world.close()
 
 
+def test_shard_death_fails_a_cursors_sub_batch_rows():
+    """A failed chain fails a cursor's sub-batch rows with the chain's
+    cause, like every other row of the chain."""
+    from repro.apps import make_directory
+
+    world = World("lan", shards=2)
+    try:
+        cluster = world.fresh_client()
+        try:
+            names = [world.shard_map.homed_name("dir-death", i)
+                     for i in range(2)]
+            for index, name in enumerate(names):
+                world.servers[index].bind(name, make_directory(2, 64))
+            batch = cluster.create_batch()
+            roots = [batch.on(cluster.lookup(name)) for name in names]
+            cursors = [root.list_files() for root in roots]
+            lengths = [cursor.length() for cursor in cursors]
+            subs = [cursor.get_file("x") for cursor in cursors]
+
+            world.servers[1].close()
+            with pytest.raises(ShardFailedError) as info:
+                batch.flush()
+            cause = info.value.causes["1/2"]
+            assert cursors[0].next() and lengths[0].get() > 0
+            for row in (cursors[1].ok, lengths[1].get, subs[1].ok):
+                with pytest.raises(type(cause)):
+                    row()
+        finally:
+            cluster.close()
+    finally:
+        world.close()
+
+
 def test_all_shards_dead_reraises_the_raw_error():
     """No survivors -> behave like a single server: the original error."""
     world = World("lan", shards=2)

@@ -242,10 +242,46 @@ class TestCursorExceptions:
         env.server.bind("broken", BrokenImpl())
         batch = create_batch(env.client.lookup("broken"))
         cursor = batch.all_items()
-        cursor.name()
+        name = cursor.name()
+        partner = cursor.partner()
         batch.flush()
         with pytest.raises(BoomError):
             cursor.next()
+        # The sub-batch depends on the cursor: it re-raises its failure.
+        with pytest.raises(BoomError):
+            name.get()
+        with pytest.raises(BoomError):
+            partner.ok()
+
+    def test_failed_cursor_fails_its_sub_batch_under_continue(self, env):
+        from repro.apps import make_directory
+
+        env.server.bind("dir", make_directory(3, 300))
+        batch = create_batch(env.client.lookup("dir"), policy=ContinuePolicy())
+        missing = batch.get_file("nope")
+        cursor = missing.list_files()
+        sub = cursor.get_file("x")
+        name = cursor.get_name()
+        batch.flush()
+        with pytest.raises(FileNotFoundError):
+            cursor.ok()
+        with pytest.raises(FileNotFoundError):
+            sub.ok()
+        with pytest.raises(FileNotFoundError):
+            name.get()
+
+    def test_aborted_cursor_fails_its_sub_batch(self, env):
+        from repro.core import BatchAbortedError
+
+        batch = create_batch(env.client.lookup("container"))
+        batch.get_item("nope")  # raises; AbortPolicy stops the batch
+        cursor = batch.all_items()
+        name = cursor.name()
+        partner = cursor.partner()
+        batch.flush()
+        for row in (cursor.ok, name.get, partner.ok):
+            with pytest.raises(BatchAbortedError):
+                row()
 
     def test_dependent_sub_op_fails_with_cause(self, env):
         """partner() fails for one element: name-of-partner for that
